@@ -45,8 +45,10 @@ def main():
     fxx, fxy, fyy = f.hessian(4.0, 1800.0)
     print(f"at the bump: grad = ({gx:.4f}, {gy:.6f}), "
           f"hessian diag = ({fxx:.4f}, {fyy:.2e})")
-    print("negative curvature both ways marks a local maximum, which is")
-    print("exactly what the optimizer's critical-point search looks for")
+    print("negative curvature both ways marks a local maximum; the")
+    print("critical-point search classifies such points for analysis, while")
+    print("the optimizer scores only the knot lattice, where configurations")
+    print("can actually be deployed")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 Each stratum gets additive spline models of energy and throughput over the
 five transfer parameters. The optimizer then picks, per (stratum, SLA)
-pair, the lattice configuration that best satisfies the objective, checking
-candidates from knots and interior critical points of the surfaces.
+pair, the lattice configuration that best satisfies the objective, scoring
+every configuration on the knot lattice in one vectorised pass.
 """
 
 from xfertune import (

@@ -1,24 +1,27 @@
 """SLA-constrained parameter selection on fitted stratum models.
 
 An SLA either caps predicted energy (maximize throughput under the cap) or
-guarantees predicted throughput (minimize energy above the floor). Candidate
-configurations come from critical points of every per-group model, found by
-Newton iteration on the gradient from each cell center, rounded outward to
-the observed parameter lattice, together with all grid knots. The best
-feasible candidate wins with a deterministic tie-break.
+guarantees predicted throughput (minimize energy above the floor). The
+optimizer scores the full knot lattice at once: each group model is evaluated
+on its own knot mesh, the groups are broadcast into energy and throughput
+arrays over the whole lattice, infeasible cells are masked out, and the first
+best cell in lexicographic lattice order wins.
+
+Critical points of the spline models (Newton search plus Hessian
+classification) are an analysis utility: a stationary point between knots is
+not a deployable configuration, so it never takes part in the selection.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .logs import PARAM_NAMES, ParamConfig
 from .spline import Spline1D, Surface
-from .surfaces import PARAM_GROUPS, StratumModels
+from .surfaces import StratumModels
 
 NEWTON_MAX_ITER = 50
 NEWTON_GRAD_TOL = 1e-10
@@ -244,36 +247,6 @@ def find_critical_points(model) -> list[CriticalPoint]:
     raise TypeError("model must be Spline1D or Surface")
 
 
-def _lattice_neighbors(value: float, axis: tuple[int, ...]) -> set[int]:
-    """Nearest lattice values at or around a continuous coordinate."""
-    out = set()
-    i = bisect_right(axis, value)
-    if i > 0:
-        out.add(axis[i - 1])
-    j = bisect_left(axis, value)
-    if j < len(axis):
-        out.add(axis[j])
-    return out
-
-
-def _group_candidates(models: StratumModels, group: tuple[str, ...]):
-    """Candidate lattice tuples for one parameter group.
-
-    All grid knots, plus every critical point of the group's energy and
-    throughput models rounded to the enclosing lattice corners.
-    """
-    axes = [models.axis_values(p) for p in group]
-    cands: set[tuple[int, ...]] = set(itertools.product(*axes))
-    for metric_models in (models.energy, models.throughput):
-        gm = next(m for m in metric_models if m.params == group)
-        for cp in find_critical_points(gm.model):
-            if not cp.stationary:
-                continue
-            per_axis = [_lattice_neighbors(c, axis) for c, axis in zip(cp.coords, axes)]
-            cands.update(itertools.product(*per_axis))
-    return sorted(cands)
-
-
 @dataclass(frozen=True)
 class OptimizationResult:
     stratum_id: str
@@ -307,18 +280,6 @@ class OptimizationResult:
         )
 
 
-def candidate_configs(models: StratumModels) -> list[ParamConfig]:
-    """Cross product of per-group candidate tuples, in lattice order."""
-    per_group = [_group_candidates(models, g) for g in PARAM_GROUPS]
-    configs = []
-    for combo in itertools.product(*per_group):
-        flat = {}
-        for group, values in zip(PARAM_GROUPS, combo):
-            flat.update(dict(zip(group, values)))
-        configs.append(ParamConfig(**flat))
-    return configs
-
-
 def enumerate_lattice(models: StratumModels) -> list[ParamConfig]:
     """Every configuration on the observed parameter lattice."""
     axes = [models.axis_values(p) for p in PARAM_NAMES]
@@ -326,41 +287,31 @@ def enumerate_lattice(models: StratumModels) -> list[ParamConfig]:
             for combo in itertools.product(*axes)]
 
 
-def _sort_key(cfg: ParamConfig, objective: float):
-    return (objective, cfg.cpu_num, cfg.cpu_freq_mhz, cfg.cc, cfg.p, cfg.pp)
-
-
 def optimize_stratum(models: StratumModels, sla: SLA) -> OptimizationResult:
-    """Best feasible lattice configuration for one stratum under one SLA."""
-    cands = candidate_configs(models)
-    best = None
-    best_key = None
-    feasible = 0
-    for cfg in cands:
-        e = models.predict_energy(cfg)
-        t = models.predict_throughput(cfg)
-        if sla.kind == KIND_ENERGY_CAP:
-            if e > sla.bound:
-                continue
-            key = _sort_key(cfg, -t)
-        else:
-            if t < sla.bound:
-                continue
-            key = _sort_key(cfg, e)
-        feasible += 1
-        if best_key is None or key < best_key:
-            best, best_key = (cfg, e, t), key
-    if best is None:
-        word = "cap" if sla.kind == KIND_ENERGY_CAP else "floor"
+    """Best feasible lattice configuration for one stratum under one SLA.
+
+    Ties on the objective go to the first configuration in lexicographic
+    lattice order, which is the C order of the prediction arrays.
+    """
+    axes, energy, tput = models.lattice_predictions()
+    # the masks negate e > cap and t < floor: a bound met exactly is feasible
+    if sla.kind == KIND_ENERGY_CAP:
+        word, objective, best = "cap", tput, np.argmax
+        feasible = np.flatnonzero(~(energy > sla.bound))
+    else:
+        word, objective, best = "floor", energy, np.argmin
+        feasible = np.flatnonzero(~(tput < sla.bound))
+    if not feasible.size:
         raise InfeasibleSLAError(
             models.stratum_id, sla.id,
             f"no candidate satisfies the {word} {sla.bound} "
-            f"({len(cands)} candidates checked)")
-    cfg, e, t = best
+            f"({energy.size} candidates checked)")
+    cell = np.unravel_index(feasible[best(objective.ravel()[feasible])], energy.shape)
+    cfg = ParamConfig(**{p: axes[p][i] for p, i in zip(PARAM_NAMES, cell)})
     return OptimizationResult(
         stratum_id=models.stratum_id, sla_id=sla.id, params=cfg,
-        predicted_energy=e, predicted_throughput=t,
-        candidate_count=len(cands), feasible_count=feasible)
+        predicted_energy=float(energy[cell]), predicted_throughput=float(tput[cell]),
+        candidate_count=energy.size, feasible_count=feasible.size)
 
 
 @dataclass(frozen=True)

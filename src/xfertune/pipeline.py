@@ -8,17 +8,17 @@ endpoint and compares policies per file class.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from pathlib import Path
 
 from .clustering import StratifyConfig, Stratum, stratify
-from .logs import ParamConfig
+from .logs import ParamConfig, ParamLattice
 from .optimizer import SLA, ParamTable, build_param_table
 from .simulator import (DATASET_CLASSES, EndpointSpec, LoadScenario,
-                        SimEndpoint, baseline_config, synth_file_sizes,
-                        throughput_mbps, power_above_base_watts)
+                        SimEndpoint, baseline_config, default_lattice,
+                        synth_file_sizes, throughput_mbps,
+                        power_above_base_watts)
 from .surfaces import StratumModels, fit_stratum_models, rmse_holdout
 from .tuner import (FILE_CLASSES, FixedController, OnlineTuner, TransferReport,
                     dataset_meta_for, run_transfer)
@@ -184,13 +184,11 @@ def _analytic_fixed_run(spec: EndpointSpec, cfg: ParamConfig,
     return math.inf, math.inf
 
 
-def _static_optimal_row(spec, scenario, lattice_axes: dict, cname: str) -> dict:
+def _static_optimal_row(spec, scenario, lattice: ParamLattice, cname: str) -> dict:
     meta = dataset_meta_for(synth_file_sizes(DATASET_CLASSES[cname]))
     best_t = None
     best_e = None
-    names = list(lattice_axes)
-    for combo in itertools.product(*(lattice_axes[n] for n in names)):
-        cfg = ParamConfig(**dict(zip(names, combo)))
+    for cfg in lattice.configs():
         duration, energy = _analytic_fixed_run(
             spec, cfg, scenario, meta.avg_file_size_bytes, meta.total_size_bytes)
         if math.isinf(duration):
@@ -218,8 +216,8 @@ def compare_policies(spec: EndpointSpec, scenario: LoadScenario, config,
     """Run every policy over the same file set and report per-class rows.
 
     static-optimal is an oracle row: the best achievable throughput and the
-    lowest achievable energy over the whole parameter lattice, generally two
-    different configurations.
+    lowest achievable energy over the endpoint's whole default lattice,
+    generally two different configurations.
     """
     ordered_classes = [c for c in FILE_CLASSES if c in classes]
     sizes = _class_sizes(ordered_classes)
@@ -252,9 +250,9 @@ def compare_policies(spec: EndpointSpec, scenario: LoadScenario, config,
             "switch_count": report.switch_count,
             "warnings": list(report.warnings),
         }
-    axes = models[sorted(models)[0]].lattice_axes()
+    lattice = default_lattice(spec)
     for cname in ordered_classes:
-        rows.append(_static_optimal_row(spec, scenario, axes, cname))
+        rows.append(_static_optimal_row(spec, scenario, lattice, cname))
     return {"schema": SCHEMAS["compare"], "endpoint": spec.as_dict(),
             "scenario": scenario.as_dict(), "interval_s": interval_s,
             "rows": rows, "totals": totals}

@@ -6,7 +6,9 @@ surfaces and pp as a 1-D spline. A group's model is fitted on the slice of
 entries whose remaining parameters sit at their modal values, so the three
 groups describe orthogonal cuts through the same operating point. Combined
 predictions add the groups and subtract twice the stratum mean, which cancels
-the double-counted baseline of the two extra slices.
+the double-counted baseline of the two extra slices. They come per
+configuration (predict_energy, predict_throughput) or as arrays over the
+whole knot lattice (lattice_predictions), with identical values.
 """
 from __future__ import annotations
 
@@ -140,6 +142,13 @@ class GroupModel:
             return self.model(cfg.get(self.params[0]), cfg.get(self.params[1]))
         return self.model(cfg.get(self.params[0]))
 
+    def values_on(self, axes: dict) -> np.ndarray:
+        """The model on the mesh of the given axis values, one array axis per
+        group parameter; each cell equals value() at that configuration."""
+        mesh = np.meshgrid(*(np.asarray(axes[p], dtype=float) for p in self.params),
+                           indexing="ij")
+        return self.model(*(m.ravel() for m in mesh)).reshape(mesh[0].shape)
+
     def in_domain(self, cfg: ParamConfig) -> bool:
         if len(self.params) == 2:
             return self.model.in_domain(cfg.get(self.params[0]), cfg.get(self.params[1]))
@@ -186,6 +195,19 @@ class GroupModel:
                    metric=obj["metric"], model=model)
 
 
+def _combine(parts, mean):
+    """Group values summed left to right, minus twice the stratum mean.
+
+    Scalars and broadcast lattice arrays go through the same float
+    operations, so both give identical bits; builtin sum() would not, since
+    it uses compensated summation for floats from Python 3.12 on.
+    """
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total - 2.0 * mean
+
+
 @dataclass(frozen=True)
 class StratumModels:
     """All fitted models for one stratum plus combined predictors."""
@@ -198,10 +220,26 @@ class StratumModels:
     entry_count: int
 
     def predict_energy(self, cfg: ParamConfig) -> float:
-        return sum(m.value(cfg) for m in self.energy) - 2.0 * self.mean_energy
+        return _combine([m.value(cfg) for m in self.energy], self.mean_energy)
 
     def predict_throughput(self, cfg: ParamConfig) -> float:
-        return sum(m.value(cfg) for m in self.throughput) - 2.0 * self.mean_throughput
+        return _combine([m.value(cfg) for m in self.throughput], self.mean_throughput)
+
+    def lattice_predictions(self) -> tuple[dict, np.ndarray, np.ndarray]:
+        """Lattice axes plus predicted energy and throughput on every lattice
+        configuration, as arrays with one axis per parameter in PARAM_NAMES
+        order; cell for cell equal to predict_energy / predict_throughput."""
+        axes = self.lattice_axes()
+
+        def tensor(group_models, mean):
+            parts = []
+            for m in group_models:
+                shape = [len(axes[p]) if p in m.params else 1 for p in PARAM_NAMES]
+                parts.append(m.values_on(axes).reshape(shape))
+            return _combine(parts, mean)
+
+        return (axes, tensor(self.energy, self.mean_energy),
+                tensor(self.throughput, self.mean_throughput))
 
     def in_domain(self, cfg: ParamConfig) -> bool:
         return all(m.in_domain(cfg) for m in self.energy + self.throughput)

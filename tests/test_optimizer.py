@@ -1,9 +1,11 @@
 """Optimizer tests.
 
 The headline oracle is exhaustive lattice enumeration built in-test from
-itertools.product over the raw axes, with the same (objective, params)
-tie-break; the optimizer must agree exactly, feasibility counts included.
-Hessian classification is checked against numpy's eigvalsh.
+itertools.product over the raw axes, scored with scalar predict_* calls and
+the same (objective, params) tie-break; the optimizer's lattice-array pass
+must agree exactly, feasibility counts included. A hypothesis property test
+covers tied objectives, bounds met exactly and ragged slices. Hessian
+classification is checked against numpy's eigvalsh.
 """
 
 import itertools
@@ -11,12 +13,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from xfertune import (
     SLA,
     InfeasibleSLAError,
     ParamConfig,
     SLAError,
+    SurfaceFitError,
     build_param_table,
     enumerate_lattice,
     find_critical_points,
@@ -32,6 +37,7 @@ from xfertune.optimizer import (
     _classify_2d,
 )
 from xfertune.spline import fit_bicubic_surface, fit_natural_spline
+from xfertune.surfaces import PARAM_GROUPS
 
 from test_surfaces import AXES, lattice_configs, make_members, true_energy
 
@@ -157,13 +163,20 @@ def test_surface_newton_finds_interior_maximum():
 # -- optimization vs exhaustive enumeration ------------------------------------
 
 
-def brute_force_best(models, axes, sla):
-    best = None
-    feasible = 0
+def scalar_predictions(models, axes):
+    """(config, energy, throughput) for every lattice point, one scalar
+    predict_* call each, in lexicographic lattice order."""
+    out = []
     for combo in itertools.product(*(axes[p] for p in PARAM_NAMES)):
         cfg = ParamConfig(**dict(zip(PARAM_NAMES, combo)))
-        e = models.predict_energy(cfg)
-        t = models.predict_throughput(cfg)
+        out.append((cfg, models.predict_energy(cfg), models.predict_throughput(cfg)))
+    return out
+
+
+def brute_force_best(models, axes, sla, predictions=None):
+    best = None
+    feasible = 0
+    for cfg, e, t in predictions or scalar_predictions(models, axes):
         if sla.kind == KIND_ENERGY_CAP:
             if e > sla.bound:
                 continue
@@ -178,8 +191,8 @@ def brute_force_best(models, axes, sla):
     return best, feasible
 
 
-def check_against_brute_force(models, axes, sla):
-    want, feasible = brute_force_best(models, axes, sla)
+def check_against_brute_force(models, axes, sla, predictions=None):
+    want, feasible = brute_force_best(models, axes, sla, predictions)
     if want is None:
         with pytest.raises(InfeasibleSLAError):
             optimize_stratum(models, sla)
@@ -260,6 +273,99 @@ def test_random_strata_match_brute_force():
                         bound=max(0.0, preds_t[2 * len(preds_t) // 3])))
         for sla in slas:
             check_against_brute_force(models, axes, sla)
+
+
+PARAM_POOLS = {
+    "cpu_num": (1, 2, 4, 8),
+    "cpu_freq_mhz": (1200, 1800, 2400),
+    "cc": (1, 4, 8, 16),
+    "p": (1, 4, 8),
+    "pp": (0, 4, 8),
+}
+TIED_LEVELS = (100.0, 200.0, 400.0)
+
+
+@st.composite
+def stratum_cases(draw):
+    """A random lattice, a seed for the logged values, whether those values
+    depend on a single parameter through a few shared levels (so most lattice
+    cells tie on the objective), and whether the log is ragged."""
+    axes = {p: tuple(sorted(draw(st.sets(st.sampled_from(pool), min_size=2, max_size=3))))
+            for p, pool in PARAM_POOLS.items()}
+    return axes, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()), draw(st.booleans())
+
+
+def case_members(axes, seed, tied, ragged):
+    """A ragged log misses every entry at one cell of each 2-D group's grid,
+    so both conditioning slices have a hole for _fill_grid to fill, plus a
+    tenth of the remaining entries at random."""
+    rng = np.random.default_rng(seed)
+    driver = {m: PARAM_NAMES[int(rng.integers(len(PARAM_NAMES)))] for m in ("t", "w")}
+    level = {m: {v: float(rng.choice(TIED_LEVELS)) for v in axes[driver[m]]}
+             for m in driver}
+    holes = [{p: axes[p][int(rng.integers(len(axes[p])))] for p in group}
+             for group in PARAM_GROUPS if len(group) == 2] if ragged else []
+    entries = []
+    for i, combo in enumerate(itertools.product(*(axes[p] for p in PARAM_NAMES))):
+        cfg = ParamConfig(**dict(zip(PARAM_NAMES, combo)))
+        if ragged and (rng.random() < 0.1 or any(
+                all(cfg.get(p) == v for p, v in hole.items()) for hole in holes)):
+            continue
+        if tied:
+            tput = level["t"][cfg.get(driver["t"])]
+            power = level["w"][cfg.get(driver["w"])] / 4.0
+        else:
+            tput = float(rng.uniform(50.0, 500.0))
+            power = float(rng.uniform(10.0, 100.0))
+        entries.append(TransferLogEntry(
+            params=cfg, dataset=DS, network=NET, throughput_mbps=tput,
+            energy_joules=power * 10.0, avg_power_watts=power,
+            duration_s=10.0, timestamp_s=float(i)))
+    return entries
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(case=stratum_cases(), at=st.floats(0.0, 1.0))
+def test_lattice_tensors_match_scalar_brute_force(case, at):
+    try:
+        models = fit_stratum_models(case_members(*case), "h")
+    except SurfaceFitError:
+        reject()        # the random drops emptied an axis of a slice
+    axes = models.lattice_axes()
+    lattice = enumerate_lattice(models)
+    # bounds set exactly at a predicted value: e == cap and t == floor are feasible
+    cfg = lattice[min(int(at * len(lattice)), len(lattice) - 1)]
+    slas = [SLA.max_throughput(), SLA.min_energy(),
+            SLA(id="floor", kind=KIND_THROUGHPUT_FLOOR,
+                bound=max(0.0, models.predict_throughput(cfg)))]
+    if models.predict_energy(cfg) > 0:
+        slas.append(SLA(id="cap", kind=KIND_ENERGY_CAP, bound=models.predict_energy(cfg)))
+    predictions = scalar_predictions(models, axes)
+    for sla in slas:
+        check_against_brute_force(models, axes, sla, predictions)
+
+
+BENCH_SLAS = (SLA.max_throughput(), SLA.min_energy(),
+              SLA(id="cap100k", kind=KIND_ENERGY_CAP, bound=100000.0),
+              SLA(id="floor3g", kind=KIND_THROUGHPUT_FLOOR, bound=3000.0))
+
+
+def test_default_corpus_table_equals_scalar_brute_force(models):
+    table = build_param_table(models, list(BENCH_SLAS))
+    for sid, stratum_models in sorted(models.items()):
+        axes = stratum_models.lattice_axes()
+        predictions = scalar_predictions(stratum_models, axes)
+        for sla in BENCH_SLAS:
+            row = table.rows[sid][sla.id]
+            want, feasible = brute_force_best(stratum_models, axes, sla, predictions)
+            if want is None:
+                assert row["status"] == "infeasible"
+                continue
+            got = table.lookup(sid, sla.id)
+            assert (got.params, got.predicted_energy, got.predicted_throughput) == \
+                (want[1], want[2], want[3])
+            assert got.feasible_count == feasible
+            assert got.candidate_count == len(predictions)
 
 
 def test_positive_scaling_keeps_the_argmin():

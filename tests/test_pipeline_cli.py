@@ -7,11 +7,19 @@ against its artifacts.
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from xfertune import cli
+from xfertune import (SLA, cli, compare_policies, fit_all_strata,
+                      generate_training_logs, optimize_all, stratify)
+from xfertune.clustering import StratifyConfig
+from xfertune.logs import ParamConfig
+from xfertune.simulator import (DATASET_CLASSES, ENDPOINTS, LoadScenario,
+                                default_lattice, power_above_base_watts,
+                                synth_file_sizes, throughput_mbps)
+from xfertune.tuner import dataset_meta_for
 from xfertune.pipeline import (
     PipelineError,
     SCHEMAS,
@@ -218,3 +226,35 @@ def test_artifact_writer_serializes_infinity(tmp_path):
     assert text.endswith("\n")
     doc = json.loads(text)
     assert doc["bound"] == "inf" and doc["nested"] == ["inf", 1.0]
+
+
+def test_static_optimal_searches_the_compared_routes_lattice():
+    # chameleon is logged on a narrower cpu_num axis than cloudlab's own
+    # lattice, so a search over a chameleon stratum's axes cannot reach
+    # cloudlab's single-core optimum
+    chameleon, cloudlab = ENDPOINTS["chameleon"], ENDPOINTS["cloudlab"]
+    narrow = replace(default_lattice(chameleon), cpu_num=(2, 4))
+    corpus = (generate_training_logs(specs=[chameleon], lattice=narrow, seed=0)
+              + generate_training_logs(specs=[cloudlab], seed=0))
+    config = StratifyConfig()
+    strata = stratify(corpus, config)
+    models, _ = fit_all_strata(corpus, strata, with_holdout=False)
+    table = optimize_all(models, [SLA.max_throughput(), SLA.min_energy()])
+    load = 0.2
+    doc = compare_policies(cloudlab, LoadScenario(((0.0, load),)), config,
+                           strata, models, table)
+
+    lattice = default_lattice(cloudlab)
+    oracle = [r for r in doc["rows"] if r["policy"] == "static-optimal"]
+    assert [r["class"] for r in oracle] == ["small", "medium", "large"]
+    for row in oracle:
+        for params in row["params"].values():
+            assert lattice.contains(ParamConfig(**params))
+        meta = dataset_meta_for(synth_file_sizes(DATASET_CLASSES[row["class"]]))
+        mbit = meta.total_size_bytes * 8.0 / 1e6
+        tputs = {cfg: throughput_mbps(cloudlab, cfg, load, meta.avg_file_size_bytes)
+                 for cfg in lattice.configs()}
+        energies = [power_above_base_watts(cloudlab, cfg, t) * (mbit / t)
+                    for cfg, t in tputs.items() if t > 0]
+        assert row["energy_joules"] == pytest.approx(min(energies), rel=1e-12)
+        assert row["throughput_mbps"] == pytest.approx(max(tputs.values()), rel=1e-12)
