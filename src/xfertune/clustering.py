@@ -5,7 +5,12 @@ external network conditions (load, bandwidth), tier 2 on dataset shape, then
 each tier-2 group is split into external-load intervals around the mean, and
 tier 3 pins the exact route and clusters residual link characteristics.
 Clustering is agglomerative with unweighted average linkage (UPGMA) and
-deterministic lexicographic tie-breaking.
+deterministic lexicographic tie-breaking. It runs Müllner's "generic"
+algorithm (arXiv:1109.2378) on one in-place distance matrix with a cached
+nearest neighbour per cluster: O(n^2) memory and O(n^2) time when a merge
+invalidates few cached neighbours, as on transfer-log features (O(n^3) in
+the worst case), with the same merges and bit-identical linkage distances as
+the textbook loop that rescans the whole matrix after every merge.
 """
 from __future__ import annotations
 
@@ -77,42 +82,79 @@ class Dendrogram:
 
 
 def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    """Euclidean distance matrix of the rows of points.
+
+    Squared differences are summed one axis at a time in two n x n buffers
+    instead of an n x n x d temporary. Summing in axis order is what numpy's
+    reduction of an axis shorter than eight does, so for d < 8 the values
+    equal the broadcast form's bit for bit (stratum bytes depend on them).
+    """
+    n, dim = points.shape
+    acc = np.zeros((n, n))
+    buf = np.empty((n, n))
+    for k in range(dim):
+        col = points[:, k]
+        np.subtract.outer(col, col, out=buf)
+        np.multiply(buf, buf, out=buf)
+        acc += buf
+    return np.sqrt(acc, out=acc)
+
+
+def _argmin_by_id(values: np.ndarray, ids: np.ndarray) -> tuple[int, float]:
+    """Slot of the smallest value, ties broken toward the smallest cluster id."""
+    best = values.min()
+    tied = np.flatnonzero(values == best)
+    return int(tied[np.argmin(ids[tied])]), float(best)
 
 
 def _upgma(points: np.ndarray, weights: np.ndarray) -> Dendrogram:
+    # Each merge joins the pair with the lexicographically smallest
+    # (distance, id_a, id_b), id_a < id_b. Clusters live in slots of one
+    # n x n matrix: the merged cluster takes over slot i of its smaller id and
+    # slot j dies (id -1). Every live slot caches its nearest live partner
+    # among clusters with a larger id (ties toward the smaller id), so the
+    # next merge is the cached minimum with the smallest id_a, an O(n) scan.
+    # A merge changes only the distances to the new cluster, whose id is the
+    # largest yet: rows whose partner was i or j rescan, every other row just
+    # adopts the new cluster if it is strictly closer. The row update is the
+    # size-weighted mean of the two parts' rows, in the same float order as
+    # the full-rescan loop, so the distances match it bit for bit.
     n = len(points)
     if n == 1:
         return Dendrogram(1, ())
     dist = _pairwise_distances(points)
-    ids = list(range(n))
-    sizes = list(float(w) for w in weights)
+    sizes = np.array(weights, dtype=float)
+    ids = np.arange(n)
+    nn = np.full(n, -1)
+    nn_dist = np.full(n, np.inf)
+
+    def rescan(x):
+        row = np.where(ids > ids[x], dist[x], np.inf)
+        nn[x], nn_dist[x] = _argmin_by_id(row, ids)
+
+    for x in range(n - 1):
+        rescan(x)
     merges = []
-    next_id = n
-    while len(ids) > 1:
-        m = len(ids)
-        iu = np.triu_indices(m, 1)
-        vals = dist[iu]
-        # first occurrence in row-major upper-triangle order is the
-        # lexicographically smallest (id_a, id_b) pair, since ids ascend
-        k = int(np.argmin(vals))
-        i, j = int(iu[0][k]), int(iu[1][k])
-        d = float(vals[k])
+    for new_id in range(n, 2 * n - 1):
+        i, d = _argmin_by_id(nn_dist, ids)
+        j = int(nn[i])
+        merges.append(Merge(int(ids[i]), int(ids[j]), d, new_id))
         si, sj = sizes[i], sizes[j]
         # average linkage: size-weighted mean of distances to the two parts
-        row = (si * dist[i, :] + sj * dist[j, :]) / (si + sj)
-        keep = [t for t in range(m) if t not in (i, j)]
-        merges.append(Merge(ids[i], ids[j], d, next_id))
-        new_row = row[keep]
-        dist = dist[np.ix_(keep, keep)]
-        dist = np.pad(dist, ((0, 1), (0, 1)))
-        dist[-1, :-1] = new_row
-        dist[:-1, -1] = new_row
-        dist[-1, -1] = 0.0
-        ids = [ids[t] for t in keep] + [next_id]
-        sizes = [sizes[t] for t in keep] + [si + sj]
-        next_id += 1
+        row = (si * dist[i] + sj * dist[j]) / (si + sj)
+        dist[i] = row
+        dist[:, i] = row
+        sizes[i] = si + sj
+        ids[i], ids[j] = new_id, -1
+        nn_dist[i] = nn_dist[j] = np.inf
+        others = ids >= 0
+        others[i] = False
+        stale = others & ((nn == i) | (nn == j))
+        closer = others & ~stale & (row < nn_dist)
+        nn[closer] = i
+        nn_dist[closer] = row[closer]
+        for x in np.flatnonzero(stale):
+            rescan(x)
     return Dendrogram(n, tuple(merges))
 
 
@@ -122,9 +164,14 @@ def upgma_cluster(points) -> Dendrogram:
     Ties in the minimum linkage distance break toward the smallest
     (id_a, id_b) pair.
     """
-    arr = np.asarray(points, dtype=float)
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ClusterError(f"points must be a rectangular array of numbers: {exc}") from exc
     if arr.ndim == 1:
         arr = arr[:, None]
+    if arr.ndim != 2:
+        raise ClusterError(f"points must be 1-D or 2-D, got {arr.ndim}-D")
     if arr.size == 0:
         raise ClusterError("need at least one point")
     if not np.all(np.isfinite(arr)):
@@ -137,8 +184,8 @@ def cut_dendrogram(dend: Dendrogram, threshold: float) -> list[set[int]]:
 
     Returns leaf-index sets ordered by smallest member.
     """
-    if threshold < 0:
-        raise ClusterError("threshold must be >= 0")
+    if not math.isfinite(threshold) or threshold < 0:
+        raise ClusterError("threshold must be finite and >= 0")
     total = dend.leaf_count + len(dend.merges)
     parent = list(range(total))
 

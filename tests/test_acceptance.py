@@ -6,7 +6,6 @@ Every check runs against an independent oracle built in the test modules
 eigendecomposition), never against the production code path itself.
 """
 
-import itertools
 import math
 import time
 
@@ -16,7 +15,6 @@ from xfertune import (
     SLA,
     MonitorSample,
     OnlineTuner,
-    ParamConfig,
     cli,
     compare_policies,
     fit_natural_spline,
@@ -24,7 +22,6 @@ from xfertune import (
     stratify,
     upgma_cluster,
 )
-from xfertune.logs import PARAM_NAMES
 from xfertune.optimizer import KIND_ENERGY_CAP, KIND_THROUGHPUT_FLOOR, _classify_2d
 from xfertune.simulator import ENDPOINTS, LoadScenario
 from xfertune.surfaces import fit_stratum_models, rmse_holdout
@@ -41,6 +38,7 @@ from test_optimizer import (
     eig_classify,
     random_axes,
     random_stratum_members,
+    scalar_predictions,
 )
 from test_spline import (
     basis_row,
@@ -230,10 +228,11 @@ def test_criterion_07_optimizer_equals_enumeration():
         axes = random_axes(rng)
         lattices.append(int(np.prod([len(v) for v in axes.values()])))
         models = fit_stratum_models(random_stratum_members(rng, axes), f"a{trial}")
-        cfgs = [ParamConfig(**dict(zip(PARAM_NAMES, c)))
-                for c in itertools.product(*(axes[p] for p in PARAM_NAMES))]
-        preds_e = sorted(models.predict_energy(c) for c in cfgs)
-        preds_t = sorted(models.predict_throughput(c) for c in cfgs)
+        # one scalar predict_* pass per stratum, shared by the bounds and
+        # every SLA's exhaustive oracle
+        preds = scalar_predictions(models, axes)
+        preds_e = sorted(e for _, e, _ in preds)
+        preds_t = sorted(t for _, _, t in preds)
         slas = [SLA.max_throughput(), SLA.min_energy()]
         if preds_e[len(preds_e) // 3] > 0:
             slas.append(SLA(id="cap", kind=KIND_ENERGY_CAP,
@@ -241,7 +240,7 @@ def test_criterion_07_optimizer_equals_enumeration():
         slas.append(SLA(id="floor", kind=KIND_THROUGHPUT_FLOOR,
                         bound=max(0.0, preds_t[2 * len(preds_t) // 3])))
         for sla in slas:
-            check_against_brute_force(models, axes, sla)
+            check_against_brute_force(models, axes, sla, predictions=preds)
     assert max(lattices) <= 10 ** 5
 
     for _ in range(1000):

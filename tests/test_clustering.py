@@ -2,11 +2,18 @@
 
 The UPGMA oracle recomputes every inter-cluster distance from scratch as
 the mean over all cross pairs of original points, so it shares no code
-with the incremental production update.
+with the incremental production update. A second oracle, legacy_upgma, is
+the full-rescan loop the cached-nearest-neighbour UPGMA replaced: it must
+produce the same merges with == distances. scipy, when installed, checks
+cut partitions on tie-free inputs.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xfertune import (
     ClusterError,
@@ -24,9 +31,11 @@ from xfertune import (
     stratify,
     upgma_cluster,
 )
+from xfertune import clustering, simulator
 from xfertune.clustering import (
     FeatureSpec,
     _cluster_by_vectors,
+    _pairwise_distances,
     tier2_vector,
 )
 from xfertune.simulator import DATASET_CLASSES
@@ -55,6 +64,47 @@ def brute_force_upgma(points):
         merges.append((a, b, d, next_id))
         next_id += 1
     return merges
+
+
+def legacy_pairwise_distances(points):
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def legacy_upgma(points: np.ndarray, weights: np.ndarray) -> Dendrogram:
+    """The full-rescan UPGMA loop: O(n^3), copies the matrix every merge."""
+    n = len(points)
+    if n == 1:
+        return Dendrogram(1, ())
+    dist = legacy_pairwise_distances(points)
+    ids = list(range(n))
+    sizes = list(float(w) for w in weights)
+    merges = []
+    next_id = n
+    while len(ids) > 1:
+        m = len(ids)
+        iu = np.triu_indices(m, 1)
+        vals = dist[iu]
+        # first occurrence in row-major upper-triangle order is the
+        # lexicographically smallest (id_a, id_b) pair, since ids ascend
+        k = int(np.argmin(vals))
+        i, j = int(iu[0][k]), int(iu[1][k])
+        d = float(vals[k])
+        si, sj = sizes[i], sizes[j]
+        # average linkage: size-weighted mean of distances to the two parts
+        row = (si * dist[i, :] + sj * dist[j, :]) / (si + sj)
+        keep = [t for t in range(m) if t not in (i, j)]
+        merges.append(Merge(ids[i], ids[j], d, next_id))
+        new_row = row[keep]
+        dist = dist[np.ix_(keep, keep)]
+        dist = np.pad(dist, ((0, 1), (0, 1)))
+        dist[-1, :-1] = new_row
+        dist[:-1, -1] = new_row
+        dist[-1, -1] = 0.0
+        ids = [ids[t] for t in keep] + [next_id]
+        sizes = [sizes[t] for t in keep] + [si + sj]
+        next_id += 1
+    return Dendrogram(n, tuple(merges))
 
 
 def random_points(rng):
@@ -150,6 +200,106 @@ def test_weighted_dedupe_equals_multiset_clustering():
         for leaf in range(n):
             want.setdefault(find(leaf), set()).add(leaf)
         assert got == {frozenset(v) for v in want.values()}
+
+
+@st.composite
+def weighted_point_sets(draw):
+    """Up to 200 weighted points in 1-4 dimensions. Rounding to a coarse
+    lattice makes many distances tie exactly; copied rows add duplicates."""
+    n = draw(st.integers(1, 200))
+    dim = draw(st.integers(1, 4))
+    grid = draw(st.sampled_from([0, 2, 4, 10]))   # 0: continuous coordinates
+    dups = draw(st.integers(0, n // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(0.0, 1.0, size=(n, dim))
+    if grid:
+        pts = np.round(pts * grid) / grid
+    pts[rng.integers(0, n, dups)] = pts[rng.integers(0, n, dups)]
+    return pts, rng.integers(1, 5, size=n).astype(float)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=weighted_point_sets())
+def test_upgma_matches_legacy_oracle(case):
+    pts, weights = case
+    assert np.array_equal(_pairwise_distances(pts), legacy_pairwise_distances(pts))
+    got = clustering._upgma(pts, weights).merges
+    want = legacy_upgma(pts, weights).merges
+    assert [(m.a, m.b, m.new_id) for m in got] == [(m.a, m.b, m.new_id) for m in want]
+    assert [m.distance for m in got] == [m.distance for m in want]
+
+
+def jittered_load_corpus(seed, size):
+    """Chameleon small-class lattice at three loads, a random subset of
+    entries with ext_load jittered by +-0.02 and the measurements recomputed,
+    so every entry is its own tier-1 point."""
+    spec = simulator.ENDPOINTS["chameleon"]
+    small = simulator.DATASET_CLASSES["small"]
+    base = simulator.generate_training_logs(specs=[spec], classes={"small": small},
+                                            seed=seed)
+    rng = np.random.default_rng(seed)
+    picked = sorted(rng.choice(len(base), size=size, replace=False))
+    out = []
+    for k in picked:
+        e = base[k]
+        load = e.network.ext_load + float(rng.uniform(-0.02, 0.02))
+        tput = simulator.throughput_mbps(spec, e.params, load,
+                                         e.dataset.avg_file_size_bytes)
+        power = simulator.power_above_base_watts(spec, e.params, tput)
+        duration = e.dataset.total_size_bytes * 8.0 / 1e6 / tput
+        out.append(dataclasses.replace(
+            e, network=dataclasses.replace(e.network, ext_load=load),
+            throughput_mbps=tput, avg_power_watts=power,
+            energy_joules=power * duration, duration_s=duration))
+    return out
+
+
+@pytest.mark.parametrize("tier1_cut", [0.25, 0.01])   # 1 and 9 tier-1 clusters
+def test_stratify_matches_legacy_oracle_on_jittered_loads(monkeypatch, tier1_cut):
+    entries = jittered_load_corpus(seed=3, size=300)
+    config = StratifyConfig(tier1_cut=tier1_cut)
+    got = [s.as_dict() for s in stratify(entries, config)]
+    monkeypatch.setattr(clustering, "_upgma", legacy_upgma)
+    want = [s.as_dict() for s in stratify(entries, config)]
+    assert got == want
+
+
+def test_cut_partitions_match_scipy():
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        # continuous coordinates: no exact ties, so merge order is unambiguous
+        pts = rng.uniform(0.0, 1.0, size=(int(rng.integers(2, 80)), int(rng.integers(1, 5))))
+        dend = upgma_cluster(pts)
+        z = hierarchy.linkage(pts, method="average")
+        dists = [m.distance for m in dend.merges]
+        np.testing.assert_allclose(z[:, 2], dists, rtol=1e-9, atol=1e-12)
+        for k in range(0, len(dists) - 1, max(1, len(dists) // 5)):
+            if dists[k + 1] - dists[k] < 1e-9:
+                continue
+            cut = (dists[k] + dists[k + 1]) / 2
+            labels = hierarchy.fcluster(z, t=cut, criterion="distance")
+            want = {}
+            for leaf, label in enumerate(labels):
+                want.setdefault(label, set()).add(leaf)
+            assert cut_dendrogram(dend, cut) == sorted(want.values(), key=min)
+
+
+def test_upgma_cluster_rejects_3d_input():
+    with pytest.raises(ClusterError, match="1-D or 2-D"):
+        upgma_cluster(np.zeros((2, 2, 2)))
+
+
+def test_upgma_cluster_rejects_ragged_input():
+    with pytest.raises(ClusterError, match="rectangular"):
+        upgma_cluster([[1.0, 2.0], [3.0]])
+
+
+def test_cut_rejects_non_finite_threshold():
+    dend = upgma_cluster([0.0, 0.1, 1.0])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ClusterError, match="finite"):
+            cut_dendrogram(dend, bad)
 
 
 def test_feature_normalization():
