@@ -360,15 +360,16 @@ def stratify(entries: list[TransferLogEntry], config: StratifyConfig | None = No
     if not entries:
         raise ClusterError("no entries to stratify")
     config = config or StratifyConfig()
-    all_idx = list(range(len(entries)))
-    t1 = [tier1_vector(entries[i].network, config) for i in all_idx]
+    # each entry's tier vectors, computed once for clustering and centroids
+    t1 = [tier1_vector(e.network, config) for e in entries]
+    t2 = [tier2_vector(e.dataset, config) for e in entries]
+    t3 = [tier3_vector(e.network, config) for e in entries]
     pending: list[tuple] = []
 
-    groups1 = _cluster_by_vectors(t1, all_idx, config.tier1_cut)
+    groups1 = _cluster_by_vectors(t1, list(range(len(entries))), config.tier1_cut)
     for i1, g1 in enumerate(groups1):
         key1 = f"net{i1}"
-        t2 = [tier2_vector(entries[i].dataset, config) for i in g1]
-        groups2 = _cluster_by_vectors(t2, g1, config.tier2_cut)
+        groups2 = _cluster_by_vectors([t2[i] for i in g1], g1, config.tier2_cut)
         for i2, g2 in enumerate(groups2):
             key2 = f"data{i2}"
             # sorted so the band edges do not depend on entry order
@@ -391,16 +392,16 @@ def stratify(entries: list[TransferLogEntry], config: StratifyConfig | None = No
                     by_route.setdefault(entries[i].network.route, []).append(i)
                 for route in sorted(by_route):
                     g3 = by_route[route]
-                    t3 = [tier3_vector(entries[i].network, config) for i in g3]
-                    groups3 = _cluster_by_vectors(t3, g3, config.tier3_cut)
+                    groups3 = _cluster_by_vectors([t3[i] for i in g3], g3,
+                                                  config.tier3_cut)
                     for i3, members3 in enumerate(groups3):
                         key3 = f"{route[0]}->{route[1]}/link{i3}"
                         pending.append((key1, key2, key3, route, interval, members3))
     strata = []
     for n, (key1, key2, key3, route, interval, members) in enumerate(pending):
-        c1 = np.mean(sorted(tier1_vector(entries[i].network, config) for i in members), axis=0)
-        c2 = np.mean(sorted(tier2_vector(entries[i].dataset, config) for i in members), axis=0)
-        c3 = np.mean(sorted(tier3_vector(entries[i].network, config) for i in members), axis=0)
+        c1 = np.mean(sorted(t1[i] for i in members), axis=0)
+        c2 = np.mean(sorted(t2[i] for i in members), axis=0)
+        c3 = np.mean(sorted(t3[i] for i in members), axis=0)
         strata.append(Stratum(
             id=f"s{n:03d}", tier1_key=key1, tier2_key=key2, tier3_key=key3,
             route=route, ext_load_interval=interval, members=tuple(members),
@@ -445,10 +446,20 @@ def assign_stratum(dataset: DatasetMeta, network: NetworkMeta,
         key = _nearest_key(vec, options)
         pool = [s for s in pool if getattr(s, key_attr) == key]
 
-    x = network.ext_load
+    return load_band_stratum(pool, network.ext_load)
+
+
+def load_band_stratum(pool: list[Stratum], load: float) -> Stratum:
+    """The stratum of the pool whose load interval contains load, else the
+    one with the nearest interval midpoint; in interval order, so ties go
+    toward the lower interval."""
     pool = sorted(pool, key=lambda s: s.ext_load_interval)
-    containing = [s for s in pool if s.contains_load(x)]
-    if containing:
-        return containing[0]
-    return min(pool, key=lambda s: (abs(x - (s.ext_load_interval[0] + s.ext_load_interval[1]) / 2),
-                                    s.ext_load_interval[0]))
+    for s in pool:
+        if s.contains_load(load):
+            return s
+
+    def midpoint_gap(s):
+        lo, hi = s.ext_load_interval
+        return abs(load - (lo + hi) / 2), lo
+
+    return min(pool, key=midpoint_gap)

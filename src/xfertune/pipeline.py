@@ -12,7 +12,7 @@ import json
 import math
 from pathlib import Path
 
-from .clustering import StratifyConfig, Stratum, stratify
+from .clustering import StratifyConfig, Stratum
 from .logs import ParamConfig, ParamLattice
 from .optimizer import SLA, ParamTable, build_param_table
 from .simulator import (DATASET_CLASSES, EndpointSpec, LoadScenario,
@@ -80,11 +80,6 @@ def strata_doc(config: StratifyConfig, strata) -> dict:
 def load_strata(doc: dict):
     config = StratifyConfig.from_dict(doc["config"])
     return config, [Stratum.from_dict(d) for d in doc["strata"]]
-
-
-def stratify_entries(entries, config: StratifyConfig | None = None):
-    config = config or StratifyConfig()
-    return config, stratify(entries, config)
 
 
 # -- models ------------------------------------------------------------------
@@ -219,8 +214,8 @@ def compare_policies(spec: EndpointSpec, scenario: LoadScenario, config,
     lowest achievable energy over the endpoint's whole default lattice,
     generally two different configurations.
     """
+    sizes = _class_sizes(classes)
     ordered_classes = [c for c in FILE_CLASSES if c in classes]
-    sizes = _class_sizes(ordered_classes)
     rows = []
     totals = {}
     for policy in COMPARE_POLICIES:

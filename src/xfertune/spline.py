@@ -75,13 +75,6 @@ class Spline1D:
     coeffs: np.ndarray           # shape (n-1, 4), columns a0..a3
     values: np.ndarray           # y at knots
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.knots[0]), float(self.knots[-1])
-
-    def in_domain(self, t: float) -> bool:
-        return self.knots[0] <= t <= self.knots[-1]
-
     def cell_index(self, t):
         idx = np.searchsorted(self.knots, t, side="right") - 1
         return np.clip(idx, 0, len(self.knots) - 2)
@@ -164,14 +157,6 @@ class Surface:
     ys: np.ndarray
     coeffs: np.ndarray           # shape (nx-1, ny-1, 4, 4)
     grid: np.ndarray             # fitted values, shape (nx, ny)
-
-    @property
-    def domain(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return ((float(self.xs[0]), float(self.xs[-1])),
-                (float(self.ys[0]), float(self.ys[-1])))
-
-    def in_domain(self, x: float, y: float) -> bool:
-        return (self.xs[0] <= x <= self.xs[-1]) and (self.ys[0] <= y <= self.ys[-1])
 
     def _cells(self, x, y):
         i = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 2)

@@ -2,13 +2,16 @@
 
 Each stratum gets six models: energy and throughput, each decomposed into
 three parameter groups, (cpu_num, cpu_freq_mhz) and (cc, p) as bicubic
-surfaces and pp as a 1-D spline. A group's model is fitted on the slice of
+surfaces and pp as a 1-D spline. A group's models are fitted on the slice of
 entries whose remaining parameters sit at their modal values, so the three
-groups describe orthogonal cuts through the same operating point. Combined
-predictions add the groups and subtract twice the stratum mean, which cancels
-the double-counted baseline of the two extra slices. They come per
-configuration (predict_energy, predict_throughput) or as arrays over the
-whole knot lattice (lattice_predictions), with identical values.
+groups describe orthogonal cuts through the same operating point. Both
+metrics of a group are fitted from one slice: one pass over it builds the
+knots and the mean grids of energy and throughput, then one spline per
+metric is fitted through its grid. Combined predictions add the groups and
+subtract twice the stratum mean, which cancels the double-counted baseline
+of the two extra slices. They come per configuration (predict_energy,
+predict_throughput) or as arrays over the whole knot lattice
+(lattice_predictions), with identical values.
 """
 from __future__ import annotations
 
@@ -36,8 +39,9 @@ def _group_label(params: tuple[str, ...]) -> str:
     return "+".join(params)
 
 
-def _modal_value(values: list[int]) -> int:
-    counts: dict[int, int] = {}
+def _modal_value(values):
+    """Most frequent of the hashable, comparable values, ties toward largest."""
+    counts: dict = {}
     for v in values:
         counts[v] = counts.get(v, 0) + 1
     best = max(counts.values())
@@ -55,17 +59,8 @@ def _conditioning(members: list[TransferLogEntry],
     cond = {p: _modal_value([e.params.get(p) for e in members]) for p in others}
     if any(all(e.params.get(p) == v for p, v in cond.items()) for e in members):
         return cond
-    tuples = [tuple(e.params.get(p) for p in others) for e in members]
-    best = _modal_value_tuple(tuples)
+    best = _modal_value([tuple(e.params.get(p) for p in others) for e in members])
     return dict(zip(others, best))
-
-
-def _modal_value_tuple(tuples: list[tuple[int, ...]]) -> tuple[int, ...]:
-    counts: dict[tuple[int, ...], int] = {}
-    for t in tuples:
-        counts[t] = counts.get(t, 0) + 1
-    best = max(counts.values())
-    return max(t for t, c in counts.items() if c == best)
 
 
 def _slice_members(members, cond: dict[str, int]):
@@ -93,35 +88,35 @@ def _fill_grid(grid: np.ndarray) -> np.ndarray:
     return g
 
 
-def _grid_2d(slice_members, xname: str, yname: str, metric: str):
-    xs = sorted({e.params.get(xname) for e in slice_members})
-    ys = sorted({e.params.get(yname) for e in slice_members})
-    if len(xs) < 2:
-        raise SurfaceFitError(f"insufficient distinct {xname} values in conditioning slice")
-    if len(ys) < 2:
-        raise SurfaceFitError(f"insufficient distinct {yname} values in conditioning slice")
-    xi = {v: i for i, v in enumerate(xs)}
-    yi = {v: i for i, v in enumerate(ys)}
-    total = np.zeros((len(xs), len(ys)))
-    count = np.zeros((len(xs), len(ys)))
+def _group_grids(slice_members, group: tuple[str, ...]):
+    """Knot axes of a group's slice and the mean grid of every metric on them.
+
+    The knots of each group parameter are its distinct values in the slice.
+    A cell's mean is its observations summed left to right in slice order
+    over their count (not builtin sum(), which compensates from Python 3.12
+    on); cells the slice never visits are filled by _fill_grid.
+    """
+    knots = []
+    for name in group:
+        values = sorted({e.params.get(name) for e in slice_members})
+        if len(values) < 2:
+            raise SurfaceFitError(f"insufficient distinct {name} values in conditioning slice")
+        knots.append(values)
+    index = [{v: i for i, v in enumerate(values)} for values in knots]
+    cells: dict[tuple[int, ...], list[TransferLogEntry]] = {}
     for e in slice_members:
-        i, j = xi[e.params.get(xname)], yi[e.params.get(yname)]
-        total[i, j] += getattr(e, metric)
-        count[i, j] += 1
-    with np.errstate(invalid="ignore"):
-        grid = np.where(count > 0, total / np.maximum(count, 1), np.nan)
-    return np.array(xs, dtype=float), np.array(ys, dtype=float), _fill_grid(grid)
-
-
-def _grid_1d(slice_members, name: str, metric: str):
-    xs = sorted({e.params.get(name) for e in slice_members})
-    if len(xs) < 2:
-        raise SurfaceFitError(f"insufficient distinct {name} values in conditioning slice")
-    vals = []
-    for v in xs:
-        obs = [getattr(e, metric) for e in slice_members if e.params.get(name) == v]
-        vals.append(sum(obs) / len(obs))
-    return np.array(xs, dtype=float), np.array(vals)
+        cell = tuple(ix[e.params.get(name)] for ix, name in zip(index, group))
+        cells.setdefault(cell, []).append(e)
+    grids = {}
+    for metric in METRICS:
+        grid = np.full(tuple(len(values) for values in knots), np.nan)
+        for cell, obs in cells.items():
+            total = 0.0
+            for e in obs:
+                total += getattr(e, metric)
+            grid[cell] = total / len(obs)
+        grids[metric] = _fill_grid(grid)
+    return [np.array(values, dtype=float) for values in knots], grids
 
 
 @dataclass(frozen=True)
@@ -148,11 +143,6 @@ class GroupModel:
         mesh = np.meshgrid(*(np.asarray(axes[p], dtype=float) for p in self.params),
                            indexing="ij")
         return self.model(*(m.ravel() for m in mesh)).reshape(mesh[0].shape)
-
-    def in_domain(self, cfg: ParamConfig) -> bool:
-        if len(self.params) == 2:
-            return self.model.in_domain(cfg.get(self.params[0]), cfg.get(self.params[1]))
-        return self.model.in_domain(cfg.get(self.params[0]))
 
     def axis_values(self, name: str) -> tuple[int, ...]:
         if len(self.params) == 2:
@@ -241,9 +231,6 @@ class StratumModels:
         return (axes, tensor(self.energy, self.mean_energy),
                 tensor(self.throughput, self.mean_throughput))
 
-    def in_domain(self, cfg: ParamConfig) -> bool:
-        return all(m.in_domain(cfg) for m in self.energy + self.throughput)
-
     def axis_values(self, name: str) -> tuple[int, ...]:
         for m in self.energy:
             if name in m.params:
@@ -279,25 +266,18 @@ def fit_stratum_models(members: list[TransferLogEntry], stratum_id: str) -> Stra
     """Fit the six per-group models on a stratum's member entries."""
     if not members:
         raise SurfaceFitError("no entries to fit")
-    by_metric = {}
-    for metric in METRICS:
-        models = []
-        for group in PARAM_GROUPS:
-            cond = _conditioning(members, group)
-            sl = _slice_members(members, cond)
-            if len(group) == 2:
-                xs, ys, grid = _grid_2d(sl, group[0], group[1], metric)
-                model = fit_bicubic_surface(xs, ys, grid)
-            else:
-                xs, vals = _grid_1d(sl, group[0], metric)
-                model = fit_natural_spline(xs, vals)
-            models.append(GroupModel(params=group, conditioning=cond,
-                                     metric=metric, model=model))
-        by_metric[metric] = tuple(models)
+    by_metric: dict[str, list[GroupModel]] = {metric: [] for metric in METRICS}
+    for group in PARAM_GROUPS:
+        cond = _conditioning(members, group)
+        knots, grids = _group_grids(_slice_members(members, cond), group)
+        fit = fit_bicubic_surface if len(group) == 2 else fit_natural_spline
+        for metric, grid in grids.items():
+            by_metric[metric].append(GroupModel(params=group, conditioning=cond,
+                                                metric=metric, model=fit(*knots, grid)))
     return StratumModels(
         stratum_id=stratum_id,
-        energy=by_metric["energy_joules"],
-        throughput=by_metric["throughput_mbps"],
+        energy=tuple(by_metric["energy_joules"]),
+        throughput=tuple(by_metric["throughput_mbps"]),
         mean_energy=float(np.mean([e.energy_joules for e in members])),
         mean_throughput=float(np.mean([e.throughput_mbps for e in members])),
         entry_count=len(members),

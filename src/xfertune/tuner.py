@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .clustering import StratifyConfig, Stratum, assign_stratum
+from .clustering import (StratifyConfig, Stratum, assign_stratum,
+                         load_band_stratum)
 from .logs import DatasetMeta, NetworkMeta, ParamConfig
 from .optimizer import (KIND_ENERGY_CAP, KIND_THROUGHPUT_FLOOR, SLA,
                         InfeasibleSLAError, ParamTable)
@@ -97,10 +98,8 @@ def select_loop(sla: SLA) -> str:
 @dataclass
 class _ClassState:
     t_avg: float = 0.0
-    t_last: float = 0.0
     past_e_pred: float = math.inf
     ref_ext: float = 0.0
-    ext_last: float = 0.0
     ticks: int = 0
     history: list = field(default_factory=list)   # recent t_avg values
 
@@ -180,10 +179,9 @@ class OnlineTuner:
         first = st.ticks == 0
         t_avg = sample.throughput_mbps if first else (
             self.w * st.t_avg + (1.0 - self.w) * sample.throughput_mbps)
+        t_prev = t_avg if first else st.t_avg
         if first:
-            st.t_last = t_avg
             st.ref_ext = sample.ext_load
-            st.ext_last = sample.ext_load
         d_e = sample.power_watts * dt
         ext = sample.ext_load
         self.remaining_bytes = max(0.0, self.remaining_bytes - sample.bytes_moved)
@@ -196,7 +194,7 @@ class OnlineTuner:
             triggered = (d_e + e_pred > (1.0 + self.beta) * st.past_e_pred or
                          d_e + e_pred > self.e_sla - self.e_consumed)
         else:
-            triggered = (t_avg < (1.0 - self.alpha) * st.t_last or
+            triggered = (t_avg < (1.0 - self.alpha) * t_prev or
                          t_avg < self.t_sla)
 
         action = None
@@ -217,9 +215,7 @@ class OnlineTuner:
                 action = self._heuristic(allow_down=False)
 
         st.t_avg = t_avg
-        st.t_last = t_avg
         st.past_e_pred = e_pred
-        st.ext_last = ext
         st.ticks += 1
         self.e_consumed += d_e
         self.elapsed_s += dt
@@ -250,17 +246,11 @@ class OnlineTuner:
             self.warnings.append(msg)
 
     def _switch(self, direction: str, ext: float):
-        sibs = sorted(self._siblings(direction), key=lambda s: s.ext_load_interval)
+        sibs = self._siblings(direction)
         if not sibs:
             self._warn(f"no {direction}er-load surface available from {self.stratum.id}")
             return None
-        containing = [s for s in sibs if s.contains_load(ext)]
-        if containing:
-            target = containing[0]
-        else:
-            target = min(sibs, key=lambda s: (
-                abs(ext - (s.ext_load_interval[0] + s.ext_load_interval[1]) / 2),
-                s.ext_load_interval[0]))
+        target = load_band_stratum(sibs, ext)
         try:
             params = self.table.lookup(target.id, self.sla.id).params
         except InfeasibleSLAError:

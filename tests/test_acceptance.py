@@ -276,9 +276,9 @@ def _primed(strata, table, models, sla, stratum, config, *, t_avg=800.0,
     tuner.params = table.lookup(stratum.id, sla.id).params
     tuner.e_consumed, tuner.elapsed_s = e_consumed, elapsed
     st = tuner.cls
-    st.t_avg = st.t_last = t_avg
+    st.t_avg = t_avg
     st.past_e_pred = past_e_pred
-    st.ref_ext = st.ext_last = ref_ext
+    st.ref_ext = ref_ext
     st.ticks = 1
     st.history = [t_avg]
     return tuner

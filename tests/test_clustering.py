@@ -36,6 +36,7 @@ from xfertune.clustering import (
     FeatureSpec,
     _cluster_by_vectors,
     _pairwise_distances,
+    load_band_stratum,
     tier2_vector,
 )
 from xfertune.simulator import DATASET_CLASSES
@@ -444,6 +445,18 @@ def test_gap_probe_tie_prefers_lower_interval():
     strata = [make_stratum("a", (0.0, 0.25)), make_stratum("b", (0.75, 1.0))]
     got = assign_stratum(probe_ds(), probe_net(0.5), strata)
     assert got.id == "a"
+
+
+def test_load_band_stratum_ignores_pool_order():
+    a = make_stratum("a", (0.0, 0.25))
+    b = make_stratum("b", (0.25, 0.5))
+    c = make_stratum("c", (0.75, 1.0))
+    for pool in ([a, b, c], [c, b, a]):
+        assert load_band_stratum(pool, 0.25).id == "b"
+        assert load_band_stratum(pool, 1.0).id == "c"
+        # gap between b and c: both midpoints exactly 0.25 away, lower wins
+        assert load_band_stratum(pool, 0.625).id == "b"
+        assert load_band_stratum(pool, 0.7).id == "c"
 
 
 def test_top_interval_contains_full_load():

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from xfertune import (SLA, cli, compare_policies, fit_all_strata,
-                      generate_training_logs, optimize_all, stratify)
+                      generate_training_logs, optimize_all, run_tuned_transfer,
+                      stratify)
 from xfertune.clustering import StratifyConfig
 from xfertune.logs import ParamConfig
 from xfertune.simulator import (DATASET_CLASSES, ENDPOINTS, LoadScenario,
@@ -24,6 +25,8 @@ from xfertune.pipeline import (
     PipelineError,
     SCHEMAS,
     load_models,
+    load_strata,
+    load_table,
     read_json_artifact,
     write_json_artifact,
 )
@@ -158,11 +161,18 @@ def test_usage_and_data_error_exit_codes(chain, tmp_path, capsys):
                      "--models", str(chain / "models.json"),
                      "--table", str(chain / "table.json"),
                      "--scenario", "ramp:0.1"]) == 2
+    capsys.readouterr()
     assert cli.main(["tune", "--strata", str(chain / "strata.json"),
                      "--models", str(chain / "models.json"),
                      "--table", str(chain / "table.json"),
                      "--classes", "huge"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: unknown file class 'huge'\n"
+    assert cli.main(["compare", "--strata", str(chain / "strata.json"),
+                     "--models", str(chain / "models.json"),
+                     "--table", str(chain / "table.json"),
+                     "--classes", "small,huge",
+                     "--out", str(tmp_path / "compare.json")]) == 2
+    assert capsys.readouterr().err == "error: unknown file class 'huge'\n"
 
 
 def test_parse_sla_and_parse_scenario():
@@ -226,6 +236,20 @@ def test_artifact_writer_serializes_infinity(tmp_path):
     assert text.endswith("\n")
     doc = json.loads(text)
     assert doc["bound"] == "inf" and doc["nested"] == ["inf", 1.0]
+
+
+def test_unknown_file_classes_are_rejected_by_every_online_run(chain):
+    config, strata = load_strata(read_json_artifact(chain / "strata.json", "strata"))
+    models = load_models(read_json_artifact(chain / "models.json", "models"))
+    table = load_table(read_json_artifact(chain / "table.json", "table"))
+    spec, scenario = ENDPOINTS["chameleon"], LoadScenario.constant(0.2)
+    for classes in (["small", "bogus"], ["bogus"]):
+        with pytest.raises(PipelineError, match="unknown file class 'bogus'"):
+            compare_policies(spec, scenario, config, strata, models, table,
+                             classes=classes)
+        with pytest.raises(PipelineError, match="unknown file class 'bogus'"):
+            run_tuned_transfer(spec, scenario, config, strata, models, table,
+                               SLA.max_throughput(), classes=classes)
 
 
 def test_static_optimal_searches_the_compared_routes_lattice():

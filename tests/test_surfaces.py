@@ -6,13 +6,19 @@ truth by one constant over the whole lattice, so argmax/argmin must match
 exhaustive search even though absolute values carry the offset.
 """
 
+import functools
 import itertools
+import json
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xfertune import (
     DatasetMeta,
+    GroupModel,
     NetworkMeta,
     ParamConfig,
     StratumModels,
@@ -22,11 +28,14 @@ from xfertune import (
     rmse_holdout,
 )
 from xfertune.logs import PARAM_NAMES
+from xfertune.spline import fit_bicubic_surface, fit_natural_spline
 from xfertune.surfaces import (
+    METRICS,
     PARAM_GROUPS,
     _conditioning,
     _fill_grid,
     _modal_value,
+    _slice_members,
     holdout_split,
 )
 
@@ -81,6 +90,8 @@ def test_modal_value_prefers_largest_on_ties():
     assert _modal_value([1, 1, 2, 2]) == 2
     assert _modal_value([3, 1, 3, 2]) == 3
     assert _modal_value([7]) == 7
+    assert _modal_value([(1, 2), (2, 1), (1, 2), (2, 1)]) == (2, 1)
+    assert _modal_value([(2, 0), (1, 9), (1, 9)]) == (1, 9)
 
 
 def test_conditioning_uses_marginal_modes():
@@ -253,3 +264,213 @@ def test_group_layout():
     assert PARAM_GROUPS == (("cpu_num", "cpu_freq_mhz"), ("cc", "p"), ("pp",))
     models = fit_stratum_models(make_members(), "sX")
     assert [m.label for m in models.energy] == ["cpu_num+cpu_freq_mhz", "cc+p", "pp"]
+
+
+# -- the per-metric fit that one-pass group grids replaced --------------------
+#
+# Test-only oracle: the fit as it was before each group's slice and grids
+# were shared by both metrics. Every (metric, group) pair picks its own
+# conditioning, filters its own slice and builds its own grid, 1-D cells as
+# the plain left-to-right sum of their observations over their count (what
+# builtin sum() computes up to Python 3.11), 2-D cells through total/count
+# arrays.
+
+
+def legacy_modal_value(values):
+    counts = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    best = max(counts.values())
+    return max(v for v, c in counts.items() if c == best)
+
+
+def legacy_conditioning(members, group):
+    others = [p for p in PARAM_NAMES if p not in group]
+    cond = {p: legacy_modal_value([e.params.get(p) for e in members]) for p in others}
+    if any(all(e.params.get(p) == v for p, v in cond.items()) for e in members):
+        return cond
+    tuples = [tuple(e.params.get(p) for p in others) for e in members]
+    return dict(zip(others, legacy_modal_value(tuples)))
+
+
+def legacy_grid_2d(slice_members, xname, yname, metric):
+    xs = sorted({e.params.get(xname) for e in slice_members})
+    ys = sorted({e.params.get(yname) for e in slice_members})
+    if len(xs) < 2:
+        raise SurfaceFitError(f"insufficient distinct {xname} values in conditioning slice")
+    if len(ys) < 2:
+        raise SurfaceFitError(f"insufficient distinct {yname} values in conditioning slice")
+    xi = {v: i for i, v in enumerate(xs)}
+    yi = {v: i for i, v in enumerate(ys)}
+    total = np.zeros((len(xs), len(ys)))
+    count = np.zeros((len(xs), len(ys)))
+    for e in slice_members:
+        i, j = xi[e.params.get(xname)], yi[e.params.get(yname)]
+        total[i, j] += getattr(e, metric)
+        count[i, j] += 1
+    with np.errstate(invalid="ignore"):
+        grid = np.where(count > 0, total / np.maximum(count, 1), np.nan)
+    return np.array(xs, dtype=float), np.array(ys, dtype=float), _fill_grid(grid)
+
+
+def legacy_grid_1d(slice_members, name, metric):
+    xs = sorted({e.params.get(name) for e in slice_members})
+    if len(xs) < 2:
+        raise SurfaceFitError(f"insufficient distinct {name} values in conditioning slice")
+    vals = []
+    for v in xs:
+        obs = [getattr(e, metric) for e in slice_members if e.params.get(name) == v]
+        vals.append(functools.reduce(operator.add, obs, 0) / len(obs))
+    return np.array(xs, dtype=float), np.array(vals)
+
+
+def legacy_fit_stratum_models(members, stratum_id):
+    if not members:
+        raise SurfaceFitError("no entries to fit")
+    by_metric = {}
+    for metric in METRICS:
+        models = []
+        for group in PARAM_GROUPS:
+            cond = legacy_conditioning(members, group)
+            sl = _slice_members(members, cond)
+            if len(group) == 2:
+                xs, ys, grid = legacy_grid_2d(sl, group[0], group[1], metric)
+                model = fit_bicubic_surface(xs, ys, grid)
+            else:
+                xs, vals = legacy_grid_1d(sl, group[0], metric)
+                model = fit_natural_spline(xs, vals)
+            models.append(GroupModel(params=group, conditioning=cond,
+                                     metric=metric, model=model))
+        by_metric[metric] = tuple(models)
+    return StratumModels(
+        stratum_id=stratum_id,
+        energy=by_metric["energy_joules"],
+        throughput=by_metric["throughput_mbps"],
+        mean_energy=float(np.mean([e.energy_joules for e in members])),
+        mean_throughput=float(np.mean([e.throughput_mbps for e in members])),
+        entry_count=len(members),
+    )
+
+
+PARAM_POOLS = {
+    "cpu_num": (1, 2, 4, 8),
+    "cpu_freq_mhz": (1200, 1800, 2300),
+    "cc": (1, 4, 8, 16),
+    "p": (1, 4, 8),
+    "pp": (0, 4, 8),
+}
+
+
+def random_entries(configs, rng):
+    """One entry per configuration with metrics of mixed magnitude, so a
+    cell mean depends on the order its observations are summed in."""
+    entries = []
+    for i, cfg in enumerate(configs):
+        e = float(rng.uniform(1.0, 10.0) * 10.0 ** rng.integers(-2, 6))
+        t = float(rng.uniform(1.0, 10.0) * 10.0 ** rng.integers(-2, 5))
+        entries.append(TransferLogEntry(
+            params=cfg, dataset=DS, network=NET, throughput_mbps=t,
+            energy_joules=e, avg_power_watts=e / 10.0, duration_s=10.0,
+            timestamp_s=float(i)))
+    return [entries[i] for i in rng.permutation(len(entries))]
+
+
+def sweep(fixed: dict, group, axes, copies=1, skip=()):
+    """Configurations varying one group over its grid, the other parameters
+    at fixed values, each logged copies times; cells in skip are not."""
+    return [ParamConfig(**fixed, **dict(zip(group, combo)))
+            for combo in itertools.product(*(axes[p] for p in group))
+            if combo not in skip for _ in range(copies)]
+
+
+@st.composite
+def ragged_member_sets(draw):
+    """Sweeps around one to three anchor configurations, a drawn share of
+    every sweep's cells dropped, in shuffled order.
+
+    Every group is swept once or twice, each time around a drawn anchor, so
+    a group's conditioning can be any anchor's values. Dropped cells leave
+    holes for _fill_grid to fill, or empty an axis of a slice altogether.
+    """
+    axes = {p: sorted(draw(st.sets(st.sampled_from(pool), min_size=2, max_size=3)))
+            for p, pool in PARAM_POOLS.items()}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    drop = draw(st.sampled_from((0.0, 0.1, 0.25)))
+    anchors = [{p: draw(st.sampled_from(axes[p])) for p in PARAM_NAMES}
+               for _ in range(draw(st.integers(1, 3)))]
+    configs = []
+    for group in PARAM_GROUPS:
+        for _ in range(draw(st.integers(1, 2))):
+            anchor = draw(st.sampled_from(anchors))
+            fixed = {p: v for p, v in anchor.items() if p not in group}
+            configs += [cfg for cfg in sweep(fixed, group, axes, draw(st.integers(1, 2)))
+                        if rng.random() >= drop]
+    return random_entries(configs, rng)
+
+
+@st.composite
+def fallback_member_sets(draw):
+    """A log built so that the pp group's conditioning falls back to the
+    most frequent joint tuple while every group can still fit.
+
+    Two pp sweeps of equal weight sit at (cpu_num, cpu_freq_mhz, cc, p)
+    tuples a and b. The (cpu_num, cpu_freq_mhz) sweep holds cc, p at a's
+    values and the (cc, p) sweep holds cpu_num, cpu_freq_mhz at b's, which
+    tilts the marginal modes toward b's cpu pair with a's (cc, p) pair; each
+    of those two sweeps misses the one cell that would log that tuple, which
+    also leaves a hole in each 2-D grid.
+    """
+    axes = {p: sorted(draw(st.sets(st.sampled_from(pool), min_size=2, max_size=3)))
+            for p, pool in PARAM_POOLS.items()}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    core, app = PARAM_GROUPS[0], PARAM_GROUPS[1]
+    pairs = {g: draw(st.lists(st.tuples(*(st.sampled_from(axes[p]) for p in g)),
+                              min_size=2, max_size=2, unique=True))
+             for g in (core, app)}
+    a = {**dict(zip(core, pairs[core][0])), **dict(zip(app, pairs[app][0]))}
+    b = {**dict(zip(core, pairs[core][1])), **dict(zip(app, pairs[app][1]))}
+    pp = draw(st.sampled_from(axes["pp"]))
+    copies = draw(st.integers(1, 2))
+    configs = (sweep(a, ("pp",), axes, copies) + sweep(b, ("pp",), axes, copies)
+               + sweep({**{p: a[p] for p in app}, "pp": pp}, core, axes,
+                       skip={pairs[core][1]})
+               + sweep({**{p: b[p] for p in core}, "pp": pp}, app, axes,
+                       skip={pairs[app][0]}))
+    return random_entries(configs, rng)
+
+
+def assert_same_group_model(got: GroupModel, want: GroupModel):
+    assert (got.params, got.metric) == (want.params, want.metric)
+    assert got.conditioning == want.conditioning
+    if len(got.params) == 2:
+        pairs = [(got.model.xs, want.model.xs), (got.model.ys, want.model.ys),
+                 (got.model.grid, want.model.grid),
+                 (got.model.coeffs, want.model.coeffs)]
+    else:
+        pairs = [(got.model.knots, want.model.knots),
+                 (got.model.values, want.model.values),
+                 (got.model.coeffs, want.model.coeffs)]
+    for a, b in pairs:
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(members=st.one_of(ragged_member_sets(), fallback_member_sets()))
+def test_fit_matches_legacy_per_metric_fit(members):
+    try:
+        want = legacy_fit_stratum_models(members, "h")
+    except SurfaceFitError as exc:
+        with pytest.raises(SurfaceFitError) as got:
+            fit_stratum_models(members, "h")
+        assert str(got.value) == str(exc)
+        return
+    got = fit_stratum_models(members, "h")
+    for got_models, want_models in ((got.energy, want.energy),
+                                    (got.throughput, want.throughput)):
+        assert len(got_models) == len(want_models)
+        for g, w in zip(got_models, want_models):
+            assert_same_group_model(g, w)
+    # same model bytes
+    assert (json.dumps(got.as_dict(), sort_keys=True)
+            == json.dumps(want.as_dict(), sort_keys=True))
+

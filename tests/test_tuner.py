@@ -67,10 +67,8 @@ def prime(tuner, *, t_avg, ref_ext, past_e_pred=math.inf, history=None):
     """Mid-transfer class state as if earlier ticks had produced it."""
     st = tuner.cls
     st.t_avg = t_avg
-    st.t_last = t_avg
     st.past_e_pred = past_e_pred
     st.ref_ext = ref_ext
-    st.ext_last = ref_ext
     st.ticks = 1
     st.history = list(history if history is not None else [t_avg])
 
