@@ -25,7 +25,7 @@ from .simulator import (DATASET_CLASSES, ENDPOINTS, EndpointSpec,
                         LoadScenario, SimEndpoint, SimulationError,
                         baseline_config, default_lattice,
                         generate_training_logs, power_above_base_watts,
-                        run_simulation, synth_file_sizes, throughput_mbps)
+                        synth_file_sizes, throughput_mbps)
 from .spline import (Spline1D, SplineError, Surface, fit_bicubic_surface,
                      fit_natural_spline)
 from .surfaces import (GroupModel, HoldoutReport, StratumModels,

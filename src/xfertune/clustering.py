@@ -15,11 +15,11 @@ the textbook loop that rescans the whole matrix after every merge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .logs import DatasetMeta, NetworkMeta, TransferLogEntry
+from .logs import DatasetMeta, NetworkMeta, TransferLogEntry, _is_num
 
 
 class ClusterError(ValueError):
@@ -38,6 +38,14 @@ class FeatureSpec:
     lo: float
     hi: float
     log_scale: bool = False
+
+    def __post_init__(self):
+        if not (_is_num(self.lo) and _is_num(self.hi) and self.lo < self.hi):
+            raise ClusterError(f"feature {self.name}: lo and hi must be finite, lo < hi")
+        if not isinstance(self.log_scale, bool):
+            raise ClusterError(f"feature {self.name}: log_scale must be true or false")
+        if self.log_scale and self.lo <= 0:
+            raise ClusterError(f"feature {self.name}: log-scale lo must be > 0")
 
     def normalize(self, value: float) -> float:
         if self.log_scale:
@@ -220,6 +228,10 @@ TIER3_DEFAULT = (
     FeatureSpec("bandwidth_mbps", 1.0, 1e5, log_scale=True),
     FeatureSpec("rtt_ms", 0.1, 1e3, log_scale=True),
 )
+# the fields each tier may cluster on; tiers 1 and 3 read NetworkMeta
+TIER_FEATURE_NAMES = {"tier1": ("ext_load", "bandwidth_mbps"),
+                      "tier2": tuple(f.name for f in fields(DatasetMeta)),
+                      "tier3": ("bandwidth_mbps", "rtt_ms")}
 
 
 @dataclass(frozen=True)
@@ -231,6 +243,19 @@ class StratifyConfig:
     tier2_cut: float = 0.25
     tier3_cut: float = 0.25
     load_band_k: float = 1.0   # interval boundaries at mean +- k * stddev
+
+    def __post_init__(self):
+        for tier, known in TIER_FEATURE_NAMES.items():
+            for f in getattr(self, f"{tier}_features"):
+                if f.name not in known:
+                    raise ClusterError(
+                        f"{tier}_features: unknown feature {f.name!r}; "
+                        f"have {', '.join(known)}")
+            cut = getattr(self, f"{tier}_cut")
+            if not (_is_num(cut) and cut >= 0):
+                raise ClusterError(f"{tier}_cut must be a finite number >= 0")
+        if not (_is_num(self.load_band_k) and self.load_band_k >= 0):
+            raise ClusterError("load_band_k must be a finite number >= 0")
 
     def as_dict(self) -> dict:
         return {
@@ -245,8 +270,16 @@ class StratifyConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "StratifyConfig":
+        if not isinstance(obj, dict):
+            raise ClusterError("stratify config must be a JSON object")
+
         def specs(key):
-            return tuple(FeatureSpec(**d) for d in obj[key])
+            try:
+                return tuple(FeatureSpec(**d) for d in obj[key])
+            except TypeError as exc:
+                raise ClusterError(f"{key}: malformed feature: {exc}") from exc
+            except ClusterError as exc:
+                raise ClusterError(f"{key}: {exc}") from exc
         return cls(
             tier1_features=specs("tier1_features"),
             tier2_features=specs("tier2_features"),
@@ -259,18 +292,15 @@ class StratifyConfig:
 
 
 def tier1_vector(net: NetworkMeta, config: StratifyConfig) -> tuple[float, ...]:
-    src = {"ext_load": net.ext_load, "bandwidth_mbps": net.bandwidth_mbps}
-    return tuple(f.normalize(src[f.name]) for f in config.tier1_features)
+    return tuple(f.normalize(getattr(net, f.name)) for f in config.tier1_features)
 
 
 def tier2_vector(ds: DatasetMeta, config: StratifyConfig) -> tuple[float, ...]:
-    src = ds.as_dict()
-    return tuple(f.normalize(src[f.name]) for f in config.tier2_features)
+    return tuple(f.normalize(getattr(ds, f.name)) for f in config.tier2_features)
 
 
 def tier3_vector(net: NetworkMeta, config: StratifyConfig) -> tuple[float, ...]:
-    src = {"bandwidth_mbps": net.bandwidth_mbps, "rtt_ms": net.rtt_ms}
-    return tuple(f.normalize(src[f.name]) for f in config.tier3_features)
+    return tuple(f.normalize(getattr(net, f.name)) for f in config.tier3_features)
 
 
 @dataclass(frozen=True)

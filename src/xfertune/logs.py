@@ -8,6 +8,7 @@ into downstream fitting.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -58,6 +59,8 @@ class ParamConfig:
 
 
 PARAM_NAMES = ("cpu_num", "cpu_freq_mhz", "cc", "p", "pp")
+# smallest valid value of each parameter
+PARAM_MIN = {"cpu_num": 1, "cpu_freq_mhz": 1, "cc": 1, "p": 1, "pp": 0}
 
 
 @dataclass(frozen=True)
@@ -80,9 +83,8 @@ class ParamLattice:
                 raise ValueError(f"lattice axis {name} is empty")
             if list(vals) != sorted(set(vals)):
                 raise ValueError(f"lattice axis {name} must be sorted distinct values")
-            low = 0 if name == "pp" else 1
-            if vals[0] < low:
-                raise ValueError(f"lattice axis {name} has value below {low}")
+            if vals[0] < PARAM_MIN[name]:
+                raise ValueError(f"lattice axis {name} has value below {PARAM_MIN[name]}")
 
     def size(self) -> int:
         n = 1
@@ -92,12 +94,8 @@ class ParamLattice:
 
     def configs(self):
         """Yield every ParamConfig on the lattice in lexicographic order."""
-        for cpu in self.cpu_num:
-            for freq in self.cpu_freq_mhz:
-                for cc in self.cc:
-                    for p in self.p:
-                        for pp in self.pp:
-                            yield ParamConfig(cpu, freq, cc, p, pp)
+        for combo in itertools.product(*(self.axis(n) for n in PARAM_NAMES)):
+            yield ParamConfig(*combo)
 
     def contains(self, params: ParamConfig) -> bool:
         return all(params.get(n) in self.axis(n) for n in PARAM_NAMES)
@@ -190,16 +188,9 @@ def validate_params(params: ParamConfig, lattice: ParamLattice | None = None) ->
         v = params.get(name)
         if not _is_int(v):
             return f"{name} must be an integer"
-    if params.cpu_num < 1:
-        return "cpu_num must be >= 1"
-    if params.cpu_freq_mhz < 1:
-        return "cpu_freq_mhz must be >= 1"
-    if params.cc < 1:
-        return "cc must be >= 1"
-    if params.p < 1:
-        return "p must be >= 1"
-    if params.pp < 0:
-        return "pp must be >= 0"
+    for name in PARAM_NAMES:
+        if params.get(name) < PARAM_MIN[name]:
+            return f"{name} must be >= {PARAM_MIN[name]}"
     if lattice is not None:
         for name in PARAM_NAMES:
             if params.get(name) not in lattice.axis(name):

@@ -13,13 +13,12 @@ not a deployable configuration, so it never takes part in the selection.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .logs import PARAM_NAMES, ParamConfig
+from .logs import PARAM_NAMES, ParamConfig, ParamLattice
 from .spline import Spline1D, Surface
 from .surfaces import StratumModels
 
@@ -282,9 +281,7 @@ class OptimizationResult:
 
 def enumerate_lattice(models: StratumModels) -> list[ParamConfig]:
     """Every configuration on the observed parameter lattice."""
-    axes = [models.axis_values(p) for p in PARAM_NAMES]
-    return [ParamConfig(**dict(zip(PARAM_NAMES, combo)))
-            for combo in itertools.product(*axes)]
+    return list(ParamLattice(**models.lattice_axes()).configs())
 
 
 def optimize_stratum(models: StratumModels, sla: SLA) -> OptimizationResult:

@@ -90,6 +90,10 @@ def fit_all_strata(entries, strata, holdout_seed: int = 0,
     models: dict[str, StratumModels] = {}
     holdout: dict[str, dict] = {}
     for s in strata:
+        for i in s.members:
+            if not (type(i) is int and 0 <= i < len(entries)):
+                raise PipelineError(f"stratum {s.id}: member index {i!r} is not "
+                                    f"in the log of {len(entries)} entries")
         members = [entries[i] for i in s.members]
         models[s.id] = fit_stratum_models(members, s.id)
         if with_holdout:
@@ -157,50 +161,34 @@ def _analytic_fixed_run(spec: EndpointSpec, cfg: ParamConfig,
     remaining_mbit = total_bytes * 8.0 / 1e6
     t = 0.0
     energy = 0.0
-    segments = list(scenario.segments)
-    for k, (start, load) in enumerate(segments):
-        end = segments[k + 1][0] if k + 1 < len(segments) else math.inf
-        if t >= end:
-            continue
+    # the last segment never ends, so the transfer completes in it at the latest
+    ends = [start for start, _ in scenario.segments[1:]] + [math.inf]
+    for (_, load), end in zip(scenario.segments, ends):
         tput = throughput_mbps(spec, cfg, load, avg_file_size)
         power = power_above_base_watts(spec, cfg, tput)
-        if tput <= 0.0:
-            if math.isinf(end):
-                return math.inf, math.inf
-            energy += power * (end - t)
-            t = end
-            continue
         need = remaining_mbit / tput
         if t + need <= end:
             return t + need, energy + power * need
         energy += power * (end - t)
         remaining_mbit -= tput * (end - t)
         t = end
-    return math.inf, math.inf
 
 
 def _static_optimal_row(spec, scenario, lattice: ParamLattice, cname: str) -> dict:
     meta = dataset_meta_for(synth_file_sizes(DATASET_CLASSES[cname]))
-    best_t = None
-    best_e = None
-    for cfg in lattice.configs():
-        duration, energy = _analytic_fixed_run(
-            spec, cfg, scenario, meta.avg_file_size_bytes, meta.total_size_bytes)
-        if math.isinf(duration):
-            continue
-        tput = meta.total_size_bytes * 8.0 / 1e6 / duration
-        if best_t is None or tput > best_t[0]:
-            best_t = (tput, cfg, duration)
-        if best_e is None or energy < best_e[0]:
-            best_e = (energy, cfg, duration)
-    if best_t is None:
-        raise PipelineError(f"no lattice configuration completes class {cname}")
+    mbit = meta.total_size_bytes * 8.0 / 1e6
+    runs = [(cfg, *_analytic_fixed_run(spec, cfg, scenario, meta.avg_file_size_bytes,
+                                       meta.total_size_bytes))
+            for cfg in lattice.configs()]
+    # max and min keep the first of equals, in lexicographic lattice order
+    fastest = max(runs, key=lambda run: mbit / run[1])
+    frugal = min(runs, key=lambda run: run[2])
     return {
         "policy": "static-optimal", "class": cname,
-        "throughput_mbps": best_t[0], "energy_joules": best_e[0],
-        "duration_s": best_t[2], "stratum_id": "",
-        "params": {"max_tput": best_t[1].as_dict(),
-                   "min_energy": best_e[1].as_dict()},
+        "throughput_mbps": mbit / fastest[1], "energy_joules": frugal[2],
+        "duration_s": fastest[1], "stratum_id": "",
+        "params": {"max_tput": fastest[0].as_dict(),
+                   "min_energy": frugal[0].as_dict()},
         "switch_count": 0,
     }
 

@@ -14,14 +14,13 @@ give byte-identical outputs.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .logs import (DatasetMeta, NetworkMeta, ParamConfig, ParamLattice,
                    TransferLogEntry, validate_params)
-from .tuner import EndpointFailure, FixedController, MonitorSample, run_transfer
+from .tuner import EndpointFailure, MonitorSample
 
 
 class SimulationError(ValueError):
@@ -43,18 +42,26 @@ class EndpointSpec:
     core_power_watts: float = 6.0        # per active core at top frequency
     power_exponent: float = 2.2          # frequency scaling of core power
     net_power_watts_per_mbps: float = 0.003
-    base_power_watts: float = 35.0       # idle draw, excluded from logs
     file_overhead_s: float = 0.005       # per-file startup cost
     window_bytes: float = 4e6            # per-stream TCP window
     core_mbps: float = 2500.0            # copy bandwidth per core at top freq
 
     def __post_init__(self):
+        # with these, throughput_mbps is > 0 at every load below 1
+        for name in ("bandwidth_mbps", "rtt_ms", "window_bytes", "core_mbps",
+                     "cpu_cores"):
+            if not getattr(self, name) > 0:
+                raise SimulationError(f"{self.name}: {name} must be > 0")
+        if not self.file_overhead_s >= 0:
+            raise SimulationError(f"{self.name}: file_overhead_s must be >= 0")
         expect = self.bandwidth_mbps * self.rtt_ms * 125.0
         if abs(self.bdp_bytes - expect) > 0.01 * expect:
             raise SimulationError(
                 f"{self.name}: bdp_bytes inconsistent with bandwidth * rtt")
-        if list(self.freq_ladder_mhz) != sorted(set(self.freq_ladder_mhz)):
-            raise SimulationError(f"{self.name}: freq ladder must be sorted distinct")
+        ladder = list(self.freq_ladder_mhz)
+        if not ladder or ladder != sorted(set(ladder)) or ladder[0] < 1:
+            raise SimulationError(f"{self.name}: freq ladder must be nonempty, "
+                                  "sorted distinct and >= 1 MHz")
 
     @property
     def max_freq_mhz(self) -> int:
@@ -199,7 +206,8 @@ class LoadScenario:
         if not self.segments or self.segments[0][0] != 0.0:
             raise SimulationError("scenario must start at t=0")
         starts = [s for s, _ in self.segments]
-        if starts != sorted(set(starts)):
+        # NaN compares false, so a NaN start fails here too
+        if not all(a < b for a, b in zip(starts, starts[1:])):
             raise SimulationError("segment starts must be strictly increasing")
         for _, load in self.segments:
             if not 0.0 <= load < 1.0:
@@ -279,9 +287,7 @@ class SimEndpoint:
         t = throughput_mbps(self.spec, self._params, load,
                             self._dataset.avg_file_size_bytes)
         capacity = t * 1e6 / 8.0 * self.interval_s
-        if t <= 0.0:
-            dt, moved = self.interval_s, 0.0
-        elif self._remaining <= capacity:
+        if self._remaining <= capacity:
             dt, moved = self._remaining * 8.0 / 1e6 / t, self._remaining
         else:
             dt, moved = self.interval_s, capacity
@@ -303,8 +309,3 @@ def synth_file_sizes(meta: DatasetMeta) -> list:
     half = meta.num_files // 2
     return [lo] * half + [hi] * (meta.num_files - half)
 
-
-def run_simulation(endpoint: SimEndpoint, file_sizes, policy):
-    """Run a transfer under a controller, or a bare ParamConfig run fixed."""
-    controller = FixedController(policy) if isinstance(policy, ParamConfig) else policy
-    return run_transfer(endpoint, file_sizes, controller)

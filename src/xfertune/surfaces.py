@@ -29,6 +29,7 @@ PARAM_GROUPS: tuple[tuple[str, ...], ...] = (
     ("pp",),
 )
 METRICS = ("energy_joules", "throughput_mbps")
+HOLDOUT_TRAIN_FRAC = 0.7
 
 
 class SurfaceFitError(ValueError):
@@ -306,8 +307,7 @@ class HoldoutReport:
         }
 
 
-def holdout_split(members: list[TransferLogEntry], seed: int = 0,
-                  train_frac: float = 0.7):
+def holdout_split(members: list[TransferLogEntry], seed: int = 0):
     """70/30 split stratified per observed parameter tuple.
 
     Every tuple keeps at least one entry in train, so the train grid covers
@@ -324,7 +324,7 @@ def holdout_split(members: list[TransferLogEntry], seed: int = 0,
     for key in sorted(by_tuple):
         idx = list(by_tuple[key])
         rng.shuffle(idx)
-        n_train = max(1, math.floor(train_frac * len(idx)))
+        n_train = max(1, math.floor(HOLDOUT_TRAIN_FRAC * len(idx)))
         train_idx.extend(idx[:n_train])
         test_idx.extend(idx[n_train:])
     train = [members[i] for i in sorted(train_idx)]
@@ -333,11 +333,11 @@ def holdout_split(members: list[TransferLogEntry], seed: int = 0,
 
 
 def rmse_holdout(members: list[TransferLogEntry], stratum_id: str = "",
-                 seed: int = 0, train_frac: float = 0.7) -> HoldoutReport:
+                 seed: int = 0) -> HoldoutReport:
     """Fit on a stratified train split, report per-model RMSE on held-out
     entries from each model's own conditioning slice (None when the slice
     has no test entries)."""
-    train, test = holdout_split(members, seed=seed, train_frac=train_frac)
+    train, test = holdout_split(members, seed=seed)
     try:
         models = fit_stratum_models(train, stratum_id)
     except SurfaceFitError as exc:

@@ -1,12 +1,14 @@
 """Online tuning of an in-flight transfer from periodic monitor samples.
 
 Two feedback loops share one structure. The energy loop predicts energy to
-completion each tick and reacts when the prediction grows or the remaining
-budget cannot cover it; the throughput loop reacts when smoothed throughput
-falls below its recent level or the guaranteed floor. Either way the reaction
-is the same ladder: switch to the parameter surface of a sibling stratum in
-the direction of the measured external load change (at most three switches
-per transfer), after that fall back to heuristic single-parameter nudges.
+completion each tick and reacts when the prediction grows by more than BETA
+or the remaining budget cannot cover it; the throughput loop reacts when
+smoothed throughput (weight EWMA_WEIGHT on the previous average) falls more
+than ALPHA below its previous value, or below the guaranteed floor. Either way
+the reaction is the same ladder: switch to the parameter surface of a sibling
+stratum in the direction of the measured external load change (a rise of
+more than BETA, or a fall of more than ALPHA; at most SWITCH_CAP switches per
+transfer), after that fall back to heuristic single-parameter nudges.
 
 Which loop runs follows from the SLA: energy caps and the pure min-energy
 objective run the energy loop, throughput floors and the pure max-throughput
@@ -15,7 +17,7 @@ objective run the throughput loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .clustering import (StratifyConfig, Stratum, assign_stratum,
                          load_band_stratum)
@@ -28,6 +30,9 @@ SMALL_MAX_BYTES = 1 * MIB          # < 1 MiB: small
 MEDIUM_MAX_BYTES = 50 * MIB        # < 50 MiB: medium, else large
 FILE_CLASSES = ("small", "medium", "large")
 
+ALPHA = 0.1
+BETA = 0.1
+EWMA_WEIGHT = 0.5
 SWITCH_CAP = 3
 
 
@@ -114,25 +119,14 @@ class OnlineTuner:
     """
 
     def __init__(self, strata, table: ParamTable, models_by_stratum: dict,
-                 sla: SLA, *, alpha: float = 0.1, beta: float = 0.1,
-                 ewma_weight: float = 0.5, switch_cap: int = SWITCH_CAP,
-                 config: StratifyConfig | None = None):
-        if not 0 < alpha < 1 or not 0 < beta < 1:
-            raise TunerError("alpha and beta must be in (0, 1)")
-        if not 0 < ewma_weight <= 1:
-            raise TunerError("ewma_weight must be in (0, 1]")
+                 sla: SLA, *, config: StratifyConfig | None = None):
         self.strata = list(strata)
         self.table = table
         self.models = models_by_stratum
         self.sla = sla
-        self.alpha = alpha
-        self.beta = beta
-        self.w = ewma_weight
-        self.switch_cap = switch_cap
         self.config = config or StratifyConfig()
         self.loop = select_loop(sla)
-        self.e_sla = sla.bound if (sla.kind == KIND_ENERGY_CAP and
-                                   math.isfinite(sla.bound)) else math.inf
+        self.e_sla = sla.bound if sla.kind == KIND_ENERGY_CAP else math.inf
         self.t_sla = sla.bound if sla.kind == KIND_THROUGHPUT_FLOOR else 0.0
         self._reset_transfer(0.0)
 
@@ -159,9 +153,7 @@ class OnlineTuner:
         """Assign the class to a stratum (probing with zero external load, so
         transfers start on the lightest-load surface) and return its tuned
         parameters."""
-        probe = NetworkMeta(source_id=network.source_id, dest_id=network.dest_id,
-                            bandwidth_mbps=network.bandwidth_mbps,
-                            rtt_ms=network.rtt_ms, ext_load=0.0)
+        probe = replace(network, ext_load=0.0)
         self.stratum = assign_stratum(dataset, probe, self.strata, self.config)
         self.params = self.table.lookup(self.stratum.id, self.sla.id).params
         self.cls = _ClassState()
@@ -178,7 +170,7 @@ class OnlineTuner:
         dt = sample.dt_s
         first = st.ticks == 0
         t_avg = sample.throughput_mbps if first else (
-            self.w * st.t_avg + (1.0 - self.w) * sample.throughput_mbps)
+            EWMA_WEIGHT * st.t_avg + (1.0 - EWMA_WEIGHT) * sample.throughput_mbps)
         t_prev = t_avg if first else st.t_avg
         if first:
             st.ref_ext = sample.ext_load
@@ -191,25 +183,25 @@ class OnlineTuner:
         st.history.append(t_avg)
 
         if self.loop == "energy":
-            triggered = (d_e + e_pred > (1.0 + self.beta) * st.past_e_pred or
+            triggered = (d_e + e_pred > (1.0 + BETA) * st.past_e_pred or
                          d_e + e_pred > self.e_sla - self.e_consumed)
         else:
-            triggered = (t_avg < (1.0 - self.alpha) * t_prev or
+            triggered = (t_avg < (1.0 - ALPHA) * t_prev or
                          t_avg < self.t_sla)
 
         action = None
         if triggered:
-            if ext > (1.0 + self.beta) * st.ref_ext:
-                if self.switch_count < self.switch_cap:
+            if ext > (1.0 + BETA) * st.ref_ext:
+                if self.switch_count < SWITCH_CAP:
                     action = self._switch("high", ext)
                 else:
                     action = self._heuristic(allow_down=True)
-            elif self.switch_count >= self.switch_cap:
+            elif self.switch_count >= SWITCH_CAP:
                 action = self._heuristic(allow_down=True)
             # below the cap with no load shift to blame: hold, the switch
             # budget is saved for attributable changes
-        elif ext < (1.0 - self.alpha) * st.ref_ext:
-            if self.switch_count < self.switch_cap:
+        elif ext < (1.0 - ALPHA) * st.ref_ext:
+            if self.switch_count < SWITCH_CAP:
                 action = self._switch("low", ext)
             else:
                 action = self._heuristic(allow_down=False)
@@ -402,10 +394,9 @@ def run_transfer(endpoint, file_sizes, controller) -> TransferReport:
 def _class_row(cname, controller, ds: DatasetMeta, initial: ParamConfig,
                t0: float, e0: float, moved: float) -> dict:
     dur = controller.elapsed_s - t0
-    sid = controller.stratum.id if getattr(controller, "stratum", None) else ""
     return {
         "class": cname,
-        "stratum_id": sid,
+        "stratum_id": controller.stratum.id if controller.stratum else "",
         "num_files": ds.num_files,
         "bytes": ds.total_size_bytes,
         "bytes_moved": moved,
@@ -413,5 +404,5 @@ def _class_row(cname, controller, ds: DatasetMeta, initial: ParamConfig,
         "energy_joules": controller.e_consumed - e0,
         "avg_throughput_mbps": (moved * 8.0 / 1e6 / dur) if dur > 0 else 0.0,
         "initial_params": initial.as_dict(),
-        "final_params": controller.params.as_dict() if controller.params else initial.as_dict(),
+        "final_params": controller.params.as_dict(),
     }

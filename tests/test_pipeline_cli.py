@@ -7,6 +7,7 @@ against its artifacts.
 
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -173,6 +174,82 @@ def test_usage_and_data_error_exit_codes(chain, tmp_path, capsys):
                      "--classes", "small,huge",
                      "--out", str(tmp_path / "compare.json")]) == 2
     assert capsys.readouterr().err == "error: unknown file class 'huge'\n"
+
+
+def test_fit_rejects_strata_from_a_longer_log(chain, tmp_path, capsys):
+    lines = (chain / "logs.jsonl").read_text().splitlines(keepends=True)
+    short = tmp_path / "short.jsonl"
+    short.write_text("".join(lines[:100]))
+    capsys.readouterr()
+    assert cli.main(["fit", "--logs", str(short),
+                     "--strata", str(chain / "strata.json"),
+                     "--out", str(tmp_path / "models.json")]) == 2
+    assert "is not in the log of 100 entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [-1, 3888, 2.0, "3", True])
+def test_fit_rejects_bad_member_indices(corpus, strata, bad):
+    s0 = strata[0]
+    broken = replace(s0, members=s0.members + (bad,))
+    with pytest.raises(PipelineError, match=rf"stratum {s0.id}: member index "
+                                            rf".* not in the log of 3888 entries"):
+        fit_all_strata(corpus, [broken], with_holdout=False)
+
+
+def _set(path, value):
+    def edit(cfg):
+        *keys, last = path
+        for k in keys:
+            cfg = cfg[k]
+        cfg[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set(("tier1_features", 0, "hi"), 0.0), "tier1_features: feature ext_load: lo and hi must be finite, lo < hi"),
+    (_set(("tier2_features", 1, "foo"), 1), "tier2_features: malformed feature: .*'foo'"),
+    (_set(("tier3_cut",), "wide"), "tier3_cut must be a finite number >= 0"),
+    (_set(("tier3_features", 1, "lo"), 0.0), "tier3_features: feature rtt_ms: log-scale lo must be > 0"),
+    (_set(("tier1_features", 1, "name"), "rtt_ms"), "tier1_features: unknown feature 'rtt_ms'"),
+    (_set(("tier2_features", 0, "log_scale"), "yes"), "log_scale must be true or false"),
+    (_set(("tier1_features", 0), 7), "tier1_features: malformed feature"),
+    (_set(("load_band_k",), -1.0), "load_band_k must be a finite number >= 0"),
+], ids=["lo-equals-hi", "unknown-key", "text-cut", "log-lo-zero", "wrong-tier",
+        "text-log-scale", "not-an-object", "negative-k"])
+def test_stratify_rejects_a_bad_config(chain, tmp_path, capsys, edit, message):
+    cfg = StratifyConfig().as_dict()
+    edit(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli.main(["stratify", "--logs", str(chain / "logs.jsonl"),
+                     "--out", str(tmp_path / "strata.json"),
+                     "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(message, err), err
+
+
+def test_default_config_file_gives_the_same_strata(chain, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(StratifyConfig().as_dict()))
+    assert cli.main(["stratify", "--logs", str(chain / "logs.jsonl"),
+                     "--out", str(tmp_path / "strata.json"),
+                     "--config", str(path)]) == 0
+    assert ((tmp_path / "strata.json").read_bytes() ==
+            (chain / "strata.json").read_bytes())
+
+
+def test_nan_step_time_is_rejected(chain, tmp_path, capsys):
+    artifacts = ["--strata", str(chain / "strata.json"),
+                 "--models", str(chain / "models.json"),
+                 "--table", str(chain / "table.json"),
+                 "--scenario", "step:0.2:0.6:nan"]
+    capsys.readouterr()
+    assert cli.main(["tune", *artifacts]) == 2
+    assert "segment starts must be strictly increasing" in capsys.readouterr().err
+    assert cli.main(["compare", *artifacts, "--out", str(tmp_path / "c.json")]) == 2
+    assert "segment starts must be strictly increasing" in capsys.readouterr().err
 
 
 def test_parse_sla_and_parse_scenario():

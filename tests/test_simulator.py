@@ -19,7 +19,6 @@ from xfertune import (
     baseline_config,
     default_lattice,
     generate_training_logs,
-    run_simulation,
     synth_file_sizes,
     throughput_mbps,
     validate_entry,
@@ -96,6 +95,39 @@ def test_endpoint_presets_are_consistent():
                      freq_ladder_mhz=(2000, 1200))
 
 
+SPEC_FIELDS = dict(name="x", source_id="a", dest_id="b", bandwidth_mbps=1000.0,
+                   rtt_ms=30.0, bdp_bytes=3.75e6, cpu_cores=8,
+                   freq_ladder_mhz=(1200, 2000))
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("bandwidth_mbps", 0.0, "bandwidth_mbps must be > 0"),
+    ("bandwidth_mbps", math.nan, "bandwidth_mbps must be > 0"),
+    ("rtt_ms", -30.0, "rtt_ms must be > 0"),
+    ("window_bytes", 0.0, "window_bytes must be > 0"),
+    ("core_mbps", -1.0, "core_mbps must be > 0"),
+    ("cpu_cores", 0, "cpu_cores must be > 0"),
+    ("file_overhead_s", -0.001, "file_overhead_s must be >= 0"),
+    ("file_overhead_s", math.nan, "file_overhead_s must be >= 0"),
+    ("freq_ladder_mhz", (), "freq ladder must be nonempty"),
+    ("freq_ladder_mhz", (0, 1200), ">= 1 MHz"),
+])
+def test_endpoint_spec_rejects_a_link_that_cannot_move_data(field, value, match):
+    EndpointSpec(**SPEC_FIELDS)
+    with pytest.raises(SimulationError, match=match):
+        EndpointSpec(**{**SPEC_FIELDS, field: value})
+
+
+def test_every_preset_configuration_moves_data():
+    # the stepping endpoint and the analytic run rely on this: no zero rate
+    loads = (0.0, 0.2, 0.5, 0.9, 0.999)
+    for spec in ENDPOINTS.values():
+        for ds in DATASET_CLASSES.values():
+            for cfg in default_lattice(spec).configs():
+                for load in loads:
+                    assert throughput_mbps(spec, cfg, load, ds.avg_file_size_bytes) > 0
+
+
 def test_corpus_shape_and_validity(corpus):
     # 1 sweep x 3 loads x 3 classes x 432 configurations
     assert len(corpus) == 3888
@@ -154,6 +186,8 @@ def test_scenario_lookup_and_validation():
         LoadScenario(((1.0, 0.2),))
     with pytest.raises(SimulationError, match="strictly increasing"):
         LoadScenario(((0.0, 0.2), (5.0, 0.3), (5.0, 0.4)))
+    with pytest.raises(SimulationError, match="strictly increasing"):
+        LoadScenario.step(0.2, 0.6, math.nan)
     with pytest.raises(SimulationError, match="loads must be in"):
         LoadScenario.constant(1.0)
 
@@ -232,7 +266,7 @@ def test_stepping_matches_the_analytic_run(scenario, cfg):
     meta = DatasetMeta(num_files=40, total_size_bytes=8e9,
                        avg_file_size_bytes=2e8, file_size_stddev_bytes=5e7)
     sizes = synth_file_sizes(meta)
-    report = run_simulation(SimEndpoint(CHAM, scenario), sizes, cfg)
+    report = run_transfer(SimEndpoint(CHAM, scenario), sizes, FixedController(cfg))
     got_meta = report.classes[0]
     duration, energy = _analytic_fixed_run(
         CHAM, cfg, scenario,
@@ -240,14 +274,3 @@ def test_stepping_matches_the_analytic_run(scenario, cfg):
     assert report.completed and len(report.classes) == 1
     assert report.duration_s == pytest.approx(duration, rel=1e-9)
     assert report.energy_joules == pytest.approx(energy, rel=1e-9)
-
-
-def test_run_simulation_wraps_a_bare_config():
-    sizes = synth_file_sizes(DatasetMeta(num_files=4, total_size_bytes=8e8,
-                                         avg_file_size_bytes=2e8,
-                                         file_size_stddev_bytes=0.0))
-    cfg = ParamConfig(8, 2300, 16, 8, 8)
-    a = run_simulation(SimEndpoint(CHAM, LoadScenario.constant(0.2)), sizes, cfg)
-    b = run_transfer(SimEndpoint(CHAM, LoadScenario.constant(0.2)), sizes,
-                     FixedController(cfg))
-    assert a.as_dict() == b.as_dict()

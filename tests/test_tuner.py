@@ -25,6 +25,7 @@ from xfertune.optimizer import KIND_ENERGY_CAP, KIND_THROUGHPUT_FLOOR
 from xfertune.simulator import DATASET_CLASSES, ENDPOINTS, LoadScenario
 from xfertune.tuner import (
     MIB,
+    SWITCH_CAP,
     FixedController,
     dataset_meta_for,
     run_transfer,
@@ -258,7 +259,7 @@ def test_switch_budget_is_capped_at_three(
 def heuristic_tuner(strata, wide_table, models, small_siblings, stratify_config):
     mid = small_siblings[1]
     tuner = make_tuner(strata, wide_table, models, SLA.max_throughput(), mid, stratify_config)
-    tuner.switch_count = tuner.switch_cap
+    tuner.switch_count = SWITCH_CAP
     tuner.params = ParamConfig(4, 1800, 8, 4, 4)
     return tuner
 
@@ -332,12 +333,6 @@ def test_first_tick_seeds_state_from_sample(
 
 def test_constructor_and_tick_validation(
         strata, wide_table, models, stratify_config):
-    with pytest.raises(TunerError):
-        OnlineTuner(strata, wide_table, models, SLA.max_throughput(),
-                    alpha=1.5, config=stratify_config)
-    with pytest.raises(TunerError):
-        OnlineTuner(strata, wide_table, models, SLA.max_throughput(),
-                    ewma_weight=0.0, config=stratify_config)
     tuner = OnlineTuner(strata, wide_table, models, SLA.max_throughput(),
                         config=stratify_config)
     with pytest.raises(TunerError):
