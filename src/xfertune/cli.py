@@ -147,12 +147,17 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def cmd_tune(args) -> int:
+def _online_inputs(args):
+    """(config, strata, models, table, spec, scenario) for tune and compare."""
     config, strata = load_strata(read_json_artifact(args.strata, "strata"))
     models = load_models(read_json_artifact(args.models, "models"))
     table = load_table(read_json_artifact(args.table, "table"))
-    spec = _endpoint(args.endpoint)
-    scenario = parse_scenario(args.scenario)
+    return (config, strata, models, table, _endpoint(args.endpoint),
+            parse_scenario(args.scenario))
+
+
+def cmd_tune(args) -> int:
+    config, strata, models, table, spec, scenario = _online_inputs(args)
     sla = parse_sla(args.sla)
     report = run_tuned_transfer(spec, scenario, config, strata, models, table,
                                 sla, classes=_classes(args.classes),
@@ -169,11 +174,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config, strata = load_strata(read_json_artifact(args.strata, "strata"))
-    models = load_models(read_json_artifact(args.models, "models"))
-    table = load_table(read_json_artifact(args.table, "table"))
-    spec = _endpoint(args.endpoint)
-    scenario = parse_scenario(args.scenario)
+    config, strata, models, table, spec, scenario = _online_inputs(args)
     doc = compare_policies(spec, scenario, config, strata, models, table,
                            classes=_classes(args.classes),
                            interval_s=args.interval)
@@ -228,29 +229,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preset (max-tput, min-energy) or id=kind:bound; repeatable")
     o.set_defaults(func=cmd_optimize)
 
-    t = sub.add_parser("tune", help="run one tuned transfer on a simulated endpoint")
-    t.add_argument("--strata", required=True)
-    t.add_argument("--models", required=True)
-    t.add_argument("--table", required=True)
-    t.add_argument("--endpoint", default="chameleon")
-    t.add_argument("--scenario", default="constant:0.2",
-                   help="constant:LOAD or step:BEFORE:AFTER:AT_S")
+    # the options tune and compare share
+    online = argparse.ArgumentParser(add_help=False)
+    online.add_argument("--strata", required=True)
+    online.add_argument("--models", required=True)
+    online.add_argument("--table", required=True)
+    online.add_argument("--endpoint", default="chameleon")
+    online.add_argument("--scenario", default="constant:0.2",
+                        help="constant:LOAD or step:BEFORE:AFTER:AT_S")
+    online.add_argument("--classes", default=",".join(FILE_CLASSES))
+    online.add_argument("--interval", type=float, default=1.0,
+                        help="monitor interval in seconds, > 0")
+
+    t = sub.add_parser("tune", parents=[online],
+                       help="run one tuned transfer on a simulated endpoint")
     t.add_argument("--sla", default="max-tput")
-    t.add_argument("--classes", default=",".join(FILE_CLASSES))
-    t.add_argument("--interval", type=float, default=1.0)
     t.add_argument("--fail-at", type=float, default=None,
                    help="inject an endpoint failure at this time")
     t.add_argument("--out")
     t.set_defaults(func=cmd_tune)
 
-    c = sub.add_parser("compare", help="baseline vs tuned vs oracle per file class")
-    c.add_argument("--strata", required=True)
-    c.add_argument("--models", required=True)
-    c.add_argument("--table", required=True)
-    c.add_argument("--endpoint", default="chameleon")
-    c.add_argument("--scenario", default="constant:0.2")
-    c.add_argument("--classes", default=",".join(FILE_CLASSES))
-    c.add_argument("--interval", type=float, default=1.0)
+    c = sub.add_parser("compare", parents=[online],
+                       help="baseline vs tuned vs oracle per file class")
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_compare)
 

@@ -272,6 +272,9 @@ class StratifyConfig:
     def from_dict(cls, obj: dict) -> "StratifyConfig":
         if not isinstance(obj, dict):
             raise ClusterError("stratify config must be a JSON object")
+        for f in fields(cls):
+            if f.name not in obj:
+                raise ClusterError(f"stratify config is missing key {f.name!r}")
 
         def specs(key):
             try:

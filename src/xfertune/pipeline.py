@@ -31,9 +31,6 @@ SCHEMAS = {
     "compare": "xfertune/compare-v1",
 }
 
-COMPARE_POLICIES = ("fixed-baseline", "hla-max-tput", "hla-min-energy",
-                    "static-optimal")
-
 
 class PipelineError(ValueError):
     pass
@@ -94,6 +91,16 @@ def fit_all_strata(entries, strata, holdout_seed: int = 0,
             if not (type(i) is int and 0 <= i < len(entries)):
                 raise PipelineError(f"stratum {s.id}: member index {i!r} is not "
                                     f"in the log of {len(entries)} entries")
+            # stratify guarantees both, so a mismatch means another log
+            net = entries[i].network
+            if net.route != s.route:
+                raise PipelineError(
+                    f"stratum {s.id}: member {i} has route {'->'.join(net.route)}, "
+                    f"not the stratum's {'->'.join(s.route)}")
+            if not s.contains_load(net.ext_load):
+                raise PipelineError(
+                    f"stratum {s.id}: member {i} has ext_load {net.ext_load!r} "
+                    f"outside the stratum's band {list(s.ext_load_interval)}")
         members = [entries[i] for i in s.members]
         models[s.id] = fit_stratum_models(members, s.id)
         if with_holdout:
@@ -203,19 +210,18 @@ def compare_policies(spec: EndpointSpec, scenario: LoadScenario, config,
     generally two different configurations.
     """
     sizes = _class_sizes(classes)
-    ordered_classes = [c for c in FILE_CLASSES if c in classes]
+
+    def tuned(sla):
+        return lambda: OnlineTuner(strata, table, models, sla, config=config)
+    # the stepped policies, each with a factory for a fresh controller
+    stepped = {"fixed-baseline": lambda: FixedController(baseline_config(spec)),
+               "hla-max-tput": tuned(SLA.max_throughput()),
+               "hla-min-energy": tuned(SLA.min_energy())}
     rows = []
     totals = {}
-    for policy in COMPARE_POLICIES:
-        if policy == "static-optimal":
-            continue
+    for policy, make_controller in stepped.items():
         endpoint = SimEndpoint(spec, scenario, interval_s=interval_s)
-        if policy == "fixed-baseline":
-            controller = FixedController(baseline_config(spec))
-        else:
-            sla = SLA.max_throughput() if policy == "hla-max-tput" else SLA.min_energy()
-            controller = OnlineTuner(strata, table, models, sla, config=config)
-        report = run_transfer(endpoint, sizes, controller)
+        report = run_transfer(endpoint, sizes, make_controller())
         for crow in report.classes:
             rows.append({
                 "policy": policy, "class": crow["class"],
@@ -234,8 +240,8 @@ def compare_policies(spec: EndpointSpec, scenario: LoadScenario, config,
             "warnings": list(report.warnings),
         }
     lattice = default_lattice(spec)
-    for cname in ordered_classes:
-        rows.append(_static_optimal_row(spec, scenario, lattice, cname))
+    for crow in report.classes:
+        rows.append(_static_optimal_row(spec, scenario, lattice, crow["class"]))
     return {"schema": SCHEMAS["compare"], "endpoint": spec.as_dict(),
             "scenario": scenario.as_dict(), "interval_s": interval_s,
             "rows": rows, "totals": totals}

@@ -14,6 +14,7 @@ give byte-identical outputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,8 +247,10 @@ class SimEndpoint:
 
     def __init__(self, spec: EndpointSpec, scenario: LoadScenario | None = None,
                  interval_s: float = 1.0, fail_at_s: float | None = None):
-        if interval_s <= 0:
+        if not interval_s > 0:   # NaN fails too
             raise SimulationError("interval_s must be > 0")
+        if fail_at_s is not None and math.isnan(fail_at_s):
+            raise SimulationError("fail_at_s must not be NaN")
         self.spec = spec
         self.scenario = scenario or LoadScenario.constant(0.0)
         self.interval_s = interval_s

@@ -1,14 +1,16 @@
 """Online tuning of an in-flight transfer from periodic monitor samples.
 
 Two feedback loops share one structure. The energy loop predicts energy to
-completion each tick and reacts when the prediction grows by more than BETA
-or the remaining budget cannot cover it; the throughput loop reacts when
+completion each tick and triggers when the prediction grows by more than BETA
+or the remaining budget cannot cover it; the throughput loop triggers when
 smoothed throughput (weight EWMA_WEIGHT on the previous average) falls more
 than ALPHA below its previous value, or below the guaranteed floor. Either way
-the reaction is the same ladder: switch to the parameter surface of a sibling
-stratum in the direction of the measured external load change (a rise of
-more than BETA, or a fall of more than ALPHA; at most SWITCH_CAP switches per
-transfer), after that fall back to heuristic single-parameter nudges.
+the tuner then reacts by one rule. Capped means SWITCH_CAP switches are spent.
+A trigger reacts when capped or when the external load rose by more than
+BETA: a heuristic single-parameter nudge (up or down) if capped, else a
+switch to the parameter surface of a higher-load sibling stratum. With no
+trigger, a load fall of more than ALPHA gets an upward-only nudge if capped,
+else a switch to a lower-load sibling. Every other tick holds.
 
 Which loop runs follows from the SLA: energy caps and the pure min-energy
 objective run the energy loop, throughput floors and the pure max-throughput
@@ -105,7 +107,6 @@ class _ClassState:
     t_avg: float = 0.0
     past_e_pred: float = math.inf
     ref_ext: float = 0.0
-    ticks: int = 0
     history: list = field(default_factory=list)   # recent t_avg values
 
 
@@ -140,8 +141,7 @@ class OnlineTuner:
         self.cls = _ClassState()
         self.warnings: list[str] = []
         self.events: list[dict] = []
-        self._up_rr = 0
-        self._down_rr = 0
+        self._rr = {+1: 0, -1: 0}   # round-robin slot per nudge direction
         self._last_nudge = None   # (param, direction) of last heuristic change
 
     def start_transfer(self, total_bytes: float):
@@ -164,18 +164,18 @@ class OnlineTuner:
     def tick(self, sample: MonitorSample) -> TickResult:
         if self.stratum is None:
             raise TunerError("start_class before tick")
-        if sample.dt_s <= 0:
+        if not sample.dt_s > 0:   # NaN fails too
             raise TunerError("sample dt_s must be > 0")
         st = self.cls
         dt = sample.dt_s
-        first = st.ticks == 0
-        t_avg = sample.throughput_mbps if first else (
-            EWMA_WEIGHT * st.t_avg + (1.0 - EWMA_WEIGHT) * sample.throughput_mbps)
-        t_prev = t_avg if first else st.t_avg
-        if first:
-            st.ref_ext = sample.ext_load
-        d_e = sample.power_watts * dt
         ext = sample.ext_load
+        first = not st.history   # a class's first tick seeds its state
+        if first:
+            st.t_avg, st.ref_ext = sample.throughput_mbps, ext
+        t_prev = st.t_avg
+        t_avg = t_prev if first else (
+            EWMA_WEIGHT * t_prev + (1.0 - EWMA_WEIGHT) * sample.throughput_mbps)
+        d_e = sample.power_watts * dt
         self.remaining_bytes = max(0.0, self.remaining_bytes - sample.bytes_moved)
         t_rem = (self.remaining_bytes * 8.0 / 1e6 / t_avg) if t_avg > 0 else math.inf
         p_avg = (self.e_consumed + d_e) / (self.elapsed_s + dt)
@@ -189,26 +189,20 @@ class OnlineTuner:
             triggered = (t_avg < (1.0 - ALPHA) * t_prev or
                          t_avg < self.t_sla)
 
+        capped = self.switch_count >= SWITCH_CAP
         action = None
         if triggered:
-            if ext > (1.0 + BETA) * st.ref_ext:
-                if self.switch_count < SWITCH_CAP:
-                    action = self._switch("high", ext)
-                else:
-                    action = self._heuristic(allow_down=True)
-            elif self.switch_count >= SWITCH_CAP:
-                action = self._heuristic(allow_down=True)
-            # below the cap with no load shift to blame: hold, the switch
+            if capped or ext > (1.0 + BETA) * st.ref_ext:
+                action = (self._heuristic(allow_down=True) if capped
+                          else self._switch("high", ext))
+            # else below the cap with no load rise to blame: hold, the switch
             # budget is saved for attributable changes
         elif ext < (1.0 - ALPHA) * st.ref_ext:
-            if self.switch_count < SWITCH_CAP:
-                action = self._switch("low", ext)
-            else:
-                action = self._heuristic(allow_down=False)
+            action = (self._heuristic(allow_down=False) if capped
+                      else self._switch("low", ext))
 
         st.t_avg = t_avg
         st.past_e_pred = e_pred
-        st.ticks += 1
         self.e_consumed += d_e
         self.elapsed_s += dt
         if action is not None:
@@ -221,17 +215,13 @@ class OnlineTuner:
     # -- reactions ----------------------------------------------------------
 
     def _siblings(self, direction: str):
+        """Strata on the current route and sibling key whose load band starts
+        above ("high") or below ("low") the current one."""
         cur = self.stratum
-        lo = cur.ext_load_interval[0]
-        out = []
-        for s in self.strata:
-            if s.id == cur.id or s.sibling_key != cur.sibling_key or s.route != cur.route:
-                continue
-            if direction == "high" and s.ext_load_interval[0] > lo:
-                out.append(s)
-            if direction == "low" and s.ext_load_interval[0] < lo:
-                out.append(s)
-        return out
+        sign = 1.0 if direction == "high" else -1.0
+        return [s for s in self.strata
+                if s.sibling_key == cur.sibling_key and s.route == cur.route
+                and sign * (s.ext_load_interval[0] - cur.ext_load_interval[0]) > 0]
 
     def _warn(self, msg: str):
         if not self.warnings or self.warnings[-1] != msg:
@@ -272,12 +262,8 @@ class OnlineTuner:
             order, direction = ("pp", "p", "cc"), -1
         else:
             return None
-        if direction > 0:
-            name = order[self._up_rr % 3]
-            self._up_rr += 1
-        else:
-            name = order[self._down_rr % 3]
-            self._down_rr += 1
+        name = order[self._rr[direction] % 3]
+        self._rr[direction] += 1
         if self._last_nudge == (name, -direction):
             return None
         axis = self.models[self.stratum.id].axis_values(name)

@@ -279,7 +279,6 @@ def _primed(strata, table, models, sla, stratum, config, *, t_avg=800.0,
     st.t_avg = t_avg
     st.past_e_pred = past_e_pred
     st.ref_ext = ref_ext
-    st.ticks = 1
     st.history = [t_avg]
     return tuner
 

@@ -5,9 +5,13 @@ optimize) backs most tests; the online subcommands and error paths run
 against its artifacts.
 """
 
+import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +35,8 @@ from xfertune.pipeline import (
     read_json_artifact,
     write_json_artifact,
 )
+ROOT = Path(__file__).resolve().parents[1]
+
 
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
@@ -196,6 +202,30 @@ def test_fit_rejects_bad_member_indices(corpus, strata, bad):
         fit_all_strata(corpus, [broken], with_holdout=False)
 
 
+def test_fit_rejects_a_log_of_another_route(chain, tmp_path, capsys):
+    # same length as the chameleon log the strata came from, other route
+    other = tmp_path / "cloudlab.jsonl"
+    assert cli.main(["generate", "--out", str(other), "--endpoints", "cloudlab"]) == 0
+    capsys.readouterr()
+    assert cli.main(["fit", "--logs", str(other),
+                     "--strata", str(chain / "strata.json"),
+                     "--out", str(tmp_path / "models.json")]) == 2
+    assert re.fullmatch(r"error: stratum s000: member \d+ has route wisc->utah, "
+                        r"not the stratum's uc->tacc\n", capsys.readouterr().err)
+    assert not (tmp_path / "models.json").exists()
+
+
+def test_fit_rejects_a_member_outside_its_load_band(corpus, strata):
+    s0 = strata[0]
+    lo, hi = s0.ext_load_interval
+    i = s0.members[-1]
+    moved = list(corpus)
+    moved[i] = replace(corpus[i], network=replace(corpus[i].network, ext_load=hi))
+    with pytest.raises(PipelineError, match=rf"stratum {s0.id}: member {i} has "
+                                            rf"ext_load {hi!r} outside the stratum's band"):
+        fit_all_strata(moved, [s0], with_holdout=False)
+
+
 def _set(path, value):
     def edit(cfg):
         *keys, last = path
@@ -230,6 +260,19 @@ def test_stratify_rejects_a_bad_config(chain, tmp_path, capsys, edit, message):
     assert re.search(message, err), err
 
 
+@pytest.mark.parametrize("key", list(StratifyConfig().as_dict()))
+def test_stratify_config_names_a_missing_key(chain, tmp_path, capsys, key):
+    cfg = StratifyConfig().as_dict()
+    del cfg[key]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli.main(["stratify", "--logs", str(chain / "logs.jsonl"),
+                     "--out", str(tmp_path / "strata.json"),
+                     "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: stratify config is missing key {key!r}\n"
+
+
 def test_default_config_file_gives_the_same_strata(chain, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(StratifyConfig().as_dict()))
@@ -250,6 +293,48 @@ def test_nan_step_time_is_rejected(chain, tmp_path, capsys):
     assert "segment starts must be strictly increasing" in capsys.readouterr().err
     assert cli.main(["compare", *artifacts, "--out", str(tmp_path / "c.json")]) == 2
     assert "segment starts must be strictly increasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tune", "compare"])
+def test_nan_interval_is_rejected(chain, tmp_path, command):
+    # a subprocess with a timeout, so a regression hangs no test run
+    path = os.pathsep.join(p for p in (str(ROOT / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-m", "xfertune.cli", command,
+            "--strata", str(chain / "strata.json"),
+            "--models", str(chain / "models.json"),
+            "--table", str(chain / "table.json"), "--interval", "nan",
+            "--out", str(tmp_path / "out.json")]
+    proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: interval_s must be > 0\n"
+
+
+def _options(command: str) -> dict:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {tuple(a.option_strings): (a.default, a.required, a.type)
+            for a in sub.choices[command]._actions}
+
+
+def test_tune_and_compare_options_are_pinned():
+    shared = {
+        ("-h", "--help"): (argparse.SUPPRESS, False, None),
+        ("--strata",): (None, True, None),
+        ("--models",): (None, True, None),
+        ("--table",): (None, True, None),
+        ("--endpoint",): ("chameleon", False, None),
+        ("--scenario",): ("constant:0.2", False, None),
+        ("--classes",): ("small,medium,large", False, None),
+        ("--interval",): (1.0, False, float),
+    }
+    assert _options("tune") == {**shared,
+                                ("--sla",): ("max-tput", False, None),
+                                ("--fail-at",): (None, False, float),
+                                ("--out",): (None, False, None)}
+    assert _options("compare") == {**shared, ("--out",): (None, True, None)}
 
 
 def test_parse_sla_and_parse_scenario():

@@ -229,6 +229,18 @@ def test_step_requires_begin_and_fail_at_fires():
         ep.step()
 
 
+@pytest.mark.parametrize("kw,match", [
+    ({"interval_s": math.nan}, "interval_s must be > 0"),
+    ({"interval_s": 0.0}, "interval_s must be > 0"),
+    ({"interval_s": -1.0}, "interval_s must be > 0"),
+    ({"fail_at_s": math.nan}, "fail_at_s must not be NaN"),
+], ids=["nan-interval", "zero-interval", "negative-interval", "nan-fail-time"])
+def test_endpoint_rejects_a_bad_interval_or_fail_time(kw, match):
+    # a NaN interval never drains the class, so step() would loop forever
+    with pytest.raises(SimulationError, match=match):
+        SimEndpoint(CHAM, LoadScenario.constant(0.2), **kw)
+
+
 def test_set_params_checks_bounds_and_cores():
     ep = SimEndpoint(ENDPOINTS["cloudlab"])
     with pytest.raises(SimulationError, match="cpu_num exceeds"):

@@ -70,7 +70,6 @@ def prime(tuner, *, t_avg, ref_ext, past_e_pred=math.inf, history=None):
     st.t_avg = t_avg
     st.past_e_pred = past_e_pred
     st.ref_ext = ref_ext
-    st.ticks = 1
     st.history = list(history if history is not None else [t_avg])
 
 
@@ -256,6 +255,37 @@ def test_switch_budget_is_capped_at_three(
     assert tuner.switch_count == 3
 
 
+@pytest.mark.parametrize("triggered,load,capped,reaction", [
+    (True, "rose", False, ("switch", "high")),
+    (True, "rose", True, ("nudge", True)),
+    (True, "fell", False, None),        # no load rise to blame: hold
+    (True, "fell", True, ("nudge", True)),
+    (True, "steady", False, None),
+    (True, "steady", True, ("nudge", True)),
+    (False, "rose", False, None),
+    (False, "rose", True, None),
+    (False, "fell", False, ("switch", "low")),
+    (False, "fell", True, ("nudge", False)),
+    (False, "steady", False, None),
+    (False, "steady", True, None),
+])
+def test_reaction_rule(strata, wide_table, models, small_siblings, stratify_config,
+                       triggered, load, capped, reaction):
+    mid = small_siblings[1]
+    tuner = make_tuner(strata, wide_table, models, SLA.max_throughput(), mid, stratify_config)
+    tuner.switch_count = SWITCH_CAP if capped else 0
+    prime(tuner, t_avg=1000.0, ref_ext=0.4)
+    calls = []
+    tuner._switch = lambda direction, ext: calls.append(("switch", direction))
+    tuner._heuristic = lambda allow_down: calls.append(("nudge", allow_down))
+    # t_avg = 0.5 * 1000 + 0.5 * 500 = 750 < 0.9 * 1000 triggers, 1000 does not;
+    # 0.9 > 1.1 * 0.4 is a rise, 0.05 < 0.9 * 0.4 a fall
+    load_now = {"rose": 0.9, "fell": 0.05, "steady": 0.4}[load]
+    res = tuner.tick(sample(tput=500.0 if triggered else 1000.0, load=load_now))
+    assert res.triggered == triggered
+    assert calls == ([] if reaction is None else [reaction])
+
+
 def heuristic_tuner(strata, wide_table, models, small_siblings, stratify_config):
     mid = small_siblings[1]
     tuner = make_tuner(strata, wide_table, models, SLA.max_throughput(), mid, stratify_config)
@@ -295,7 +325,7 @@ def test_heuristic_down_and_hysteresis(
     tuner.cls.history = [1200.0, 1100.0, 1000.0]
     assert tuner._heuristic(allow_down=True) == "heuristic-up"
     assert tuner.params.cc == 16 and tuner._last_nudge == ("cc", 1)
-    tuner._down_rr = 2                              # force the cc slot
+    tuner._rr[-1] = 2                               # force the cc slot
     tuner.cls.history = [1000.0, 1100.0, 1200.0]
     before = tuner.params
     assert tuner._heuristic(allow_down=True) is None
@@ -342,6 +372,16 @@ def test_constructor_and_tick_validation(
         tuner.tick(sample())
 
 
+def test_tick_rejects_a_step_that_is_not_positive(
+        strata, wide_table, models, small_siblings, stratify_config):
+    tuner = make_tuner(strata, wide_table, models, SLA.max_throughput(),
+                       small_siblings[1], stratify_config)
+    for dt in (0.0, -1.0, math.nan):
+        with pytest.raises(TunerError, match="dt_s must be > 0"):
+            tuner.tick(sample(dt=dt))
+    assert tuner.cls.history == [] and tuner.elapsed_s == 0.0
+
+
 def test_start_class_keeps_transfer_budget(
         strata, wide_table, models, stratify_config):
     tuner = OnlineTuner(strata, wide_table, models, SLA.max_throughput(),
@@ -350,7 +390,7 @@ def test_start_class_keeps_transfer_budget(
     tuner.switch_count = 2
     tuner.e_consumed = 123.0
     tuner.elapsed_s = 11.0
-    tuner.cls.ticks = 5
+    tuner.cls.history = [800.0]
     ds = DATASET_CLASSES["small"]
     net = ENDPOINTS["chameleon"]
     params = tuner.start_class(ds, SimEndpoint(net).describe())
@@ -359,7 +399,7 @@ def test_start_class_keeps_transfer_budget(
     assert tuner.stratum.ext_load_interval[0] == 0.0
     assert tuner.switch_count == 2
     assert tuner.e_consumed == 123.0 and tuner.elapsed_s == 11.0
-    assert tuner.cls.ticks == 0
+    assert tuner.cls.history == []
 
 
 # -- file classing and transfers ------------------------------------------------
