@@ -10,9 +10,10 @@ from .clustering import (ClusterError, Dendrogram, FeatureSpec, Merge,
                          StratifyConfig, Stratum, UnknownRouteError,
                          assign_stratum, cut_dendrogram, stratify,
                          upgma_cluster)
-from .logs import (DatasetMeta, LogError, LogParseError, LogValidationError,
-                   NetworkMeta, ParamConfig, ParamLattice, TransferLogEntry,
-                   ingest_logs, serialize_logs, validate_entry)
+from .logs import (DatasetMeta, LogError, LogParseError, LogTable,
+                   LogValidationError, NetworkMeta, ParamConfig, ParamLattice,
+                   TransferLogEntry, ingest_logs, serialize_logs,
+                   validate_entry)
 from .optimizer import (SLA, CriticalPoint, InfeasibleSLAError,
                         OptimizationResult, ParamTable, SLAError,
                         build_param_table, enumerate_lattice,

@@ -10,8 +10,10 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .clustering import StratifyConfig, stratify
-from .logs import ingest_logs, serialize_logs
+from .logs import ingest_logs, serialize_logs, unique_rows
 from .optimizer import SLA, InfeasibleSLAError
 from .pipeline import (PipelineError, compare_policies, fit_all_strata,
                        load_models, load_strata, load_table, models_doc,
@@ -84,16 +86,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    entries = ingest_logs(args.logs)
-    routes = sorted({e.network.route for e in entries})
-    loads = sorted({e.network.ext_load for e in entries})
-    configs = {tuple(e.params.as_dict().values()) for e in entries}
-    print(f"ok: {len(entries)} entries")
-    print(f"routes: {', '.join('->'.join(r) for r in routes)}")
+    table = ingest_logs(args.logs)
+    loads = np.unique(table.ext_load).tolist()
+    print(f"ok: {len(table)} entries")
+    print(f"routes: {', '.join('->'.join(r) for r in table.routes)}")
     print(f"load levels: {', '.join(str(v) for v in loads)}")
-    print(f"distinct configurations: {len(configs)}")
+    print(f"distinct configurations: {len(unique_rows(table.params)[0])}")
     if args.out:
-        serialize_logs(entries, args.out)
+        serialize_logs(table, args.out)
         print(f"canonical copy written to {args.out}")
     return 0
 

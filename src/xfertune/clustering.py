@@ -11,6 +11,12 @@ nearest neighbour per cluster: O(n^2) memory and O(n^2) time when a merge
 invalidates few cached neighbours, as on transfer-log features (O(n^3) in
 the worst case), with the same merges and bit-identical linkage distances as
 the textbook loop that rescans the whole matrix after every merge.
+
+stratify runs on the numpy columns of a LogTable: each tier's normalised
+feature rows are computed once per distinct raw row with the scalar
+FeatureSpec.normalize, entries are grouped by vector, load band and route
+code with array masks, and centroids are means of the lexicographically
+sorted rows, so the strata equal those of the per-entry loop bit for bit.
 """
 from __future__ import annotations
 
@@ -19,7 +25,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .logs import DatasetMeta, NetworkMeta, TransferLogEntry, _is_num
+from .logs import (DatasetMeta, LogTable, NetworkMeta, _is_num, as_log_table,
+                   lex_order, unique_rows)
 
 
 class ClusterError(ValueError):
@@ -319,9 +326,11 @@ class Stratum:
     members: tuple[int, ...]
     centroids: dict = field(hash=False, compare=False, default_factory=dict)
 
-    def contains_load(self, x: float) -> bool:
+    def contains_load(self, x):
+        """Whether load x (a float, or elementwise an array) is in the
+        half-open interval, the top band closed at full load."""
         lo, hi = self.ext_load_interval
-        return (lo <= x < hi) or (x == hi == 1.0)
+        return ((lo <= x) & (x < hi)) | ((x == hi) & (hi == 1.0))
 
     @property
     def sibling_key(self) -> tuple[str, str, str]:
@@ -353,92 +362,98 @@ class Stratum:
         )
 
 
-def _cluster_by_vectors(vectors: list[tuple[float, ...]], indices: list[int], cut: float):
+def _cluster_by_vectors(vectors, indices, cut: float) -> list[np.ndarray]:
     """Cluster entries by their feature vectors, deduplicating exact repeats.
 
+    vectors holds one row per entry of indices (ascending entry indices).
     Identical vectors would merge pairwise at distance zero first, after which
     average linkage over the multiset equals multiplicity-weighted linkage
     over the unique vectors, so clustering uniques with counts is exact.
-    Returns lists of entry indices ordered by smallest member vector.
+    unique_rows orders the unique rows as sorted() orders tuples. Returns
+    arrays of entry indices, ascending, ordered by smallest member vector.
     """
-    by_vec: dict[tuple[float, ...], list[int]] = {}
-    for vec, idx in zip(vectors, indices):
-        by_vec.setdefault(vec, []).append(idx)
-    uniq = sorted(by_vec)
+    indices = np.asarray(indices)
+    uniq, inverse, counts = unique_rows(np.asarray(vectors, dtype=float))
     if len(uniq) == 1:
-        return [sorted(by_vec[uniq[0]])]
-    pts = np.array(uniq, dtype=float)
-    weights = np.array([len(by_vec[u]) for u in uniq], dtype=float)
-    dend = _upgma(pts, weights)
-    clusters = cut_dendrogram(dend, cut)
-    out = []
-    for cl in clusters:   # already ordered by smallest unique index = smallest vector
-        members: list[int] = []
-        for u in sorted(cl):
-            members.extend(by_vec[uniq[u]])
-        out.append(sorted(members))
-    return out
+        return [indices]
+    dend = _upgma(np.ascontiguousarray(uniq), counts.astype(float))
+    clusters = cut_dendrogram(dend, cut)   # ordered by smallest unique index
+    label = np.empty(len(uniq), dtype=np.int64)
+    for k, cl in enumerate(clusters):
+        label[sorted(cl)] = k
+    of_entry = label[inverse]
+    order = np.argsort(of_entry, kind="stable")
+    return np.split(indices[order], np.cumsum(np.bincount(of_entry))[:-1])
 
 
 def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def stratify(entries: list[TransferLogEntry], config: StratifyConfig | None = None) -> list[Stratum]:
-    """Partition log entries into strata.
+def _tier_vectors(table: LogTable, features) -> np.ndarray:
+    """Every entry's normalised feature row, one FeatureSpec.normalize call
+    per distinct raw row (math.log10, not np.log10, so the bits match)."""
+    raw = np.array([getattr(table, f.name) for f in features], dtype=float)
+    uniq, inverse, _ = unique_rows(raw.reshape(len(features), len(table)).T)
+    vecs = np.array([[f.normalize(v) for f, v in zip(features, row)]
+                     for row in uniq.tolist()], dtype=float).reshape(len(uniq), len(features))
+    return vecs[inverse]
+
+
+def _centroid(rows: np.ndarray) -> tuple:
+    """Mean of the rows taken in lexicographic order, as the mean of the
+    sorted tuples was, so the float sum runs in the same order."""
+    return tuple(np.mean(rows[lex_order(rows)], axis=0))
+
+
+def stratify(entries, config: StratifyConfig | None = None) -> list[Stratum]:
+    """Partition log entries (a LogTable or a list of TransferLogEntry)
+    into strata.
 
     Every entry lands in exactly one stratum; the result is independent of
     input order up to renumbering of entry indices.
     """
-    if not entries:
+    if not len(entries):
         raise ClusterError("no entries to stratify")
+    table = as_log_table(entries)
     config = config or StratifyConfig()
     # each entry's tier vectors, computed once for clustering and centroids
-    t1 = [tier1_vector(e.network, config) for e in entries]
-    t2 = [tier2_vector(e.dataset, config) for e in entries]
-    t3 = [tier3_vector(e.network, config) for e in entries]
+    t1 = _tier_vectors(table, config.tier1_features)
+    t2 = _tier_vectors(table, config.tier2_features)
+    t3 = _tier_vectors(table, config.tier3_features)
     pending: list[tuple] = []
 
-    groups1 = _cluster_by_vectors(t1, list(range(len(entries))), config.tier1_cut)
+    groups1 = _cluster_by_vectors(t1, np.arange(len(table)), config.tier1_cut)
     for i1, g1 in enumerate(groups1):
         key1 = f"net{i1}"
-        groups2 = _cluster_by_vectors([t2[i] for i in g1], g1, config.tier2_cut)
+        groups2 = _cluster_by_vectors(t2[g1], g1, config.tier2_cut)
         for i2, g2 in enumerate(groups2):
             key2 = f"data{i2}"
             # sorted so the band edges do not depend on entry order
-            loads = np.sort([entries[i].network.ext_load for i in g2])
+            x = table.ext_load[g2]
+            loads = np.sort(x)
             mean, std = float(loads.mean()), float(loads.std())
             b1 = _clamp01(mean - config.load_band_k * std)
             b2 = _clamp01(mean + config.load_band_k * std)
             bounds = [(0.0, b1), (b1, b2), (b2, 1.0)]
-            buckets: list[list[int]] = [[], [], []]
-            for i in g2:
-                x = entries[i].network.ext_load
-                b = 0 if x < b1 else (1 if x < b2 else 2)
-                buckets[b].append(i)
-            for b, members in enumerate(buckets):
-                if not members:
-                    continue
-                interval = bounds[b]
-                by_route: dict[tuple[str, str], list[int]] = {}
-                for i in members:
-                    by_route.setdefault(entries[i].network.route, []).append(i)
-                for route in sorted(by_route):
-                    g3 = by_route[route]
-                    groups3 = _cluster_by_vectors([t3[i] for i in g3], g3,
-                                                  config.tier3_cut)
+            bucket = np.where(x < b1, 0, np.where(x < b2, 1, 2))
+            for b, interval in enumerate(bounds):
+                members = g2[bucket == b]
+                routes = table.route[members]
+                for code in np.unique(routes):
+                    route = table.routes[code]
+                    g3 = members[routes == code]
+                    groups3 = _cluster_by_vectors(t3[g3], g3, config.tier3_cut)
                     for i3, members3 in enumerate(groups3):
                         key3 = f"{route[0]}->{route[1]}/link{i3}"
                         pending.append((key1, key2, key3, route, interval, members3))
     strata = []
     for n, (key1, key2, key3, route, interval, members) in enumerate(pending):
-        c1 = np.mean(sorted(t1[i] for i in members), axis=0)
-        c2 = np.mean(sorted(t2[i] for i in members), axis=0)
-        c3 = np.mean(sorted(t3[i] for i in members), axis=0)
         strata.append(Stratum(
             id=f"s{n:03d}", tier1_key=key1, tier2_key=key2, tier3_key=key3,
-            route=route, ext_load_interval=interval, members=tuple(members),
-            centroids={"tier1": tuple(c1), "tier2": tuple(c2), "tier3": tuple(c3)},
+            route=route, ext_load_interval=interval, members=tuple(members.tolist()),
+            centroids={"tier1": _centroid(t1[members]), "tier2": _centroid(t2[members]),
+                       "tier3": _centroid(t3[members])},
         ))
     return strata
 

@@ -12,8 +12,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .clustering import StratifyConfig, Stratum
-from .logs import ParamConfig, ParamLattice
+from .logs import LogTable, ParamConfig, ParamLattice, as_log_table
 from .optimizer import SLA, ParamTable, build_param_table
 from .simulator import (DATASET_CLASSES, EndpointSpec, LoadScenario,
                         SimEndpoint, baseline_config, default_lattice,
@@ -81,27 +83,44 @@ def load_strata(doc: dict):
 
 # -- models ------------------------------------------------------------------
 
+def _member_rows(table: LogTable, s: Stratum) -> np.ndarray:
+    """The stratum's member indices as an array, checked against the log:
+    each must be an int row of the table whose route is the stratum's and
+    whose ext_load is in its band (stratify guarantees both, so a mismatch
+    means another log). Raises PipelineError for the first bad member."""
+    members, n = s.members, len(table)
+    in_log = np.array([type(i) is int and 0 <= i < n for i in members], dtype=bool)
+    rows = np.array([i if ok else 0 for i, ok in zip(members, in_log)], dtype=np.int64)
+    code = table.routes.index(s.route) if s.route in table.routes else -1
+    other_route = in_log & (table.route[rows] != code)
+    outside = in_log & ~s.contains_load(table.ext_load[rows])
+    bad = np.flatnonzero(~in_log | other_route | outside)
+    if not len(bad):
+        return rows
+    k = int(bad[0])
+    i = members[k]
+    if not in_log[k]:
+        raise PipelineError(f"stratum {s.id}: member index {i!r} is not "
+                            f"in the log of {n} entries")
+    if other_route[k]:
+        route = table.routes[table.route[i]]
+        raise PipelineError(
+            f"stratum {s.id}: member {i} has route {'->'.join(route)}, "
+            f"not the stratum's {'->'.join(s.route)}")
+    raise PipelineError(
+        f"stratum {s.id}: member {i} has ext_load {float(table.ext_load[i])!r} "
+        f"outside the stratum's band {list(s.ext_load_interval)}")
+
+
 def fit_all_strata(entries, strata, holdout_seed: int = 0,
                    with_holdout: bool = True):
-    """Fit per-stratum models; optionally attach holdout RMSE reports."""
+    """Fit per-stratum models on the log (a LogTable or a list of
+    TransferLogEntry); optionally attach holdout RMSE reports."""
+    table = as_log_table(entries)
     models: dict[str, StratumModels] = {}
     holdout: dict[str, dict] = {}
     for s in strata:
-        for i in s.members:
-            if not (type(i) is int and 0 <= i < len(entries)):
-                raise PipelineError(f"stratum {s.id}: member index {i!r} is not "
-                                    f"in the log of {len(entries)} entries")
-            # stratify guarantees both, so a mismatch means another log
-            net = entries[i].network
-            if net.route != s.route:
-                raise PipelineError(
-                    f"stratum {s.id}: member {i} has route {'->'.join(net.route)}, "
-                    f"not the stratum's {'->'.join(s.route)}")
-            if not s.contains_load(net.ext_load):
-                raise PipelineError(
-                    f"stratum {s.id}: member {i} has ext_load {net.ext_load!r} "
-                    f"outside the stratum's band {list(s.ext_load_interval)}")
-        members = [entries[i] for i in s.members]
+        members = table.take(_member_rows(table, s))
         models[s.id] = fit_stratum_models(members, s.id)
         if with_holdout:
             holdout[s.id] = rmse_holdout(members, s.id, seed=holdout_seed).as_dict()

@@ -4,10 +4,12 @@ Each stratum gets six models: energy and throughput, each decomposed into
 three parameter groups, (cpu_num, cpu_freq_mhz) and (cc, p) as bicubic
 surfaces and pp as a 1-D spline. A group's models are fitted on the slice of
 entries whose remaining parameters sit at their modal values, so the three
-groups describe orthogonal cuts through the same operating point. Both
-metrics of a group are fitted from one slice: one pass over it builds the
-knots and the mean grids of energy and throughput, then one spline per
-metric is fitted through its grid. Combined predictions add the groups and
+groups describe orthogonal cuts through the same operating point. Fitting
+reads a LogTable: modal values come from counts of distinct values, a slice
+is a mask over the parameter array, and both metrics of a group are fitted
+from one slice, whose cell means are summed in slice order by np.bincount,
+then one spline per metric is fitted through its grid. The holdout split
+and its RMSE run on the same columns. Combined predictions add the groups and
 subtract twice the stratum mean, which cancels the double-counted baseline
 of the two extra slices. They come per configuration (predict_energy,
 predict_throughput) or as arrays over the whole knot lattice
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logs import PARAM_NAMES, ParamConfig, TransferLogEntry
+from .logs import PARAM_NAMES, LogTable, ParamConfig, as_log_table, unique_rows
 from .spline import Spline1D, Surface, fit_bicubic_surface, fit_natural_spline
 
 PARAM_GROUPS: tuple[tuple[str, ...], ...] = (
@@ -41,32 +43,33 @@ def _group_label(params: tuple[str, ...]) -> str:
 
 
 def _modal_value(values):
-    """Most frequent of the hashable, comparable values, ties toward largest."""
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    best = max(counts.values())
-    return max(v for v, c in counts.items() if c == best)
+    """Most frequent of the values (numbers, or rows of a 2-D array as
+    tuples), ties toward the largest."""
+    values = np.asarray(values)
+    uniq, _, counts = unique_rows(values.reshape(len(values), -1))
+    best = uniq[np.flatnonzero(counts == counts.max())[-1]]
+    return tuple(best.tolist()) if values.ndim > 1 else best.item()
 
 
-def _conditioning(members: list[TransferLogEntry],
-                  group: tuple[str, ...]) -> dict[str, int]:
+def _conditioning(params: np.ndarray, group: tuple[str, ...]) -> dict[str, int]:
     """Modal values of the parameters outside the group, ties toward largest.
 
-    If the marginal modes combine to an empty joint slice (possible on ragged
+    params is the n x 5 parameter array of a stratum's members. If the
+    marginal modes combine to an empty joint slice (possible on ragged
     logs), fall back to the most frequent full conditioning tuple.
     """
-    others = [p for p in PARAM_NAMES if p not in group]
-    cond = {p: _modal_value([e.params.get(p) for e in members]) for p in others}
-    if any(all(e.params.get(p) == v for p, v in cond.items()) for e in members):
-        return cond
-    best = _modal_value([tuple(e.params.get(p) for p in others) for e in members])
-    return dict(zip(others, best))
+    others = [j for j, p in enumerate(PARAM_NAMES) if p not in group]
+    names = [PARAM_NAMES[j] for j in others]
+    cond = [_modal_value(params[:, j]) for j in others]
+    if not _slice_mask(params, dict(zip(names, cond))).any():
+        cond = _modal_value(params[:, others])
+    return dict(zip(names, cond))
 
 
-def _slice_members(members, cond: dict[str, int]):
-    return [e for e in members
-            if all(e.params.get(p) == v for p, v in cond.items())]
+def _slice_mask(params: np.ndarray, cond: dict[str, int]) -> np.ndarray:
+    """Rows of the parameter array whose parameters match the conditioning."""
+    cols = [PARAM_NAMES.index(p) for p in cond]
+    return (params[:, cols] == list(cond.values())).all(axis=1)
 
 
 def _fill_grid(grid: np.ndarray) -> np.ndarray:
@@ -89,35 +92,32 @@ def _fill_grid(grid: np.ndarray) -> np.ndarray:
     return g
 
 
-def _group_grids(slice_members, group: tuple[str, ...]):
+def _group_grids(sl: LogTable, group: tuple[str, ...]):
     """Knot axes of a group's slice and the mean grid of every metric on them.
 
     The knots of each group parameter are its distinct values in the slice.
     A cell's mean is its observations summed left to right in slice order
-    over their count (not builtin sum(), which compensates from Python 3.12
-    on); cells the slice never visits are filled by _fill_grid.
+    (np.bincount adds in index order; np.sum would reorder) over their
+    count; cells the slice never visits are filled by _fill_grid.
     """
-    knots = []
+    knots, cell_index = [], []
     for name in group:
-        values = sorted({e.params.get(name) for e in slice_members})
+        values, index = np.unique(sl.params[:, PARAM_NAMES.index(name)],
+                                  return_inverse=True)
         if len(values) < 2:
             raise SurfaceFitError(f"insufficient distinct {name} values in conditioning slice")
-        knots.append(values)
-    index = [{v: i for i, v in enumerate(values)} for values in knots]
-    cells: dict[tuple[int, ...], list[TransferLogEntry]] = {}
-    for e in slice_members:
-        cell = tuple(ix[e.params.get(name)] for ix, name in zip(index, group))
-        cells.setdefault(cell, []).append(e)
+        knots.append(values.astype(float))
+        cell_index.append(index.reshape(-1))
+    shape = tuple(len(k) for k in knots)
+    cell = np.ravel_multi_index(cell_index, shape)
+    count = np.bincount(cell, minlength=math.prod(shape))
     grids = {}
     for metric in METRICS:
-        grid = np.full(tuple(len(values) for values in knots), np.nan)
-        for cell, obs in cells.items():
-            total = 0.0
-            for e in obs:
-                total += getattr(e, metric)
-            grid[cell] = total / len(obs)
-        grids[metric] = _fill_grid(grid)
-    return [np.array(values, dtype=float) for values in knots], grids
+        total = np.bincount(cell, weights=getattr(sl, metric), minlength=len(count))
+        grid = np.full(len(count), np.nan)
+        np.divide(total, count, out=grid, where=count > 0)
+        grids[metric] = _fill_grid(grid.reshape(shape))
+    return knots, grids
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,12 @@ class GroupModel:
             return self.model(cfg.get(self.params[0]), cfg.get(self.params[1]))
         return self.model(cfg.get(self.params[0]))
 
+    def values_at(self, params: np.ndarray) -> np.ndarray:
+        """The model at each row of an n x 5 parameter array; each value
+        equals value() at that row's configuration."""
+        return self.model(*(params[:, PARAM_NAMES.index(p)].astype(float)
+                            for p in self.params))
+
     def values_on(self, axes: dict) -> np.ndarray:
         """The model on the mesh of the given axis values, one array axis per
         group parameter; each cell equals value() at that configuration."""
@@ -151,9 +157,6 @@ class GroupModel:
         else:
             knots = self.model.knots
         return tuple(int(round(v)) for v in knots)
-
-    def matches_slice(self, cfg: ParamConfig) -> bool:
-        return all(cfg.get(p) == v for p, v in self.conditioning.items())
 
     def as_dict(self) -> dict:
         d = {"params": list(self.params), "conditioning": dict(self.conditioning),
@@ -263,14 +266,17 @@ class StratumModels:
         )
 
 
-def fit_stratum_models(members: list[TransferLogEntry], stratum_id: str) -> StratumModels:
-    """Fit the six per-group models on a stratum's member entries."""
-    if not members:
+def fit_stratum_models(members, stratum_id: str) -> StratumModels:
+    """Fit the six per-group models on a stratum's member entries (a
+    LogTable or a list of TransferLogEntry)."""
+    if not len(members):
         raise SurfaceFitError("no entries to fit")
+    table = as_log_table(members)
     by_metric: dict[str, list[GroupModel]] = {metric: [] for metric in METRICS}
     for group in PARAM_GROUPS:
-        cond = _conditioning(members, group)
-        knots, grids = _group_grids(_slice_members(members, cond), group)
+        cond = _conditioning(table.params, group)
+        sl = table.take(np.flatnonzero(_slice_mask(table.params, cond)))
+        knots, grids = _group_grids(sl, group)
         fit = fit_bicubic_surface if len(group) == 2 else fit_natural_spline
         for metric, grid in grids.items():
             by_metric[metric].append(GroupModel(params=group, conditioning=cond,
@@ -279,9 +285,9 @@ def fit_stratum_models(members: list[TransferLogEntry], stratum_id: str) -> Stra
         stratum_id=stratum_id,
         energy=tuple(by_metric["energy_joules"]),
         throughput=tuple(by_metric["throughput_mbps"]),
-        mean_energy=float(np.mean([e.energy_joules for e in members])),
-        mean_throughput=float(np.mean([e.throughput_mbps for e in members])),
-        entry_count=len(members),
+        mean_energy=float(np.mean(table.energy_joules)),
+        mean_throughput=float(np.mean(table.throughput_mbps)),
+        entry_count=len(table),
     )
 
 
@@ -307,37 +313,39 @@ class HoldoutReport:
         }
 
 
-def holdout_split(members: list[TransferLogEntry], seed: int = 0):
-    """70/30 split stratified per observed parameter tuple.
+def holdout_split(members, seed: int = 0) -> tuple[LogTable, LogTable]:
+    """70/30 split stratified per observed parameter tuple, as two tables.
 
     Every tuple keeps at least one entry in train, so the train grid covers
     every observed lattice point and refitting cannot lose axis values.
+    Tuples are visited in sorted order, each shuffling its entry indices
+    (ascending) as a Python list with one generator.
     """
-    if not members:
+    if not len(members):
         raise SurfaceFitError("no entries to split")
+    table = as_log_table(members)
     rng = np.random.default_rng(seed)
-    by_tuple: dict[tuple, list[int]] = {}
-    for i, e in enumerate(members):
-        key = tuple(e.params.get(p) for p in PARAM_NAMES)
-        by_tuple.setdefault(key, []).append(i)
+    _, inverse, counts = unique_rows(table.params)
+    # entry indices grouped by tuple, tuples in sorted order, ascending within
+    grouped = np.argsort(inverse, kind="stable").tolist()
     train_idx, test_idx = [], []
-    for key in sorted(by_tuple):
-        idx = list(by_tuple[key])
+    start = 0
+    for end in np.cumsum(counts).tolist():
+        idx = grouped[start:end]
+        start = end
         rng.shuffle(idx)
         n_train = max(1, math.floor(HOLDOUT_TRAIN_FRAC * len(idx)))
         train_idx.extend(idx[:n_train])
         test_idx.extend(idx[n_train:])
-    train = [members[i] for i in sorted(train_idx)]
-    test = [members[i] for i in sorted(test_idx)]
-    return train, test
+    return table.take(sorted(train_idx)), table.take(sorted(test_idx))
 
 
-def rmse_holdout(members: list[TransferLogEntry], stratum_id: str = "",
-                 seed: int = 0) -> HoldoutReport:
+def rmse_holdout(members, stratum_id: str = "", seed: int = 0) -> HoldoutReport:
     """Fit on a stratified train split, report per-model RMSE on held-out
     entries from each model's own conditioning slice (None when the slice
     has no test entries)."""
-    train, test = holdout_split(members, seed=seed)
+    table = as_log_table(members)
+    train, test = holdout_split(table, seed=seed)
     try:
         models = fit_stratum_models(train, stratum_id)
     except SurfaceFitError as exc:
@@ -346,16 +354,19 @@ def rmse_holdout(members: list[TransferLogEntry], stratum_id: str = "",
     def per_model(group_models):
         out = {}
         for m in group_models:
-            errs = [m.value(e.params) - getattr(e, m.metric)
-                    for e in test if m.matches_slice(e.params)]
-            out[m.label] = float(np.sqrt(np.mean(np.square(errs)))) if errs else None
+            on = test.take(np.flatnonzero(_slice_mask(test.params, m.conditioning)))
+            if not len(on):
+                out[m.label] = None
+                continue
+            errs = m.values_at(on.params) - getattr(on, m.metric)
+            out[m.label] = float(np.sqrt(np.mean(np.square(errs))))
         return out
 
     return HoldoutReport(
         energy_rmse=per_model(models.energy),
         throughput_rmse=per_model(models.throughput),
-        mean_energy=float(np.mean([e.energy_joules for e in members])),
-        mean_throughput=float(np.mean([e.throughput_mbps for e in members])),
+        mean_energy=float(np.mean(table.energy_joules)),
+        mean_throughput=float(np.mean(table.throughput_mbps)),
         train_count=len(train),
         test_count=len(test),
     )

@@ -1,0 +1,28 @@
+"""Smoke test of the benchmark script bench/run.py against the program.
+
+bench/run.py wraps program functions by name to trace them and tags ingest
+spans with the length of what ingest_logs returns, so a renamed target or
+an ingest result without len() breaks --trace 1. This runs the smallest
+traced workload and checks that its output checks pass.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_continuous_load_run_passes_its_checks():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "continuous-load", "--seed", "1",
+         "--seconds", "0.2", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert any(line.startswith("checks passed") for line in lines), proc.stdout
+    result = json.loads(lines[-1])
+    assert result["correct"] and result["failed"] == 0
+    assert result["metrics"]["logs.ingest_calls"]["value"] == 2
+    assert result["metrics"]["logs.entries_per_s"]["value"] > 0

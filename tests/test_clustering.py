@@ -5,7 +5,8 @@ the mean over all cross pairs of original points, so it shares no code
 with the incremental production update. A second oracle, legacy_upgma, is
 the full-rescan loop the cached-nearest-neighbour UPGMA replaced: it must
 produce the same merges with == distances. scipy, when installed, checks
-cut partitions on tie-free inputs.
+cut partitions on tie-free inputs. legacy_stratify, the per-entry
+stratify the column one replaced, must give equal strata.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ from xfertune import (
     ClusterError,
     DatasetMeta,
     Dendrogram,
+    LogTable,
     Merge,
     NetworkMeta,
     ParamConfig,
@@ -485,3 +487,110 @@ def test_tier2_vector_uses_configured_features(stratify_config):
     vec = tier2_vector(ds, stratify_config)
     assert len(vec) == 4
     assert all(0.0 <= v <= 1.0 for v in vec)
+
+
+def test_contains_load_on_an_array_matches_each_scalar():
+    loads = np.array([0.0, 0.2, 0.59, 0.6, 0.99, 1.0])
+    for interval in ((0.0, 0.2), (0.2, 0.6), (0.6, 1.0), (0.3, 0.3)):
+        s = make_stratum("x", interval)
+        assert s.contains_load(loads).tolist() == [bool(s.contains_load(float(x)))
+                                                   for x in loads]
+
+
+# -- the per-entry stratify that the column stratify replaced ------------------------
+#
+# Test-only oracle: stratify as it was before it ran on LogTable columns,
+# tier vectors as tuples of FeatureSpec.normalize values per entry, grouping
+# through dicts keyed by vector and route, centroids as the mean of the
+# sorted tuples.
+
+
+def legacy_cluster_by_vectors(vectors, indices, cut):
+    by_vec = {}
+    for vec, idx in zip(vectors, indices):
+        by_vec.setdefault(vec, []).append(idx)
+    uniq = sorted(by_vec)
+    if len(uniq) == 1:
+        return [sorted(by_vec[uniq[0]])]
+    pts = np.array(uniq, dtype=float)
+    weights = np.array([len(by_vec[u]) for u in uniq], dtype=float)
+    dend = clustering._upgma(pts, weights)
+    out = []
+    for cl in cut_dendrogram(dend, cut):
+        members = []
+        for u in sorted(cl):
+            members.extend(by_vec[uniq[u]])
+        out.append(sorted(members))
+    return out
+
+
+def legacy_stratify(entries, config):
+    t1 = [clustering.tier1_vector(e.network, config) for e in entries]
+    t2 = [tier2_vector(e.dataset, config) for e in entries]
+    t3 = [clustering.tier3_vector(e.network, config) for e in entries]
+    pending = []
+    groups1 = legacy_cluster_by_vectors(t1, list(range(len(entries))), config.tier1_cut)
+    for i1, g1 in enumerate(groups1):
+        groups2 = legacy_cluster_by_vectors([t2[i] for i in g1], g1, config.tier2_cut)
+        for i2, g2 in enumerate(groups2):
+            loads = np.sort([entries[i].network.ext_load for i in g2])
+            mean, std = float(loads.mean()), float(loads.std())
+            b1 = min(max(mean - config.load_band_k * std, 0.0), 1.0)
+            b2 = min(max(mean + config.load_band_k * std, 0.0), 1.0)
+            bounds = [(0.0, b1), (b1, b2), (b2, 1.0)]
+            buckets = [[], [], []]
+            for i in g2:
+                x = entries[i].network.ext_load
+                buckets[0 if x < b1 else (1 if x < b2 else 2)].append(i)
+            for b, members in enumerate(buckets):
+                by_route = {}
+                for i in members:
+                    by_route.setdefault(entries[i].network.route, []).append(i)
+                for route in sorted(by_route):
+                    g3 = by_route[route]
+                    groups3 = legacy_cluster_by_vectors([t3[i] for i in g3], g3,
+                                                        config.tier3_cut)
+                    for i3, members3 in enumerate(groups3):
+                        pending.append((f"net{i1}", f"data{i2}",
+                                        f"{route[0]}->{route[1]}/link{i3}", route,
+                                        bounds[b], members3))
+    strata = []
+    for n, (key1, key2, key3, route, interval, members) in enumerate(pending):
+        strata.append(Stratum(
+            id=f"s{n:03d}", tier1_key=key1, tier2_key=key2, tier3_key=key3,
+            route=route, ext_load_interval=interval, members=tuple(members),
+            centroids={"tier1": tuple(np.mean(sorted(t1[i] for i in members), axis=0)),
+                       "tier2": tuple(np.mean(sorted(t2[i] for i in members), axis=0)),
+                       "tier3": tuple(np.mean(sorted(t3[i] for i in members), axis=0))}))
+    return strata
+
+
+def multiroute_corpus(seed):
+    specs = [simulator.ENDPOINTS[n] for n in ("chameleon", "cloudlab", "intercloud")]
+    return simulator.generate_training_logs(
+        specs=specs, classes={"small": DATASET_CLASSES["small"]}, noise=0.02, seed=seed)
+
+
+def ragged_corpus(seed):
+    specs = [simulator.ENDPOINTS[n] for n in ("chameleon", "cloudlab")]
+    return simulator.generate_training_logs(specs=specs, sweeps=2, noise=0.02, seed=seed)
+
+
+CORPORA = {"jittered": lambda seed: jittered_load_corpus(seed, 400),
+           "multiroute": multiroute_corpus,
+           "ragged": ragged_corpus,
+           "random": lambda seed: random_corpus(np.random.default_rng(seed), n_routes=3)}
+
+
+@pytest.mark.parametrize("drop", [0.0, 0.1, 0.25])
+@pytest.mark.parametrize("kind", sorted(CORPORA))
+def test_stratify_matches_legacy_stratify(kind, drop):
+    entries = CORPORA[kind](seed=7)
+    rng = np.random.default_rng(int(drop * 100))
+    entries = [e for e in entries if rng.random() >= drop]
+    for config in (StratifyConfig(), StratifyConfig(tier1_cut=0.01, tier3_cut=0.0),
+                   StratifyConfig(tier2_features=())):
+        want = [s.as_dict() for s in legacy_stratify(entries, config)]
+        assert [s.as_dict() for s in stratify(entries, config)] == want
+        table = LogTable.from_entries(entries)
+        assert [s.as_dict() for s in stratify(table, config)] == want

@@ -226,6 +226,25 @@ def test_fit_rejects_a_member_outside_its_load_band(corpus, strata):
         fit_all_strata(moved, [s0], with_holdout=False)
 
 
+def test_fit_reports_the_first_offending_member(corpus, strata):
+    s0 = strata[0]
+    i, j = s0.members[0], s0.members[5]
+    moved = list(corpus)
+    moved[j] = replace(corpus[j], network=replace(corpus[j].network, source_id="elsewhere"))
+    lo, hi = s0.ext_load_interval
+    moved[i] = replace(corpus[i], network=replace(corpus[i].network, ext_load=hi))
+    # member 0 is outside the band, member 5 on another route, then a bad index
+    broken = replace(s0, members=s0.members + (-1,))
+    with pytest.raises(PipelineError, match=rf"member {i} has ext_load"):
+        fit_all_strata(moved, [broken], with_holdout=False)
+    broken = replace(s0, members=(-1,) + s0.members)
+    with pytest.raises(PipelineError, match=r"member index -1 is not in the log"):
+        fit_all_strata(moved, [broken], with_holdout=False)
+    broken = replace(s0, members=s0.members[1:])
+    with pytest.raises(PipelineError, match=rf"member {j} has route elsewhere->tacc"):
+        fit_all_strata(moved, [broken], with_holdout=False)
+
+
 def _set(path, value):
     def edit(cfg):
         *keys, last = path

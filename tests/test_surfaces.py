@@ -9,6 +9,7 @@ exhaustive search even though absolute values carry the offset.
 import functools
 import itertools
 import json
+import math
 import operator
 
 import numpy as np
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 from xfertune import (
     DatasetMeta,
     GroupModel,
+    HoldoutReport,
+    LogTable,
     NetworkMeta,
     ParamConfig,
     StratumModels,
@@ -30,12 +33,12 @@ from xfertune import (
 from xfertune.logs import PARAM_NAMES
 from xfertune.spline import fit_bicubic_surface, fit_natural_spline
 from xfertune.surfaces import (
+    HOLDOUT_TRAIN_FRAC,
     METRICS,
     PARAM_GROUPS,
     _conditioning,
     _fill_grid,
     _modal_value,
-    _slice_members,
     holdout_split,
 )
 
@@ -95,11 +98,11 @@ def test_modal_value_prefers_largest_on_ties():
 
 
 def test_conditioning_uses_marginal_modes():
-    members = make_members()
+    params = LogTable.from_entries(make_members()).params
     # uniform counts on every axis: all ties, so largest value each
-    cond = _conditioning(members, ("cpu_num", "cpu_freq_mhz"))
+    cond = _conditioning(params, ("cpu_num", "cpu_freq_mhz"))
     assert cond == {"cc": 4, "p": 2, "pp": 8}
-    cond = _conditioning(members, ("pp",))
+    cond = _conditioning(params, ("pp",))
     assert cond == {"cpu_num": 4, "cpu_freq_mhz": 2400, "cc": 4, "p": 2}
 
 
@@ -113,8 +116,9 @@ def test_conditioning_falls_back_to_joint_tuple():
             params=cfg, dataset=DS, network=NET, throughput_mbps=1.0,
             energy_joules=1.0, avg_power_watts=1.0, duration_s=1.0,
             timestamp_s=float(i)))
-    cond = _conditioning(members, ("cpu_num", "cpu_freq_mhz"))
+    cond = _conditioning(LogTable.from_entries(members).params, ("cpu_num", "cpu_freq_mhz"))
     assert cond == {"cc": 2, "p": 1, "pp": 4}
+    assert all(type(v) is int for v in cond.values())
 
 
 def test_fit_reproduces_conditioning_slices_exactly():
@@ -124,7 +128,7 @@ def test_fit_reproduces_conditioning_slices_exactly():
     for group_models, metric in ((models.energy, "energy_joules"),
                                  (models.throughput, "throughput_mbps")):
         for m in group_models:
-            on_slice = [e for e in members if m.matches_slice(e.params)]
+            on_slice = legacy_slice_members(members, m.conditioning)
             assert on_slice
             for e in on_slice:
                 assert m.value(e.params) == pytest.approx(getattr(e, metric), rel=1e-9)
@@ -284,6 +288,11 @@ def legacy_modal_value(values):
     return max(v for v, c in counts.items() if c == best)
 
 
+def legacy_slice_members(members, cond):
+    return [e for e in members
+            if all(e.params.get(p) == v for p, v in cond.items())]
+
+
 def legacy_conditioning(members, group):
     others = [p for p in PARAM_NAMES if p not in group]
     cond = {p: legacy_modal_value([e.params.get(p) for e in members]) for p in others}
@@ -332,7 +341,7 @@ def legacy_fit_stratum_models(members, stratum_id):
         models = []
         for group in PARAM_GROUPS:
             cond = legacy_conditioning(members, group)
-            sl = _slice_members(members, cond)
+            sl = legacy_slice_members(members, cond)
             if len(group) == 2:
                 xs, ys, grid = legacy_grid_2d(sl, group[0], group[1], metric)
                 model = fit_bicubic_surface(xs, ys, grid)
@@ -457,14 +466,15 @@ def assert_same_group_model(got: GroupModel, want: GroupModel):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(members=st.one_of(ragged_member_sets(), fallback_member_sets()))
 def test_fit_matches_legacy_per_metric_fit(members):
+    table = LogTable.from_entries(members)
     try:
         want = legacy_fit_stratum_models(members, "h")
     except SurfaceFitError as exc:
         with pytest.raises(SurfaceFitError) as got:
-            fit_stratum_models(members, "h")
+            fit_stratum_models(table, "h")
         assert str(got.value) == str(exc)
         return
-    got = fit_stratum_models(members, "h")
+    got = fit_stratum_models(table, "h")
     for got_models, want_models in ((got.energy, want.energy),
                                     (got.throughput, want.throughput)):
         assert len(got_models) == len(want_models)
@@ -474,3 +484,69 @@ def test_fit_matches_legacy_per_metric_fit(members):
     assert (json.dumps(got.as_dict(), sort_keys=True)
             == json.dumps(want.as_dict(), sort_keys=True))
 
+
+
+# -- holdout as it was before it ran on table columns ------------------------------
+#
+# Test-only oracles: the split grouped indices per parameter tuple in a dict
+# and returned entry lists; the report scored each model with value() one
+# held-out entry at a time.
+
+
+def legacy_holdout_split(members, seed=0):
+    rng = np.random.default_rng(seed)
+    by_tuple = {}
+    for i, e in enumerate(members):
+        by_tuple.setdefault(tuple(e.params.get(p) for p in PARAM_NAMES), []).append(i)
+    train_idx, test_idx = [], []
+    for key in sorted(by_tuple):
+        idx = list(by_tuple[key])
+        rng.shuffle(idx)
+        n_train = max(1, math.floor(HOLDOUT_TRAIN_FRAC * len(idx)))
+        train_idx.extend(idx[:n_train])
+        test_idx.extend(idx[n_train:])
+    return ([members[i] for i in sorted(train_idx)],
+            [members[i] for i in sorted(test_idx)])
+
+
+def legacy_rmse_holdout(members, stratum_id="", seed=0):
+    train, test = legacy_holdout_split(members, seed=seed)
+    try:
+        models = legacy_fit_stratum_models(train, stratum_id)
+    except SurfaceFitError as exc:
+        raise SurfaceFitError(f"insufficient train coverage: {exc}") from exc
+
+    def per_model(group_models):
+        out = {}
+        for m in group_models:
+            errs = [m.value(e.params) - getattr(e, m.metric)
+                    for e in legacy_slice_members(test, m.conditioning)]
+            out[m.label] = float(np.sqrt(np.mean(np.square(errs)))) if errs else None
+        return out
+
+    return HoldoutReport(
+        energy_rmse=per_model(models.energy),
+        throughput_rmse=per_model(models.throughput),
+        mean_energy=float(np.mean([e.energy_joules for e in members])),
+        mean_throughput=float(np.mean([e.throughput_mbps for e in members])),
+        train_count=len(train),
+        test_count=len(test),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(members=st.one_of(ragged_member_sets(), fallback_member_sets()),
+       seed=st.integers(0, 3))
+def test_holdout_matches_legacy_holdout(members, seed):
+    table = LogTable.from_entries(members)
+    want_train, want_test = legacy_holdout_split(members, seed=seed)
+    got_train, got_test = holdout_split(table, seed=seed)
+    assert list(got_train) == want_train and list(got_test) == want_test
+    try:
+        want = legacy_rmse_holdout(members, "h", seed=seed)
+    except SurfaceFitError as exc:
+        with pytest.raises(SurfaceFitError) as got:
+            rmse_holdout(table, "h", seed=seed)
+        assert str(got.value) == str(exc)
+        return
+    assert rmse_holdout(table, "h", seed=seed).as_dict() == want.as_dict()
