@@ -155,12 +155,13 @@ def optimize_all(models: dict, slas) -> ParamTable:
 
 # -- online runs ---------------------------------------------------------------
 
-def _class_sizes(classes) -> list:
+def _class_sizes(classes) -> np.ndarray:
     for c in classes:
         if c not in DATASET_CLASSES:
             raise PipelineError(f"unknown file class {c!r}")
     ordered = [c for c in FILE_CLASSES if c in classes]
-    return [s for c in ordered for s in synth_file_sizes(DATASET_CLASSES[c])]
+    return np.concatenate([np.zeros(0, dtype=np.int64)] +
+                          [synth_file_sizes(DATASET_CLASSES[c]) for c in ordered])
 
 
 def run_tuned_transfer(spec: EndpointSpec, scenario: LoadScenario, config,

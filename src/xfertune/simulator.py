@@ -15,7 +15,9 @@ give byte-identical outputs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -222,12 +224,14 @@ class LoadScenario:
     def step(cls, before: float, after: float, at_s: float) -> "LoadScenario":
         return cls(((0.0, before), (float(at_s), after)))
 
+    @cached_property
+    def _starts(self) -> tuple:
+        return tuple(s for s, _ in self.segments)
+
     def load_at(self, t_s: float) -> float:
-        load = self.segments[0][1]
-        for start, value in self.segments:
-            if start <= t_s:
-                load = value
-        return load
+        # the first segment also covers t < 0 (and NaN)
+        i = bisect_right(self._starts, t_s) if t_s >= 0.0 else 1
+        return self.segments[i - 1][1]
 
     def as_dict(self) -> dict:
         return {"segments": [list(s) for s in self.segments]}
@@ -242,7 +246,9 @@ class SimEndpoint:
 
     The clock persists across begin() calls so multi-class transfers see one
     continuous scenario. An optional fail_at_s raises EndpointFailure on the
-    first step at or past that time.
+    first step at or past that time. A step reuses the previous step's
+    throughput and power until the parameters, the dataset or the load
+    change.
     """
 
     def __init__(self, spec: EndpointSpec, scenario: LoadScenario | None = None,
@@ -259,6 +265,8 @@ class SimEndpoint:
         self._dataset: DatasetMeta | None = None
         self._params: ParamConfig | None = None
         self._remaining = 0.0
+        self._rate_load: float | None = None   # load of the cached _rate
+        self._rate = (0.0, 0.0)                # (throughput, power)
 
     def describe(self) -> NetworkMeta:
         return NetworkMeta(
@@ -267,9 +275,12 @@ class SimEndpoint:
             ext_load=self.scenario.load_at(self.clock_s))
 
     def begin(self, dataset: DatasetMeta, params: ParamConfig) -> None:
+        total = float(dataset.total_size_bytes)
+        if not 0.0 < total < math.inf:   # NaN fails too
+            raise SimulationError("total_size_bytes must be finite and > 0")
         self.set_params(params)
         self._dataset = dataset
-        self._remaining = float(dataset.total_size_bytes)
+        self._remaining = total
 
     def set_params(self, params: ParamConfig) -> None:
         msg = validate_params(params)
@@ -278,6 +289,7 @@ class SimEndpoint:
         if params.cpu_num > self.spec.cpu_cores:
             raise SimulationError("cpu_num exceeds the endpoint's cores")
         self._params = params
+        self._rate_load = None
 
     def step(self) -> MonitorSample | None:
         if self._dataset is None:
@@ -287,14 +299,17 @@ class SimEndpoint:
         if self.fail_at_s is not None and self.clock_s >= self.fail_at_s:
             raise EndpointFailure(f"endpoint failed at t={self.clock_s:.3f}s")
         load = self.scenario.load_at(self.clock_s)
-        t = throughput_mbps(self.spec, self._params, load,
-                            self._dataset.avg_file_size_bytes)
+        if load != self._rate_load:
+            t = throughput_mbps(self.spec, self._params, load,
+                                self._dataset.avg_file_size_bytes)
+            self._rate = (t, power_above_base_watts(self.spec, self._params, t))
+            self._rate_load = load
+        t, power = self._rate
         capacity = t * 1e6 / 8.0 * self.interval_s
         if self._remaining <= capacity:
             dt, moved = self._remaining * 8.0 / 1e6 / t, self._remaining
         else:
             dt, moved = self.interval_s, capacity
-        power = power_above_base_watts(self.spec, self._params, t)
         self._remaining -= moved
         self.clock_s += dt
         return MonitorSample(dt_s=dt, throughput_mbps=t, power_watts=power,
@@ -302,13 +317,15 @@ class SimEndpoint:
                              bytes_moved=moved)
 
 
-def synth_file_sizes(meta: DatasetMeta) -> list:
-    """Deterministic file set matching a class's mean and spread: half the
-    files at avg - stddev, half at avg + stddev (even counts assumed)."""
+def synth_file_sizes(meta: DatasetMeta) -> np.ndarray:
+    """Deterministic file set matching a class's mean and spread, as an
+    int64 array: half the files at avg - stddev, then the rest at
+    avg + stddev (even counts assumed)."""
     lo = int(round(meta.avg_file_size_bytes - meta.file_size_stddev_bytes))
     hi = int(round(meta.avg_file_size_bytes + meta.file_size_stddev_bytes))
     if lo < 1:
         raise SimulationError("stddev too large for synthetic file set")
     half = meta.num_files // 2
-    return [lo] * half + [hi] * (meta.num_files - half)
+    return np.repeat(np.array([lo, hi], dtype=np.int64),
+                     [half, meta.num_files - half])
 

@@ -104,6 +104,23 @@ class Spline1D:
         return self._eval(t, 2)
 
 
+def _natural_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Absolute-basis cell coefficients, shape (n-1, 4), of the natural
+    spline through checked knots x and finite values y."""
+    m = _second_derivatives(x, y)
+    h = np.diff(x)
+    xi, yi = x[:-1], y[:-1]
+    c1 = np.diff(y) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    c2 = m[:-1] / 2.0
+    c3 = (m[1:] - m[:-1]) / (6.0 * h)
+    # expand s(t) = y_i + c1*u + c2*u^2 + c3*u^3, u = t - x_i, into powers of t
+    a3 = c3
+    a2 = c2 - 3.0 * c3 * xi
+    a1 = c1 - 2.0 * c2 * xi + 3.0 * c3 * xi * xi
+    a0 = yi - c1 * xi + c2 * xi * xi - c3 * xi ** 3
+    return np.column_stack([a0, a1, a2, a3])
+
+
 def fit_natural_spline(x, y) -> Spline1D:
     """Interpolating natural cubic spline through (x, y).
 
@@ -117,19 +134,7 @@ def fit_natural_spline(x, y) -> Spline1D:
         raise SplineError("x and y must have the same length")
     if not np.all(np.isfinite(y)):
         raise SplineError("y values must be finite")
-    m = _second_derivatives(x, y)
-    h = np.diff(x)
-    xi, yi = x[:-1], y[:-1]
-    c1 = np.diff(y) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
-    c2 = m[:-1] / 2.0
-    c3 = (m[1:] - m[:-1]) / (6.0 * h)
-    # expand s(t) = y_i + c1*u + c2*u^2 + c3*u^3, u = t - x_i, into powers of t
-    a3 = c3
-    a2 = c2 - 3.0 * c3 * xi
-    a1 = c1 - 2.0 * c2 * xi + 3.0 * c3 * xi * xi
-    a0 = yi - c1 * xi + c2 * xi * xi - c3 * xi ** 3
-    coeffs = np.column_stack([a0, a1, a2, a3])
-    return Spline1D(knots=x, coeffs=coeffs, values=y.copy())
+    return Spline1D(knots=x, coeffs=_natural_coeffs(x, y), values=y.copy())
 
 
 def _pow_rows(t: np.ndarray, derivative: int) -> np.ndarray:
@@ -192,7 +197,8 @@ def fit_bicubic_surface(xs, ys, grid) -> Surface:
 
     grid[i, j] is the value at (xs[i], ys[j]). Fitting order does not matter:
     splining rows in y and then each coefficient in x equals the transpose
-    construction because spline fitting is linear in the data.
+    construction because spline fitting is linear in the data. The knots
+    are checked once, not per 1-D fit.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -206,10 +212,12 @@ def fit_bicubic_surface(xs, ys, grid) -> Surface:
     nx, ny = grid.shape
     ycoef = np.zeros((nx, ny - 1, 4))
     for i in range(nx):
-        ycoef[i] = fit_natural_spline(ys, grid[i]).coeffs
+        ycoef[i] = _natural_coeffs(ys, grid[i])
+    # huge grid values can overflow the row coefficients
+    if not np.all(np.isfinite(ycoef)):
+        raise SplineError("y values must be finite")
     coeffs = np.zeros((nx - 1, ny - 1, 4, 4))
     for j in range(ny - 1):
         for b in range(4):
-            xc = fit_natural_spline(xs, ycoef[:, j, b]).coeffs
-            coeffs[:, j, :, b] = xc
+            coeffs[:, j, :, b] = _natural_coeffs(xs, ycoef[:, j, b])
     return Surface(xs=xs, ys=ys, coeffs=coeffs, grid=grid.copy())

@@ -15,11 +15,18 @@ else a switch to a lower-load sibling. Every other tick holds.
 Which loop runs follows from the SLA: energy caps and the pure min-energy
 objective run the energy loop, throughput floors and the pure max-throughput
 objective run the throughput loop.
+
+A transfer's file set is an array of sizes, split into classes with masks.
+A class's statistics keep the sizes' own arithmetic: an int total is exact,
+and squared deviations are added left to right in file order, so the work
+outside the tick loop is a few array passes per class.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .clustering import (StratifyConfig, Stratum, assign_stratum,
                          load_band_stratum)
@@ -31,6 +38,7 @@ MIB = 1 << 20
 SMALL_MAX_BYTES = 1 * MIB          # < 1 MiB: small
 MEDIUM_MAX_BYTES = 50 * MIB        # < 50 MiB: medium, else large
 FILE_CLASSES = ("small", "medium", "large")
+_INT64_MAX = (1 << 63) - 1
 
 ALPHA = 0.1
 BETA = 0.1
@@ -70,27 +78,80 @@ class TickResult:
     params: ParamConfig
 
 
+def _size_kind(t) -> str | None:
+    if issubclass(t, (bool, np.bool_)):
+        return None
+    if issubclass(t, (int, np.integer)):
+        return "i"
+    if issubclass(t, (float, np.floating)):
+        return "f"
+    return None
+
+
+def _size_array(sizes) -> np.ndarray:
+    """File sizes as a 1-D array whose arithmetic is that of the sizes:
+    int64 for ints, float64 for floats, object for ints beyond int64 or a
+    mix of ints and floats. Every size must be a finite positive int or
+    float; bools are not sizes."""
+    if isinstance(sizes, np.ndarray) and sizes.dtype.kind in "iuf":
+        arr = sizes
+    else:
+        values = sizes.tolist() if isinstance(sizes, np.ndarray) else list(sizes)
+        kinds = {_size_kind(t) for t in set(map(type, values))}
+        if None in kinds:
+            raise TunerError("file sizes must be ints or floats")
+        if kinds == {"f"}:
+            arr = np.array(values, dtype=np.float64)
+        else:
+            try:
+                arr = np.array(values, dtype=np.int64 if kinds <= {"i"} else object)
+            except OverflowError:
+                arr = np.array(values, dtype=object)
+    if arr.ndim != 1:
+        raise TunerError("file sizes must be one-dimensional")
+    # NaN fails both comparisons; an int compares exactly with inf
+    if not np.all((arr > 0) & (arr < math.inf)):
+        raise TunerError("file sizes must be finite and > 0")
+    return arr
+
+
+def _total_bytes(sizes: np.ndarray) -> float:
+    """Sum of a nonempty size array in the sizes' own arithmetic: exact for
+    ints (then rounded once), left to right for floats."""
+    if sizes.dtype.kind == "f":
+        return float(np.cumsum(sizes)[-1])
+    if sizes.dtype.kind in "iu" and int(sizes.max()) * len(sizes) <= _INT64_MAX:
+        return float(int(sizes.sum()))
+    return float(sum(sizes.tolist()))   # past int64, or ints mixed with floats
+
+
 def cluster_files(sizes) -> dict:
     """Group file sizes into small/medium/large classes (lower-inclusive
-    thresholds: exactly 1 MiB is medium, exactly 50 MiB is large)."""
-    out = {c: [] for c in FILE_CLASSES}
-    for s in sizes:
-        if s <= 0:
-            raise TunerError("file sizes must be positive")
-        if s < SMALL_MAX_BYTES:
-            out["small"].append(s)
-        elif s < MEDIUM_MAX_BYTES:
-            out["medium"].append(s)
-        else:
-            out["large"].append(s)
-    return out
+    thresholds: exactly 1 MiB is medium, exactly 50 MiB is large). Each
+    class is an array of its sizes in file order."""
+    arr = _size_array(sizes)
+    small = arr < SMALL_MAX_BYTES
+    large = arr >= MEDIUM_MAX_BYTES
+    return {"small": arr[small], "medium": arr[~(small | large)],
+            "large": arr[large]}
 
 
 def dataset_meta_for(sizes) -> DatasetMeta:
-    n = len(sizes)
-    total = float(sum(sizes))
+    """Population statistics of a file set. The total is the exact sum of
+    int sizes, or the left-to-right sum of float ones; each squared
+    deviation is Python's float ``**`` of one distinct size, and they are
+    added left to right in file order."""
+    arr = _size_array(sizes)
+    n = len(arr)
+    if n == 0:
+        raise TunerError("no file sizes")
+    total = _total_bytes(arr)
     avg = total / n
-    var = sum((s - avg) ** 2 for s in sizes) / n
+    # distinct sizes from a sort: np.unique is several times slower here
+    ordered = np.sort(arr)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    squares = np.array([(v - avg) ** 2 for v in distinct.tolist()])
+    var = float(np.cumsum(squares[np.searchsorted(distinct, arr)])[-1]) / n
     return DatasetMeta(num_files=n, total_size_bytes=total,
                        avg_file_size_bytes=avg, file_size_stddev_bytes=math.sqrt(var))
 
@@ -333,11 +394,12 @@ def run_transfer(endpoint, file_sizes, controller) -> TransferReport:
     each class re-assigned to its own stratum. If the endpoint fails midway
     the raised EndpointFailure carries the partial report.
     """
-    classes = cluster_files(file_sizes)
-    plan = [(c, classes[c]) for c in FILE_CLASSES if classes[c]]
+    sizes = _size_array(file_sizes)
+    classes = cluster_files(sizes)
+    plan = [(c, classes[c]) for c in FILE_CLASSES if len(classes[c])]
     if not plan:
         raise TunerError("no files to transfer")
-    total_bytes = float(sum(file_sizes))
+    total_bytes = _total_bytes(sizes)
     controller.start_transfer(total_bytes)
     rows = []
     moved_total = 0.0
@@ -370,7 +432,8 @@ def run_transfer(endpoint, file_sizes, controller) -> TransferReport:
             moved += sample.bytes_moved
             moved_total += sample.bytes_moved
             res = controller.tick(sample)
-            if res.params != params:
+            # identity first: a holding controller returns the same params
+            if res.params is not params and res.params != params:
                 params = res.params
                 endpoint.set_params(params)
         rows.append(_class_row(cname, controller, ds, initial, t0, e0, moved))

@@ -26,7 +26,7 @@ from xfertune import (
 from xfertune.logs import DatasetMeta
 from xfertune.pipeline import _analytic_fixed_run
 from xfertune.simulator import power_above_base_watts
-from xfertune.tuner import FixedController, run_transfer
+from xfertune.tuner import FixedController, MonitorSample, run_transfer
 
 CHAM = ENDPOINTS["chameleon"]
 
@@ -192,6 +192,83 @@ def test_scenario_lookup_and_validation():
         LoadScenario.constant(1.0)
 
 
+def _loop_load_at(scenario, t_s):
+    """Reference: the last segment starting at or before t, else the first."""
+    load = scenario.segments[0][1]
+    for start, value in scenario.segments:
+        if start <= t_s:
+            load = value
+    return load
+
+
+def test_scenario_lookup_matches_a_segment_scan():
+    sc = LoadScenario(((0.0, 0.1), (0.3, 0.5), (1.0, 0.2), (2.5, 0.6)))
+    ts = [-math.inf, -1.0, -0.0, 0.0, 0.1, 0.3, 0.30000000000000004, 0.2999,
+          1.0, 2.5, 2.4999999, 1e12, math.inf, math.nan]
+    ts += [k * 0.1 for k in range(40)]
+    for scenario in (sc, LoadScenario.constant(0.3), LoadScenario.step(0.2, 0.6, 1.0)):
+        for t in ts:
+            assert scenario.load_at(t) == _loop_load_at(scenario, t), (scenario, t)
+
+
+def _fresh_sample(spec, scenario, clock, params, ds, remaining, interval):
+    """Reference: one step computed from scratch, with no cached rate."""
+    load = scenario.load_at(clock)
+    t = throughput_mbps(spec, params, load, ds.avg_file_size_bytes)
+    capacity = t * 1e6 / 8.0 * interval
+    if remaining <= capacity:
+        dt, moved = remaining * 8.0 / 1e6 / t, remaining
+    else:
+        dt, moved = interval, capacity
+    return MonitorSample(dt_s=dt, throughput_mbps=t,
+                         power_watts=power_above_base_watts(spec, params, t),
+                         ext_load=load, rtt_ms=spec.rtt_ms, bytes_moved=moved)
+
+
+def test_cached_rates_equal_a_fresh_computation():
+    # share-limited at the high load, so the load change at t = 3 (a tick
+    # boundary) moves the rate; small files, so the dataset moves it too
+    scenario = LoadScenario(((0.0, 0.2), (3.0, 0.6), (5.0, 0.3)))
+    fast, slow = ParamConfig(8, 2300, 16, 8, 8), ParamConfig(2, 1800, 4, 2, 4)
+    big = DatasetMeta(num_files=10, total_size_bytes=6e9,
+                      avg_file_size_bytes=6e8, file_size_stddev_bytes=0.0)
+    small = DatasetMeta(num_files=20000, total_size_bytes=4e9,
+                        avg_file_size_bytes=2e5, file_size_stddev_bytes=0.0)
+    # (dataset to begin or None, params to set or None) before each step
+    script = [(big, fast), (None, None), (None, slow), (None, fast),
+              (None, ParamConfig(8, 2300, 16, 8, 8)), (None, None), (None, None),
+              (small, fast), (None, None), (None, slow), (None, None)]
+    ep = SimEndpoint(CHAM, scenario, interval_s=1.0)
+    clock, remaining = 0.0, 0.0
+    loads, rates = set(), set()
+    for begin, params in script:
+        if begin is not None:
+            ep.begin(begin, params)
+            ds, cur, remaining = begin, params, begin.total_size_bytes
+        elif params is not None:
+            ep.set_params(params)
+            cur = params
+        got = ep.step()
+        expect = _fresh_sample(CHAM, scenario, clock, cur, ds, remaining, 1.0)
+        assert got == expect
+        clock += expect.dt_s
+        remaining -= expect.bytes_moved
+        loads.add(got.ext_load)
+        rates.add(got.throughput_mbps)
+    assert remaining > 0 and ep.clock_s == clock
+    assert loads == {0.2, 0.6, 0.3} and len(rates) >= 5
+
+
+@pytest.mark.parametrize("total", [math.nan, math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_begin_rejects_a_total_that_is_not_finite_and_positive(total):
+    ep = SimEndpoint(CHAM, LoadScenario.constant(0.2))
+    meta = DatasetMeta(num_files=2, total_size_bytes=total,
+                       avg_file_size_bytes=total / 2, file_size_stddev_bytes=0.0)
+    with pytest.raises(SimulationError, match="total_size_bytes must be finite and > 0"):
+        ep.begin(meta, ParamConfig(2, 1800, 4, 2, 4))
+
+
 def test_stepping_conserves_bytes_and_time():
     ep = SimEndpoint(CHAM, LoadScenario.constant(0.3), interval_s=1.0)
     meta = DatasetMeta(num_files=4, total_size_bytes=5e9,
@@ -255,14 +332,14 @@ def test_synthetic_file_sizes_match_the_class_stats():
     assert len(sizes) == meta.num_files
     lo = int(round(meta.avg_file_size_bytes - meta.file_size_stddev_bytes))
     hi = int(round(meta.avg_file_size_bytes + meta.file_size_stddev_bytes))
-    assert sizes.count(lo) == meta.num_files // 2
-    assert sizes.count(hi) == meta.num_files - meta.num_files // 2
+    assert (sizes == lo).sum() == meta.num_files // 2
+    assert (sizes == hi).sum() == meta.num_files - meta.num_files // 2
     assert np.mean(sizes) == pytest.approx(meta.avg_file_size_bytes, rel=1e-4)
     assert np.std(sizes) == pytest.approx(meta.file_size_stddev_bytes, rel=1e-4)
     odd = synth_file_sizes(DatasetMeta(num_files=3, total_size_bytes=9e6,
                                        avg_file_size_bytes=3e6,
                                        file_size_stddev_bytes=1e6))
-    assert odd == [2_000_000, 4_000_000, 4_000_000]
+    assert odd.tolist() == [2_000_000, 4_000_000, 4_000_000]
     with pytest.raises(SimulationError, match="stddev too large"):
         synth_file_sizes(DatasetMeta(num_files=2, total_size_bytes=2.0,
                                      avg_file_size_bytes=1.0,

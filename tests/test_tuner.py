@@ -6,10 +6,19 @@ trigger flag and state updates are asserted against arithmetic done by
 hand (EWMA weight 0.5, alpha = beta = 0.1).
 """
 
+import functools
 import math
+import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from xfertune import (
     SLA,
@@ -23,7 +32,9 @@ from xfertune import (
 )
 from xfertune.optimizer import KIND_ENERGY_CAP, KIND_THROUGHPUT_FLOOR
 from xfertune.simulator import DATASET_CLASSES, ENDPOINTS, LoadScenario
+from xfertune.logs import DatasetMeta
 from xfertune.tuner import (
+    FILE_CLASSES,
     MIB,
     SWITCH_CAP,
     FixedController,
@@ -407,9 +418,9 @@ def test_start_class_keeps_transfer_budget(
 
 def test_cluster_files_boundaries():
     out = cluster_files([MIB - 1, MIB, 50 * MIB - 1, 50 * MIB, 200])
-    assert out["small"] == [MIB - 1, 200]
-    assert out["medium"] == [MIB, 50 * MIB - 1]
-    assert out["large"] == [50 * MIB]
+    assert out["small"].tolist() == [MIB - 1, 200]
+    assert out["medium"].tolist() == [MIB, 50 * MIB - 1]
+    assert out["large"].tolist() == [50 * MIB]
     with pytest.raises(TunerError):
         cluster_files([0])
 
@@ -420,6 +431,119 @@ def test_dataset_meta_for_population_stats():
     assert meta.total_size_bytes == 400.0
     assert meta.avg_file_size_bytes == 200.0
     assert meta.file_size_stddev_bytes == 100.0
+
+
+# A per-file reference implementation: one Python pass over the sizes. Its
+# sums run left to right, as Python 3.11's builtin sum does: exact over
+# ints, one rounding per addition over floats.
+def _left_to_right_sum(values):
+    return functools.reduce(operator.add, values, 0)
+
+
+def per_file_cluster_files(sizes) -> dict:
+    out = {c: [] for c in FILE_CLASSES}
+    for s in sizes:
+        if s < MIB:
+            out["small"].append(s)
+        elif s < 50 * MIB:
+            out["medium"].append(s)
+        else:
+            out["large"].append(s)
+    return out
+
+
+def per_file_dataset_meta(sizes) -> DatasetMeta:
+    n = len(sizes)
+    total = float(_left_to_right_sum(sizes))
+    avg = total / n
+    var = _left_to_right_sum([(s - avg) ** 2 for s in sizes]) / n
+    return DatasetMeta(num_files=n, total_size_bytes=total,
+                       avg_file_size_bytes=avg, file_size_stddev_bytes=math.sqrt(var))
+
+
+EDGE_INTS = [MIB - 1, MIB, MIB + 1, 50 * MIB - 1, 50 * MIB, 50 * MIB + 1,
+             2**53 - 1, 2**53, 2**53 + 1, 2**63 - 2, 2**63 - 1]
+INT_SIZES = st.one_of(st.integers(1, 10**12), st.sampled_from(EDGE_INTS),
+                      st.integers(2**53 - 64, 2**53 + 64),
+                      st.integers(2**63 - 2**12, 2**63 - 1))
+FLOAT_SIZES = st.one_of(
+    st.floats(min_value=1e-3, max_value=2.0**64, allow_nan=False),
+    st.sampled_from([float(v) for v in EDGE_INTS]),
+    st.integers(1, 10**9).map(lambda v: v + 0.5))
+
+
+def file_sets(sizes):
+    """Lists of sizes, and lists whose classes hold one file or many equal
+    files."""
+    many = st.lists(sizes, min_size=1, max_size=60)
+    equal = st.tuples(sizes, st.integers(1, 40)).map(lambda vk: [vk[0]] * vk[1])
+    return st.one_of(many, equal, st.tuples(equal, equal, many).map(
+        lambda parts: parts[0] + parts[1] + parts[2][:1]))
+
+
+def _assert_same_as_per_file(sizes, reference):
+    got = cluster_files(sizes)
+    expect = per_file_cluster_files(reference)
+    assert {c: got[c].tolist() for c in FILE_CLASSES} == expect
+    assert dataset_meta_for(sizes) == per_file_dataset_meta(reference)
+    for c in FILE_CLASSES:
+        if expect[c]:
+            assert dataset_meta_for(got[c]) == per_file_dataset_meta(expect[c])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sizes=st.one_of(file_sets(INT_SIZES), file_sets(FLOAT_SIZES),
+                       file_sets(st.sampled_from([2**63, 2**63 + 1, 2**64 + 7]))))
+# float ** 2 and d * d round differently on this deviation
+@example(sizes=[749499671.0, 237129667.30057332])
+@example(sizes=[2**63 - 1, 2**63 - 1, 2**63])
+def test_array_file_sets_match_the_per_file_code_on_lists(sizes):
+    _assert_same_as_per_file(sizes, sizes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sizes=st.one_of(
+    file_sets(INT_SIZES).map(lambda v: np.array(v, dtype=np.int64)),
+    hnp.arrays(np.int64, st.integers(1, 80), elements=INT_SIZES)))
+def test_array_file_sets_match_the_per_file_code_on_int64_arrays(sizes):
+    # the per-file code sums Python ints, exactly, past the int64 range
+    _assert_same_as_per_file(sizes, sizes.tolist())
+
+
+@pytest.mark.parametrize("bad", [
+    [math.nan, 5e6], [math.inf, 5e6], [5e6, -math.inf], [True, 5], [0], [-1],
+    [5, "5"], [5, None], np.array([1.0, math.nan]), np.array([True]),
+    np.array([[1, 2]]),
+], ids=["nan", "inf", "minus-inf", "bool", "zero", "negative", "str", "none",
+        "nan-array", "bool-array", "2d-array"])
+def test_file_sizes_must_be_finite_positive_numbers(bad):
+    with pytest.raises(TunerError, match="file sizes must be"):
+        cluster_files(bad)
+    with pytest.raises(TunerError, match="file sizes must be"):
+        dataset_meta_for(bad)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_transfer_of_a_non_finite_size_raises_instead_of_hanging(bad):
+    # a subprocess with a timeout, so a regression hangs no test run
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "from xfertune.simulator import ENDPOINTS, LoadScenario, SimEndpoint\n"
+        "from xfertune.logs import ParamConfig\n"
+        "from xfertune.tuner import FixedController, TunerError, run_transfer\n"
+        "ep = SimEndpoint(ENDPOINTS['chameleon'], LoadScenario.constant(0.2))\n"
+        "try:\n"
+        f"    run_transfer(ep, [float('{bad}'), 5e6],\n"
+        "                 FixedController(ParamConfig(8, 2300, 16, 8, 8)))\n"
+        "except TunerError as exc:\n"
+        "    print(exc)\n")
+    path = os.pathsep.join(p for p in (str(root / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "file sizes must be finite and > 0\n"
 
 
 def test_fixed_controller_transfer_orders_classes():
