@@ -228,10 +228,18 @@ class LoadScenario:
     def _starts(self) -> tuple:
         return tuple(s for s, _ in self.segments)
 
+    def segment_at(self, t_s: float) -> tuple[float, float, float]:
+        """(start, end, load) of the segment covering t, which holds for
+        start <= t < end: a t exactly at a start is in the new segment. The
+        first segment also covers t < 0 (and NaN), so its start is -inf."""
+        starts = self._starts
+        i = bisect_right(starts, t_s) if t_s >= 0.0 else 1
+        return (starts[i - 1] if i > 1 else -math.inf,
+                starts[i] if i < len(starts) else math.inf,
+                self.segments[i - 1][1])
+
     def load_at(self, t_s: float) -> float:
-        # the first segment also covers t < 0 (and NaN)
-        i = bisect_right(self._starts, t_s) if t_s >= 0.0 else 1
-        return self.segments[i - 1][1]
+        return self.segment_at(t_s)[2]
 
     def as_dict(self) -> dict:
         return {"segments": [list(s) for s in self.segments]}
@@ -246,9 +254,11 @@ class SimEndpoint:
 
     The clock persists across begin() calls so multi-class transfers see one
     continuous scenario. An optional fail_at_s raises EndpointFailure on the
-    first step at or past that time. A step reuses the previous step's
-    throughput and power until the parameters, the dataset or the load
-    change.
+    first step at or past that time. A step keeps the [start, end) interval
+    of the current load segment and looks the scenario up again only when
+    the clock leaves it; it reuses the previous step's throughput and power
+    until the parameters, the dataset or the load change. Between those
+    events a step allocates only its sample.
     """
 
     def __init__(self, spec: EndpointSpec, scenario: LoadScenario | None = None,
@@ -265,6 +275,8 @@ class SimEndpoint:
         self._dataset: DatasetMeta | None = None
         self._params: ParamConfig | None = None
         self._remaining = 0.0
+        # (start, end, load) of the current segment; empty until the first step
+        self._segment = (math.inf, math.inf, None)
         self._rate_load: float | None = None   # load of the cached _rate
         self._rate = (0.0, 0.0)                # (throughput, power)
 
@@ -296,9 +308,12 @@ class SimEndpoint:
             raise SimulationError("begin a transfer before stepping")
         if self._remaining <= 0.0:
             return None
-        if self.fail_at_s is not None and self.clock_s >= self.fail_at_s:
-            raise EndpointFailure(f"endpoint failed at t={self.clock_s:.3f}s")
-        load = self.scenario.load_at(self.clock_s)
+        clock = self.clock_s
+        if self.fail_at_s is not None and clock >= self.fail_at_s:
+            raise EndpointFailure(f"endpoint failed at t={clock:.3f}s")
+        start, end, load = self._segment
+        if not start <= clock < end:
+            start, end, load = self._segment = self.scenario.segment_at(clock)
         if load != self._rate_load:
             t = throughput_mbps(self.spec, self._params, load,
                                 self._dataset.avg_file_size_bytes)
@@ -311,10 +326,8 @@ class SimEndpoint:
         else:
             dt, moved = self.interval_s, capacity
         self._remaining -= moved
-        self.clock_s += dt
-        return MonitorSample(dt_s=dt, throughput_mbps=t, power_watts=power,
-                             ext_load=load, rtt_ms=self.spec.rtt_ms,
-                             bytes_moved=moved)
+        self.clock_s = clock + dt
+        return MonitorSample(dt, t, power, load, self.spec.rtt_ms, moved)
 
 
 def synth_file_sizes(meta: DatasetMeta) -> np.ndarray:

@@ -20,6 +20,12 @@ A transfer's file set is an array of sizes, split into classes with masks.
 A class's statistics keep the sizes' own arithmetic: an int total is exact,
 and squared deviations are added left to right in file order, so the work
 outside the tick loop is a few array passes per class.
+
+Inside the loop, a holding tick allocates only the endpoint's sample: the
+tuner returns one shared TickResult per (stratum, parameters, trigger flag),
+and finds a stratum's siblings once. MonitorSample and TickResult are slots
+dataclasses, immutable by convention rather than frozen, because building a
+frozen one costs several times as much.
 """
 from __future__ import annotations
 
@@ -58,9 +64,12 @@ class EndpointFailure(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MonitorSample:
-    """One monitoring interval as reported by the endpoint."""
+    """One monitoring interval as reported by the endpoint. Immutable by
+    convention: nothing assigns a field once it is built. Not frozen,
+    because a frozen dataclass costs several times as much to build and one
+    is built on every tick."""
 
     dt_s: float
     throughput_mbps: float
@@ -70,8 +79,12 @@ class MonitorSample:
     bytes_moved: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TickResult:
+    """What one tick decided. Immutable by convention: a holding tick
+    returns one shared result for as long as the stratum, the parameters and
+    the trigger flag hold, so a caller must never assign its fields."""
+
     action: str | None           # switch-high | switch-low | heuristic-up | heuristic-down
     triggered: bool              # degradation condition fired this tick
     stratum_id: str
@@ -190,6 +203,8 @@ class OnlineTuner:
         self.loop = select_loop(sla)
         self.e_sla = sla.bound if sla.kind == KIND_ENERGY_CAP else math.inf
         self.t_sla = sla.bound if sla.kind == KIND_THROUGHPUT_FLOOR else 0.0
+        self._sibling_cache: dict = {}   # (stratum id, direction) -> strata
+        self._held = [None, None]   # shared holding result, by trigger flag
         self._reset_transfer(0.0)
 
     def _reset_transfer(self, total_bytes: float):
@@ -206,8 +221,8 @@ class OnlineTuner:
         self._last_nudge = None   # (param, direction) of last heuristic change
 
     def start_transfer(self, total_bytes: float):
-        if total_bytes <= 0:
-            raise TunerError("total_bytes must be > 0")
+        if not 0.0 < total_bytes < math.inf:   # NaN fails too
+            raise TunerError("total_bytes must be finite and > 0")
         self._reset_transfer(float(total_bytes))
 
     def start_class(self, dataset: DatasetMeta, network: NetworkMeta) -> ParamConfig:
@@ -270,19 +285,31 @@ class OnlineTuner:
             self.events.append({"t_s": self.elapsed_s, "event": action,
                                 "stratum_id": self.stratum.id,
                                 "params": self.params.as_dict()})
-        return TickResult(action=action, triggered=triggered,
-                          stratum_id=self.stratum.id, params=self.params)
+            return TickResult(action, triggered, self.stratum.id, self.params)
+        # checked every tick: callers may assign stratum and params directly
+        held = self._held[triggered]
+        if (held is None or held.params is not self.params
+                or held.stratum_id != self.stratum.id):
+            held = self._held[triggered] = TickResult(
+                None, triggered, self.stratum.id, self.params)
+        return held
 
     # -- reactions ----------------------------------------------------------
 
     def _siblings(self, direction: str):
         """Strata on the current route and sibling key whose load band starts
-        above ("high") or below ("low") the current one."""
+        above ("high") or below ("low") the current one. The strata are fixed
+        for the tuner's lifetime, so each answer is computed once."""
         cur = self.stratum
-        sign = 1.0 if direction == "high" else -1.0
-        return [s for s in self.strata
+        key = (cur.id, direction)
+        sibs = self._sibling_cache.get(key)
+        if sibs is None:
+            sign = 1.0 if direction == "high" else -1.0
+            sibs = self._sibling_cache[key] = tuple(
+                s for s in self.strata
                 if s.sibling_key == cur.sibling_key and s.route == cur.route
-                and sign * (s.ext_load_interval[0] - cur.ext_load_interval[0]) > 0]
+                and sign * (s.ext_load_interval[0] - cur.ext_load_interval[0]) > 0)
+        return sibs
 
     def _warn(self, msg: str):
         if not self.warnings or self.warnings[-1] != msg:
@@ -348,6 +375,7 @@ class FixedController:
         self.switch_count = 0
         self.warnings: list[str] = []
         self.events: list[dict] = []
+        self._held: TickResult | None = None   # shared result for self.params
 
     def start_transfer(self, total_bytes: float):
         self.e_consumed = 0.0
@@ -359,8 +387,10 @@ class FixedController:
     def tick(self, sample: MonitorSample) -> TickResult:
         self.e_consumed += sample.power_watts * sample.dt_s
         self.elapsed_s += sample.dt_s
-        return TickResult(action=None, triggered=False, stratum_id="",
-                          params=self.params)
+        held = self._held
+        if held is None or held.params is not self.params:
+            held = self._held = TickResult(None, False, "", self.params)
+        return held
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ bench/run.py wraps program functions by name to trace them and tags ingest
 spans with the length of what ingest_logs returns, so a renamed target or
 an ingest result without len() breaks --trace 1. These run the smallest
 traced offline workload and the traced online workload and check that
-their output checks pass and their per-layer counters moved.
+their output checks pass and their per-layer counters moved, the tick
+tags (trigger, switch) included.
 """
 
 import json
@@ -35,7 +36,10 @@ def test_traced_continuous_load_run_passes_its_checks():
 
 
 def test_traced_online_tune_run_passes_its_checks():
-    # a renamed tuner or simulator target reads as zero here
+    # a renamed tuner or simulator target reads as zero here, and so do the
+    # tick tags if a shared holding result loses .triggered or .action
     result = traced_run("online-tune")
-    assert result["metrics"]["tuner.ticks"]["value"] > 0
-    assert result["metrics"]["tuner.classify_s"]["value"] > 0
+    metrics = result["metrics"]
+    for name in ("tuner.ticks", "tuner.classify_s", "tuner.triggers",
+                 "tuner.switches"):
+        assert metrics[name]["value"] > 0, name

@@ -259,6 +259,47 @@ def test_cached_rates_equal_a_fresh_computation():
     assert loads == {0.2, 0.6, 0.3} and len(rates) >= 5
 
 
+# 0.1 s ticks add up to 0.5 and 1.2 exactly but overshoot 0.3 and 1.4
+TICK_EDGE_SCENARIOS = {
+    "exact": ((0.0, 0.2), (0.5, 0.6)),
+    "overshot": ((0.0, 0.2), (0.3, 0.6)),
+    "ulp-after": ((0.0, 0.2), (math.nextafter(1.2, math.inf), 0.6)),
+    "ulp-before": ((0.0, 0.2), (math.nextafter(1.2, -math.inf), 0.6)),
+    "six-segments": ((0.0, 0.2), (0.3, 0.6), (0.5, 0.1),
+                     (math.nextafter(1.2, math.inf), 0.5), (1.4, 0.3), (2.0, 0.7)),
+}
+
+
+@pytest.mark.parametrize("segments", TICK_EDGE_SCENARIOS.values(),
+                         ids=TICK_EDGE_SCENARIOS.keys())
+def test_segment_bounded_lookup_equals_a_fresh_step(segments):
+    scenario = LoadScenario(segments)
+    params = ParamConfig(8, 2300, 16, 8, 8)
+    big = DatasetMeta(num_files=10, total_size_bytes=6e9,
+                      avg_file_size_bytes=6e8, file_size_stddev_bytes=0.0)
+    small = DatasetMeta(num_files=20000, total_size_bytes=2e8,
+                        avg_file_size_bytes=1e4, file_size_stddev_bytes=0.0)
+    ep = SimEndpoint(CHAM, scenario, interval_s=0.1)
+    clocks, loads = [], set()
+    # the clock carries over a class's short last step into the next class
+    for ds in (big, small, big):
+        ep.begin(ds, params)
+        remaining = ds.total_size_bytes
+        while True:
+            clock = ep.clock_s
+            got = ep.step()
+            if got is None:
+                break
+            assert got.ext_load == scenario.load_at(clock)
+            expect = _fresh_sample(CHAM, scenario, clock, params, ds, remaining, 0.1)
+            assert got == expect, clock
+            remaining -= expect.bytes_moved
+            clocks.append(clock)
+            loads.add(got.ext_load)
+    assert {0.5, 1.2} <= set(clocks) and not {0.3, 1.4} & set(clocks)
+    assert loads == {load for _, load in segments}
+
+
 @pytest.mark.parametrize("total", [math.nan, math.inf, 0.0, -1.0],
                          ids=["nan", "inf", "zero", "negative"])
 def test_begin_rejects_a_total_that_is_not_finite_and_positive(total):

@@ -6,6 +6,7 @@ trigger flag and state updates are asserted against arithmetic done by
 hand (EWMA weight 0.5, alpha = beta = 0.1).
 """
 
+import dataclasses
 import functools
 import math
 import operator
@@ -28,6 +29,7 @@ from xfertune import (
     SimEndpoint,
     TunerError,
     cluster_files,
+    compare_policies,
     optimize_all,
 )
 from xfertune.optimizer import KIND_ENERGY_CAP, KIND_THROUGHPUT_FLOOR
@@ -413,7 +415,109 @@ def test_start_class_keeps_transfer_budget(
     assert tuner.cls.history == []
 
 
+def test_holding_ticks_share_one_result_until_stratum_or_params_change(
+        strata, wide_table, models, small_siblings, stratify_config):
+    low, mid, high = small_siblings
+    tuner = make_tuner(strata, wide_table, models, SLA.max_throughput(), mid, stratify_config)
+
+    def hold(triggered):
+        # 500 drags the average below 0.9 * 1000; a steady load blames nothing
+        prime(tuner, t_avg=1000.0, ref_ext=0.4)
+        res = tuner.tick(sample(tput=500.0 if triggered else 1000.0, load=0.4))
+        assert res.action is None and res.triggered is triggered
+        assert res.stratum_id == tuner.stratum.id and res.params is tuner.params
+        return res
+
+    quiet, loud = hold(False), hold(True)
+    assert quiet is not loud
+    assert hold(False) is quiet and hold(True) is loud and hold(False) is quiet
+
+    # a switch returns its own result, and the next hold a fresh one
+    prime(tuner, t_avg=1000.0, ref_ext=0.4)
+    switched = tuner.tick(sample(tput=1000.0, load=0.05))
+    assert switched.action == "switch-low" and switched.stratum_id == low.id
+    assert switched is not quiet and switched is not loud
+    after_switch = hold(False)
+    assert after_switch is not quiet and after_switch is not switched
+
+    # so does a nudge
+    tuner.switch_count = SWITCH_CAP
+    tuner.params = ParamConfig(4, 1800, 8, 4, 4)
+    held = hold(False)
+    prime(tuner, t_avg=1000.0, ref_ext=0.4, history=[1200.0, 1100.0, 1000.0])
+    nudged = tuner.tick(sample(tput=500.0, load=0.4))
+    assert nudged.action == "heuristic-up" and nudged.params.cc == 16
+    assert hold(False) is not held
+
+    # and a direct assignment, even of equal parameters or another stratum
+    before = hold(False)
+    tuner.params = dataclasses.replace(tuner.params)
+    fresh = hold(False)
+    assert fresh is not before and fresh == before
+    tuner.stratum = high
+    other = hold(False)
+    assert other is not fresh and other.stratum_id == high.id
+
+
+def test_sibling_strata_are_scanned_once_per_stratum_and_direction(
+        strata, wide_table, models, small_siblings, stratify_config):
+    low, mid, high = small_siblings
+    tuner = make_tuner(strata, wide_table, models, SLA.max_throughput(), mid, stratify_config)
+    for stratum, direction, expect in ((mid, "high", {high.id}), (mid, "low", {low.id}),
+                                       (high, "high", set()), (high, "low", {low.id, mid.id})):
+        tuner.stratum = stratum
+        first = tuner._siblings(direction)
+        assert {s.id for s in first} == expect
+        assert tuner._siblings(direction) is first
+
+
+def test_fixed_controller_shares_one_result_per_params():
+    fc = FixedController(ParamConfig(2, 1800, 4, 2, 4))
+    first = fc.tick(sample())
+    assert fc.tick(sample()) is first
+    assert first.action is None and not first.triggered and first.params is fc.params
+    fc.params = dataclasses.replace(fc.params)
+    again = fc.tick(sample())
+    assert again is not first and again.params is fc.params
+
+
+def test_no_result_or_sample_changes_after_its_tick(
+        strata, wide_table, models, stratify_config, monkeypatch):
+    # twenty 3 s segments between low and high load: the max-throughput
+    # tuner spends its three switches and then nudges
+    scenario = LoadScenario(tuple((3.0 * k, 0.55 if k % 2 else 0.15)
+                                  for k in range(20)))
+    seen = []
+
+    def recording(tick):
+        def wrapper(self, smp):
+            res = tick(self, smp)
+            seen.append((smp, dataclasses.astuple(smp), res, dataclasses.astuple(res)))
+            return res
+        return wrapper
+
+    for cls in (OnlineTuner, FixedController):
+        monkeypatch.setattr(cls, "tick", recording(cls.tick))
+    compare_policies(ENDPOINTS["chameleon"], scenario, stratify_config,
+                     strata, models, wide_table, interval_s=0.1)
+    actions = {res.action for _, _, res, _ in seen}
+    assert {"switch-high", "switch-low", "heuristic-up"} <= actions
+    assert len({id(res) for _, _, res, _ in seen}) < len(seen) / 100
+    for smp, smp_fields, res, res_fields in seen:
+        assert dataclasses.astuple(smp) == smp_fields
+        assert dataclasses.astuple(res) == res_fields
+
+
 # -- file classing and transfers ------------------------------------------------
+
+
+@pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "zero", "negative"])
+def test_start_transfer_rejects_a_total_that_is_not_finite_and_positive(
+        strata, wide_table, models, total):
+    tuner = OnlineTuner(strata, wide_table, models, SLA.max_throughput())
+    with pytest.raises(TunerError, match="total_bytes must be finite and > 0"):
+        tuner.start_transfer(total)
 
 
 def test_cluster_files_boundaries():
