@@ -6,13 +6,14 @@ achieved throughput / energy. Entries are exchanged as JSON-Lines files with a
 fixed key set; unknown keys are rejected so silent schema drift cannot creep
 into downstream fitting.
 
-ingest_logs decodes each line with json.loads and validates a chunk of lines
-at a time with numpy masks, against the same ordered rule list that
-validate_entry applies to one entry, so both report the same first broken
-invariant. It returns a LogTable: one numpy column per field, which
-stratification and fitting read directly. TransferLogEntry stays the record
-type at the edges: indexing and iterating a table yield entries, and
-LogTable.from_entries converts a list.
+ingest_logs decodes a chunk of lines with one json.loads of the lines joined
+into a JSON array, kept only when that provably equals decoding each line
+alone (else the chunk is decoded line by line), and validates the chunk with
+numpy masks, against the same ordered rule list that validate_entry applies
+to one entry, so both report the same first broken invariant. It returns a
+LogTable: one numpy column per field, which stratification and fitting read
+directly. TransferLogEntry stays the record type at the edges: indexing and
+iterating a table yield entries, and LogTable.from_entries converts a list.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -500,6 +501,9 @@ _NETWORK_KEYS = {"source_id", "dest_id", *NETWORK_FLOATS}
 _TOP_KEYS = {"params", "dataset", "network", *METRIC_FIELDS}
 # lines decoded at once: bounds the decoded dicts held alongside the columns
 INGEST_CHUNK_LINES = 1024
+# quote marks around the keys and string values of one valid entry
+_ENTRY_QUOTES = 2 * (len(_TOP_KEYS) + len(_PARAM_KEYS) + len(_DATASET_KEYS)
+                     + len(_NETWORK_KEYS) + list(_KINDS.values()).count("str"))
 
 
 def _check_keys(obj: dict, expected: set, where: str, line_no: int) -> None:
@@ -522,10 +526,10 @@ def _raw_columns(objs: list) -> dict | None:
     try:
         for section, keys in ((None, _TOP_KEYS), ("params", _PARAM_KEYS),
                               ("dataset", _DATASET_KEYS), ("network", _NETWORK_KEYS)):
-            rows = objs if section is None else [o[section] for o in objs]
+            rows = objs if section is None else list(map(itemgetter(section), objs))
             if not (set(map(type, rows)) <= {dict} and set(map(len, rows)) <= {len(keys)}):
                 return None
-            raw.update({name: [row[name] for row in rows]
+            raw.update({name: list(map(itemgetter(name), rows))
                         for name in keys if name in _KINDS})
     except KeyError:
         return None
@@ -550,10 +554,55 @@ def _checked_columns(raw: dict, line_nos: list, rules) -> dict:
     return r.v
 
 
+def _batch_columns(lines: list, rules) -> dict | None:
+    """Validated columns of stripped nonempty lines decoded by one json.loads
+    of "[" + ",".join(lines) + "]", or None unless that decode is certainly
+    what decoding each line alone gives and every entry is valid.
+
+    The batch equals the per-line decode when every join comma separates two
+    top-level values. A join comma inside a value would sit in a string, in
+    an array, or between two members of an object. Each accepted entry has
+    its fixed keys and two route ids, each a string written with at least
+    two quote marks, so a text with exactly _ENTRY_QUOTES quote marks per
+    line holds no other string: no escaped quote, and no repeated key, whose
+    earlier value json.loads would drop unseen. The text then holds only
+    what the accepted values hold: no array, and no string but the fixed
+    keys and the route ids, none with a comma. A member after a comma starts
+    with '"', but every line starts with '{'. So all len(lines) - 1 join
+    commas separate values, and with exactly one value per line no line
+    holds a separator of its own: value k is the text of line k, which
+    json.loads decodes alone to the same value. The '{'/'}' and quote tests
+    also send a chunk they fail to the per-line path without a wasted
+    decode.
+    """
+    if not all(line[0] == "{" and line[-1] == "}" for line in lines):
+        return None
+    text = "[" + ",".join(lines) + "]"
+    if text.count('"') != _ENTRY_QUOTES * len(lines):
+        return None
+    try:
+        objs = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    if len(objs) != len(lines) or (raw := _raw_columns(objs)) is None:
+        return None
+    try:
+        columns = _checked_columns(raw, range(len(lines)), rules)
+    except LogValidationError:
+        return None
+    if "," in "".join(columns["source_id"]) or "," in "".join(columns["dest_id"]):
+        return None
+    return columns
+
+
 def _read_chunk(lines: list, first: int, rules) -> dict:
     """Validated columns of a chunk of lines, the first numbered first;
     raise the error of its earliest bad line: malformed JSON, wrong keys or
-    a broken rule."""
+    a broken rule. A chunk the batch decode cannot take is decoded line by
+    line, which finds that error."""
+    columns = _batch_columns([line for line in map(str.strip, lines) if line], rules)
+    if columns is not None:
+        return columns
     objs, line_nos, bad_json = [], [], None
     for line_no, line in enumerate(lines, start=first):
         line = line.strip()
@@ -583,8 +632,9 @@ def ingest_logs(path: str | Path, lattice: ParamLattice | None = None) -> LogTab
 
     Raises LogParseError for malformed lines and LogValidationError for
     entries violating domain invariants; both name the earliest offending
-    line. Lines are decoded one by one with json.loads, in chunks of
-    INGEST_CHUNK_LINES validated column-wise; integers in float fields load
+    line. Lines are read in chunks of INGEST_CHUNK_LINES, each decoded by
+    one json.loads where _batch_columns can prove that equal to decoding
+    line by line, and validated column-wise; integers in float fields load
     as floats.
     """
     rules = _entry_rules(lattice)

@@ -4,8 +4,12 @@
 conditions (zero curvature at both boundary knots). Surfaces are tensor
 products: a spline along y per grid row, then splines along x through each
 resulting coefficient, giving per-cell bicubic polynomials that are C2 in
-both directions. Evaluation outside the knot range extends the boundary cell
-polynomial; callers should treat that as extrapolation.
+both directions. The solver takes many right-hand sides at once, so a
+surface is two batched solves (all rows, then all coefficient columns); each
+column goes through the same floating-point operations in the same order as
+a 1-D fit, so the coefficients equal those of one fit per row bit for bit.
+Evaluation outside the knot range extends the boundary cell polynomial;
+callers should treat that as extrapolation.
 
 Piece coefficients are stored in the absolute power basis: on cell i the
 curve is a0 + a1*t + a2*t^2 + a3*t^3 with t the raw coordinate, not an
@@ -33,32 +37,39 @@ def _check_knots(x: np.ndarray, label: str) -> None:
 
 def _thomas(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
             rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system in O(n). Diagonally dominant input assumed."""
+    """Solve a tridiagonal system in O(n) for rhs of shape (n,), or for each
+    column of rhs of shape (n, k) at once. Diagonally dominant input assumed."""
     n = len(diag)
     c = np.zeros(n)
-    d = np.zeros(n)
+    d = np.zeros(rhs.shape)
     c[0] = upper[0] / diag[0]
     d[0] = rhs[0] / diag[0]
     for i in range(1, n):
         denom = diag[i] - lower[i] * c[i - 1]
         c[i] = upper[i] / denom if i < n - 1 else 0.0
         d[i] = (rhs[i] - lower[i] * d[i - 1]) / denom
-    out = np.zeros(n)
+    out = np.zeros(rhs.shape)
     out[-1] = d[-1]
     for i in range(n - 2, -1, -1):
         out[i] = d[i] - c[i] * out[i + 1]
     return out
 
 
+def _knot_axis(v: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A knot-indexed 1-D v shaped to broadcast along y's first axis."""
+    return v.reshape(v.shape + (1,) * (y.ndim - 1))
+
+
 def _second_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Knot second derivatives M with natural ends M[0] = M[-1] = 0."""
+    """Knot second derivatives M with natural ends M[0] = M[-1] = 0, of y
+    of shape (n,) or of each column of y of shape (n, k)."""
     n = len(x)
-    m = np.zeros(n)
+    m = np.zeros(y.shape)
     if n == 2:
         return m
     h = np.diff(x)
     # interior row i: h[i-1]*M[i-1] + 2(h[i-1]+h[i])*M[i] + h[i]*M[i+1] = rhs
-    slope = np.diff(y) / h
+    slope = np.diff(y, axis=0) / _knot_axis(h, y)
     rhs = 6.0 * (slope[1:] - slope[:-1])
     diag = 2.0 * (h[:-1] + h[1:])
     lower = np.concatenate(([0.0], h[1:-1]))
@@ -105,20 +116,24 @@ class Spline1D:
 
 
 def _natural_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Absolute-basis cell coefficients, shape (n-1, 4), of the natural
-    spline through checked knots x and finite values y."""
+    """Absolute-basis cell coefficients of the natural spline through checked
+    knots x and finite values y: shape (n-1, 4) for y of shape (n,), and
+    (n-1, k, 4) for the k splines through the columns of y of shape (n, k).
+    Each column goes through the same scalar operations in the same order as
+    a 1-D y, so its coefficients are bit-identical to a fit of it alone."""
     m = _second_derivatives(x, y)
     h = np.diff(x)
     xi, yi = x[:-1], y[:-1]
-    c1 = np.diff(y) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    hc, xc, xc3 = (_knot_axis(v, y) for v in (h, xi, xi ** 3))
+    c1 = np.diff(y, axis=0) / hc - hc * (2.0 * m[:-1] + m[1:]) / 6.0
     c2 = m[:-1] / 2.0
-    c3 = (m[1:] - m[:-1]) / (6.0 * h)
+    c3 = (m[1:] - m[:-1]) / _knot_axis(6.0 * h, y)
     # expand s(t) = y_i + c1*u + c2*u^2 + c3*u^3, u = t - x_i, into powers of t
     a3 = c3
-    a2 = c2 - 3.0 * c3 * xi
-    a1 = c1 - 2.0 * c2 * xi + 3.0 * c3 * xi * xi
-    a0 = yi - c1 * xi + c2 * xi * xi - c3 * xi ** 3
-    return np.column_stack([a0, a1, a2, a3])
+    a2 = c2 - 3.0 * c3 * xc
+    a1 = c1 - 2.0 * c2 * xc + 3.0 * c3 * xc * xc
+    a0 = yi - c1 * xc + c2 * xc * xc - c3 * xc3
+    return np.stack([a0, a1, a2, a3], axis=-1)
 
 
 def fit_natural_spline(x, y) -> Spline1D:
@@ -210,14 +225,14 @@ def fit_bicubic_surface(xs, ys, grid) -> Surface:
     if not np.all(np.isfinite(grid)):
         raise SplineError("grid values must be finite")
     nx, ny = grid.shape
-    ycoef = np.zeros((nx, ny - 1, 4))
-    for i in range(nx):
-        ycoef[i] = _natural_coeffs(ys, grid[i])
+    # every grid row along y at once: ycoef[i, j, b] of row i, cell j, power b
+    ycoef = _natural_coeffs(ys, grid.T).transpose(1, 0, 2)
     # huge grid values can overflow the row coefficients
     if not np.all(np.isfinite(ycoef)):
         raise SplineError("y values must be finite")
-    coeffs = np.zeros((nx - 1, ny - 1, 4, 4))
-    for j in range(ny - 1):
-        for b in range(4):
-            coeffs[:, j, :, b] = _natural_coeffs(xs, ycoef[:, j, b])
+    # then every (cell j, power b) column along x at once, giving [i, (j, b), a]
+    xcoef = _natural_coeffs(xs, ycoef.reshape(nx, (ny - 1) * 4))
+    # a contiguous copy, as before: numpy may sum a strided operand in
+    # another order, so a view could change evaluated values in the last bit
+    coeffs = xcoef.reshape(nx - 1, ny - 1, 4, 4).transpose(0, 1, 3, 2).copy()
     return Surface(xs=xs, ys=ys, coeffs=coeffs, grid=grid.copy())

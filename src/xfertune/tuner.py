@@ -19,17 +19,20 @@ objective run the throughput loop.
 A transfer's file set is an array of sizes, split into classes with masks.
 A class's statistics keep the sizes' own arithmetic: an int total is exact,
 and squared deviations are added left to right in file order, so the work
-outside the tick loop is a few array passes per class.
+outside the tick loop is a few array passes per class. A transfer checks its
+sizes once.
 
 Inside the loop, a holding tick allocates only the endpoint's sample: the
 tuner returns one shared TickResult per (stratum, parameters, trigger flag),
-and finds a stratum's siblings once. MonitorSample and TickResult are slots
-dataclasses, immutable by convention rather than frozen, because building a
-frozen one costs several times as much.
+and finds a stratum's siblings once. A class keeps only the last three
+smoothed throughputs, all that the heuristic nudge reads. MonitorSample and
+TickResult are slots dataclasses, immutable by convention rather than
+frozen, because building a frozen one costs several times as much.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -101,11 +104,24 @@ def _size_kind(t) -> str | None:
     return None
 
 
+@dataclass(frozen=True, slots=True)
+class _CheckedSizes:
+    """Sizes that _size_array has already returned, or a subset of them:
+    run_transfer checks a file set once and passes its classes on in this
+    wrapper, so cluster_files and dataset_meta_for do not check them again.
+    It still calls those two by name, where the benchmark's tracer
+    (bench/tracing.py) times a transfer's classification."""
+
+    arr: np.ndarray
+
+
 def _size_array(sizes) -> np.ndarray:
     """File sizes as a 1-D array whose arithmetic is that of the sizes:
     int64 for ints, float64 for floats, object for ints beyond int64 or a
     mix of ints and floats. Every size must be a finite positive int or
     float; bools are not sizes."""
+    if isinstance(sizes, _CheckedSizes):
+        return sizes.arr
     if isinstance(sizes, np.ndarray) and sizes.dtype.kind in "iuf":
         arr = sizes
     else:
@@ -181,7 +197,8 @@ class _ClassState:
     t_avg: float = 0.0
     past_e_pred: float = math.inf
     ref_ext: float = 0.0
-    history: list = field(default_factory=list)   # recent t_avg values
+    # the last three t_avg values: all that tick and _heuristic read
+    history: deque = field(default_factory=lambda: deque(maxlen=3))
 
 
 class OnlineTuner:
@@ -425,7 +442,7 @@ def run_transfer(endpoint, file_sizes, controller) -> TransferReport:
     the raised EndpointFailure carries the partial report.
     """
     sizes = _size_array(file_sizes)
-    classes = cluster_files(sizes)
+    classes = cluster_files(_CheckedSizes(sizes))
     plan = [(c, classes[c]) for c in FILE_CLASSES if len(classes[c])]
     if not plan:
         raise TunerError("no files to transfer")
@@ -444,7 +461,7 @@ def run_transfer(endpoint, file_sizes, controller) -> TransferReport:
             warnings=tuple(controller.warnings), events=tuple(controller.events))
 
     for cname, sizes in plan:
-        ds = dataset_meta_for(sizes)
+        ds = dataset_meta_for(_CheckedSizes(sizes))
         params = controller.start_class(ds, endpoint.describe())
         endpoint.begin(ds, params)
         t0, e0 = controller.elapsed_s, controller.e_consumed

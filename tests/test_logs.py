@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xfertune import (
@@ -475,7 +475,8 @@ FAULTS = st.one_of(
     st.tuples(st.just("section"), st.sampled_from(["params", "dataset", "network"]),
               st.sampled_from([[1], 3, "x", None])),
     st.tuples(st.just("line"), st.sampled_from(["{not json", "[1, 2]", "3", '"x"', "null",
-                                                '{"params": {}', "{}"])),
+                                                '{"params": {}', "{}", "{}, {}", "[{}", "{}]",
+                                                '{"x": NaN}'])),
 )
 
 
@@ -501,9 +502,74 @@ def faulty_corpora(draw):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
+def corpus_text(lines) -> str:
+    return "\n".join(o if isinstance(o, str) else json.dumps(o) for o in lines) + "\n"
+
+
+def with_route(k: int, source_id: str) -> dict:
+    obj = valid_obj(k)
+    obj["network"]["source_id"] = source_id
+    return obj
+
+
+# Corpora that try to make the chunk's one joined json.loads read something
+# other than its lines. In the first four, two lines join into one entry and
+# a later line holds two entries (or extra quote marks), so the joined text
+# still decodes to one valid entry per line. Each check of the joined decode
+# is the only one that some corpus here fails.
+_valid = json.dumps(valid_obj(2))
+JOIN_BREAKERS = (
+    # the join comma inside a route id
+    corpus_text([valid_obj(0), valid_obj(1),
+                 json.dumps(with_route(2, "a},{b")).replace("},{", "}\n{"),
+                 f"{json.dumps(valid_obj(3))}, {json.dumps(valid_obj(4))}", valid_obj(5)]),
+    # the join comma inside the dropped value of a repeated key
+    corpus_text([valid_obj(0), '{"timestamp_s": "}',
+                 '{", ' + _valid[1:-1] + ', "timestamp_s": 2.0}',
+                 f"{json.dumps(valid_obj(3))}, {json.dumps(valid_obj(4))}"]),
+    # the join comma between two members
+    corpus_text([valid_obj(0), _valid[:-1].replace(', "timestamp_s": 2.0', ""),
+                 '"timestamp_s": 2.0}',
+                 f"{json.dumps(valid_obj(3))}, {json.dumps(valid_obj(4))}"]),
+    # a dropped value whose escaped quotes make up the count of quote marks
+    corpus_text([valid_obj(0), '{"timestamp_s": "}', '{' + '\\"' * 44 + '", ' + _valid[1:],
+                 valid_obj(3)]),
+    # two valid entries on one line and nothing to make up the count
+    corpus_text([valid_obj(0), f"{json.dumps(valid_obj(1))}, {json.dumps(valid_obj(2))}",
+                 valid_obj(3)]),
+    # valid ids holding '},{', a comma or an escaped quote
+    corpus_text([valid_obj(0), with_route(1, "x},{y"), with_route(2, "p,q"),
+                 with_route(3, 'r"s'), valid_obj(4)]),
+    # an array over two lines
+    corpus_text([valid_obj(0), "[" + json.dumps(valid_obj(1)), json.dumps(valid_obj(2)) + "]",
+                 valid_obj(3)]),
+    # NaN and Infinity literals
+    corpus_text([valid_obj(0), {**valid_obj(1), "throughput_mbps": math.nan}]),
+    corpus_text([valid_obj(0), {**valid_obj(1), "duration_s": math.inf},
+                 {**valid_obj(2), "timestamp_s": -math.inf}]),
+    # a repeated key: the last value counts, valid on line 1, not on line 2
+    corpus_text([json.dumps(valid_obj(0)).replace("{", '{"duration_s": "x", ', 1),
+                 json.dumps(valid_obj(1))[:-1] + ', "duration_s": -1.0}', valid_obj(2)]),
+    # whitespace-only lines and whitespace around a line
+    corpus_text(["   ", valid_obj(0), "\t", " \t\x0b\x0c ", "\u3000",
+                 "  " + json.dumps(valid_obj(1)) + " \t", "", valid_obj(2)]),
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(text=faulty_corpora(), chunk=st.sampled_from([1, 2, 3, 7, 1024]),
        lattice=st.sampled_from([None, LATTICE]))
+@example(text=JOIN_BREAKERS[0], chunk=1024, lattice=None)
+@example(text=JOIN_BREAKERS[1], chunk=1024, lattice=None)
+@example(text=JOIN_BREAKERS[2], chunk=1024, lattice=None)
+@example(text=JOIN_BREAKERS[3], chunk=1024, lattice=None)
+@example(text=JOIN_BREAKERS[4], chunk=1024, lattice=None)
+@example(text=JOIN_BREAKERS[5], chunk=2, lattice=LATTICE)
+@example(text=JOIN_BREAKERS[6], chunk=1024, lattice=LATTICE)
+@example(text=JOIN_BREAKERS[7], chunk=3, lattice=None)
+@example(text=JOIN_BREAKERS[8], chunk=1024, lattice=None)
+@example(text=JOIN_BREAKERS[9], chunk=1024, lattice=None)
+@example(text=JOIN_BREAKERS[10], chunk=1024, lattice=None)
 def test_ingest_matches_legacy_per_line_ingest(tmp_path_factory, text, chunk, lattice):
     path = tmp_path_factory.mktemp("corpus") / "logs.jsonl"
     path.write_text(text)
@@ -602,3 +668,16 @@ def test_first_bad_line_wins_across_the_chunk_boundary(tmp_path, faults):
     lines[min(faults)] = "{not json"
     path.write_text("\n".join(lines) + "\n")
     assert outcome(ingest_logs, path, None) == outcome(legacy_ingest_logs, path, None)
+
+
+def test_a_valid_chunk_is_decoded_by_one_json_loads(tmp_path):
+    """2,100 valid lines are three chunks: one json.loads each, none per line."""
+    lines = [json.dumps(valid_obj(k)) for k in range(2100)]
+    path = tmp_path / "logs.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    want = outcome(legacy_ingest_logs, path, LATTICE)
+    assert logs.INGEST_CHUNK_LINES == 1024
+    with mock.patch.object(logs.json, "loads", wraps=json.loads) as loads:
+        got = outcome(ingest_logs, path, LATTICE)
+    assert loads.call_count == 3
+    assert got == want and len(got) == 2100

@@ -292,3 +292,107 @@ def test_surface_rejects_bad_input():
         fit_bicubic_surface([1.0, 0.0], [0.0, 1.0], np.zeros((2, 2)))
     with pytest.raises(SplineError):
         fit_bicubic_surface([0.0, 1.0], [0.0, 1.0], np.array([[0.0, 1.0], [np.inf, 2.0]]))
+
+
+# -- batched solves against the per-row loop ----------------------------------
+#
+# fit_bicubic_surface solves every grid row, then every (cell, power) column,
+# in one batched call each. The legacy_* functions are the 1-D solver and the
+# per-row loop it replaced, kept as the reference: each coefficient must come
+# out bit for bit the same.
+
+
+def legacy_thomas(lower, diag, upper, rhs):
+    n = len(diag)
+    c = np.zeros(n)
+    d = np.zeros(n)
+    c[0] = upper[0] / diag[0]
+    d[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        denom = diag[i] - lower[i] * c[i - 1]
+        c[i] = upper[i] / denom if i < n - 1 else 0.0
+        d[i] = (rhs[i] - lower[i] * d[i - 1]) / denom
+    out = np.zeros(n)
+    out[-1] = d[-1]
+    for i in range(n - 2, -1, -1):
+        out[i] = d[i] - c[i] * out[i + 1]
+    return out
+
+
+def legacy_natural_coeffs(x, y):
+    n = len(x)
+    m = np.zeros(n)
+    h = np.diff(x)
+    if n > 2:
+        slope = np.diff(y) / h
+        rhs = 6.0 * (slope[1:] - slope[:-1])
+        diag = 2.0 * (h[:-1] + h[1:])
+        lower = np.concatenate(([0.0], h[1:-1]))
+        upper = np.concatenate((h[1:-1], [0.0]))
+        m[1:-1] = legacy_thomas(lower, diag, upper, rhs)
+    xi, yi = x[:-1], y[:-1]
+    c1 = np.diff(y) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    c2 = m[:-1] / 2.0
+    c3 = (m[1:] - m[:-1]) / (6.0 * h)
+    a3 = c3
+    a2 = c2 - 3.0 * c3 * xi
+    a1 = c1 - 2.0 * c2 * xi + 3.0 * c3 * xi * xi
+    a0 = yi - c1 * xi + c2 * xi * xi - c3 * xi ** 3
+    return np.column_stack([a0, a1, a2, a3])
+
+
+def legacy_surface_coeffs(xs, ys, grid):
+    nx, ny = grid.shape
+    ycoef = np.zeros((nx, ny - 1, 4))
+    for i in range(nx):
+        ycoef[i] = legacy_natural_coeffs(ys, grid[i])
+    if not np.all(np.isfinite(ycoef)):
+        raise SplineError("y values must be finite")
+    coeffs = np.zeros((nx - 1, ny - 1, 4, 4))
+    for j in range(ny - 1):
+        for b in range(4):
+            coeffs[:, j, :, b] = legacy_natural_coeffs(xs, ycoef[:, j, b])
+    return coeffs
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    # tobytes also tells -0.0 from 0.0, which the JSON artifacts print apart
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_fits_equal_the_per_row_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(150):
+        nx, ny = rng.integers(2, 9, size=2)   # 2-knot axes included
+        xs = random_knots(rng, nx, min_gap=0.01) * 10.0 ** rng.uniform(-2, 4)
+        ys = random_knots(rng, ny, min_gap=0.01) * 10.0 ** rng.uniform(-2, 4)
+        grid = rng.standard_normal((nx, ny)) * 10.0 ** rng.uniform(-3, 12)
+        assert_same_bits(fit_bicubic_surface(xs, ys, grid).coeffs,
+                         legacy_surface_coeffs(xs, ys, grid))
+        assert_same_bits(fit_natural_spline(xs, grid[:, 0]).coeffs,
+                         legacy_natural_coeffs(xs, grid[:, 0]))
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (2, 5), (5, 2), (4, 4)])
+def test_batched_fit_raises_as_the_per_row_loop_on_overflow(nx, ny):
+    rng = np.random.default_rng(nx * 10 + ny)
+    xs = 1e3 + np.arange(nx, dtype=float)
+    ys = 1e3 + np.cumsum(rng.uniform(0.5, 1.0, ny))
+    grid = rng.standard_normal((nx, ny)) * 1e305
+    with np.errstate(all="ignore"):
+        with pytest.raises(SplineError, match="^y values must be finite$"):
+            legacy_surface_coeffs(xs, ys, grid)
+        with pytest.raises(SplineError, match="^y values must be finite$"):
+            fit_bicubic_surface(xs, ys, grid)
+    # finite rows whose x pass overflows: that pass is not checked, so both
+    # give the same infinite and NaN coefficients
+    grid = np.full((nx, ny), 1e307)
+    grid[0] = -1e307
+    xs = 1e6 * (10.0 + np.arange(nx))
+    with np.errstate(all="ignore"):
+        want = legacy_surface_coeffs(xs, ys, grid)
+        assert not np.all(np.isfinite(want))
+        assert_same_bits(fit_bicubic_surface(xs, ys, grid).coeffs, want)

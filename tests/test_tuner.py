@@ -83,7 +83,8 @@ def prime(tuner, *, t_avg, ref_ext, past_e_pred=math.inf, history=None):
     st.t_avg = t_avg
     st.past_e_pred = past_e_pred
     st.ref_ext = ref_ext
-    st.history = list(history if history is not None else [t_avg])
+    st.history.clear()
+    st.history.extend(history if history is not None else [t_avg])
 
 
 def test_select_loop_mapping():
@@ -368,10 +369,21 @@ def test_first_tick_seeds_state_from_sample(
     assert res.action is None
     assert tuner.cls.t_avg == 500.0
     assert tuner.cls.ref_ext == 0.2
-    assert tuner.cls.history == [500.0]
+    assert list(tuner.cls.history) == [500.0]
     assert tuner.e_consumed == 100.0
     assert tuner.elapsed_s == 1.0
     assert tuner.remaining_bytes == 1e9 - 1e6
+
+
+def test_history_keeps_the_last_three_smoothed_throughputs(
+        strata, wide_table, models, small_siblings, stratify_config):
+    tuner = make_tuner(strata, wide_table, models, SLA.min_energy(), small_siblings[1],
+                       stratify_config)
+    for tput in (500.0, 700.0, 300.0, 900.0, 100.0):
+        assert tuner.tick(sample(tput=tput, load=0.2)).action is None
+    # EWMA_WEIGHT 0.5: 500, 600, 450, 675, 387.5
+    assert list(tuner.cls.history) == [450.0, 675.0, 387.5]
+    assert tuner.cls.t_avg == 387.5
 
 
 def test_constructor_and_tick_validation(
@@ -392,7 +404,7 @@ def test_tick_rejects_a_step_that_is_not_positive(
     for dt in (0.0, -1.0, math.nan):
         with pytest.raises(TunerError, match="dt_s must be > 0"):
             tuner.tick(sample(dt=dt))
-    assert tuner.cls.history == [] and tuner.elapsed_s == 0.0
+    assert not tuner.cls.history and tuner.elapsed_s == 0.0
 
 
 def test_start_class_keeps_transfer_budget(
@@ -412,7 +424,7 @@ def test_start_class_keeps_transfer_budget(
     assert tuner.stratum.ext_load_interval[0] == 0.0
     assert tuner.switch_count == 2
     assert tuner.e_consumed == 123.0 and tuner.elapsed_s == 11.0
-    assert tuner.cls.history == []
+    assert not tuner.cls.history
 
 
 def test_holding_ticks_share_one_result_until_stratum_or_params_change(
