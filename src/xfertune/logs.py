@@ -14,6 +14,9 @@ to one entry, so both report the same first broken invariant. It returns a
 LogTable: one numpy column per field, which stratification and fitting read
 directly. TransferLogEntry stays the record type at the edges: indexing and
 iterating a table yield entries, and LogTable.from_entries converts a list.
+
+Parameters are checked against their lower bounds only: logs of real
+transfers need not sit on any parameter lattice.
 """
 from __future__ import annotations
 
@@ -204,10 +207,10 @@ def _is_int(v) -> bool:
 # Every invariant is written once, in one ordered list, and checked one way:
 # as numpy masks over _Fields columns, a chunk of log lines at a time
 # (ingest_logs) or one entry as a one-row column (validate_entry and
-# friends). A value of the wrong type is marked in `bad` and replaced by a
-# placeholder, and an integer outside int64 is marked in `big` and clipped,
-# so every rule can be evaluated on every row. The first broken rule of an
-# entry names it.
+# validate_params). A value of the wrong type is marked in `bad` and
+# replaced by a placeholder, and an integer outside int64 is marked in `big`
+# and clipped, so every rule can be evaluated on every row. The first broken
+# rule of an entry names it.
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 DATASET_FLOATS = ("total_size_bytes", "avg_file_size_bytes", "file_size_stddev_bytes")
@@ -266,14 +269,6 @@ def _fields(raw: dict) -> _Fields:
     return _Fields(*({name: c[k] for name, c in cols.items()} for k in range(3)))
 
 
-def _lattice_rules(lattice: ParamLattice | None):
-    if lattice is None:
-        return ()
-    return tuple((f"{n}={{{n}}} not on the configured lattice",
-                  lambda r, n=n, axis=lattice.axis(n): np.isin(r.v[n], axis, invert=True))
-                 for n in PARAM_NAMES)
-
-
 def _below_int(f: np.ndarray, i: np.ndarray) -> np.ndarray:
     """f < i for float64 f and int64 i, compared exactly as Python compares
     a float with an int. numpy would round i to a float first, which
@@ -292,8 +287,7 @@ def _energy_drift(r):
     return abs(expect - energy) > ENERGY_POWER_TOL * scale
 
 
-# (message, broken) pairs in checking order; a message may name the
-# entry's parameter values as {cpu_num} etc.
+# (message, broken) pairs in checking order
 _PARAM_RULES = (
     *((f"{n} must be an integer", lambda r, n=n: r.bad[n]) for n in PARAM_NAMES),
     *((f"{n} must be >= {PARAM_MIN[n]}", lambda r, n=n: r.v[n] < PARAM_MIN[n])
@@ -333,9 +327,8 @@ _METRIC_RULES = (
 )
 
 
-def _entry_rules(lattice: ParamLattice | None):
-    return (*_PARAM_RULES, *_lattice_rules(lattice), *_DATASET_RULES, *_NETWORK_RULES,
-            *_METRIC_RULES)
+# every rule of an entry, in checking order
+_ENTRY_RULES = (*_PARAM_RULES, *_DATASET_RULES, *_NETWORK_RULES, *_METRIC_RULES)
 
 
 def _first_broken_row(rules, r: _Fields, n: int):
@@ -349,8 +342,7 @@ def _first_broken_row(rules, r: _Fields, n: int):
     if not len(rows):
         return None
     row = int(rows[0])
-    msg = rules[int(np.argmax(broken[:, row]))][0]
-    return row, msg.format(**{p: int(r.v[p][row]) for p in PARAM_NAMES if p in r.v})
+    return row, rules[int(np.argmax(broken[:, row]))][0]
 
 
 def _first_broken(rules, values: dict) -> str | None:
@@ -360,25 +352,16 @@ def _first_broken(rules, values: dict) -> str | None:
     return None if found is None else found[1]
 
 
-def validate_params(params: ParamConfig, lattice: ParamLattice | None = None) -> str | None:
+def validate_params(params: ParamConfig) -> str | None:
     """Return the first violated parameter invariant, or None if valid."""
-    return _first_broken((*_PARAM_RULES, *_lattice_rules(lattice)),
-                         {n: params.get(n) for n in PARAM_NAMES})
+    return _first_broken(_PARAM_RULES, {n: params.get(n) for n in PARAM_NAMES})
 
 
-def validate_dataset(meta: DatasetMeta) -> str | None:
-    return _first_broken(_DATASET_RULES, meta.as_dict())
-
-
-def validate_network(net: NetworkMeta) -> str | None:
-    return _first_broken(_NETWORK_RULES, net.as_dict())
-
-
-def validate_entry(entry: TransferLogEntry, lattice: ParamLattice | None = None) -> str | None:
+def validate_entry(entry: TransferLogEntry) -> str | None:
     """Return the first violated invariant of an entry, or None if valid."""
     values = {**entry.params.as_dict(), **entry.dataset.as_dict(), **entry.network.as_dict(),
               **{n: getattr(entry, n) for n in METRIC_FIELDS}}
-    return _first_broken(_entry_rules(lattice), values)
+    return _first_broken(_ENTRY_RULES, values)
 
 
 # -- the column table ------------------------------------------------------------
@@ -543,18 +526,18 @@ def _check_entry_keys(obj, line_no: int) -> None:
     _check_keys(obj["network"], _NETWORK_KEYS, "network", line_no)
 
 
-def _checked_columns(raw: dict, line_nos: list, rules) -> dict:
+def _checked_columns(raw: dict, line_nos: list) -> dict:
     """A chunk's decoded columns, typed and validated; raise
     LogValidationError naming the earliest bad line."""
     r = _fields(raw)
-    bad = _first_broken_row(rules, r, len(line_nos))
+    bad = _first_broken_row(_ENTRY_RULES, r, len(line_nos))
     if bad is not None:
         row, msg = bad
         raise LogValidationError(f"{msg}, line {line_nos[row]}")
     return r.v
 
 
-def _batch_columns(lines: list, rules) -> dict | None:
+def _batch_columns(lines: list) -> dict | None:
     """Validated columns of stripped nonempty lines decoded by one json.loads
     of "[" + ",".join(lines) + "]", or None unless that decode is certainly
     what decoding each line alone gives and every entry is valid.
@@ -587,7 +570,7 @@ def _batch_columns(lines: list, rules) -> dict | None:
     if len(objs) != len(lines) or (raw := _raw_columns(objs)) is None:
         return None
     try:
-        columns = _checked_columns(raw, range(len(lines)), rules)
+        columns = _checked_columns(raw, range(len(lines)))
     except LogValidationError:
         return None
     if "," in "".join(columns["source_id"]) or "," in "".join(columns["dest_id"]):
@@ -595,12 +578,12 @@ def _batch_columns(lines: list, rules) -> dict | None:
     return columns
 
 
-def _read_chunk(lines: list, first: int, rules) -> dict:
+def _read_chunk(lines: list, first: int) -> dict:
     """Validated columns of a chunk of lines, the first numbered first;
     raise the error of its earliest bad line: malformed JSON, wrong keys or
     a broken rule. A chunk the batch decode cannot take is decoded line by
     line, which finds that error."""
-    columns = _batch_columns([line for line in map(str.strip, lines) if line], rules)
+    columns = _batch_columns([line for line in map(str.strip, lines) if line])
     if columns is not None:
         return columns
     objs, line_nos, bad_json = [], [], None
@@ -618,16 +601,16 @@ def _read_chunk(lines: list, first: int, rules) -> dict:
     if raw is None:
         k = next(k for k, obj in enumerate(objs) if _raw_columns([obj]) is None)
         # an earlier bad line wins
-        _checked_columns(_raw_columns(objs[:k]), line_nos[:k], rules)
+        _checked_columns(_raw_columns(objs[:k]), line_nos[:k])
         _check_entry_keys(objs[k], line_nos[k])
-    columns = _checked_columns(raw, line_nos, rules)
+    columns = _checked_columns(raw, line_nos)
     if bad_json is not None:
         line_no, exc = bad_json
         raise LogParseError(f"malformed JSON, line {line_no}: {exc.msg}") from exc
     return columns
 
 
-def ingest_logs(path: str | Path, lattice: ParamLattice | None = None) -> LogTable:
+def ingest_logs(path: str | Path) -> LogTable:
     """Read and validate a JSON-Lines log file into a LogTable.
 
     Raises LogParseError for malformed lines and LogValidationError for
@@ -637,19 +620,18 @@ def ingest_logs(path: str | Path, lattice: ParamLattice | None = None) -> LogTab
     line by line, and validated column-wise; integers in float fields load
     as floats.
     """
-    rules = _entry_rules(lattice)
     chunks, pairs, known = [], [], {}
     with open(path, "r", encoding="utf-8") as fh:
         first = 1
         while lines := list(itertools.islice(fh, INGEST_CHUNK_LINES)):
-            chunk = _read_chunk(lines, first, rules)
+            chunk = _read_chunk(lines, first)
             # one kept tuple per distinct route, so the chunk's strings can go
             pairs += (known.setdefault(r, r)
                       for r in zip(chunk.pop("source_id"), chunk.pop("dest_id")))
             chunks.append(chunk)
             first += len(lines)
     if not chunks:   # an empty log: the columns of no lines
-        chunks.append(_read_chunk([], 1, rules))
+        chunks.append(_read_chunk([], 1))
     v = {name: np.concatenate([c[name] for c in chunks])
          for name in (*PARAM_NAMES, "num_files", *FLOAT_COLUMNS)}
     route, routes = _route_codes(pairs)

@@ -32,14 +32,15 @@ class SimulationError(ValueError):
 
 @dataclass(frozen=True)
 class EndpointSpec:
-    """A source/destination pair and the knobs of its energy model."""
+    """A source/destination pair and the knobs of its energy model. Its
+    numeric fields are finite, its rates > 0 and its power coefficients
+    >= 0; bdp_bytes is derived from bandwidth and RTT."""
 
     name: str
     source_id: str
     dest_id: str
     bandwidth_mbps: float
     rtt_ms: float
-    bdp_bytes: float
     cpu_cores: int
     freq_ladder_mhz: tuple[int, ...]
     core_power_watts: float = 6.0        # per active core at top frequency
@@ -50,25 +51,32 @@ class EndpointSpec:
     core_mbps: float = 2500.0            # copy bandwidth per core at top freq
 
     def __post_init__(self):
-        # with these, throughput_mbps is > 0 at every load below 1
-        for name in ("bandwidth_mbps", "rtt_ms", "window_bytes", "core_mbps",
-                     "cpu_cores"):
+        # NaN fails every comparison, so each loop rejects it
+        positive = ("bandwidth_mbps", "rtt_ms", "window_bytes", "core_mbps", "cpu_cores")
+        nonnegative = ("file_overhead_s", "core_power_watts", "power_exponent",
+                       "net_power_watts_per_mbps")
+        for name in positive:
             if not getattr(self, name) > 0:
                 raise SimulationError(f"{self.name}: {name} must be > 0")
-        if not self.file_overhead_s >= 0:
-            raise SimulationError(f"{self.name}: file_overhead_s must be >= 0")
-        expect = self.bandwidth_mbps * self.rtt_ms * 125.0
-        if abs(self.bdp_bytes - expect) > 0.01 * expect:
-            raise SimulationError(
-                f"{self.name}: bdp_bytes inconsistent with bandwidth * rtt")
+        for name in nonnegative:
+            if not getattr(self, name) >= 0:
+                raise SimulationError(f"{self.name}: {name} must be >= 0")
+        for name in positive + nonnegative:
+            if not getattr(self, name) < math.inf:
+                raise SimulationError(f"{self.name}: {name} must be finite")
         ladder = list(self.freq_ladder_mhz)
-        if not ladder or ladder != sorted(set(ladder)) or ladder[0] < 1:
+        if (not ladder or ladder != sorted(set(ladder))
+                or not all(1 <= f < math.inf for f in ladder)):
             raise SimulationError(f"{self.name}: freq ladder must be nonempty, "
-                                  "sorted distinct and >= 1 MHz")
+                                  "sorted distinct, finite and >= 1 MHz")
 
     @property
     def max_freq_mhz(self) -> int:
         return self.freq_ladder_mhz[-1]
+
+    @property
+    def bdp_bytes(self) -> float:
+        return self.bandwidth_mbps * self.rtt_ms * 125.0
 
     def as_dict(self) -> dict:
         return {
@@ -82,15 +90,15 @@ class EndpointSpec:
 ENDPOINTS = {
     "chameleon": EndpointSpec(
         name="chameleon", source_id="uc", dest_id="tacc",
-        bandwidth_mbps=10000.0, rtt_ms=32.0, bdp_bytes=40e6,
+        bandwidth_mbps=10000.0, rtt_ms=32.0,
         cpu_cores=24, freq_ladder_mhz=(1200, 1800, 2300)),
     "cloudlab": EndpointSpec(
         name="cloudlab", source_id="wisc", dest_id="utah",
-        bandwidth_mbps=1000.0, rtt_ms=36.0, bdp_bytes=4.5e6,
+        bandwidth_mbps=1000.0, rtt_ms=36.0,
         cpu_cores=10, freq_ladder_mhz=(1200, 1800, 2400)),
     "intercloud": EndpointSpec(
         name="intercloud", source_id="tacc", dest_id="wisc",
-        bandwidth_mbps=1000.0, rtt_ms=48.0, bdp_bytes=6e6,
+        bandwidth_mbps=1000.0, rtt_ms=48.0,
         cpu_cores=16, freq_ladder_mhz=(1200, 1800, 2200)),
 }
 
@@ -140,6 +148,8 @@ def throughput_mbps(spec: EndpointSpec, params: ParamConfig, ext_load: float,
         return 0.0
     # cc files in flight finish together, paying one amortized startup each
     file_time = avg_file_size_bytes * 8e-6 * params.cc / raw
+    if file_time == math.inf:   # raw is so small that the startup is nothing
+        return raw
     overhead = spec.file_overhead_s / (1.0 + params.pp)
     return raw * file_time / (file_time + overhead)
 
@@ -164,8 +174,8 @@ def generate_training_logs(specs=None, lattice: ParamLattice | None = None,
     classes = dict(classes) if classes is not None else dict(DATASET_CLASSES)
     if sweeps < 1:
         raise SimulationError("sweeps must be >= 1")
-    if noise < 0:
-        raise SimulationError("noise must be >= 0")
+    if not 0.0 <= noise < math.inf:   # NaN fails too
+        raise SimulationError("noise must be finite and >= 0")
     for load in loads:
         if not 0.0 <= load < 1.0:
             raise SimulationError("training loads must be in [0, 1)")
@@ -258,7 +268,8 @@ class SimEndpoint:
     of the current load segment and looks the scenario up again only when
     the clock leaves it; it reuses the previous step's throughput and power
     until the parameters, the dataset or the load change. Between those
-    events a step allocates only its sample.
+    events a step allocates only its sample. A step whose new rate cannot
+    shrink the bytes that remain raises SimulationError instead of looping.
     """
 
     def __init__(self, spec: EndpointSpec, scenario: LoadScenario | None = None,
@@ -317,6 +328,11 @@ class SimEndpoint:
         if load != self._rate_load:
             t = throughput_mbps(self.spec, self._params, load,
                                 self._dataset.avg_file_size_bytes)
+            # moving at least one ulp of what remains shrinks it, and the ulp
+            # only falls with it, so the transfer ends; a rate of 0 never would
+            if not t * 1e6 / 8.0 * self.interval_s >= math.ulp(self._remaining):
+                raise SimulationError(f"{self.spec.name}: throughput {t!r} Mbps "
+                                      "cannot move the remaining bytes")
             self._rate = (t, power_above_base_watts(self.spec, self._params, t))
             self._rate_load = load
         t, power = self._rate

@@ -36,8 +36,6 @@ from xfertune.logs import (
     PARAM_MIN,
     PARAM_NAMES,
     SIZE_MEAN_TOL,
-    validate_dataset,
-    validate_network,
     validate_params,
 )
 
@@ -89,38 +87,33 @@ def test_lattice_rejects_bad_axes():
         ParamLattice(cpu_num=(1,), cpu_freq_mhz=(1200,), cc=(1,), p=(1,), pp=(-1,))
 
 
-def test_validate_params_lattice_membership():
-    lat = ParamLattice(cpu_num=(1, 2), cpu_freq_mhz=(1200, 2400), cc=(1, 4),
-                       p=(1, 2), pp=(0, 4))
-    ok = ParamConfig(2, 2400, 4, 2, 4)
-    assert validate_params(ok, lat) is None
-    off = ParamConfig(2, 2400, 4, 3, 4)
-    msg = validate_params(off, lat)
-    assert msg == "p=3 not on the configured lattice"
+def test_validate_params_bounds():
+    # parameters need not lie on a lattice: any value at or above its bound
+    assert validate_params(ParamConfig(3, 2401, 5, 3, 7)) is None
     assert validate_params(ParamConfig(0, 2400, 4, 2, 4)) == "cpu_num must be >= 1"
     assert validate_params(ParamConfig(1, 2400, 4, 2, -1)) == "pp must be >= 0"
 
 
-def test_validate_dataset_messages():
-    ok = DatasetMeta(num_files=10, total_size_bytes=1000.0,
-                     avg_file_size_bytes=100.0, file_size_stddev_bytes=5.0)
-    assert validate_dataset(ok) is None
-    bad_n = DatasetMeta(num_files=0, total_size_bytes=1000.0,
-                        avg_file_size_bytes=100.0, file_size_stddev_bytes=5.0)
-    assert validate_dataset(bad_n) == "num_files must be >= 1"
+def test_validate_entry_dataset_messages():
+    def dataset(num_files, avg):
+        return make_entry(dataset=DatasetMeta(num_files=num_files, total_size_bytes=1000.0,
+                                              avg_file_size_bytes=avg,
+                                              file_size_stddev_bytes=5.0))
+    assert validate_entry(dataset(10, 100.0)) is None
+    assert validate_entry(dataset(0, 100.0)) == "num_files must be >= 1"
     # mean * count must agree with the total within 1%
-    skew = DatasetMeta(num_files=10, total_size_bytes=1000.0,
-                       avg_file_size_bytes=150.0, file_size_stddev_bytes=5.0)
-    assert "inconsistent with total_size_bytes" in validate_dataset(skew)
+    assert "inconsistent with total_size_bytes" in validate_entry(dataset(10, 150.0))
 
 
-def test_validate_network_messages():
-    ok = NetworkMeta("a", "b", 100.0, 10.0, 0.5)
-    assert validate_network(ok) is None
-    assert validate_network(NetworkMeta("a", "b", 100.0, 10.0, 1.5)) == "ext_load out of [0,1]"
-    assert validate_network(NetworkMeta("a", "b", 100.0, 10.0, -0.1)) == "ext_load out of [0,1]"
-    assert validate_network(NetworkMeta("a", "b", 0.0, 10.0, 0.5)) == "bandwidth_mbps must be > 0"
-    assert validate_network(NetworkMeta("", "b", 100.0, 10.0, 0.5)) == "source_id must be a nonempty string"
+def test_validate_entry_network_messages():
+    def network(*fields):
+        return make_entry(network=NetworkMeta(*fields), throughput_mbps=90.0)
+    assert validate_entry(network("a", "b", 100.0, 10.0, 0.5)) is None
+    assert validate_entry(network("a", "b", 100.0, 10.0, 1.5)) == "ext_load out of [0,1]"
+    assert validate_entry(network("a", "b", 100.0, 10.0, -0.1)) == "ext_load out of [0,1]"
+    assert validate_entry(network("a", "b", 0.0, 10.0, 0.5)) == "bandwidth_mbps must be > 0"
+    assert validate_entry(network("", "b", 100.0, 10.0, 0.5)) == \
+        "source_id must be a nonempty string"
 
 
 def test_validate_entry_cross_field_checks():
@@ -189,14 +182,6 @@ def test_ingest_reports_validation_line(tmp_path):
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(LogValidationError, match="throughput exceeds bandwidth, line 2"):
         ingest_logs(path)
-
-
-def test_ingest_enforces_lattice_when_given(tmp_path):
-    lat = ParamLattice(cpu_num=(1,), cpu_freq_mhz=(2400,), cc=(4,), p=(2,), pp=(4,))
-    path = tmp_path / "logs.jsonl"
-    serialize_logs([make_entry()], path)
-    with pytest.raises(LogValidationError, match="not on the configured lattice"):
-        ingest_logs(path, lat)
 
 
 def test_network_route_property():
@@ -287,7 +272,7 @@ def legacy_is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def legacy_validate_params(params, lattice=None):
+def legacy_validate_params(params):
     for name in PARAM_NAMES:
         v = params.get(name)
         if not legacy_is_int(v):
@@ -295,10 +280,6 @@ def legacy_validate_params(params, lattice=None):
     for name in PARAM_NAMES:
         if params.get(name) < PARAM_MIN[name]:
             return f"{name} must be >= {PARAM_MIN[name]}"
-    if lattice is not None:
-        for name in PARAM_NAMES:
-            if params.get(name) not in lattice.axis(name):
-                return f"{name}={params.get(name)} not on the configured lattice"
     return None
 
 
@@ -334,8 +315,8 @@ def legacy_validate_network(net):
     return None
 
 
-def legacy_validate_entry(entry, lattice=None):
-    msg = legacy_validate_params(entry.params, lattice)
+def legacy_validate_entry(entry):
+    msg = legacy_validate_params(entry.params)
     if msg is None:
         msg = legacy_validate_dataset(entry.dataset)
     if msg is None:
@@ -397,7 +378,7 @@ def legacy_entry_from_obj(obj, line_no=0):
     )
 
 
-def legacy_ingest_logs(path, lattice=None):
+def legacy_ingest_logs(path):
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -409,7 +390,7 @@ def legacy_ingest_logs(path, lattice=None):
             except json.JSONDecodeError as exc:
                 raise LogParseError(f"malformed JSON, line {line_no}: {exc.msg}") from exc
             entry = legacy_entry_from_obj(obj, line_no)
-            msg = legacy_validate_entry(entry, lattice)
+            msg = legacy_validate_entry(entry)
             if msg is not None:
                 raise LogValidationError(f"{msg}, line {line_no}")
             entries.append(entry)
@@ -425,12 +406,10 @@ FIELD_PATHS = ([("params", n) for n in PARAM_NAMES]
 # negative, fractional, huge and small values, mismatched ints and floats
 FAULT_VALUES = (0, -1, 1, 3, 2.0, 0.5, -0.0, 1e-12, 1e300, "", "a", None, True, False,
                 [], {}, math.nan, math.inf, -math.inf)
-LATTICE = ParamLattice(cpu_num=(1, 2), cpu_freq_mhz=(1200, 2400), cc=(1, 4),
-                       p=(1, 2), pp=(0, 4))
 
 
 def valid_obj(k: int) -> dict:
-    """A valid entry that varies with k and lies on LATTICE."""
+    """A valid entry that varies with k."""
     cfg = ParamConfig(1 + k % 2, (1200, 2400)[k // 2 % 2], (1, 4)[k // 3 % 2], 2, 4)
     return make_entry(params=cfg, timestamp_s=float(k),
                       network=NetworkMeta("a", "bc"[k % 2], 1e4, 30.0, (k % 11) / 10)).as_dict()
@@ -480,9 +459,9 @@ FAULTS = st.one_of(
 )
 
 
-def outcome(ingest, path, lattice):
+def outcome(ingest, path):
     try:
-        return [e.as_dict() for e in ingest(path, lattice)]
+        return [e.as_dict() for e in ingest(path)]
     except LogError as exc:
         return type(exc), str(exc)
 
@@ -557,25 +536,24 @@ JOIN_BREAKERS = (
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(text=faulty_corpora(), chunk=st.sampled_from([1, 2, 3, 7, 1024]),
-       lattice=st.sampled_from([None, LATTICE]))
-@example(text=JOIN_BREAKERS[0], chunk=1024, lattice=None)
-@example(text=JOIN_BREAKERS[1], chunk=1024, lattice=None)
-@example(text=JOIN_BREAKERS[2], chunk=1024, lattice=None)
-@example(text=JOIN_BREAKERS[3], chunk=1024, lattice=None)
-@example(text=JOIN_BREAKERS[4], chunk=1024, lattice=None)
-@example(text=JOIN_BREAKERS[5], chunk=2, lattice=LATTICE)
-@example(text=JOIN_BREAKERS[6], chunk=1024, lattice=LATTICE)
-@example(text=JOIN_BREAKERS[7], chunk=3, lattice=None)
-@example(text=JOIN_BREAKERS[8], chunk=1024, lattice=None)
-@example(text=JOIN_BREAKERS[9], chunk=1024, lattice=None)
-@example(text=JOIN_BREAKERS[10], chunk=1024, lattice=None)
-def test_ingest_matches_legacy_per_line_ingest(tmp_path_factory, text, chunk, lattice):
+@given(text=faulty_corpora(), chunk=st.sampled_from([1, 2, 3, 7, 1024]))
+@example(text=JOIN_BREAKERS[0], chunk=1024)
+@example(text=JOIN_BREAKERS[1], chunk=1024)
+@example(text=JOIN_BREAKERS[2], chunk=1024)
+@example(text=JOIN_BREAKERS[3], chunk=1024)
+@example(text=JOIN_BREAKERS[4], chunk=1024)
+@example(text=JOIN_BREAKERS[5], chunk=2)
+@example(text=JOIN_BREAKERS[6], chunk=1024)
+@example(text=JOIN_BREAKERS[7], chunk=3)
+@example(text=JOIN_BREAKERS[8], chunk=1024)
+@example(text=JOIN_BREAKERS[9], chunk=1024)
+@example(text=JOIN_BREAKERS[10], chunk=1024)
+def test_ingest_matches_legacy_per_line_ingest(tmp_path_factory, text, chunk):
     path = tmp_path_factory.mktemp("corpus") / "logs.jsonl"
     path.write_text(text)
-    want = outcome(legacy_ingest_logs, path, lattice)
+    want = outcome(legacy_ingest_logs, path)
     with mock.patch.object(logs, "INGEST_CHUNK_LINES", chunk):
-        assert outcome(ingest_logs, path, lattice) == want
+        assert outcome(ingest_logs, path) == want
 
 
 def test_faults_reach_every_rule(tmp_path):
@@ -587,17 +565,16 @@ def test_faults_reach_every_rule(tmp_path):
             obj = valid_obj(0)
             set_field(obj, fpath, value)
             path.write_text(json.dumps(obj) + "\n")
-            for lattice in (None, LATTICE):
-                got = outcome(legacy_ingest_logs, path, lattice)
-                if isinstance(got, tuple):
-                    seen.add(re.sub(r"^\w+=\S+ ", "", got[1].rsplit(",", 1)[0]))
+            got = outcome(legacy_ingest_logs, path)
+            if isinstance(got, tuple):
+                seen.add(got[1].rsplit(",", 1)[0])
     rules = {f"{n} must be an integer" for n in PARAM_NAMES}
     rules |= {f"{n} must be >= {PARAM_MIN[n]}" for n in PARAM_NAMES}
     rules |= {f"{n} must be a finite number" for n in
               ("total_size_bytes", "avg_file_size_bytes", "file_size_stddev_bytes",
                "throughput_mbps", "energy_joules", "avg_power_watts", "duration_s",
                "timestamp_s")}
-    rules |= {"not on the configured lattice", "num_files must be >= 1",
+    rules |= {"num_files must be >= 1",
               "total_size_bytes must allow at least 1 byte per file",
               "avg_file_size_bytes must be > 0", "file_size_stddev_bytes must be >= 0",
               "avg_file_size_bytes * num_files inconsistent with total_size_bytes",
@@ -616,7 +593,7 @@ def test_validate_entry_matches_legacy_on_every_pair_of_faults():
         for value in FAULT_VALUES:
             obj = valid_obj(0)
             set_field(obj, fpath, value)
-            msg = legacy_validate_entry(legacy_entry_from_obj(obj), LATTICE)
+            msg = legacy_validate_entry(legacy_entry_from_obj(obj))
             if msg is not None:
                 faults.setdefault((fpath, msg), (fpath, value))
     for a, b in itertools.product(faults.values(), repeat=2):
@@ -624,8 +601,7 @@ def test_validate_entry_matches_legacy_on_every_pair_of_faults():
         set_field(obj, *a)
         set_field(obj, *b)
         entry = legacy_entry_from_obj(obj)
-        for lattice in (None, LATTICE):
-            assert validate_entry(entry, lattice) == legacy_validate_entry(entry, lattice)
+        assert validate_entry(entry) == legacy_validate_entry(entry)
 
 
 @pytest.mark.parametrize("num_files,total", [
@@ -641,8 +617,8 @@ def test_file_count_above_2_53_is_compared_exactly(tmp_path, num_files, total):
                           avg_file_size_bytes=1.0, file_size_stddev_bytes=0.0)
     path = tmp_path / "logs.jsonl"
     path.write_text(json.dumps(obj) + "\n")
-    want = outcome(legacy_ingest_logs, path, None)
-    assert outcome(ingest_logs, path, None) == want
+    want = outcome(legacy_ingest_logs, path)
+    assert outcome(ingest_logs, path) == want
     msg = legacy_validate_entry(legacy_entry_from_obj(obj))
     assert validate_entry(legacy_entry_from_obj(obj)) == msg
     if msg is None:
@@ -662,12 +638,12 @@ def test_first_bad_line_wins_across_the_chunk_boundary(tmp_path, faults):
     path = tmp_path / "logs.jsonl"
     path.write_text("\n".join(lines) + "\n")
     assert logs.INGEST_CHUNK_LINES == 1024
-    want = outcome(legacy_ingest_logs, path, None)
+    want = outcome(legacy_ingest_logs, path)
     assert want[1].endswith(f", line {min(faults) + 1}")
-    assert outcome(ingest_logs, path, None) == want
+    assert outcome(ingest_logs, path) == want
     lines[min(faults)] = "{not json"
     path.write_text("\n".join(lines) + "\n")
-    assert outcome(ingest_logs, path, None) == outcome(legacy_ingest_logs, path, None)
+    assert outcome(ingest_logs, path) == outcome(legacy_ingest_logs, path)
 
 
 def test_a_valid_chunk_is_decoded_by_one_json_loads(tmp_path):
@@ -675,9 +651,9 @@ def test_a_valid_chunk_is_decoded_by_one_json_loads(tmp_path):
     lines = [json.dumps(valid_obj(k)) for k in range(2100)]
     path = tmp_path / "logs.jsonl"
     path.write_text("\n".join(lines) + "\n")
-    want = outcome(legacy_ingest_logs, path, LATTICE)
+    want = outcome(legacy_ingest_logs, path)
     assert logs.INGEST_CHUNK_LINES == 1024
     with mock.patch.object(logs.json, "loads", wraps=json.loads) as loads:
-        got = outcome(ingest_logs, path, LATTICE)
+        got = outcome(ingest_logs, path)
     assert loads.call_count == 3
     assert got == want and len(got) == 2100

@@ -3,9 +3,16 @@ generation invariants, and the stepping endpoint against the segment-exact
 analytic run."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xfertune import (
     DATASET_CLASSES,
@@ -23,7 +30,8 @@ from xfertune import (
     throughput_mbps,
     validate_entry,
 )
-from xfertune.logs import DatasetMeta
+from xfertune import cli
+from xfertune.logs import PARAM_NAMES, DatasetMeta
 from xfertune.pipeline import _analytic_fixed_run
 from xfertune.simulator import power_above_base_watts
 from xfertune.tuner import FixedController, MonitorSample, run_transfer
@@ -85,19 +93,15 @@ def test_endpoint_presets_are_consistent():
     assert CHAM.max_freq_mhz == 2300
     assert default_lattice(CHAM).size() == 432
     assert baseline_config(CHAM) == ParamConfig(24, 2300, 1, 1, 0)
-    with pytest.raises(SimulationError, match="bdp_bytes inconsistent"):
-        EndpointSpec(name="x", source_id="a", dest_id="b", bandwidth_mbps=1000.0,
-                     rtt_ms=30.0, bdp_bytes=9e6, cpu_cores=8,
-                     freq_ladder_mhz=(1200, 2000))
+    assert [s.bdp_bytes for s in ENDPOINTS.values()] == [40e6, 4.5e6, 6e6]
+    assert replace(CHAM, rtt_ms=16.0).bdp_bytes == 20e6
     with pytest.raises(SimulationError, match="sorted distinct"):
         EndpointSpec(name="x", source_id="a", dest_id="b", bandwidth_mbps=1000.0,
-                     rtt_ms=30.0, bdp_bytes=3.75e6, cpu_cores=8,
-                     freq_ladder_mhz=(2000, 1200))
+                     rtt_ms=30.0, cpu_cores=8, freq_ladder_mhz=(2000, 1200))
 
 
 SPEC_FIELDS = dict(name="x", source_id="a", dest_id="b", bandwidth_mbps=1000.0,
-                   rtt_ms=30.0, bdp_bytes=3.75e6, cpu_cores=8,
-                   freq_ladder_mhz=(1200, 2000))
+                   rtt_ms=30.0, cpu_cores=8, freq_ladder_mhz=(1200, 2000))
 
 
 @pytest.mark.parametrize("field,value,match", [
@@ -111,6 +115,18 @@ SPEC_FIELDS = dict(name="x", source_id="a", dest_id="b", bandwidth_mbps=1000.0,
     ("file_overhead_s", math.nan, "file_overhead_s must be >= 0"),
     ("freq_ladder_mhz", (), "freq ladder must be nonempty"),
     ("freq_ladder_mhz", (0, 1200), ">= 1 MHz"),
+    # a link that never finishes, and power that is negative or NaN
+    ("rtt_ms", math.inf, "rtt_ms must be finite"),
+    ("bandwidth_mbps", math.inf, "bandwidth_mbps must be finite"),
+    ("window_bytes", math.inf, "window_bytes must be finite"),
+    ("file_overhead_s", math.inf, "file_overhead_s must be finite"),
+    ("freq_ladder_mhz", (1200, math.inf), "finite"),
+    ("freq_ladder_mhz", (math.nan, 1200), ">= 1 MHz"),
+    ("core_power_watts", -5.0, "core_power_watts must be >= 0"),
+    ("core_power_watts", math.inf, "core_power_watts must be finite"),
+    ("net_power_watts_per_mbps", math.nan, "net_power_watts_per_mbps must be >= 0"),
+    ("power_exponent", math.nan, "power_exponent must be >= 0"),
+    ("power_exponent", -1.0, "power_exponent must be >= 0"),
 ])
 def test_endpoint_spec_rejects_a_link_that_cannot_move_data(field, value, match):
     EndpointSpec(**SPEC_FIELDS)
@@ -135,16 +151,22 @@ def test_corpus_shape_and_validity(corpus):
     assert corpus[-1].timestamp_s == 3887.0
     lat = default_lattice(CHAM)
     for e in corpus[::97]:
-        assert validate_entry(e, lattice=lat) is None
+        assert validate_entry(e) is None
+        assert all(e.params.get(n) in lat.axis(n) for n in PARAM_NAMES)
     loads = {e.network.ext_load for e in corpus}
     assert loads == {0.2, 0.35, 0.5}
 
 
-def test_corpus_generation_guards():
+def test_corpus_generation_guards(tmp_path, capsys):
     with pytest.raises(SimulationError, match="sweeps"):
         generate_training_logs(sweeps=0)
-    with pytest.raises(SimulationError, match="noise"):
-        generate_training_logs(noise=-0.1)
+    for noise in (-0.1, math.nan, math.inf):
+        with pytest.raises(SimulationError, match="noise must be finite and >= 0"):
+            generate_training_logs(noise=noise)
+        out = tmp_path / "logs.jsonl"
+        assert cli.main(["generate", "--noise", str(noise), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: noise must be finite and >= 0\n"
+        assert not out.exists()
     with pytest.raises(SimulationError, match="loads"):
         generate_training_logs(loads=(0.2, 1.0))
 
@@ -357,6 +379,81 @@ def test_endpoint_rejects_a_bad_interval_or_fail_time(kw, match):
     # a NaN interval never drains the class, so step() would loop forever
     with pytest.raises(SimulationError, match=match):
         SimEndpoint(CHAM, LoadScenario.constant(0.2), **kw)
+
+
+@pytest.mark.parametrize("rtt_ms,rate", [(32.0, "0.0"), (1.0, "5e-324")],
+                         ids=["zero-rate", "subnormal-rate"])
+def test_a_step_that_cannot_move_data_raises_instead_of_hanging(rtt_ms, rate):
+    # a subprocess with a timeout, so a regression hangs no test run; a
+    # 5e-324-byte window underflows the window cap to 0 at 32 ms and to the
+    # smallest subnormal at 1 ms, and neither rate moves a byte of 28 GiB
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "from dataclasses import replace\n"
+        "from xfertune.simulator import (DATASET_CLASSES, ENDPOINTS, LoadScenario,\n"
+        "                                SimEndpoint, SimulationError, synth_file_sizes)\n"
+        "from xfertune.logs import ParamConfig\n"
+        "from xfertune.tuner import FixedController, run_transfer\n"
+        f"spec = replace(ENDPOINTS['chameleon'], window_bytes=5e-324, rtt_ms={rtt_ms})\n"
+        "ep = SimEndpoint(spec, LoadScenario.constant(0.2), interval_s=0.1)\n"
+        "try:\n"
+        "    run_transfer(ep, synth_file_sizes(DATASET_CLASSES['large']),\n"
+        "                 FixedController(ParamConfig(8, 2300, 16, 8, 8)))\n"
+        "except SimulationError as exc:\n"
+        "    print(exc)\n")
+    path = os.pathsep.join(p for p in (str(root / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (f"chameleon: throughput {rate} Mbps cannot move the "
+                           "remaining bytes\n")
+
+
+def _field(lo, hi, *extremes):
+    """Finite floats in [lo, hi] or one of the given extremes."""
+    return st.one_of(st.floats(lo, hi), st.sampled_from(extremes))
+
+
+# every numeric field over a finite range, with zero, negative and
+# subnormal extremes that construction or the step must catch
+SPEC_RANGES = dict(
+    bandwidth_mbps=_field(1e-3, 1e6, 0.0, -1.0, 5e-324),
+    rtt_ms=_field(1e-3, 1e4, 0.0, 5e-324, 1e300),
+    window_bytes=_field(1.0, 1e9, 0.0, 5e-324),
+    core_mbps=_field(1e-3, 1e6, 0.0, 5e-324),
+    cpu_cores=st.integers(-1, 32),
+    core_power_watts=_field(0.0, 1e3, -5.0),
+    power_exponent=_field(0.0, 10.0, -1.0),
+    net_power_watts_per_mbps=_field(0.0, 1.0, -1e-3),
+    file_overhead_s=_field(0.0, 1.0, -1e-3),
+    freq_ladder_mhz=st.sampled_from([(1200, 1800, 2300), (1000,), (1, 10 ** 6), (0, 1200)]),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fields=st.fixed_dictionaries(SPEC_RANGES), load=st.floats(0.0, 1.0, exclude_max=True),
+       ds=st.sampled_from(list(DATASET_CLASSES.values())))
+@example(fields={**{k: getattr(CHAM, k) for k in SPEC_RANGES},
+                 "window_bytes": 5e-324, "rtt_ms": 1.0},
+         load=0.2, ds=DATASET_CLASSES["large"])
+def test_a_spec_is_rejected_or_its_rates_are_finite_and_a_zero_rate_raises(fields, load, ds):
+    try:
+        spec = EndpointSpec(name="x", source_id="a", dest_id="b", **fields)
+    except SimulationError:
+        return
+    for cfg in default_lattice(spec).configs():
+        t = throughput_mbps(spec, cfg, load, ds.avg_file_size_bytes)
+        power = power_above_base_watts(spec, cfg, t)
+        assert 0.0 <= t < math.inf and 0.0 <= power < math.inf, (cfg, t, power)
+        ep = SimEndpoint(spec, LoadScenario.constant(load), interval_s=0.1)
+        ep.begin(ds, cfg)
+        try:
+            sample = ep.step()
+        except SimulationError:
+            continue
+        assert t > 0.0 and sample.bytes_moved > 0.0
 
 
 def test_set_params_checks_bounds_and_cores():
