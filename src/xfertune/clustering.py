@@ -7,10 +7,12 @@ tier 3 pins the exact route and clusters residual link characteristics.
 Clustering is agglomerative with unweighted average linkage (UPGMA) and
 deterministic lexicographic tie-breaking. It runs Müllner's "generic"
 algorithm (arXiv:1109.2378) on one in-place distance matrix with a cached
-nearest neighbour per cluster: O(n^2) memory and O(n^2) time when a merge
-invalidates few cached neighbours, as on transfer-log features (O(n^3) in
-the worst case), with the same merges and bit-identical linkage distances as
-the textbook loop that rescans the whole matrix after every merge.
+nearest neighbour per cluster: O(n^2) time when a merge invalidates few
+cached neighbours, as on transfer-log features (O(n^3) in the worst case),
+with the same merges and bit-identical linkage distances as the textbook
+loop that rescans the whole matrix after every merge. Memory is that one
+n x n matrix plus BLOCK_ROWS x n scratch: the distances are filled, and the
+neighbour cache seeded, one block of rows at a time.
 
 stratify runs on the numpy columns of a LogTable: each tier's normalised
 feature rows are computed once per distinct raw row with the scalar
@@ -96,62 +98,88 @@ class Dendrogram:
             last = max(last, m.distance)
 
 
+# rows per block of the distance fill and the neighbour seed: their scratch
+# buffers are BLOCK_ROWS x n, small beside the one n x n matrix
+BLOCK_ROWS = 64
+
+
 def _pairwise_distances(points: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix of the rows of points.
 
-    Squared differences are summed one axis at a time in two n x n buffers
+    The one n x n result is filled in blocks of BLOCK_ROWS rows. Squared
+    differences are summed one axis at a time in two block-sized buffers
     instead of an n x n x d temporary. Summing in axis order is what numpy's
     reduction of an axis shorter than eight does, so for d < 8 the values
     equal the broadcast form's bit for bit (stratum bytes depend on them).
     """
     n, dim = points.shape
-    acc = np.zeros((n, n))
-    buf = np.empty((n, n))
-    for k in range(dim):
-        col = points[:, k]
-        np.subtract.outer(col, col, out=buf)
-        np.multiply(buf, buf, out=buf)
-        acc += buf
-    return np.sqrt(acc, out=acc)
+    out = np.empty((n, n))
+    acc = np.empty((min(n, BLOCK_ROWS), n))
+    buf = np.empty_like(acc)
+    cols = points.T
+    for r0 in range(0, n, BLOCK_ROWS):
+        r1 = min(r0 + BLOCK_ROWS, n)
+        a, b = acc[:r1 - r0], buf[:r1 - r0]
+        a.fill(0.0)
+        for col in cols:
+            np.subtract.outer(col[r0:r1], col, out=b)
+            np.multiply(b, b, out=b)
+            a += b
+        np.sqrt(a, out=out[r0:r1])
+    return out
 
 
 def _argmin_by_id(values: np.ndarray, ids: np.ndarray) -> tuple[int, float]:
     """Slot of the smallest value, ties broken toward the smallest cluster id."""
-    best = values.min()
-    tied = np.flatnonzero(values == best)
-    return int(tied[np.argmin(ids[tied])]), float(best)
+    x = int(values.argmin())
+    best = values[x]
+    if np.count_nonzero(values == best) > 1:
+        tied = np.flatnonzero(values == best)
+        x = int(tied[ids[tied].argmin()])
+    return x, float(best)
 
 
 def _upgma(points: np.ndarray, weights: np.ndarray) -> Dendrogram:
     # Each merge joins the pair with the lexicographically smallest
     # (distance, id_a, id_b), id_a < id_b. Clusters live in slots of one
     # n x n matrix: the merged cluster takes over slot i of its smaller id and
-    # slot j dies (id -1). Every live slot caches its nearest live partner
-    # among clusters with a larger id (ties toward the smaller id), so the
-    # next merge is the cached minimum with the smallest id_a, an O(n) scan.
-    # A merge changes only the distances to the new cluster, whose id is the
-    # largest yet: rows whose partner was i or j rescan, every other row just
-    # adopts the new cluster if it is strictly closer. The row update is the
-    # size-weighted mean of the two parts' rows, in the same float order as
-    # the full-rescan loop, so the distances match it bit for bit.
+    # slot j dies. Every live slot caches its nearest live partner among
+    # clusters with a larger id (ties toward the smaller id), so the next
+    # merge is the cached minimum with the smallest id_a, an O(n) scan. At
+    # the start ids equal slots, so the cache is seeded a block of rows at a
+    # time from the strict upper triangle, where argmin's first minimum is
+    # the smallest tied id. A merge changes only the distances to the new
+    # cluster, whose id is the largest yet: rows whose partner was i or j
+    # rescan, every other row just adopts the new cluster if it is strictly
+    # closer. The row update is the size-weighted mean of the two parts'
+    # rows, in the same float order as the full-rescan loop, so the
+    # distances match it bit for bit. A distance that overflowed to inf
+    # makes the merge that first joins its two points inf, and that raises:
+    # with every cached distance inf, a tie could name a dead slot.
     n = len(points)
     if n == 1:
         return Dendrogram(1, ())
     dist = _pairwise_distances(points)
     sizes = np.array(weights, dtype=float)
     ids = np.arange(n)
+    alive = np.ones(n, dtype=bool)
     nn = np.full(n, -1)
     nn_dist = np.full(n, np.inf)
+    for r0 in range(0, n - 1, BLOCK_ROWS):
+        r1 = min(r0 + BLOCK_ROWS, n - 1)
+        block = np.where(ids > ids[r0:r1, None], dist[r0:r1], np.inf)
+        nn[r0:r1] = block.argmin(axis=1)
+        nn_dist[r0:r1] = block.min(axis=1)
 
     def rescan(x):
         row = np.where(ids > ids[x], dist[x], np.inf)
         nn[x], nn_dist[x] = _argmin_by_id(row, ids)
 
-    for x in range(n - 1):
-        rescan(x)
     merges = []
     for new_id in range(n, 2 * n - 1):
         i, d = _argmin_by_id(nn_dist, ids)
+        if not d < math.inf:
+            raise ClusterError("linkage distances overflow: points are too far apart")
         j = int(nn[i])
         merges.append(Merge(int(ids[i]), int(ids[j]), d, new_id))
         si, sj = sizes[i], sizes[j]
@@ -161,13 +189,18 @@ def _upgma(points: np.ndarray, weights: np.ndarray) -> Dendrogram:
         dist[:, i] = row
         sizes[i] = si + sj
         ids[i], ids[j] = new_id, -1
+        alive[j] = False
+        # slot i has the largest id, so no partner; dead slots point nowhere
+        nn[i] = nn[j] = -1
         nn_dist[i] = nn_dist[j] = np.inf
-        others = ids >= 0
-        others[i] = False
-        stale = others & ((nn == i) | (nn == j))
-        closer = others & ~stale & (row < nn_dist)
-        nn[closer] = i
-        nn_dist[closer] = row[closer]
+        stale = nn == i
+        stale |= nn == j
+        closer = row < nn_dist
+        closer &= alive
+        closer[i] = False
+        np.copyto(nn, i, where=closer)
+        np.copyto(nn_dist, row, where=closer)
+        # a stale row that was also closer is overwritten by its rescan
         for x in np.flatnonzero(stale):
             rescan(x)
     return Dendrogram(n, tuple(merges))
@@ -191,7 +224,9 @@ def upgma_cluster(points) -> Dendrogram:
         raise ClusterError("need at least one point")
     if not np.all(np.isfinite(arr)):
         raise ClusterError("points must be finite")
-    return _upgma(arr, np.ones(len(arr)))
+    # a distance that overflows raises ClusterError from _upgma instead
+    with np.errstate(over="ignore"):
+        return _upgma(arr, np.ones(len(arr)))
 
 
 def cut_dendrogram(dend: Dendrogram, threshold: float) -> list[set[int]]:

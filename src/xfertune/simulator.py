@@ -168,7 +168,9 @@ def generate_training_logs(specs=None, lattice: ParamLattice | None = None,
 
     One entry per (endpoint, sweep, load, file-class, configuration).
     noise > 0 perturbs throughput and power multiplicatively; energy is
-    always power * duration exactly, so entries stay self-consistent.
+    always power * duration exactly, so entries stay self-consistent. A
+    configuration whose rate cannot move its dataset in finite time raises
+    SimulationError.
     """
     specs = list(specs) if specs is not None else [ENDPOINTS["chameleon"]]
     classes = dict(classes) if classes is not None else dict(DATASET_CLASSES)
@@ -186,7 +188,7 @@ def generate_training_logs(specs=None, lattice: ParamLattice | None = None,
         lat = lattice or default_lattice(spec)
         for _ in range(sweeps):
             for load in loads:
-                for ds in classes.values():
+                for cls, ds in classes.items():
                     for cfg in lat.configs():
                         t = throughput_mbps(spec, cfg, load, ds.avg_file_size_bytes)
                         p = power_above_base_watts(spec, cfg, t)
@@ -194,7 +196,11 @@ def generate_training_logs(specs=None, lattice: ParamLattice | None = None,
                             t *= max(1e-9, 1.0 + noise * rng.standard_normal())
                             t = min(t, spec.bandwidth_mbps)
                             p *= max(0.0, 1.0 + noise * rng.standard_normal())
-                        duration = ds.total_size_bytes * 8.0 / 1e6 / t
+                        duration = ds.total_size_bytes * 8.0 / 1e6 / t if t > 0.0 else math.inf
+                        if duration == math.inf:
+                            raise SimulationError(
+                                f"{spec.name}: throughput {t!r} Mbps at {cfg}, load {load} "
+                                f"cannot move the {cls} dataset in finite time")
                         entries.append(TransferLogEntry(
                             params=cfg, dataset=ds,
                             network=NetworkMeta(

@@ -30,9 +30,13 @@ def traced_run(workload: str) -> dict:
 
 
 def test_traced_continuous_load_run_passes_its_checks():
-    result = traced_run("continuous-load")
-    assert result["metrics"]["logs.ingest_calls"]["value"] == 2
-    assert result["metrics"]["logs.entries_per_s"]["value"] > 0
+    # a renamed clustering target or a changed partition fails here too
+    metrics = traced_run("continuous-load")["metrics"]
+    assert metrics["logs.ingest_calls"]["value"] == 2
+    assert metrics["logs.entries_per_s"]["value"] > 0
+    assert metrics["clustering.stratify_s"]["value"] > 0
+    assert metrics["clustering.distinct_tier1_points"]["value"] == 1296
+    assert metrics["clustering.strata"]["value"] == 3
 
 
 def test_traced_online_tune_run_passes_its_checks():

@@ -3,10 +3,12 @@
 The UPGMA oracle recomputes every inter-cluster distance from scratch as
 the mean over all cross pairs of original points, so it shares no code
 with the incremental production update. A second oracle, legacy_upgma, is
-the full-rescan loop the cached-nearest-neighbour UPGMA replaced: it must
-produce the same merges with == distances. scipy, when installed, checks
-cut partitions on tie-free inputs. legacy_stratify, the per-entry
-stratify the column one replaced, must give equal strata.
+the full-rescan loop the cached-nearest-neighbour UPGMA replaced, and a
+third, cached_upgma, is that UPGMA before its distances and neighbour seed
+ran in row blocks: both must produce the same merges with == distances.
+scipy, when installed, checks cut partitions on tie-free inputs.
+legacy_stratify, the per-entry stratify the column one replaced, must give
+equal strata.
 """
 
 import dataclasses
@@ -41,6 +43,7 @@ from xfertune.clustering import (
     load_band_stratum,
     tier2_vector,
 )
+from xfertune.logs import unique_rows
 from xfertune.simulator import DATASET_CLASSES
 
 
@@ -108,6 +111,59 @@ def legacy_upgma(points: np.ndarray, weights: np.ndarray) -> Dendrogram:
         sizes = [sizes[t] for t in keep] + [si + sj]
         next_id += 1
     return Dendrogram(n, tuple(merges))
+
+
+def cached_upgma(points: np.ndarray, weights: np.ndarray) -> Dendrogram:
+    """The cached-nearest-neighbour UPGMA before its blocked seed and lean
+    merge loop: n - 1 rescans seed the cache, and every merge recomputes the
+    live mask and breaks each tie by cluster id."""
+    n = len(points)
+    if n == 1:
+        return Dendrogram(1, ())
+    dist = legacy_pairwise_distances(points)
+    sizes = np.array(weights, dtype=float)
+    ids = np.arange(n)
+    nn = np.full(n, -1)
+    nn_dist = np.full(n, np.inf)
+
+    def argmin_by_id(values):
+        best = values.min()
+        tied = np.flatnonzero(values == best)
+        return int(tied[np.argmin(ids[tied])]), float(best)
+
+    def rescan(x):
+        row = np.where(ids > ids[x], dist[x], np.inf)
+        nn[x], nn_dist[x] = argmin_by_id(row)
+
+    for x in range(n - 1):
+        rescan(x)
+    merges = []
+    for new_id in range(n, 2 * n - 1):
+        i, d = argmin_by_id(nn_dist)
+        j = int(nn[i])
+        merges.append(Merge(int(ids[i]), int(ids[j]), d, new_id))
+        si, sj = sizes[i], sizes[j]
+        row = (si * dist[i] + sj * dist[j]) / (si + sj)
+        dist[i] = row
+        dist[:, i] = row
+        sizes[i] = si + sj
+        ids[i], ids[j] = new_id, -1
+        nn_dist[i] = nn_dist[j] = np.inf
+        others = ids >= 0
+        others[i] = False
+        stale = others & ((nn == i) | (nn == j))
+        closer = others & ~stale & (row < nn_dist)
+        nn[closer] = i
+        nn_dist[closer] = row[closer]
+        for x in np.flatnonzero(stale):
+            rescan(x)
+    return Dendrogram(n, tuple(merges))
+
+
+def assert_same_merges(got: Dendrogram, want: Dendrogram):
+    assert [(m.a, m.b, m.new_id) for m in got.merges] == \
+        [(m.a, m.b, m.new_id) for m in want.merges]
+    assert [m.distance for m in got.merges] == [m.distance for m in want.merges]
 
 
 def random_points(rng):
@@ -255,6 +311,39 @@ def jittered_load_corpus(seed, size):
             throughput_mbps=tput, avg_power_watts=power,
             energy_joules=power * duration, duration_s=duration))
     return out
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])   # across the block edges
+def test_blocked_upgma_matches_the_cached_oracle_across_blocks(n):
+    rng = np.random.default_rng(n)
+    for dim in range(1, 8):
+        pts = rng.uniform(0.0, 1.0, size=(n, dim))
+        assert np.array_equal(_pairwise_distances(pts), legacy_pairwise_distances(pts))
+    for dim, grid in ((1, 0), (2, 0), (2, 4), (3, 2), (7, 10)):
+        pts = rng.uniform(0.0, 1.0, size=(n, dim))
+        if grid:   # a coarse lattice makes many distances tie exactly
+            pts = np.round(pts * grid) / grid
+        weights = rng.integers(1, 5, size=n).astype(float)
+        assert_same_merges(clustering._upgma(pts, weights), cached_upgma(pts, weights))
+
+
+def test_upgma_matches_the_cached_oracle_on_continuous_loads():
+    entries = jittered_load_corpus(seed=1, size=1296)
+    config = StratifyConfig()
+    vectors = clustering._tier_vectors(LogTable.from_entries(entries),
+                                       config.tier1_features)
+    uniq, _, counts = unique_rows(vectors)
+    assert len(uniq) == 1296   # every entry is its own tier-1 point
+    pts, weights = np.ascontiguousarray(uniq), counts.astype(float)
+    assert_same_merges(clustering._upgma(pts, weights), cached_upgma(pts, weights))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("points", [[[1e308], [-1e308]], [[1e308], [-1e308], [0.0]],
+                                    [[1e200, 1e200], [0.0, 0.0], [1.0, 1.0]]])
+def test_upgma_cluster_rejects_distances_that_overflow(points):
+    with pytest.raises(ClusterError, match="linkage distances overflow"):
+        upgma_cluster(points)
 
 
 @pytest.mark.parametrize("tier1_cut", [0.25, 0.01])   # 1 and 9 tier-1 clusters

@@ -171,6 +171,16 @@ def test_corpus_generation_guards(tmp_path, capsys):
         generate_training_logs(loads=(0.2, 1.0))
 
 
+@pytest.mark.parametrize("window, cls", [(5e-324, "small"),   # a rate of 0
+                                         (1e-300, "medium")])  # a time of inf
+def test_a_rate_that_cannot_finish_a_logged_transfer_raises(window, cls):
+    spec = replace(CHAM, window_bytes=window)
+    with pytest.raises(SimulationError,
+                       match=rf"^chameleon: throughput .* Mbps at ParamConfig\(cpu_num=1, "
+                             rf".*\), load 0\.2 cannot move the {cls} dataset in finite time$"):
+        generate_training_logs(specs=[spec])
+
+
 def test_zero_noise_entries_match_the_laws(corpus):
     for e in corpus[5::301]:
         t = throughput_mbps(CHAM, e.params, e.network.ext_load,
