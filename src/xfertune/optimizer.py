@@ -5,7 +5,8 @@ guarantees predicted throughput (minimize energy above the floor). The
 optimizer scores the full knot lattice at once: each group model is evaluated
 on its own knot mesh, the groups are broadcast into energy and throughput
 arrays over the whole lattice, infeasible cells are masked out, and the first
-best cell in lexicographic lattice order wins.
+best cell in lexicographic lattice order wins. A parameter table evaluates
+each stratum's lattice once and selects every SLA's row from those arrays.
 
 Critical points of the spline models (Newton search plus Hessian
 classification) are an analysis utility: a stationary point between knots is
@@ -290,7 +291,12 @@ def optimize_stratum(models: StratumModels, sla: SLA) -> OptimizationResult:
     Ties on the objective go to the first configuration in lexicographic
     lattice order, which is the C order of the prediction arrays.
     """
-    axes, energy, tput = models.lattice_predictions()
+    return _best_cell(models.stratum_id, models.lattice_predictions(), sla)
+
+
+def _best_cell(stratum_id: str, predictions, sla: SLA) -> OptimizationResult:
+    """optimize_stratum on a stratum's lattice_predictions()."""
+    axes, energy, tput = predictions
     # the masks negate e > cap and t < floor: a bound met exactly is feasible
     if sla.kind == KIND_ENERGY_CAP:
         word, objective, best = "cap", tput, np.argmax
@@ -300,13 +306,13 @@ def optimize_stratum(models: StratumModels, sla: SLA) -> OptimizationResult:
         feasible = np.flatnonzero(~(tput < sla.bound))
     if not feasible.size:
         raise InfeasibleSLAError(
-            models.stratum_id, sla.id,
+            stratum_id, sla.id,
             f"no candidate satisfies the {word} {sla.bound} "
             f"({energy.size} candidates checked)")
     cell = np.unravel_index(feasible[best(objective.ravel()[feasible])], energy.shape)
     cfg = ParamConfig(**{p: axes[p][i] for p, i in zip(PARAM_NAMES, cell)})
     return OptimizationResult(
-        stratum_id=models.stratum_id, sla_id=sla.id, params=cfg,
+        stratum_id=stratum_id, sla_id=sla.id, params=cfg,
         predicted_energy=float(energy[cell]), predicted_throughput=float(tput[cell]),
         candidate_count=energy.size, feasible_count=feasible.size)
 
@@ -345,10 +351,12 @@ def build_param_table(models_by_stratum: dict, slas: list[SLA]) -> ParamTable:
         raise SLAError("duplicate sla ids")
     rows: dict = {}
     for sid in sorted(models_by_stratum):
+        models = models_by_stratum[sid]
+        predictions = models.lattice_predictions()
         rows[sid] = {}
         for sla in slas:
             try:
-                res = optimize_stratum(models_by_stratum[sid], sla)
+                res = _best_cell(models.stratum_id, predictions, sla)
                 rows[sid][sla.id] = {"status": "ok", "result": res.as_dict()}
             except InfeasibleSLAError as exc:
                 rows[sid][sla.id] = {"status": "infeasible", "reason": exc.reason}

@@ -3,13 +3,19 @@
 The offline chain is ingest -> stratify -> fit -> optimize, each stage
 reading the previous stage's artifact. Artifacts are schema-tagged JSON
 written with sorted keys and fixed indentation so equal inputs give
-byte-identical files. The online side wires the tuner to a simulated
-endpoint and compares policies per file class.
+byte-identical files: a small recursive encoder writes the bytes that
+json.dumps(..., sort_keys=True, indent=2) writes, without the pure-Python
+encoder that indent selects, and writes a list of finite floats or of ints
+with one join. A float +inf is written as the string "inf"; -inf and NaN
+have no artifact form and are refused with their key path. The online side
+wires the tuner to a simulated endpoint and compares policies per file
+class.
 """
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +44,86 @@ class PipelineError(ValueError):
     pass
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
+class _NonFinite(Exception):
+    """A float with no artifact form; keys holds its path, innermost first."""
+
+    def __init__(self, value: float):
+        super().__init__(value)
+        self.value = value
+        self.keys: list = []
+
+
+def _key_text(key) -> str:
+    # the key types json.dumps accepts, converted as it converts them
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_text(obj, newline: str) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, nested at
+    the level whose line break and indent is newline; but +inf as the string
+    "inf", and -inf or NaN raising _NonFinite. Branches run in json's order:
+    bools before ints, float and int subclasses (np.float64) by the base
+    repr."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        if obj == math.inf:
+            return '"inf"'
+        raise _NonFinite(obj)
+    inner = newline + "  "
     if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        types = set(map(type, obj))
+        if types == {float} and all(map(math.isfinite, obj)):
+            items = map(float.__repr__, obj)
+        elif types == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = []
+            for i, v in enumerate(obj):
+                try:
+                    items.append(_json_text(v, inner))
+                except _NonFinite as exc:
+                    exc.keys.append(i)
+                    raise
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for k, v in sorted(obj.items()):
+            try:
+                items.append(_escape(_key_text(k)) + ": " + _json_text(v, inner))
+            except _NonFinite as exc:
+                exc.keys.append(k)
+                raise
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def write_json_artifact(path: str | Path, obj: dict) -> None:
-    text = json.dumps(_to_jsonable(obj), sort_keys=True, indent=2)
+    try:
+        text = _json_text(obj, "\n")
+    except _NonFinite as exc:
+        where = "".join(f"[{k!r}]" for k in reversed(exc.keys))
+        raise PipelineError(f"{path}: {float(exc.value)!r} at {where or 'the top'} "
+                            f"has no JSON form") from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")

@@ -8,6 +8,10 @@ both directions. The solver takes many right-hand sides at once, so a
 surface is two batched solves (all rows, then all coefficient columns); each
 column goes through the same floating-point operations in the same order as
 a 1-D fit, so the coefficients equal those of one fit per row bit for bit.
+Both fit functions also take a stack of value arrays on the same knots (the
+energy and throughput grids of one parameter group) and fit all of them in
+the same solves, each bit for bit equal to a fit of it alone. A fit whose
+coefficients overflow (huge finite values or knots) raises SplineError.
 Evaluation outside the knot range extends the boundary cell polynomial;
 callers should treat that as extrapolation.
 
@@ -31,7 +35,7 @@ def _check_knots(x: np.ndarray, label: str) -> None:
         raise SplineError(f"{label}: need at least two knots")
     if not np.all(np.isfinite(x)):
         raise SplineError(f"{label}: knots must be finite")
-    if np.any(np.diff(x) <= 0):
+    if np.any(x[1:] - x[:-1] <= 0):
         raise SplineError(f"{label}: knots must be strictly increasing")
 
 
@@ -60,16 +64,14 @@ def _knot_axis(v: np.ndarray, y: np.ndarray) -> np.ndarray:
     return v.reshape(v.shape + (1,) * (y.ndim - 1))
 
 
-def _second_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Knot second derivatives M with natural ends M[0] = M[-1] = 0, of y
-    of shape (n,) or of each column of y of shape (n, k)."""
-    n = len(x)
-    m = np.zeros(y.shape)
-    if n == 2:
+def _second_derivatives(h: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Knot second derivatives M with natural ends M[0] = M[-1] = 0, from
+    the knot gaps h and the cell slopes of y: of shape (n-1,) for y of shape
+    (n,), or (n-1, k) for each column of y of shape (n, k)."""
+    m = np.zeros((len(h) + 1,) + slope.shape[1:])
+    if len(h) == 1:
         return m
-    h = np.diff(x)
     # interior row i: h[i-1]*M[i-1] + 2(h[i-1]+h[i])*M[i] + h[i]*M[i+1] = rhs
-    slope = np.diff(y, axis=0) / _knot_axis(h, y)
     rhs = 6.0 * (slope[1:] - slope[:-1])
     diag = 2.0 * (h[:-1] + h[1:])
     lower = np.concatenate(([0.0], h[1:-1]))
@@ -120,36 +122,49 @@ def _natural_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     knots x and finite values y: shape (n-1, 4) for y of shape (n,), and
     (n-1, k, 4) for the k splines through the columns of y of shape (n, k).
     Each column goes through the same scalar operations in the same order as
-    a 1-D y, so its coefficients are bit-identical to a fit of it alone."""
-    m = _second_derivatives(x, y)
-    h = np.diff(x)
-    xi, yi = x[:-1], y[:-1]
-    hc, xc, xc3 = (_knot_axis(v, y) for v in (h, xi, xi ** 3))
-    c1 = np.diff(y, axis=0) / hc - hc * (2.0 * m[:-1] + m[1:]) / 6.0
-    c2 = m[:-1] / 2.0
-    c3 = (m[1:] - m[:-1]) / _knot_axis(6.0 * h, y)
-    # expand s(t) = y_i + c1*u + c2*u^2 + c3*u^3, u = t - x_i, into powers of t
-    a3 = c3
-    a2 = c2 - 3.0 * c3 * xc
-    a1 = c1 - 2.0 * c2 * xc + 3.0 * c3 * xc * xc
-    a0 = yi - c1 * xc + c2 * xc * xc - c3 * xc3
+    a 1-D y, so its coefficients are bit-identical to a fit of it alone.
+    Differences are slice subtractions, the operation np.diff runs. Huge
+    finite values or knots can overflow the coefficients: the callers check
+    them, so the overflow is not also reported as a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = x[1:] - x[:-1]
+        xi, yi = x[:-1], y[:-1]
+        hc, xc, xc3 = (_knot_axis(v, y) for v in (h, xi, xi ** 3))
+        slope = (y[1:] - y[:-1]) / hc
+        m = _second_derivatives(h, slope)
+        c1 = slope - hc * (2.0 * m[:-1] + m[1:]) / 6.0
+        c2 = m[:-1] / 2.0
+        c3 = (m[1:] - m[:-1]) / _knot_axis(6.0 * h, y)
+        # expand s(t) = y_i + c1*u + c2*u^2 + c3*u^3, u = t - x_i, into powers of t
+        a3 = c3
+        a2 = c2 - 3.0 * c3 * xc
+        a1 = c1 - 2.0 * c2 * xc + 3.0 * c3 * xc * xc
+        a0 = yi - c1 * xc + c2 * xc * xc - c3 * xc3
     return np.stack([a0, a1, a2, a3], axis=-1)
 
 
-def fit_natural_spline(x, y) -> Spline1D:
+def fit_natural_spline(x, y):
     """Interpolating natural cubic spline through (x, y).
 
     x must be strictly increasing. With two points the result is the straight
-    line (which satisfies the natural conditions exactly).
+    line (which satisfies the natural conditions exactly). A y of shape
+    (k, n) is a stack of k value rows on the same knots: the k splines come
+    from one solve, as a tuple, each bit for bit equal to a fit of its row.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_knots(x, "x")
-    if y.shape != x.shape:
+    if y.ndim not in (1, 2) or y.shape[-1] != len(x):
         raise SplineError("x and y must have the same length")
     if not np.all(np.isfinite(y)):
         raise SplineError("y values must be finite")
-    return Spline1D(knots=x, coeffs=_natural_coeffs(x, y), values=y.copy())
+    coeffs = _natural_coeffs(x, y.T)
+    if not np.all(np.isfinite(coeffs)):
+        raise SplineError("spline coefficients overflow")
+    if y.ndim == 1:
+        return Spline1D(knots=x, coeffs=coeffs, values=y.copy())
+    return tuple(Spline1D(knots=x, coeffs=coeffs[:, r].copy(), values=row.copy())
+                 for r, row in enumerate(y))
 
 
 def _pow_rows(t: np.ndarray, derivative: int) -> np.ndarray:
@@ -207,32 +222,42 @@ class Surface:
         return fxx, fxy, fyy
 
 
-def fit_bicubic_surface(xs, ys, grid) -> Surface:
+def fit_bicubic_surface(xs, ys, grid):
     """Tensor-product natural bicubic surface interpolating grid values.
 
     grid[i, j] is the value at (xs[i], ys[j]). Fitting order does not matter:
     splining rows in y and then each coefficient in x equals the transpose
     construction because spline fitting is linear in the data. The knots
-    are checked once, not per 1-D fit.
+    are checked once, not per 1-D fit. A grid of shape (k, nx, ny) is a
+    stack of k grids on the same knots: the k surfaces come from the same
+    two solves, as a tuple, each bit for bit equal to a fit of its grid.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     grid = np.asarray(grid, dtype=float)
     _check_knots(xs, "xs")
     _check_knots(ys, "ys")
-    if grid.shape != (len(xs), len(ys)):
+    nx, ny = len(xs), len(ys)
+    if grid.ndim not in (2, 3) or grid.shape[-2:] != (nx, ny):
         raise SplineError("grid must have shape (len(xs), len(ys))")
     if not np.all(np.isfinite(grid)):
         raise SplineError("grid values must be finite")
-    nx, ny = grid.shape
-    # every grid row along y at once: ycoef[i, j, b] of row i, cell j, power b
-    ycoef = _natural_coeffs(ys, grid.T).transpose(1, 0, 2)
+    stack = grid.reshape(-1, nx, ny)
+    k = len(stack)
+    # every row of every grid along y at once: [j, (g, i), b] of grid g,
+    # row i, cell j, power b
+    ycoef = _natural_coeffs(ys, stack.reshape(k * nx, ny).T)
     # huge grid values can overflow the row coefficients
     if not np.all(np.isfinite(ycoef)):
         raise SplineError("y values must be finite")
-    # then every (cell j, power b) column along x at once, giving [i, (j, b), a]
-    xcoef = _natural_coeffs(xs, ycoef.reshape(nx, (ny - 1) * 4))
-    # a contiguous copy, as before: numpy may sum a strided operand in
+    # then every (g, j, b) column along x at once, giving [i, (g, j, b), a]
+    columns = ycoef.reshape(ny - 1, k, nx, 4).transpose(2, 1, 0, 3)
+    xcoef = _natural_coeffs(xs, columns.reshape(nx, k * (ny - 1) * 4))
+    if not np.all(np.isfinite(xcoef)):
+        raise SplineError("surface coefficients overflow")
+    blocks = xcoef.reshape(nx - 1, k, ny - 1, 4, 4).transpose(1, 0, 2, 4, 3)
+    # contiguous copies, as before: numpy may sum a strided operand in
     # another order, so a view could change evaluated values in the last bit
-    coeffs = xcoef.reshape(nx - 1, ny - 1, 4, 4).transpose(0, 1, 3, 2).copy()
-    return Surface(xs=xs, ys=ys, coeffs=coeffs, grid=grid.copy())
+    surfaces = tuple(Surface(xs=xs, ys=ys, coeffs=blocks[g].copy(), grid=stack[g].copy())
+                     for g in range(k))
+    return surfaces[0] if grid.ndim == 2 else surfaces

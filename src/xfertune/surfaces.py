@@ -5,11 +5,13 @@ three parameter groups, (cpu_num, cpu_freq_mhz) and (cc, p) as bicubic
 surfaces and pp as a 1-D spline. A group's models are fitted on the slice of
 entries whose remaining parameters sit at their modal values, so the three
 groups describe orthogonal cuts through the same operating point. Fitting
-reads a LogTable: modal values come from counts of distinct values, a slice
-is a mask over the parameter array, and both metrics of a group are fitted
-from one slice, whose cell means are summed in slice order by np.bincount,
-then one spline per metric is fitted through its grid. The holdout split
-and its RMSE run on the same columns. Combined predictions add the groups and
+reads a LogTable: the modal value of each parameter column is counted once
+per table, a slice is the rows a mask over the parameter array selects, and
+both metrics of a group come from one slice, whose cell means are summed in
+slice order by np.bincount; the two metric grids share their knots, so one
+stacked spline fit (one pair of batched solves for a surface) fits both. The
+holdout split and its RMSE run on the same columns, scoring both metrics of
+a group on one test slice. Combined predictions add the groups and
 subtract twice the stratum mean, which cancels the double-counted baseline
 of the two extra slices. They come per configuration (predict_energy,
 predict_throughput) or as arrays over the whole knot lattice
@@ -46,21 +48,31 @@ def _modal_value(values):
     """Most frequent of the values (numbers, or rows of a 2-D array as
     tuples), ties toward the largest."""
     values = np.asarray(values)
-    uniq, _, counts = unique_rows(values.reshape(len(values), -1))
+    if values.ndim == 1:
+        uniq, counts = np.unique(values, return_counts=True)
+    else:
+        uniq, _, counts = unique_rows(values)
     best = uniq[np.flatnonzero(counts == counts.max())[-1]]
     return tuple(best.tolist()) if values.ndim > 1 else best.item()
 
 
-def _conditioning(params: np.ndarray, group: tuple[str, ...]) -> dict[str, int]:
+def _column_modes(params: np.ndarray) -> dict[str, int]:
+    """Modal value of each parameter column of an n x 5 parameter array."""
+    return {p: _modal_value(params[:, j]) for j, p in enumerate(PARAM_NAMES)}
+
+
+def _conditioning(params: np.ndarray, group: tuple[str, ...],
+                  modes: dict[str, int]) -> dict[str, int]:
     """Modal values of the parameters outside the group, ties toward largest.
 
-    params is the n x 5 parameter array of a stratum's members. If the
-    marginal modes combine to an empty joint slice (possible on ragged
-    logs), fall back to the most frequent full conditioning tuple.
+    params is the n x 5 parameter array of a stratum's members and modes its
+    _column_modes. If the marginal modes combine to an empty joint slice
+    (possible on ragged logs), fall back to the most frequent full
+    conditioning tuple.
     """
     others = [j for j, p in enumerate(PARAM_NAMES) if p not in group]
     names = [PARAM_NAMES[j] for j in others]
-    cond = [_modal_value(params[:, j]) for j in others]
+    cond = [modes[p] for p in names]
     if not _slice_mask(params, dict(zip(names, cond))).any():
         cond = _modal_value(params[:, others])
     return dict(zip(names, cond))
@@ -92,17 +104,19 @@ def _fill_grid(grid: np.ndarray) -> np.ndarray:
     return g
 
 
-def _group_grids(sl: LogTable, group: tuple[str, ...]):
-    """Knot axes of a group's slice and the mean grid of every metric on them.
+def _group_grids(table: LogTable, rows: np.ndarray, group: tuple[str, ...]):
+    """Knot axes of a group's slice (the table's rows, ascending) and the
+    mean grids of the METRICS on them, stacked in METRICS order.
 
     The knots of each group parameter are its distinct values in the slice.
     A cell's mean is its observations summed left to right in slice order
     (np.bincount adds in index order; np.sum would reorder) over their
     count; cells the slice never visits are filled by _fill_grid.
     """
+    params = table.params[rows]
     knots, cell_index = [], []
     for name in group:
-        values, index = np.unique(sl.params[:, PARAM_NAMES.index(name)],
+        values, index = np.unique(params[:, PARAM_NAMES.index(name)],
                                   return_inverse=True)
         if len(values) < 2:
             raise SurfaceFitError(f"insufficient distinct {name} values in conditioning slice")
@@ -111,13 +125,12 @@ def _group_grids(sl: LogTable, group: tuple[str, ...]):
     shape = tuple(len(k) for k in knots)
     cell = np.ravel_multi_index(cell_index, shape)
     count = np.bincount(cell, minlength=math.prod(shape))
-    grids = {}
-    for metric in METRICS:
-        total = np.bincount(cell, weights=getattr(sl, metric), minlength=len(count))
-        grid = np.full(len(count), np.nan)
+    grids = np.full((len(METRICS), len(count)), np.nan)
+    for grid, metric in zip(grids, METRICS):
+        total = np.bincount(cell, weights=getattr(table, metric)[rows],
+                            minlength=len(count))
         np.divide(total, count, out=grid, where=count > 0)
-        grids[metric] = _fill_grid(grid.reshape(shape))
-    return knots, grids
+    return knots, np.stack([_fill_grid(grid.reshape(shape)) for grid in grids])
 
 
 @dataclass(frozen=True)
@@ -272,15 +285,16 @@ def fit_stratum_models(members, stratum_id: str) -> StratumModels:
     if not len(members):
         raise SurfaceFitError("no entries to fit")
     table = as_log_table(members)
+    modes = _column_modes(table.params)
     by_metric: dict[str, list[GroupModel]] = {metric: [] for metric in METRICS}
     for group in PARAM_GROUPS:
-        cond = _conditioning(table.params, group)
-        sl = table.take(np.flatnonzero(_slice_mask(table.params, cond)))
-        knots, grids = _group_grids(sl, group)
+        cond = _conditioning(table.params, group, modes)
+        rows = np.flatnonzero(_slice_mask(table.params, cond))
+        knots, grids = _group_grids(table, rows, group)
         fit = fit_bicubic_surface if len(group) == 2 else fit_natural_spline
-        for metric, grid in grids.items():
+        for metric, model in zip(METRICS, fit(*knots, grids)):
             by_metric[metric].append(GroupModel(params=group, conditioning=cond,
-                                                metric=metric, model=fit(*knots, grid)))
+                                                metric=metric, model=model))
     return StratumModels(
         stratum_id=stratum_id,
         energy=tuple(by_metric["energy_joules"]),
@@ -351,20 +365,21 @@ def rmse_holdout(members, stratum_id: str = "", seed: int = 0) -> HoldoutReport:
     except SurfaceFitError as exc:
         raise SurfaceFitError(f"insufficient train coverage: {exc}") from exc
 
-    def per_model(group_models):
-        out = {}
+    rmse: dict[str, dict] = {metric: {} for metric in METRICS}
+    # a group's two models share their conditioning, and so their test slice
+    for group_models in zip(models.energy, models.throughput):
+        rows = np.flatnonzero(_slice_mask(test.params, group_models[0].conditioning))
+        params = test.params[rows]
         for m in group_models:
-            on = test.take(np.flatnonzero(_slice_mask(test.params, m.conditioning)))
-            if not len(on):
-                out[m.label] = None
+            if not len(rows):
+                rmse[m.metric][m.label] = None
                 continue
-            errs = m.values_at(on.params) - getattr(on, m.metric)
-            out[m.label] = float(np.sqrt(np.mean(np.square(errs))))
-        return out
+            errs = m.values_at(params) - getattr(test, m.metric)[rows]
+            rmse[m.metric][m.label] = float(np.sqrt(np.mean(np.square(errs))))
 
     return HoldoutReport(
-        energy_rmse=per_model(models.energy),
-        throughput_rmse=per_model(models.throughput),
+        energy_rmse=rmse["energy_joules"],
+        throughput_rmse=rmse["throughput_mbps"],
         mean_energy=float(np.mean(table.energy_joules)),
         mean_throughput=float(np.mean(table.throughput_mbps)),
         train_count=len(train),

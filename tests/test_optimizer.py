@@ -9,6 +9,7 @@ classification is checked against numpy's eigvalsh.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -21,12 +22,16 @@ from xfertune import (
     InfeasibleSLAError,
     ParamConfig,
     SLAError,
+    StratifyConfig,
     SurfaceFitError,
     build_param_table,
     enumerate_lattice,
     find_critical_points,
+    fit_all_strata,
     fit_stratum_models,
+    generate_training_logs,
     optimize_stratum,
+    stratify,
 )
 from xfertune.logs import PARAM_NAMES, DatasetMeta, NetworkMeta, TransferLogEntry
 from xfertune.optimizer import (
@@ -36,6 +41,7 @@ from xfertune.optimizer import (
     ParamTable,
     _classify_2d,
 )
+from xfertune.simulator import ENDPOINTS
 from xfertune.spline import fit_bicubic_surface, fit_natural_spline
 from xfertune.surfaces import PARAM_GROUPS
 
@@ -417,6 +423,70 @@ def test_param_table_rejects_duplicate_sla_ids():
     dup = [SLA.max_throughput(), SLA(id="max-tput", kind=KIND_ENERGY_CAP, bound=10.0)]
     with pytest.raises(SLAError, match="duplicate sla ids"):
         build_param_table(models, dup)
+
+
+def row_by_row_rows(models_by_stratum, slas):
+    # the table as it was built: one optimize_stratum call, and so one
+    # lattice evaluation, per (stratum, SLA)
+    rows = {}
+    for sid in sorted(models_by_stratum):
+        rows[sid] = {}
+        for sla in slas:
+            try:
+                res = optimize_stratum(models_by_stratum[sid], sla)
+                rows[sid][sla.id] = {"status": "ok", "result": res.as_dict()}
+            except InfeasibleSLAError as exc:
+                rows[sid][sla.id] = {"status": "infeasible", "reason": exc.reason}
+    return rows
+
+
+def assert_table_is_row_by_row(models_by_stratum, slas):
+    table = build_param_table(models_by_stratum, slas)
+    want = row_by_row_rows(models_by_stratum, slas)
+    assert table.rows == want
+    assert json.dumps(table.rows, sort_keys=True) == json.dumps(want, sort_keys=True)
+    return [row["status"] for rows in want.values() for row in rows.values()]
+
+
+TABLE_SLAS = [*BENCH_SLAS, SLA(id="impossible", kind=KIND_THROUGHPUT_FLOOR, bound=1e9)]
+
+
+def test_one_pass_table_equals_row_by_row_on_a_noisy_multiroute_corpus():
+    specs = [ENDPOINTS[n] for n in ("chameleon", "cloudlab", "intercloud")]
+    corpus = generate_training_logs(specs=specs, noise=0.02, seed=5)
+    models, _ = fit_all_strata(corpus, stratify(corpus, StratifyConfig()),
+                               with_holdout=False)
+    assert len(models) > 3
+    statuses = assert_table_is_row_by_row(models, TABLE_SLAS)
+    # the 1 Gbps routes miss the 3 Gbps floor, nothing meets the 1e9 floor
+    assert statuses.count("infeasible") > len(models)
+    assert "ok" in statuses
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_pass_table_equals_row_by_row_on_ragged_logs(seed):
+    rng = np.random.default_rng(seed)
+    models = {}
+    while len(models) < 3:
+        axes = random_axes(rng)
+        try:
+            sid = f"r{len(models)}"
+            models[sid] = fit_stratum_models(
+                case_members(axes, int(rng.integers(2**32)), bool(rng.integers(2)), True),
+                sid)
+        except SurfaceFitError:
+            continue
+    energy = [m.lattice_predictions()[1] for m in models.values()]
+    tput = [m.lattice_predictions()[2] for m in models.values()]
+    # bounds inside the strata's ranges, so cells are cut and some rows can
+    # be infeasible
+    slas = [*TABLE_SLAS,
+            SLA(id="cap-mid", kind=KIND_ENERGY_CAP,
+                bound=max(1e-9, float(np.median([np.median(e) for e in energy])))),
+            SLA(id="floor-mid", kind=KIND_THROUGHPUT_FLOOR,
+                bound=max(0.0, float(np.median([t.max() for t in tput]))))]
+    statuses = assert_table_is_row_by_row(models, slas)
+    assert "infeasible" in statuses and "ok" in statuses
 
 
 def test_param_table_is_deterministic():

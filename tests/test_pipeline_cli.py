@@ -21,7 +21,7 @@ from xfertune import (SLA, cli, compare_policies, fit_all_strata,
                       generate_training_logs, optimize_all, run_tuned_transfer,
                       stratify)
 from xfertune.clustering import StratifyConfig
-from xfertune.logs import ParamConfig
+from xfertune.logs import ParamConfig, serialize_logs
 from xfertune.simulator import (DATASET_CLASSES, ENDPOINTS, LoadScenario,
                                 default_lattice, power_above_base_watts,
                                 synth_file_sizes, throughput_mbps)
@@ -417,6 +417,24 @@ def test_artifact_writer_serializes_infinity(tmp_path):
     assert text.endswith("\n")
     doc = json.loads(text)
     assert doc["bound"] == "inf" and doc["nested"] == ["inf", 1.0]
+
+
+def test_fit_exits_2_on_a_log_whose_surface_coefficients_overflow(tmp_path, capsys):
+    # energies of 1.7e308 at every other cc level: each grid row along p is
+    # finite and constant, the spline across cc overflows; such a surface
+    # used to be written with infinite and NaN coefficients
+    logs, strata = tmp_path / "logs.jsonl", tmp_path / "strata.json"
+    entries = [replace(e, energy_joules=1.7e308, avg_power_watts=1.7e308 / e.duration_s)
+               if e.params.cc in (1, 4, 16) else e
+               for e in generate_training_logs(seed=0)]
+    serialize_logs(entries, logs)
+    assert cli.main(["stratify", "--logs", str(logs), "--out", str(strata)]) == 0
+    capsys.readouterr()
+    assert cli.main(["fit", "--logs", str(logs), "--strata", str(strata),
+                     "--out", str(tmp_path / "models.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: surface coefficients overflow\n"
+    assert not (tmp_path / "models.json").exists()
 
 
 def test_unknown_file_classes_are_rejected_by_every_online_run(chain):

@@ -387,12 +387,64 @@ def test_batched_fit_raises_as_the_per_row_loop_on_overflow(nx, ny):
             legacy_surface_coeffs(xs, ys, grid)
         with pytest.raises(SplineError, match="^y values must be finite$"):
             fit_bicubic_surface(xs, ys, grid)
-    # finite rows whose x pass overflows: that pass is not checked, so both
-    # give the same infinite and NaN coefficients
+    # finite rows whose x pass overflows: the per-row loop stores infinite
+    # and NaN coefficients there, the fit refuses them
     grid = np.full((nx, ny), 1e307)
     grid[0] = -1e307
     xs = 1e6 * (10.0 + np.arange(nx))
     with np.errstate(all="ignore"):
-        want = legacy_surface_coeffs(xs, ys, grid)
-        assert not np.all(np.isfinite(want))
-        assert_same_bits(fit_bicubic_surface(xs, ys, grid).coeffs, want)
+        assert not np.all(np.isfinite(legacy_surface_coeffs(xs, ys, grid)))
+        with pytest.raises(SplineError, match="^surface coefficients overflow$"):
+            fit_bicubic_surface(xs, ys, grid)
+        with pytest.raises(SplineError, match="^surface coefficients overflow$"):
+            fit_bicubic_surface(xs, ys, np.stack([np.ones((nx, ny)), grid]))
+
+
+def test_spline_refuses_coefficients_that_overflow():
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(
+            legacy_natural_coeffs(np.array([0.0, 1.0, 2.0]),
+                                  np.array([1.7e308, -1.7e308, 1.7e308]))))
+        with pytest.raises(SplineError, match="^spline coefficients overflow$"):
+            fit_natural_spline([0.0, 1.0, 2.0], [1.7e308, -1.7e308, 1.7e308])
+        with pytest.raises(SplineError, match="^spline coefficients overflow$"):
+            fit_natural_spline([0.0, 1.0, 2.0], [[1.0, 2.0, 3.0], [1.7e308, -1.7e308, 1.7e308]])
+        # knots whose cubes overflow the power basis
+        with pytest.raises(SplineError, match="^spline coefficients overflow$"):
+            fit_natural_spline([0.0, 1e103, 2e103], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_fits_equal_single_fits_bit_for_bit(seed):
+    # the energy and throughput grids of a group share knots and are fitted
+    # as one stack: each result must be the fit of its grid alone
+    rng = np.random.default_rng(200 + seed)
+    for _ in range(60):
+        nx, ny = rng.integers(2, 9, size=2)
+        xs = random_knots(rng, nx, min_gap=0.01) * 10.0 ** rng.uniform(-2, 4)
+        ys = random_knots(rng, ny, min_gap=0.01) * 10.0 ** rng.uniform(-2, 4)
+        grids = rng.standard_normal((2, nx, ny)) * 10.0 ** rng.uniform(-3, 12, size=(2, 1, 1))
+        stacked = fit_bicubic_surface(xs, ys, grids)
+        assert isinstance(stacked, tuple) and len(stacked) == 2
+        for surface, grid in zip(stacked, grids):
+            single = fit_bicubic_surface(xs, ys, grid)
+            assert_same_bits(surface.coeffs, single.coeffs)
+            assert_same_bits(surface.grid, single.grid)
+            assert surface.coeffs.flags.c_contiguous
+        rows = grids[:, :, 0]
+        for spline, row in zip(fit_natural_spline(xs, rows), rows):
+            single = fit_natural_spline(xs, row)
+            assert_same_bits(spline.coeffs, single.coeffs)
+            assert_same_bits(spline.values, single.values)
+
+
+def test_stacked_fits_reject_mismatched_shapes():
+    xs, ys = [0.0, 1.0, 2.0], [0.0, 1.0]
+    with pytest.raises(SplineError, match="grid must have shape"):
+        fit_bicubic_surface(xs, ys, np.zeros((2, 2, 3)))
+    with pytest.raises(SplineError, match="grid must have shape"):
+        fit_bicubic_surface(xs, ys, np.zeros((1, 2, 3, 2)))
+    with pytest.raises(SplineError, match="same length"):
+        fit_natural_spline(xs, np.zeros((2, 2)))
+    with pytest.raises(SplineError, match="same length"):
+        fit_natural_spline(xs, np.zeros((1, 2, 3)))

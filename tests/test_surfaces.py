@@ -36,6 +36,7 @@ from xfertune.surfaces import (
     HOLDOUT_TRAIN_FRAC,
     METRICS,
     PARAM_GROUPS,
+    _column_modes,
     _conditioning,
     _fill_grid,
     _modal_value,
@@ -100,9 +101,10 @@ def test_modal_value_prefers_largest_on_ties():
 def test_conditioning_uses_marginal_modes():
     params = LogTable.from_entries(make_members()).params
     # uniform counts on every axis: all ties, so largest value each
-    cond = _conditioning(params, ("cpu_num", "cpu_freq_mhz"))
+    modes = _column_modes(params)
+    cond = _conditioning(params, ("cpu_num", "cpu_freq_mhz"), modes)
     assert cond == {"cc": 4, "p": 2, "pp": 8}
-    cond = _conditioning(params, ("pp",))
+    cond = _conditioning(params, ("pp",), modes)
     assert cond == {"cpu_num": 4, "cpu_freq_mhz": 2400, "cc": 4, "p": 2}
 
 
@@ -116,7 +118,8 @@ def test_conditioning_falls_back_to_joint_tuple():
             params=cfg, dataset=DS, network=NET, throughput_mbps=1.0,
             energy_joules=1.0, avg_power_watts=1.0, duration_s=1.0,
             timestamp_s=float(i)))
-    cond = _conditioning(LogTable.from_entries(members).params, ("cpu_num", "cpu_freq_mhz"))
+    params = LogTable.from_entries(members).params
+    cond = _conditioning(params, ("cpu_num", "cpu_freq_mhz"), _column_modes(params))
     assert cond == {"cc": 2, "p": 1, "pp": 4}
     assert all(type(v) is int for v in cond.values())
 
@@ -550,3 +553,33 @@ def test_holdout_matches_legacy_holdout(members, seed):
         assert str(got.value) == str(exc)
         return
     assert rmse_holdout(table, "h", seed=seed).as_dict() == want.as_dict()
+
+
+def per_group_conditioning(params, group):
+    # the conditioning as it was: each group counts the modes of its own
+    # other columns, here by the counting oracle
+    others = [j for j, p in enumerate(PARAM_NAMES) if p not in group]
+    names = [PARAM_NAMES[j] for j in others]
+    cond = {PARAM_NAMES[j]: legacy_modal_value(params[:, j].tolist()) for j in others}
+    if not (params[:, others] == list(cond.values())).all(axis=1).any():
+        rows = [tuple(r) for r in params[:, others].tolist()]
+        cond = dict(zip(names, legacy_modal_value(rows)))
+    return cond
+
+
+def test_modes_counted_once_give_the_per_group_conditioning():
+    rng = np.random.default_rng(7)
+    fallbacks = 0
+    for _ in range(300):
+        # few rows over few values: ragged logs whose marginal modes often
+        # name a tuple nobody logged
+        n = int(rng.integers(1, 12))
+        params = np.column_stack([rng.choice(AXES[p], size=n) for p in PARAM_NAMES])
+        modes = _column_modes(params)
+        for group in PARAM_GROUPS:
+            want = per_group_conditioning(params, group)
+            got = _conditioning(params, group, modes)
+            assert got == want
+            assert all(type(v) is int for v in got.values())
+            fallbacks += got != {p: modes[p] for p in got}
+    assert fallbacks > 0
