@@ -2,7 +2,8 @@
 
 The fitting primitives underneath every model in this package: a 1-D
 natural spline through arbitrary knots, and a tensor-product bicubic
-surface with analytic gradients and Hessians for the optimizer.
+surface. Both are evaluated for their values only: the optimizer scores
+the knot lattice, where configurations can actually be deployed.
 """
 
 import numpy as np
@@ -18,13 +19,11 @@ def main():
     print(f"knots x = {x.tolist()}")
     print(f"values y = {y.tolist()}")
     print(f"interpolates the knots: {np.allclose(s(x), y)}")
-    print(f"natural ends: s''({x[0]:g}) = {s.deriv2(x[0]):.2e}, "
-          f"s''({x[-1]:g}) = {s.deriv2(x[-1]):.2e}")
 
     t = np.linspace(0, 6, 7)
-    print("\n  t      s(t)     s'(t)    s''(t)")
+    print("\n  t      s(t)")
     for ti in t:
-        print(f"  {ti:4.1f} {s(ti):8.3f} {s.deriv(ti):8.3f} {s.deriv2(ti):8.3f}")
+        print(f"  {ti:4.1f} {s(ti):8.3f}")
 
     # per-cell coefficients are plain polynomials a0 + a1 x + a2 x^2 + a3 x^3
     print(f"\nfirst-cell coefficients: {np.round(s.coeffs[0], 4).tolist()}")
@@ -40,15 +39,8 @@ def main():
           f"y={ys.tolist()}")
     print(f"reproduces the grid: "
           f"{np.allclose([[f(gx, gy) for gy in ys] for gx in xs], grid)}")
-
-    gx, gy = f.gradient(4.0, 1800.0)
-    fxx, fxy, fyy = f.hessian(4.0, 1800.0)
-    print(f"at the bump: grad = ({gx:.4f}, {gy:.6f}), "
-          f"hessian diag = ({fxx:.4f}, {fyy:.2e})")
-    print("negative curvature both ways marks a local maximum; the")
-    print("critical-point search classifies such points for analysis, while")
-    print("the optimizer scores only the knot lattice, where configurations")
-    print("can actually be deployed")
+    between = [[f(gx, gy) for gy in (1500.0, 2050.0)] for gx in (3.0, 6.0)]
+    print(f"between the knots: {np.round(between, 4).tolist()}")
 
 
 if __name__ == "__main__":

@@ -26,14 +26,14 @@ def main():
 
     # held-out accuracy, one stratum as a spot check
     s0 = strata[0]
-    rep = rmse_holdout([entries[i] for i in s0.members], s0.id)
+    rep = rmse_holdout([entries[i] for i in s0.members])
     print(f"\nholdout check on {s0.id} "
-          f"({rep.train_count} train / {rep.test_count} test):")
-    for kind, groups, mean in (("energy", rep.energy_rmse, rep.mean_energy),
-                               ("tput", rep.throughput_rmse, rep.mean_throughput)):
-        for label, rmse in groups.items():
+          f"({rep['train_count']} train / {rep['test_count']} test):")
+    for metric in ("energy", "throughput"):
+        mean = rep[f"mean_{metric}"]
+        for label, rmse in rep[f"{metric}_rmse"].items():
             rel = "n/a" if rmse is None else f"{100 * rmse / mean:.2e}%"
-            print(f"  {kind:<6} model {label:<24} rmse {rel} of stratum mean")
+            print(f"  {metric:<10} model {label:<24} rmse {rel} of stratum mean")
 
     slas = [SLA.max_throughput(), SLA.min_energy(),
             SLA(id="cap-2kJ", kind="energy-constrained", bound=2000.0),

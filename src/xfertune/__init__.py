@@ -16,8 +16,8 @@ from .logs import (DatasetMeta, LogError, LogParseError, LogTable,
                    validate_entry)
 from .optimizer import (SLA, CriticalPoint, InfeasibleSLAError,
                         OptimizationResult, ParamTable, SLAError,
-                        build_param_table, enumerate_lattice,
-                        find_critical_points, optimize_stratum)
+                        build_param_table, find_critical_points,
+                        optimize_stratum)
 from .pipeline import (compare_policies, fit_all_strata, load_models,
                        load_strata, load_table, models_doc, optimize_all,
                        read_json_artifact, run_tuned_transfer, strata_doc,
@@ -29,8 +29,8 @@ from .simulator import (DATASET_CLASSES, ENDPOINTS, EndpointSpec,
                         synth_file_sizes, throughput_mbps)
 from .spline import (Spline1D, SplineError, Surface, fit_bicubic_surface,
                      fit_natural_spline)
-from .surfaces import (GroupModel, HoldoutReport, StratumModels,
-                       SurfaceFitError, fit_stratum_models, rmse_holdout)
+from .surfaces import (GroupModel, StratumModels, SurfaceFitError,
+                       fit_stratum_models, rmse_holdout)
 from .tuner import (EndpointFailure, FixedController, MonitorSample,
                     OnlineTuner, TickResult, TransferReport, TunerError,
                     cluster_files, run_transfer)

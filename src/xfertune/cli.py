@@ -114,15 +114,15 @@ def cmd_stratify(args) -> int:
 def cmd_fit(args) -> int:
     entries = ingest_logs(args.logs)
     _, strata = load_strata(read_json_artifact(args.strata, "strata"))
-    models, holdout = fit_all_strata(entries, strata, holdout_seed=args.seed,
-                                     with_holdout=not args.no_holdout)
+    models, holdout = fit_all_strata(entries, strata, with_holdout=not args.no_holdout)
     write_json_artifact(args.out, models_doc(models, holdout or None))
     print(f"fitted {len(models)} strata -> {args.out}")
     for sid in sorted(holdout):
-        rep = holdout[sid]
-        parts = [f"{k}={v:.3g}" for k, v in rep["energy_rmse"].items() if v is not None]
-        detail = ", ".join(parts) if parts else "n/a (no rows held out)"
-        print(f"  {sid}: energy rmse {detail}")
+        details = []
+        for word, key in (("energy", "energy_rmse"), ("tput", "throughput_rmse")):
+            parts = [f"{k}={v:.3g}" for k, v in holdout[sid][key].items() if v is not None]
+            details.append(f"{word} rmse {', '.join(parts) if parts else 'n/a (no rows held out)'}")
+        print(f"  {sid}: {'; '.join(details)}")
     return 0
 
 
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--logs", required=True)
     f.add_argument("--strata", required=True)
     f.add_argument("--out", required=True)
-    f.add_argument("--seed", type=int, default=0, help="holdout split seed")
     f.add_argument("--no-holdout", action="store_true")
     f.set_defaults(func=cmd_fit)
 

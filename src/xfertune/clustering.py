@@ -348,6 +348,13 @@ def tier3_vector(net: NetworkMeta, config: StratifyConfig) -> tuple[float, ...]:
     return tuple(f.normalize(getattr(net, f.name)) for f in config.tier3_features)
 
 
+def _in_load_band(interval: tuple[float, float], x):
+    """Whether load x (a float, or elementwise an array) is in the
+    half-open interval, the top band closed at full load."""
+    lo, hi = interval
+    return ((lo <= x) & (x < hi)) | ((x == hi) & (hi == 1.0))
+
+
 @dataclass(frozen=True)
 class Stratum:
     """One leaf of the stratification: a homogeneous group of log entries."""
@@ -362,10 +369,7 @@ class Stratum:
     centroids: dict = field(hash=False, compare=False, default_factory=dict)
 
     def contains_load(self, x):
-        """Whether load x (a float, or elementwise an array) is in the
-        half-open interval, the top band closed at full load."""
-        lo, hi = self.ext_load_interval
-        return ((lo <= x) & (x < hi)) | ((x == hi) & (hi == 1.0))
+        return _in_load_band(self.ext_load_interval, x)
 
     @property
     def sibling_key(self) -> tuple[str, str, str]:
@@ -451,6 +455,8 @@ def stratify(entries, config: StratifyConfig | None = None) -> list[Stratum]:
     if not len(entries):
         raise ClusterError("no entries to stratify")
     table = as_log_table(entries)
+    if not np.all((table.ext_load >= 0.0) & (table.ext_load <= 1.0)):
+        raise ClusterError("ext_load must be in [0, 1]")
     config = config or StratifyConfig()
     # each entry's tier vectors, computed once for clustering and centroids
     t1 = _tier_vectors(table, config.tier1_features)
@@ -470,10 +476,13 @@ def stratify(entries, config: StratifyConfig | None = None) -> list[Stratum]:
             mean, std = float(loads.mean()), float(loads.std())
             b1 = _clamp01(mean - config.load_band_k * std)
             b2 = _clamp01(mean + config.load_band_k * std)
-            bounds = [(0.0, b1), (b1, b2), (b2, 1.0)]
-            bucket = np.where(x < b1, 0, np.where(x < b2, 1, 2))
-            for b, interval in enumerate(bounds):
-                members = g2[bucket == b]
+            # each entry goes to the first band that contains its load, so
+            # when b2 clamps to full load, loads of 1.0 stay in (b1, 1.0)
+            unplaced = np.ones(len(x), dtype=bool)
+            for interval in [(0.0, b1), (b1, b2), (b2, 1.0)]:
+                inside = unplaced & _in_load_band(interval, x)
+                unplaced &= ~inside
+                members = g2[inside]
                 routes = table.route[members]
                 for code in np.unique(routes):
                     route = table.routes[code]

@@ -101,26 +101,10 @@ class ParamLattice:
             if vals[0] < PARAM_MIN[name]:
                 raise ValueError(f"lattice axis {name} has value below {PARAM_MIN[name]}")
 
-    def size(self) -> int:
-        n = 1
-        for name in PARAM_NAMES:
-            n *= len(self.axis(name))
-        return n
-
     def configs(self):
         """Yield every ParamConfig on the lattice in lexicographic order."""
         for combo in itertools.product(*(self.axis(n) for n in PARAM_NAMES)):
             yield ParamConfig(*combo)
-
-    def contains(self, params: ParamConfig) -> bool:
-        return all(params.get(n) in self.axis(n) for n in PARAM_NAMES)
-
-    def as_dict(self) -> dict:
-        return {name: list(self.axis(name)) for name in PARAM_NAMES}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ParamLattice":
-        return cls(**{name: tuple(obj[name]) for name in PARAM_NAMES})
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logs import PARAM_NAMES, ParamConfig, ParamLattice
-from .spline import Spline1D, Surface
+from .logs import PARAM_NAMES, ParamConfig
+from .spline import Spline1D, Surface, cell_index
 from .surfaces import StratumModels
 
 NEWTON_MAX_ITER = 50
@@ -210,12 +210,12 @@ def find_critical_points(model) -> list[CriticalPoint]:
                     coords=(t,), value=float(_cell_poly_1d(model.coeffs[i], t, 0)),
                     kind=_classify_1d(_cell_poly_1d(model.coeffs[i], t, 2)),
                     stationary=True))
-        for t in knots:
-            g = model.deriv(float(t))
-            stationary = abs(g) < NEWTON_GRAD_TOL * 10
+        for t, i in zip(knots.tolist(), cell_index(knots, knots).tolist()):
+            a = model.coeffs[i]
+            stationary = abs(float(_cell_poly_1d(a, t, 1))) < NEWTON_GRAD_TOL * 10
             points.append(CriticalPoint(
-                coords=(float(t),), value=model(float(t)),
-                kind=_classify_1d(model.deriv2(float(t))) if stationary else "boundary",
+                coords=(t,), value=float(_cell_poly_1d(a, t, 0)),
+                kind=_classify_1d(_cell_poly_1d(a, t, 2)) if stationary else "boundary",
                 stationary=stationary))
         return _dedupe(points)
     if isinstance(model, Surface):
@@ -233,16 +233,20 @@ def find_critical_points(model) -> list[CriticalPoint]:
                                       _block_eval(block, x, y, 1, 1),
                                       _block_eval(block, x, y, 0, 2)),
                     stationary=True))
-        for x in xs:
-            for y in ys:
-                gx, gy = model.gradient(float(x), float(y))
+        for x, i in zip(xs.tolist(), cell_index(xs, xs).tolist()):
+            for y, j in zip(ys.tolist(), cell_index(ys, ys).tolist()):
+                block = model.coeffs[i, j]
+                gx = _block_eval(block, x, y, 1, 0)
+                gy = _block_eval(block, x, y, 0, 1)
                 stationary = math.hypot(gx, gy) < NEWTON_GRAD_TOL * 10
                 kind = "boundary"
                 if stationary:
-                    kind = _classify_2d(*model.hessian(float(x), float(y)))
+                    kind = _classify_2d(_block_eval(block, x, y, 2, 0),
+                                        _block_eval(block, x, y, 1, 1),
+                                        _block_eval(block, x, y, 0, 2))
                 points.append(CriticalPoint(
-                    coords=(float(x), float(y)), value=model(float(x), float(y)),
-                    kind=kind, stationary=stationary))
+                    coords=(x, y), value=model(x, y), kind=kind,
+                    stationary=stationary))
         return _dedupe(points)
     raise TypeError("model must be Spline1D or Surface")
 
@@ -278,11 +282,6 @@ class OptimizationResult:
             candidate_count=obj["candidate_count"],
             feasible_count=obj["feasible_count"],
         )
-
-
-def enumerate_lattice(models: StratumModels) -> list[ParamConfig]:
-    """Every configuration on the observed parameter lattice."""
-    return list(ParamLattice(**models.lattice_axes()).configs())
 
 
 def optimize_stratum(models: StratumModels, sla: SLA) -> OptimizationResult:

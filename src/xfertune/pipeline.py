@@ -7,7 +7,8 @@ byte-identical files: a small recursive encoder writes the bytes that
 json.dumps(..., sort_keys=True, indent=2) writes, without the pure-Python
 encoder that indent selects, and writes a list of finite floats or of ints
 with one join. A float +inf is written as the string "inf"; -inf and NaN
-have no artifact form and are refused with their key path. The online side
+have no artifact form and are refused with their key path, and a dict key
+that is not a str is refused with TypeError. The online side
 wires the tuner to a simulated endpoint and compares policies per file
 class.
 """
@@ -53,22 +54,13 @@ class _NonFinite(Exception):
         self.keys: list = []
 
 
-def _key_text(key) -> str:
-    # the key types json.dumps accepts, converted as it converts them
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
 def _json_text(obj, newline: str) -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, nested at
     the level whose line break and indent is newline; but +inf as the string
-    "inf", and -inf or NaN raising _NonFinite. Branches run in json's order:
-    bools before ints, float and int subclasses (np.float64) by the base
-    repr."""
+    "inf", -inf or NaN raising _NonFinite, and a dict key that is not a str
+    raising TypeError (artifact keys are ids, labels and field names).
+    Branches run in json's order: bools before ints, float and int
+    subclasses (np.float64) by the base repr."""
     if isinstance(obj, str):
         return _escape(obj)
     if obj is None:
@@ -108,8 +100,10 @@ def _json_text(obj, newline: str) -> str:
             return "{}"
         items = []
         for k, v in sorted(obj.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {k.__class__.__name__}")
             try:
-                items.append(_escape(_key_text(k)) + ": " + _json_text(v, inner))
+                items.append(_escape(k) + ": " + _json_text(v, inner))
             except _NonFinite as exc:
                 exc.keys.append(k)
                 raise
@@ -186,8 +180,7 @@ def _member_rows(table: LogTable, s: Stratum) -> np.ndarray:
         f"outside the stratum's band {list(s.ext_load_interval)}")
 
 
-def fit_all_strata(entries, strata, holdout_seed: int = 0,
-                   with_holdout: bool = True):
+def fit_all_strata(entries, strata, with_holdout: bool = True):
     """Fit per-stratum models on the log (a LogTable or a list of
     TransferLogEntry); optionally attach holdout RMSE reports."""
     table = as_log_table(entries)
@@ -197,7 +190,7 @@ def fit_all_strata(entries, strata, holdout_seed: int = 0,
         members = table.take(_member_rows(table, s))
         models[s.id] = fit_stratum_models(members, s.id)
         if with_holdout:
-            holdout[s.id] = rmse_holdout(members, s.id, seed=holdout_seed).as_dict()
+            holdout[s.id] = rmse_holdout(members)
     return models, holdout
 
 

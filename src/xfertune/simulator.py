@@ -260,10 +260,6 @@ class LoadScenario:
     def as_dict(self) -> dict:
         return {"segments": [list(s) for s in self.segments]}
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "LoadScenario":
-        return cls(tuple((float(a), float(b)) for a, b in obj["segments"]))
-
 
 class SimEndpoint:
     """Fixed-interval stepping endpoint over a load scenario.

@@ -12,8 +12,11 @@ Both fit functions also take a stack of value arrays on the same knots (the
 energy and throughput grids of one parameter group) and fit all of them in
 the same solves, each bit for bit equal to a fit of it alone. A fit whose
 coefficients overflow (huge finite values or knots) raises SplineError.
-Evaluation outside the knot range extends the boundary cell polynomial;
-callers should treat that as extrapolation.
+A fitted spline or surface is called for its values only, at a point or at
+arrays of points; evaluation outside the knot range extends the boundary
+cell polynomial, and callers should treat that as extrapolation. The cell
+coefficients are plain polynomials; xfertune.optimizer's critical-point
+search differentiates them itself.
 
 Piece coefficients are stored in the absolute power basis: on cell i the
 curve is a0 + a1*t + a2*t^2 + a3*t^3 with t the raw coordinate, not an
@@ -80,6 +83,12 @@ def _second_derivatives(h: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return m
 
 
+def cell_index(knots: np.ndarray, t):
+    """Cell of each t: the last knot at or below it, clipped to the first
+    and last cells, so evaluation outside the knots extends them."""
+    return np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+
+
 @dataclass(frozen=True)
 class Spline1D:
     """Piecewise cubic with absolute-basis coefficients per cell."""
@@ -88,33 +97,13 @@ class Spline1D:
     coeffs: np.ndarray           # shape (n-1, 4), columns a0..a3
     values: np.ndarray           # y at knots
 
-    def cell_index(self, t):
-        idx = np.searchsorted(self.knots, t, side="right") - 1
-        return np.clip(idx, 0, len(self.knots) - 2)
-
-    def _eval(self, t, derivative: int):
+    def __call__(self, t):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tt = np.atleast_1d(t)
-        a = self.coeffs[self.cell_index(tt)]
-        if derivative == 0:
-            out = a[:, 0] + tt * (a[:, 1] + tt * (a[:, 2] + tt * a[:, 3]))
-        elif derivative == 1:
-            out = a[:, 1] + tt * (2.0 * a[:, 2] + 3.0 * tt * a[:, 3])
-        elif derivative == 2:
-            out = 2.0 * a[:, 2] + 6.0 * tt * a[:, 3]
-        else:
-            raise SplineError("derivative order must be 0, 1 or 2")
+        a = self.coeffs[cell_index(self.knots, tt)]
+        out = a[:, 0] + tt * (a[:, 1] + tt * (a[:, 2] + tt * a[:, 3]))
         return float(out[0]) if scalar else out
-
-    def __call__(self, t):
-        return self._eval(t, 0)
-
-    def deriv(self, t):
-        return self._eval(t, 1)
-
-    def deriv2(self, t):
-        return self._eval(t, 2)
 
 
 def _natural_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -167,17 +156,9 @@ def fit_natural_spline(x, y):
                  for r, row in enumerate(y))
 
 
-def _pow_rows(t: np.ndarray, derivative: int) -> np.ndarray:
-    """Rows of basis powers [1, t, t^2, t^3] or a derivative thereof."""
-    z = np.zeros_like(t)
-    o = np.ones_like(t)
-    if derivative == 0:
-        return np.stack([o, t, t * t, t ** 3], axis=-1)
-    if derivative == 1:
-        return np.stack([z, o, 2.0 * t, 3.0 * t * t], axis=-1)
-    if derivative == 2:
-        return np.stack([z, z, 2.0 * o, 6.0 * t], axis=-1)
-    raise SplineError("derivative order must be 0, 1 or 2")
+def _pow_rows(t: np.ndarray) -> np.ndarray:
+    """Rows of basis powers [1, t, t^2, t^3]."""
+    return np.stack([np.ones_like(t), t, t * t, t ** 3], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -193,33 +174,14 @@ class Surface:
     coeffs: np.ndarray           # shape (nx-1, ny-1, 4, 4)
     grid: np.ndarray             # fitted values, shape (nx, ny)
 
-    def _cells(self, x, y):
-        i = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 2)
-        j = np.clip(np.searchsorted(self.ys, y, side="right") - 1, 0, len(self.ys) - 2)
-        return i, j
-
-    def _eval(self, x, y, dx: int, dy: int):
+    def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         scalar = x.ndim == 0 and y.ndim == 0
         xx, yy = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-        i, j = self._cells(xx, yy)
-        px = _pow_rows(xx, dx)
-        py = _pow_rows(yy, dy)
-        out = np.einsum("na,nab,nb->n", px, self.coeffs[i, j], py)
+        block = self.coeffs[cell_index(self.xs, xx), cell_index(self.ys, yy)]
+        out = np.einsum("na,nab,nb->n", _pow_rows(xx), block, _pow_rows(yy))
         return float(out[0]) if scalar else out
-
-    def __call__(self, x, y):
-        return self._eval(x, y, 0, 0)
-
-    def gradient(self, x, y):
-        return self._eval(x, y, 1, 0), self._eval(x, y, 0, 1)
-
-    def hessian(self, x, y):
-        fxx = self._eval(x, y, 2, 0)
-        fxy = self._eval(x, y, 1, 1)
-        fyy = self._eval(x, y, 0, 2)
-        return fxx, fxy, fyy
 
 
 def fit_bicubic_surface(xs, ys, grid):

@@ -11,11 +11,15 @@ both metrics of a group come from one slice, whose cell means are summed in
 slice order by np.bincount; the two metric grids share their knots, so one
 stacked spline fit (one pair of batched solves for a surface) fits both. The
 holdout split and its RMSE run on the same columns, scoring both metrics of
-a group on one test slice. Combined predictions add the groups and
-subtract twice the stratum mean, which cancels the double-counted baseline
-of the two extra slices. They come per configuration (predict_energy,
-predict_throughput) or as arrays over the whole knot lattice
-(lattice_predictions), with identical values.
+a group on one test slice. Combined predictions add the three group models
+and subtract twice the stratum mean. The slices meet at one anchor
+configuration, which the sum counts three times, and the stratum mean is not
+the anchor's value, so every prediction of a stratum carries the same
+offset: the order of configurations holds, absolute values (and with them
+SLA feasibility) do not (ROADMAP item 1). Predictions come per
+configuration (predict_energy, predict_throughput) or as arrays over the
+whole knot lattice (lattice_predictions), with identical values. A stratum
+mean that is not finite is refused when fitting and when loading.
 """
 from __future__ import annotations
 
@@ -269,6 +273,11 @@ class StratumModels:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "StratumModels":
+        for key in ("mean_energy", "mean_throughput"):
+            v = obj[key]
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise SurfaceFitError(
+                    f"stratum {obj['stratum_id']}: {key} {v!r} is not a finite number")
         return cls(
             stratum_id=obj["stratum_id"],
             energy=tuple(GroupModel.from_dict(d) for d in obj["energy"]),
@@ -295,36 +304,20 @@ def fit_stratum_models(members, stratum_id: str) -> StratumModels:
         for metric, model in zip(METRICS, fit(*knots, grids)):
             by_metric[metric].append(GroupModel(params=group, conditioning=cond,
                                                 metric=metric, model=model))
+    with np.errstate(over="ignore"):
+        means = [float(np.mean(getattr(table, metric))) for metric in METRICS]
+    for metric, mean in zip(METRICS, means):
+        if not math.isfinite(mean):
+            raise SurfaceFitError(f"stratum {stratum_id}: the mean of {metric} "
+                                  f"is {mean!r}, not a finite number")
     return StratumModels(
         stratum_id=stratum_id,
         energy=tuple(by_metric["energy_joules"]),
         throughput=tuple(by_metric["throughput_mbps"]),
-        mean_energy=float(np.mean(table.energy_joules)),
-        mean_throughput=float(np.mean(table.throughput_mbps)),
+        mean_energy=means[0],
+        mean_throughput=means[1],
         entry_count=len(table),
     )
-
-
-@dataclass(frozen=True)
-class HoldoutReport:
-    """Holdout accuracy of each fitted model, one RMSE per parameter group."""
-
-    energy_rmse: dict
-    throughput_rmse: dict
-    mean_energy: float
-    mean_throughput: float
-    train_count: int
-    test_count: int
-
-    def as_dict(self) -> dict:
-        return {
-            "energy_rmse": dict(self.energy_rmse),
-            "throughput_rmse": dict(self.throughput_rmse),
-            "mean_energy": self.mean_energy,
-            "mean_throughput": self.mean_throughput,
-            "train_count": self.train_count,
-            "test_count": self.test_count,
-        }
 
 
 def holdout_split(members, seed: int = 0) -> tuple[LogTable, LogTable]:
@@ -354,14 +347,15 @@ def holdout_split(members, seed: int = 0) -> tuple[LogTable, LogTable]:
     return table.take(sorted(train_idx)), table.take(sorted(test_idx))
 
 
-def rmse_holdout(members, stratum_id: str = "", seed: int = 0) -> HoldoutReport:
+def rmse_holdout(members, seed: int = 0) -> dict:
     """Fit on a stratified train split, report per-model RMSE on held-out
     entries from each model's own conditioning slice (None when the slice
-    has no test entries)."""
+    has no test entries): energy_rmse and throughput_rmse map each group
+    label to its RMSE, next to the stratum means and the split sizes."""
     table = as_log_table(members)
     train, test = holdout_split(table, seed=seed)
     try:
-        models = fit_stratum_models(train, stratum_id)
+        models = fit_stratum_models(train, "")
     except SurfaceFitError as exc:
         raise SurfaceFitError(f"insufficient train coverage: {exc}") from exc
 
@@ -377,11 +371,11 @@ def rmse_holdout(members, stratum_id: str = "", seed: int = 0) -> HoldoutReport:
             errs = m.values_at(params) - getattr(test, m.metric)[rows]
             rmse[m.metric][m.label] = float(np.sqrt(np.mean(np.square(errs))))
 
-    return HoldoutReport(
-        energy_rmse=rmse["energy_joules"],
-        throughput_rmse=rmse["throughput_mbps"],
-        mean_energy=float(np.mean(table.energy_joules)),
-        mean_throughput=float(np.mean(table.throughput_mbps)),
-        train_count=len(train),
-        test_count=len(test),
-    )
+    return {
+        "energy_rmse": rmse["energy_joules"],
+        "throughput_rmse": rmse["throughput_mbps"],
+        "mean_energy": float(np.mean(table.energy_joules)),
+        "mean_throughput": float(np.mean(table.throughput_mbps)),
+        "train_count": len(train),
+        "test_count": len(test),
+    }

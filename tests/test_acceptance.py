@@ -3,7 +3,7 @@
 
 Every check runs against an independent oracle built in the test modules
 (dense linear solves, exhaustive enumeration, finite differences, numpy
-eigendecomposition), never against the production code path itself.
+polynomial derivatives and eigendecomposition), never against the production code path itself.
 """
 
 import math
@@ -46,6 +46,9 @@ from test_spline import (
     random_knots,
     random_surface,
     sample_points_with_margin,
+    spline_derivative,
+    surface_gradient,
+    surface_hessian,
 )
 from test_surfaces import make_members
 
@@ -82,7 +85,8 @@ def test_criterion_01_spline_exactness():
         y = rng.standard_normal(n)
         g = fit_natural_spline(x, y)
         yscale = max(1.0, float(np.max(np.abs(y))))
-        worst_ends = max(worst_ends, abs(g.deriv2(x[0])), abs(g.deriv2(x[-1])))
+        worst_ends = max(worst_ends, abs(spline_derivative(g, x[0], 2)),
+                         abs(spline_derivative(g, x[-1], 2)))
         for i in range(1, n - 1):
             for d, budget in ((0, 1e-9), (1, 1e-9), (2, 1e-8)):
                 jump = abs(basis_row(x[i], d) @ g.coeffs[i - 1]
@@ -124,6 +128,8 @@ def test_criterion_02_spline_solver_equivalence():
 
 
 def test_criterion_03_surface_derivatives():
+    """The derivatives of each stored cell polynomial (numpy.polynomial)
+    match finite differences of the surface's values."""
     rng = np.random.default_rng(303)
     h = 1e-4   # large enough to dominate the power-basis cancellation noise
     worst = 0.0
@@ -136,12 +142,12 @@ def test_criterion_03_surface_derivatives():
         nx, ny = int(rng.integers(4, 7)), int(rng.integers(4, 7))
         xs, ys, grid, f = random_surface(rng, nx, ny)
         for x, y in sample_points_with_margin(rng, xs, ys, 250, 4 * h):
-            gx, gy = f.gradient(x, y)
+            gx, gy = surface_gradient(f, x, y)
             worst = max(worst, rel(gx, (f(x + h, y) - f(x - h, y)) / (2 * h)))
             worst = max(worst, rel(gy, (f(x, y + h) - f(x, y - h)) / (2 * h)))
-            fxx, fxy, fyy = f.hessian(x, y)
-            gxp, gxm = f.gradient(x + h, y), f.gradient(x - h, y)
-            gyp, gym = f.gradient(x, y + h), f.gradient(x, y - h)
+            fxx, fxy, fyy = surface_hessian(f, x, y)
+            gxp, gxm = surface_gradient(f, x + h, y), surface_gradient(f, x - h, y)
+            gyp, gym = surface_gradient(f, x, y + h), surface_gradient(f, x, y - h)
             worst = max(worst, rel(fxx, (gxp[0] - gxm[0]) / (2 * h)))
             worst = max(worst, rel(fyy, (gyp[1] - gym[1]) / (2 * h)))
             worst = max(worst, rel(fxy, (gyp[0] - gym[0]) / (2 * h)))
@@ -205,13 +211,13 @@ def test_criterion_06_holdout_rmse(corpus_two_sweeps, stratify_config):
     worst_e = worst_t = 0.0
     for s in strata2:
         members = [corpus_two_sweeps[i] for i in s.members]
-        rep = rmse_holdout(members, s.id, seed=0)
-        assert rep.test_count > 0
-        evals = [v for v in rep.energy_rmse.values() if v is not None]
-        tvals = [v for v in rep.throughput_rmse.values() if v is not None]
+        rep = rmse_holdout(members, seed=0)
+        assert rep["test_count"] > 0
+        evals = [v for v in rep["energy_rmse"].values() if v is not None]
+        tvals = [v for v in rep["throughput_rmse"].values() if v is not None]
         assert evals and tvals
-        worst_e = max(worst_e, max(evals) / rep.mean_energy)
-        worst_t = max(worst_t, max(tvals) / rep.mean_throughput)
+        worst_e = max(worst_e, max(evals) / rep["mean_energy"])
+        worst_t = max(worst_t, max(tvals) / rep["mean_throughput"])
     ok = worst_e < 0.01 and worst_t < 0.01
     _report("criterion-6 held-out RMSE under 1% of stratum means", ok,
             f"{len(strata2)} strata, 70/30 split, worst energy"

@@ -2,18 +2,39 @@
 
 bench/run.py wraps program functions by name to trace them and tags ingest
 spans with the length of what ingest_logs returns, so a renamed target or
-an ingest result without len() breaks --trace 1. These run the smallest
-traced offline workload and the traced online workload and check that
-their output checks pass and their per-layer counters moved, the tick
-tags (trigger, switch) included.
+an ingest result without len() breaks --trace 1. The first test resolves
+every trace target by name without running the benchmark. The others run
+the smallest traced offline workload and the traced online workload and
+check that their output checks pass and their per-layer counters moved,
+the tick tags (trigger, switch) included.
 """
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_trace_target_names_a_program_function():
+    # the tracer takes a function with getattr and a method from its class's
+    # own __dict__; a module's vars() and a class's vars() are exactly those
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, (modname, attr) in tracing.TARGETS.items():
+        owner = importlib.import_module(modname)
+        *classes, fn = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls, None)
+        if owner is None or fn not in vars(owner):
+            missing.append(f"{name} ({modname}.{attr})")
+    assert not missing, f"trace targets missing from the program: {', '.join(missing)}"
 
 
 def traced_run(workload: str) -> dict:

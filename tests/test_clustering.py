@@ -15,7 +15,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xfertune import (
@@ -578,6 +578,33 @@ def test_tier2_vector_uses_configured_features(stratify_config):
     assert all(0.0 <= v <= 1.0 for v in vec)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(loads=st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=12))
+@example(loads=[0.2, 0.9, 0.95, 1.0, 1.0])   # b2 clamps to full load
+def test_each_member_load_picks_its_own_stratum_among_siblings(loads):
+    # one configuration on one route, so strata differ in load only
+    entries = [TransferLogEntry(
+        params=ParamConfig(8, 2300, 16, 8, 8), dataset=DATASET_CLASSES["small"],
+        network=NetworkMeta("uc", "tacc", 1e4, 32.0, load),
+        throughput_mbps=1000.0, energy_joules=100.0, avg_power_watts=10.0,
+        duration_s=10.0, timestamp_s=float(i)) for i, load in enumerate(loads)]
+    strata = stratify(entries)
+    assert_is_partition(len(entries), strata)
+    for s in strata:
+        siblings = [t for t in strata if t.sibling_key == s.sibling_key]
+        for i in s.members:
+            assert load_band_stratum(siblings, loads[i]).id == s.id, (i, loads[i])
+
+
+def test_stratify_rejects_loads_outside_the_unit_interval():
+    entries = random_corpus(np.random.default_rng(3))
+    bad = dataclasses.replace(entries[0].network, ext_load=1.5)
+    entries[0] = dataclasses.replace(entries[0], network=bad)
+    with pytest.raises(ClusterError, match=r"ext_load must be in \[0, 1\]"):
+        stratify(entries)
+
+
 def test_contains_load_on_an_array_matches_each_scalar():
     loads = np.array([0.0, 0.2, 0.59, 0.6, 0.99, 1.0])
     for interval in ((0.0, 0.2), (0.2, 0.6), (0.6, 1.0), (0.3, 0.3)):
@@ -629,8 +656,10 @@ def legacy_stratify(entries, config):
             bounds = [(0.0, b1), (b1, b2), (b2, 1.0)]
             buckets = [[], [], []]
             for i in g2:
+                # the first band holding x, the top band closed at full load
                 x = entries[i].network.ext_load
-                buckets[0 if x < b1 else (1 if x < b2 else 2)].append(i)
+                buckets[next(b for b, (lo, hi) in enumerate(bounds)
+                             if lo <= x < hi or x == hi == 1.0)].append(i)
             for b, members in enumerate(buckets):
                 by_route = {}
                 for i in members:

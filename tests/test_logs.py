@@ -71,11 +71,11 @@ def test_lattice_enumeration_is_lexicographic():
     lat = ParamLattice(cpu_num=(1, 2), cpu_freq_mhz=(1200,), cc=(1, 4),
                        p=(1,), pp=(0, 4))
     cfgs = list(lat.configs())
-    assert len(cfgs) == lat.size() == 8
+    assert len(cfgs) == 8
     keys = [tuple(c.get(n) for n in PARAM_NAMES) for c in cfgs]
     assert keys == sorted(keys)
-    assert lat.contains(ParamConfig(1, 1200, 4, 1, 4))
-    assert not lat.contains(ParamConfig(3, 1200, 4, 1, 4))
+    assert ParamConfig(1, 1200, 4, 1, 4) in cfgs
+    assert ParamConfig(3, 1200, 4, 1, 4) not in cfgs
 
 
 def test_lattice_rejects_bad_axes():

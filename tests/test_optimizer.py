@@ -25,7 +25,6 @@ from xfertune import (
     StratifyConfig,
     SurfaceFitError,
     build_param_table,
-    enumerate_lattice,
     find_critical_points,
     fit_all_strata,
     fit_stratum_models,
@@ -45,6 +44,7 @@ from xfertune.simulator import ENDPOINTS
 from xfertune.spline import fit_bicubic_surface, fit_natural_spline
 from xfertune.surfaces import PARAM_GROUPS
 
+from test_spline import spline_derivative, surface_gradient, surface_hessian
 from test_surfaces import AXES, lattice_configs, make_members, true_energy
 
 
@@ -132,10 +132,10 @@ def test_spline_stationary_points_against_root_oracle():
         # share a cell; every reported point must be a true root though
         for p in got:
             t = p.coords[0]
-            assert abs(s.deriv(t)) < 1e-8 * max(1.0, abs(s(t)))
+            assert abs(spline_derivative(s, t, 1)) < 1e-8 * max(1.0, abs(s(t)))
             assert min(abs(t - r) for r in roots) < 1e-6
         for p in got:
-            s2 = s.deriv2(p.coords[0])
+            s2 = spline_derivative(s, p.coords[0], 2)
             if p.kind == "min":
                 assert s2 > 0
             elif p.kind == "max":
@@ -161,9 +161,9 @@ def test_surface_newton_finds_interior_maximum():
     assert best.value >= grid.max() - 1e-9
     for p in points:
         if p.stationary:
-            gx, gy = f.gradient(*p.coords)
+            gx, gy = surface_gradient(f, *p.coords)
             assert math.hypot(gx, gy) < 1e-7
-            assert p.kind == eig_classify(*f.hessian(*p.coords))
+            assert p.kind == eig_classify(*surface_hessian(f, *p.coords))
 
 
 # -- optimization vs exhaustive enumeration ------------------------------------
@@ -269,8 +269,9 @@ def test_random_strata_match_brute_force():
     for trial in range(10):
         axes = random_axes(rng)
         models = fit_stratum_models(random_stratum_members(rng, axes), f"r{trial}")
-        preds_e = sorted(models.predict_energy(c) for c in enumerate_lattice(models))
-        preds_t = sorted(models.predict_throughput(c) for c in enumerate_lattice(models))
+        predictions = scalar_predictions(models, models.lattice_axes())
+        preds_e = sorted(e for _, e, _ in predictions)
+        preds_t = sorted(t for _, _, t in predictions)
         slas = [SLA.max_throughput(), SLA.min_energy()]
         cap = preds_e[len(preds_e) // 3]
         if cap > 0:
@@ -338,15 +339,14 @@ def test_lattice_tensors_match_scalar_brute_force(case, at):
     except SurfaceFitError:
         reject()        # the random drops emptied an axis of a slice
     axes = models.lattice_axes()
-    lattice = enumerate_lattice(models)
+    predictions = scalar_predictions(models, axes)
     # bounds set exactly at a predicted value: e == cap and t == floor are feasible
-    cfg = lattice[min(int(at * len(lattice)), len(lattice) - 1)]
+    cfg = predictions[min(int(at * len(predictions)), len(predictions) - 1)][0]
     slas = [SLA.max_throughput(), SLA.min_energy(),
             SLA(id="floor", kind=KIND_THROUGHPUT_FLOOR,
                 bound=max(0.0, models.predict_throughput(cfg)))]
     if models.predict_energy(cfg) > 0:
         slas.append(SLA(id="cap", kind=KIND_ENERGY_CAP, bound=models.predict_energy(cfg)))
-    predictions = scalar_predictions(models, axes)
     for sla in slas:
         check_against_brute_force(models, axes, sla, predictions)
 

@@ -21,7 +21,7 @@ from xfertune import (SLA, cli, compare_policies, fit_all_strata,
                       generate_training_logs, optimize_all, run_tuned_transfer,
                       stratify)
 from xfertune.clustering import StratifyConfig
-from xfertune.logs import ParamConfig, serialize_logs
+from xfertune.logs import PARAM_NAMES, ParamLattice, serialize_logs
 from xfertune.simulator import (DATASET_CLASSES, ENDPOINTS, LoadScenario,
                                 default_lattice, power_above_base_watts,
                                 synth_file_sizes, throughput_mbps)
@@ -98,13 +98,11 @@ def test_schema_mismatch_and_malformed_artifacts(chain, tmp_path):
 
 
 def test_models_artifact_reproduces_predictions(chain, models):
-    from xfertune.optimizer import enumerate_lattice
-
     loaded = load_models(read_json_artifact(chain / "models.json", "models"))
     assert sorted(loaded) == sorted(models)
     sid = sorted(models)[0]
     a, b = loaded[sid], models[sid]
-    for cfg in enumerate_lattice(a)[::37]:
+    for cfg in list(ParamLattice(**a.lattice_axes()).configs())[::37]:
         assert a.predict_energy(cfg) == pytest.approx(b.predict_energy(cfg), rel=1e-12)
         assert a.predict_throughput(cfg) == pytest.approx(
             b.predict_throughput(cfg), rel=1e-12)
@@ -437,6 +435,40 @@ def test_fit_exits_2_on_a_log_whose_surface_coefficients_overflow(tmp_path, caps
     assert not (tmp_path / "models.json").exists()
 
 
+def test_fit_exits_2_on_a_stratum_whose_mean_energy_overflows(tmp_path, capsys):
+    # every cc=16 entry at 1e307 J: each grid cell and coefficient stays
+    # finite, but a stratum's energies sum past the largest float; its mean
+    # used to be written as "inf", which optimize then could not read
+    logs, strata = tmp_path / "logs.jsonl", tmp_path / "strata.json"
+    entries = [replace(e, energy_joules=1e307, avg_power_watts=1e307 / e.duration_s)
+               if e.params.cc == 16 else e
+               for e in generate_training_logs(seed=0)]
+    serialize_logs(entries, logs)
+    assert cli.main(["stratify", "--logs", str(logs), "--out", str(strata)]) == 0
+    capsys.readouterr()
+    assert cli.main(["fit", "--logs", str(logs), "--strata", str(strata),
+                     "--out", str(tmp_path / "models.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: stratum s000: the mean of energy_joules is inf, "
+                   "not a finite number\n")
+    assert not (tmp_path / "models.json").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", None, True, "12.5"])
+def test_optimize_exits_2_on_models_whose_mean_is_not_a_finite_number(
+        chain, tmp_path, capsys, value):
+    doc = json.loads((chain / "models.json").read_text())
+    sid = sorted(doc["strata"])[-1]
+    doc["strata"][sid]["mean_energy"] = value
+    models = tmp_path / "models.json"
+    models.write_text(json.dumps(doc))
+    assert cli.main(["optimize", "--models", str(models),
+                     "--out", str(tmp_path / "table.json")]) == 2
+    assert capsys.readouterr().err == (f"error: stratum {sid}: mean_energy {value!r} "
+                                       f"is not a finite number\n")
+    assert not (tmp_path / "table.json").exists()
+
+
 def test_unknown_file_classes_are_rejected_by_every_online_run(chain):
     config, strata = load_strata(read_json_artifact(chain / "strata.json", "strata"))
     models = load_models(read_json_artifact(chain / "models.json", "models"))
@@ -472,7 +504,7 @@ def test_static_optimal_searches_the_compared_routes_lattice():
     assert [r["class"] for r in oracle] == ["small", "medium", "large"]
     for row in oracle:
         for params in row["params"].values():
-            assert lattice.contains(ParamConfig(**params))
+            assert all(params[p] in lattice.axis(p) for p in PARAM_NAMES)
         meta = dataset_meta_for(synth_file_sizes(DATASET_CLASSES[row["class"]]))
         mbit = meta.total_size_bytes * 8.0 / 1e6
         tputs = {cfg: throughput_mbps(cloudlab, cfg, load, meta.avg_file_size_bytes)

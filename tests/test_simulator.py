@@ -91,7 +91,7 @@ def test_ext_load_bounds_are_enforced():
 def test_endpoint_presets_are_consistent():
     assert set(ENDPOINTS) == {"chameleon", "cloudlab", "intercloud"}
     assert CHAM.max_freq_mhz == 2300
-    assert default_lattice(CHAM).size() == 432
+    assert len(list(default_lattice(CHAM).configs())) == 432
     assert baseline_config(CHAM) == ParamConfig(24, 2300, 1, 1, 0)
     assert [s.bdp_bytes for s in ENDPOINTS.values()] == [40e6, 4.5e6, 6e6]
     assert replace(CHAM, rtt_ms=16.0).bdp_bytes == 20e6
@@ -213,7 +213,7 @@ def test_scenario_lookup_and_validation():
     assert sc.load_at(10.0) == 0.6
     assert sc.load_at(1e9) == 0.6
     assert LoadScenario.constant(0.3).load_at(7.0) == 0.3
-    assert LoadScenario.from_dict(sc.as_dict()) == sc
+    assert sc.as_dict() == {"segments": [[0.0, 0.2], [10.0, 0.6]]}
     with pytest.raises(SimulationError, match="start at t=0"):
         LoadScenario(((1.0, 0.2),))
     with pytest.raises(SimulationError, match="strictly increasing"):

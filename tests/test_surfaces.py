@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from xfertune import (
     DatasetMeta,
     GroupModel,
-    HoldoutReport,
     LogTable,
     NetworkMeta,
     ParamConfig,
@@ -244,17 +243,17 @@ def test_holdout_split_is_seed_deterministic():
 
 
 def test_single_sweep_holdout_has_no_test_entries():
-    report = rmse_holdout(make_members(), "sX")
-    assert report.test_count == 0
-    assert set(report.energy_rmse.values()) == {None}
-    assert set(report.throughput_rmse.values()) == {None}
+    report = rmse_holdout(make_members())
+    assert report["test_count"] == 0
+    assert set(report["energy_rmse"].values()) == {None}
+    assert set(report["throughput_rmse"].values()) == {None}
 
 
 def test_duplicate_sweeps_give_zero_holdout_rmse():
-    report = rmse_holdout(make_members(copies=2), "sX", seed=3)
-    assert report.test_count > 0
-    for rmse_by_group, mean in ((report.energy_rmse, report.mean_energy),
-                                (report.throughput_rmse, report.mean_throughput)):
+    report = rmse_holdout(make_members(copies=2), seed=3)
+    assert report["test_count"] > 0
+    for rmse_by_group, mean in ((report["energy_rmse"], report["mean_energy"]),
+                                (report["throughput_rmse"], report["mean_throughput"])):
         for label, rmse in rmse_by_group.items():
             assert rmse is not None, label
             assert rmse < 1e-9 * mean
@@ -264,7 +263,7 @@ def test_insufficient_train_coverage_is_reported():
     axes = dict(AXES)
     axes["p"] = (2,)
     with pytest.raises(SurfaceFitError, match="insufficient train coverage"):
-        rmse_holdout(make_members(axes, copies=2), "sX")
+        rmse_holdout(make_members(axes, copies=2))
 
 
 def test_group_layout():
@@ -512,10 +511,10 @@ def legacy_holdout_split(members, seed=0):
             [members[i] for i in sorted(test_idx)])
 
 
-def legacy_rmse_holdout(members, stratum_id="", seed=0):
+def legacy_rmse_holdout(members, seed=0):
     train, test = legacy_holdout_split(members, seed=seed)
     try:
-        models = legacy_fit_stratum_models(train, stratum_id)
+        models = legacy_fit_stratum_models(train, "")
     except SurfaceFitError as exc:
         raise SurfaceFitError(f"insufficient train coverage: {exc}") from exc
 
@@ -527,14 +526,14 @@ def legacy_rmse_holdout(members, stratum_id="", seed=0):
             out[m.label] = float(np.sqrt(np.mean(np.square(errs)))) if errs else None
         return out
 
-    return HoldoutReport(
-        energy_rmse=per_model(models.energy),
-        throughput_rmse=per_model(models.throughput),
-        mean_energy=float(np.mean([e.energy_joules for e in members])),
-        mean_throughput=float(np.mean([e.throughput_mbps for e in members])),
-        train_count=len(train),
-        test_count=len(test),
-    )
+    return {
+        "energy_rmse": per_model(models.energy),
+        "throughput_rmse": per_model(models.throughput),
+        "mean_energy": float(np.mean([e.energy_joules for e in members])),
+        "mean_throughput": float(np.mean([e.throughput_mbps for e in members])),
+        "train_count": len(train),
+        "test_count": len(test),
+    }
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -546,13 +545,13 @@ def test_holdout_matches_legacy_holdout(members, seed):
     got_train, got_test = holdout_split(table, seed=seed)
     assert list(got_train) == want_train and list(got_test) == want_test
     try:
-        want = legacy_rmse_holdout(members, "h", seed=seed)
+        want = legacy_rmse_holdout(members, seed=seed)
     except SurfaceFitError as exc:
         with pytest.raises(SurfaceFitError) as got:
-            rmse_holdout(table, "h", seed=seed)
+            rmse_holdout(table, seed=seed)
         assert str(got.value) == str(exc)
         return
-    assert rmse_holdout(table, "h", seed=seed).as_dict() == want.as_dict()
+    assert rmse_holdout(table, seed=seed) == want
 
 
 def per_group_conditioning(params, group):
