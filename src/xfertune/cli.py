@@ -111,9 +111,19 @@ def cmd_stratify(args) -> int:
     return 0
 
 
+def _read(path: str, kind: str, load):
+    """load() of the artifact of the given kind at path; a body of another
+    shape is reported with the file's name."""
+    doc = read_json_artifact(path, kind)
+    try:
+        return load(doc)
+    except PipelineError as exc:
+        raise PipelineError(f"{path}: {exc}") from None
+
+
 def cmd_fit(args) -> int:
     entries = ingest_logs(args.logs)
-    _, strata = load_strata(read_json_artifact(args.strata, "strata"))
+    _, strata = _read(args.strata, "strata", load_strata)
     models, holdout = fit_all_strata(entries, strata, with_holdout=not args.no_holdout)
     write_json_artifact(args.out, models_doc(models, holdout or None))
     print(f"fitted {len(models)} strata -> {args.out}")
@@ -127,7 +137,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    models = load_models(read_json_artifact(args.models, "models"))
+    models = _read(args.models, "models", load_models)
     names = args.sla or ["max-tput", "min-energy"]
     slas = [parse_sla(s) for s in names]
     table = optimize_all(models, slas)
@@ -149,9 +159,9 @@ def cmd_optimize(args) -> int:
 
 def _online_inputs(args):
     """(config, strata, models, table, spec, scenario) for tune and compare."""
-    config, strata = load_strata(read_json_artifact(args.strata, "strata"))
-    models = load_models(read_json_artifact(args.models, "models"))
-    table = load_table(read_json_artifact(args.table, "table"))
+    config, strata = _read(args.strata, "strata", load_strata)
+    models = _read(args.models, "models", load_models)
+    table = _read(args.table, "table", load_table)
     return (config, strata, models, table, _endpoint(args.endpoint),
             parse_scenario(args.scenario))
 
@@ -274,7 +284,9 @@ def main(argv=None) -> int:
                   f"{exc.report.energy_joules:.1f} J consumed", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -359,6 +359,12 @@ def _in_load_band(interval: tuple[float, float], x):
 class Stratum:
     """One leaf of the stratification: a homogeneous group of log entries."""
 
+    # the shape of as_dict() that the artifact reader checks (see
+    # xfertune.pipeline)
+    SHAPE = {"id": str, "tier1_key": str, "tier2_key": str, "tier3_key": str,
+             "route": [str], "ext_load_interval": [(int, float)], "members": list,
+             "centroids": {str: list}}
+
     id: str
     tier1_key: str
     tier2_key: str

@@ -56,6 +56,10 @@ class SLA:
     max-throughput and min-energy objectives.
     """
 
+    # the shape of as_dict() that the artifact reader checks (see
+    # xfertune.pipeline)
+    SHAPE = {"id": str, "kind": str, "bound": (int, float, str)}
+
     id: str
     kind: str
     bound: float
@@ -253,6 +257,12 @@ def find_critical_points(model) -> list[CriticalPoint]:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    # the shape of as_dict() that the artifact reader checks (see
+    # xfertune.pipeline)
+    SHAPE = {"stratum_id": str, "sla_id": str, "params": dict.fromkeys(PARAM_NAMES, int),
+             "predicted_energy": object, "predicted_throughput": object,
+             "candidate_count": int, "feasible_count": int}
+
     stratum_id: str
     sla_id: str
     params: ParamConfig
@@ -276,7 +286,7 @@ class OptimizationResult:
     def from_dict(cls, obj: dict) -> "OptimizationResult":
         return cls(
             stratum_id=obj["stratum_id"], sla_id=obj["sla_id"],
-            params=ParamConfig(**obj["params"]),
+            params=ParamConfig(*(obj["params"][p] for p in PARAM_NAMES)),
             predicted_energy=obj["predicted_energy"],
             predicted_throughput=obj["predicted_throughput"],
             candidate_count=obj["candidate_count"],

@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import StratifyConfig, Stratum
+from .clustering import ClusterError, StratifyConfig, Stratum
 from .logs import LogTable, ParamConfig, ParamLattice, as_log_table
-from .optimizer import SLA, ParamTable, build_param_table
+from .optimizer import SLA, OptimizationResult, ParamTable, build_param_table
 from .simulator import (DATASET_CLASSES, EndpointSpec, LoadScenario,
                         SimEndpoint, baseline_config, default_lattice,
                         synth_file_sizes, throughput_mbps,
@@ -34,7 +34,7 @@ from .tuner import (FILE_CLASSES, FixedController, OnlineTuner, TransferReport,
 
 SCHEMAS = {
     "strata": "xfertune/strata-v1",
-    "models": "xfertune/models-v1",
+    "models": "xfertune/models-v2",
     "table": "xfertune/table-v1",
     "transfer": "xfertune/transfer-v1",
     "compare": "xfertune/compare-v1",
@@ -136,6 +136,41 @@ def read_json_artifact(path: str | Path, schema_key: str) -> dict:
     return obj
 
 
+# The shapes of artifact bodies, down to the values their readers convert
+# themselves; a class whose as_dict() an artifact holds declares that part as
+# its SHAPE. A dict lists required keys (readers ignore any others),
+# {str: shape} is an object with any keys, [shape] an array of shape, a type
+# or a tuple of types is a value other than a boolean, and object is any
+# value.
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", float: "a number", bool: "a boolean",
+               type(None): "null"}
+
+
+def _check_body(value, shape, kind: str, where: str = "") -> None:
+    """Raise PipelineError naming the kind of artifact and the key path of
+    the first value, in document order, that departs from shape."""
+    if shape is object:
+        return
+    want = type(shape) if isinstance(shape, (dict, list)) else shape
+    here = f"{kind} artifact: {where or 'the body'}"
+    if isinstance(value, bool) or not isinstance(value, want):
+        found = _JSON_KINDS.get(type(value), type(value).__name__)
+        wanted = " or ".join(map(_JSON_KINDS.get, want if isinstance(want, tuple) else (want,)))
+        raise PipelineError(f"{here} is {found}, not {wanted}")
+    if isinstance(shape, list):
+        for i, item in enumerate(value):
+            _check_body(item, shape[0], kind, f"{where}[{i}]")
+    elif isinstance(shape, dict) and str in shape:
+        for k, item in value.items():
+            _check_body(item, shape[str], kind, f"{where}[{k!r}]")
+    elif isinstance(shape, dict):
+        for k, sub in shape.items():
+            if k not in value:
+                raise PipelineError(f"{here} is missing key {k!r}")
+            _check_body(value[k], sub, kind, f"{where}[{k!r}]")
+
+
 # -- strata ------------------------------------------------------------------
 
 def strata_doc(config: StratifyConfig, strata) -> dict:
@@ -144,8 +179,17 @@ def strata_doc(config: StratifyConfig, strata) -> dict:
             "strata": [s.as_dict() for s in strata]}
 
 
+_STRATA_BODY = {"config": dict, "strata": [Stratum.SHAPE]}
+
+
 def load_strata(doc: dict):
-    config = StratifyConfig.from_dict(doc["config"])
+    """(config, strata) of a strata artifact; a body of another shape, or
+    a config StratifyConfig refuses, raises PipelineError."""
+    _check_body(doc, _STRATA_BODY, "strata")
+    try:
+        config = StratifyConfig.from_dict(doc["config"])
+    except ClusterError as exc:
+        raise PipelineError(f"strata artifact: ['config']: {exc}") from None
     return config, [Stratum.from_dict(d) for d in doc["strata"]]
 
 
@@ -202,7 +246,14 @@ def models_doc(models: dict, holdout: dict | None = None) -> dict:
     return doc
 
 
+_MODELS_BODY = {"strata": {str: StratumModels.SHAPE}}
+
+
 def load_models(doc: dict) -> dict:
+    """Stratum id -> StratumModels of a models artifact, refitted from its
+    knots and grids; a body of another shape raises PipelineError, knots or
+    grids the fit cannot take SurfaceFitError."""
+    _check_body(doc, _MODELS_BODY, "models")
     return {sid: StratumModels.from_dict(d) for sid, d in doc["strata"].items()}
 
 
@@ -212,7 +263,19 @@ def table_doc(table: ParamTable) -> dict:
     return {"schema": SCHEMAS["table"], "table": table.as_dict()}
 
 
+_TABLE_BODY = {"table": {"slas": [SLA.SHAPE], "rows": {str: {str: {"status": str}}}}}
+_OK_ROW = {"result": OptimizationResult.SHAPE}
+_INFEASIBLE_ROW = {"reason": str}
+
+
 def load_table(doc: dict) -> ParamTable:
+    """The ParamTable of a table artifact; a body of another shape raises
+    PipelineError. A row whose status is not ok must give its reason."""
+    _check_body(doc, _TABLE_BODY, "table")
+    for sid, rows in doc["table"]["rows"].items():
+        for sla_id, row in rows.items():
+            _check_body(row, _OK_ROW if row["status"] == "ok" else _INFEASIBLE_ROW,
+                        "table", f"['table']['rows'][{sid!r}][{sla_id!r}]")
     return ParamTable.from_dict(doc["table"])
 
 

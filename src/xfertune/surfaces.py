@@ -20,6 +20,14 @@ SLA feasibility) do not (ROADMAP item 1). Predictions come per
 configuration (predict_energy, predict_throughput) or as arrays over the
 whole knot lattice (lattice_predictions), with identical values. A stratum
 mean that is not finite is refused when fitting and when loading.
+
+The artifact form of a stratum's models (as_dict) holds, per group, only
+what the fit read: the conditioning, the knot axes and the two metric grids
+on them. The coefficients are derived, so they are not stored: from_dict
+refits each group through the same stacked fit as fitting does, which gives
+the fitted coefficients bit for bit, and refuses knots or grids that the fit
+cannot take (knots not strictly increasing, a grid that is not finite or
+does not match the knots).
 """
 from __future__ import annotations
 
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logs import PARAM_NAMES, LogTable, ParamConfig, as_log_table, unique_rows
-from .spline import Spline1D, Surface, fit_bicubic_surface, fit_natural_spline
+from .spline import fit_bicubic_surface, fit_natural_spline
 
 PARAM_GROUPS: tuple[tuple[str, ...], ...] = (
     ("cpu_num", "cpu_freq_mhz"),
@@ -168,42 +176,29 @@ class GroupModel:
                            indexing="ij")
         return self.model(*(m.ravel() for m in mesh)).reshape(mesh[0].shape)
 
+    @property
+    def knots(self) -> tuple[np.ndarray, ...]:
+        """The knot axes, one per group parameter."""
+        m = self.model
+        return (m.xs, m.ys) if len(self.params) == 2 else (m.knots,)
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The values the model interpolates on the mesh of its knots."""
+        return self.model.grid if len(self.params) == 2 else self.model.values
+
     def axis_values(self, name: str) -> tuple[int, ...]:
-        if len(self.params) == 2:
-            knots = self.model.xs if name == self.params[0] else self.model.ys
-        else:
-            knots = self.model.knots
-        return tuple(int(round(v)) for v in knots)
+        return tuple(int(round(v)) for v in self.knots[self.params.index(name)])
 
-    def as_dict(self) -> dict:
-        d = {"params": list(self.params), "conditioning": dict(self.conditioning),
-             "metric": self.metric}
-        if len(self.params) == 2:
-            d["surface"] = {
-                "xs": self.model.xs.tolist(), "ys": self.model.ys.tolist(),
-                "coeffs": self.model.coeffs.tolist(), "grid": self.model.grid.tolist(),
-            }
-        else:
-            d["spline"] = {
-                "knots": self.model.knots.tolist(),
-                "coeffs": self.model.coeffs.tolist(),
-                "values": self.model.values.tolist(),
-            }
-        return d
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GroupModel":
-        params = tuple(obj["params"])
-        if "surface" in obj:
-            s = obj["surface"]
-            model = Surface(xs=np.array(s["xs"]), ys=np.array(s["ys"]),
-                            coeffs=np.array(s["coeffs"]), grid=np.array(s["grid"]))
-        else:
-            s = obj["spline"]
-            model = Spline1D(knots=np.array(s["knots"]), coeffs=np.array(s["coeffs"]),
-                             values=np.array(s["values"]))
-        return cls(params=params, conditioning=dict(obj["conditioning"]),
-                   metric=obj["metric"], model=model)
+def _group_models(group: tuple[str, ...], conditioning: dict, knots,
+                  grids: np.ndarray) -> tuple[GroupModel, ...]:
+    """A group's models, one per metric in METRICS order, from its knot axes
+    and its METRICS grids stacked on them, in one stacked spline fit."""
+    fit = fit_bicubic_surface if len(group) == 2 else fit_natural_spline
+    return tuple(GroupModel(params=group, conditioning=conditioning,
+                            metric=metric, model=model)
+                 for metric, model in zip(METRICS, fit(*knots, grids)))
 
 
 def _combine(parts, mean):
@@ -222,6 +217,14 @@ def _combine(parts, mean):
 @dataclass(frozen=True)
 class StratumModels:
     """All fitted models for one stratum plus combined predictors."""
+
+    # the shape of as_dict() that the artifact reader checks (see
+    # xfertune.pipeline); from_dict checks the means and arrays itself
+    SHAPE = {"stratum_id": str,
+             "groups": {_group_label(group): {"conditioning": {str: int}, "knots": list,
+                                              **dict.fromkeys(METRICS, list)}
+                        for group in PARAM_GROUPS},
+             "mean_energy": object, "mean_throughput": object, "entry_count": int}
 
     stratum_id: str
     energy: tuple[GroupModel, ...]
@@ -262,10 +265,17 @@ class StratumModels:
         return {p: self.axis_values(p) for p in PARAM_NAMES}
 
     def as_dict(self) -> dict:
+        """The artifact form: what each group's fit read, no coefficients."""
+        groups = {}
+        for pair in zip(self.energy, self.throughput):
+            groups[pair[0].label] = {
+                "conditioning": dict(pair[0].conditioning),
+                "knots": [k.tolist() for k in pair[0].knots],
+                **{m.metric: m.grid.tolist() for m in pair},
+            }
         return {
             "stratum_id": self.stratum_id,
-            "energy": [m.as_dict() for m in self.energy],
-            "throughput": [m.as_dict() for m in self.throughput],
+            "groups": groups,
             "mean_energy": self.mean_energy,
             "mean_throughput": self.mean_throughput,
             "entry_count": self.entry_count,
@@ -273,19 +283,30 @@ class StratumModels:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "StratumModels":
+        """The models as_dict stored, refitted as fit_stratum_models fits."""
+        sid = obj["stratum_id"]
         for key in ("mean_energy", "mean_throughput"):
             v = obj[key]
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise SurfaceFitError(
-                    f"stratum {obj['stratum_id']}: {key} {v!r} is not a finite number")
-        return cls(
-            stratum_id=obj["stratum_id"],
-            energy=tuple(GroupModel.from_dict(d) for d in obj["energy"]),
-            throughput=tuple(GroupModel.from_dict(d) for d in obj["throughput"]),
-            mean_energy=obj["mean_energy"],
-            mean_throughput=obj["mean_throughput"],
-            entry_count=obj["entry_count"],
-        )
+                raise SurfaceFitError(f"stratum {sid}: {key} {v!r} is not a finite number")
+        groups = []
+        for group in PARAM_GROUPS:
+            label = _group_label(group)
+            g = obj["groups"][label]
+            try:
+                knots = [np.asarray(k, dtype=float) for k in g["knots"]]
+                grids = np.asarray([g[metric] for metric in METRICS], dtype=float)
+                if len(knots) != len(group) or grids.ndim != len(group) + 1:
+                    raise SurfaceFitError(f"want {len(group)} knot axes and "
+                                          f"{len(group)}-D grids")
+                groups.append(_group_models(group, dict(g["conditioning"]), knots, grids))
+            except (TypeError, ValueError) as exc:
+                raise SurfaceFitError(f"stratum {sid}: group {label}: {exc}") from None
+        energy, throughput = zip(*groups)
+        return cls(stratum_id=sid, energy=energy, throughput=throughput,
+                   mean_energy=obj["mean_energy"],
+                   mean_throughput=obj["mean_throughput"],
+                   entry_count=obj["entry_count"])
 
 
 def fit_stratum_models(members, stratum_id: str) -> StratumModels:
@@ -295,29 +316,21 @@ def fit_stratum_models(members, stratum_id: str) -> StratumModels:
         raise SurfaceFitError("no entries to fit")
     table = as_log_table(members)
     modes = _column_modes(table.params)
-    by_metric: dict[str, list[GroupModel]] = {metric: [] for metric in METRICS}
+    groups = []
     for group in PARAM_GROUPS:
         cond = _conditioning(table.params, group, modes)
         rows = np.flatnonzero(_slice_mask(table.params, cond))
-        knots, grids = _group_grids(table, rows, group)
-        fit = fit_bicubic_surface if len(group) == 2 else fit_natural_spline
-        for metric, model in zip(METRICS, fit(*knots, grids)):
-            by_metric[metric].append(GroupModel(params=group, conditioning=cond,
-                                                metric=metric, model=model))
+        groups.append(_group_models(group, cond, *_group_grids(table, rows, group)))
     with np.errstate(over="ignore"):
         means = [float(np.mean(getattr(table, metric))) for metric in METRICS]
     for metric, mean in zip(METRICS, means):
         if not math.isfinite(mean):
             raise SurfaceFitError(f"stratum {stratum_id}: the mean of {metric} "
                                   f"is {mean!r}, not a finite number")
-    return StratumModels(
-        stratum_id=stratum_id,
-        energy=tuple(by_metric["energy_joules"]),
-        throughput=tuple(by_metric["throughput_mbps"]),
-        mean_energy=means[0],
-        mean_throughput=means[1],
-        entry_count=len(table),
-    )
+    energy, throughput = zip(*groups)
+    return StratumModels(stratum_id=stratum_id, energy=energy, throughput=throughput,
+                         mean_energy=means[0], mean_throughput=means[1],
+                         entry_count=len(table))
 
 
 def holdout_split(members, seed: int = 0) -> tuple[LogTable, LogTable]:

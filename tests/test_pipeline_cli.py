@@ -15,6 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from xfertune import (SLA, cli, compare_policies, fit_all_strata,
@@ -32,9 +33,12 @@ from xfertune.pipeline import (
     load_models,
     load_strata,
     load_table,
+    models_doc,
     read_json_artifact,
     write_json_artifact,
 )
+from test_surfaces import assert_same_stratum_models
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -73,7 +77,7 @@ def test_offline_artifacts_are_schema_tagged(chain):
     models = json.loads((chain / "models.json").read_text())
     table = json.loads((chain / "table.json").read_text())
     assert strata["schema"] == SCHEMAS["strata"] == "xfertune/strata-v1"
-    assert models["schema"] == SCHEMAS["models"] == "xfertune/models-v1"
+    assert models["schema"] == SCHEMAS["models"] == "xfertune/models-v2"
     assert table["schema"] == SCHEMAS["table"] == "xfertune/table-v1"
     assert len(strata["strata"]) == 9
     assert sorted(models["strata"]) == [f"s00{i}" for i in range(9)]
@@ -85,7 +89,7 @@ def test_offline_artifacts_are_schema_tagged(chain):
 
 
 def test_schema_mismatch_and_malformed_artifacts(chain, tmp_path):
-    with pytest.raises(PipelineError, match="expected schema xfertune/models-v1, "
+    with pytest.raises(PipelineError, match="expected schema xfertune/models-v2, "
                                             "found 'xfertune/strata-v1'"):
         read_json_artifact(chain / "strata.json", "models")
     bad = tmp_path / "bad.json"
@@ -100,12 +104,148 @@ def test_schema_mismatch_and_malformed_artifacts(chain, tmp_path):
 def test_models_artifact_reproduces_predictions(chain, models):
     loaded = load_models(read_json_artifact(chain / "models.json", "models"))
     assert sorted(loaded) == sorted(models)
+    for sid in models:
+        assert_same_stratum_models(loaded[sid], models[sid])
     sid = sorted(models)[0]
     a, b = loaded[sid], models[sid]
     for cfg in list(ParamLattice(**a.lattice_axes()).configs())[::37]:
-        assert a.predict_energy(cfg) == pytest.approx(b.predict_energy(cfg), rel=1e-12)
-        assert a.predict_throughput(cfg) == pytest.approx(
-            b.predict_throughput(cfg), rel=1e-12)
+        assert a.predict_energy(cfg) == b.predict_energy(cfg)
+        assert a.predict_throughput(cfg) == b.predict_throughput(cfg)
+
+
+def test_models_artifact_reloads_bit_for_bit_on_a_ragged_multiroute_corpus(tmp_path):
+    specs = [ENDPOINTS["chameleon"], ENDPOINTS["cloudlab"]]
+    rng = np.random.default_rng(7)
+    corpus = [e for e in generate_training_logs(specs=specs, noise=0.02, seed=7)
+              if rng.random() >= 0.1]
+    strata = stratify(corpus, StratifyConfig())
+    assert len({s.route for s in strata}) == 2
+    models, _ = fit_all_strata(corpus, strata, with_holdout=False)
+    path = tmp_path / "models.json"
+    write_json_artifact(path, models_doc(models))
+    loaded = load_models(read_json_artifact(path, "models"))
+    assert sorted(loaded) == sorted(models)
+    for sid in models:
+        assert_same_stratum_models(loaded[sid], models[sid])
+
+
+def test_models_artifact_holds_no_coefficients(chain):
+    text = (chain / "models.json").read_text()
+    assert '"coeffs"' not in text
+    doc = json.loads(text)
+    for stratum in doc["strata"].values():
+        assert list(stratum["groups"]) == ["cc+p", "cpu_num+cpu_freq_mhz", "pp"]
+
+
+def test_a_models_v1_file_is_refused(chain, tmp_path, capsys):
+    doc = json.loads((chain / "models.json").read_text())
+    doc["schema"] = "xfertune/models-v1"
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["optimize", "--models", str(path),
+                     "--out", str(tmp_path / "table.json")]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: expected schema xfertune/models-v2, "
+                                       f"found 'xfertune/models-v1'\n")
+
+
+def _group(doc, label):
+    return doc["strata"]["s004"]["groups"][label]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: _group(d, "cc+p")["knots"][0].reverse(),
+     "group cc+p: xs: knots must be strictly increasing"),
+    # json.dumps writes the NaN token, which json.load reads back
+    (lambda d: _group(d, "pp")["energy_joules"].__setitem__(1, math.nan),
+     "group pp: y values must be finite"),
+    (lambda d: _group(d, "cpu_num+cpu_freq_mhz").update(
+        energy_joules=[row[:-1] for row in _group(d, "cpu_num+cpu_freq_mhz")["energy_joules"]],
+        throughput_mbps=[row[:-1] for row in
+                         _group(d, "cpu_num+cpu_freq_mhz")["throughput_mbps"]]),
+     "group cpu_num+cpu_freq_mhz: grid must have shape (len(xs), len(ys))"),
+], ids=["reversed-xs", "nan-token", "wrong-shape"])
+def test_optimize_exits_2_on_models_with_bad_knots_or_grids(
+        chain, tmp_path, capsys, edit, message):
+    # used to load whatever coefficients the file held: a reversed axis
+    # gave a table (exit 0)
+    doc = json.loads((chain / "models.json").read_text())
+    edit(doc)
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["optimize", "--models", str(path),
+                     "--out", str(tmp_path / "table.json")]) == 2
+    assert capsys.readouterr().err == f"error: stratum s004: {message}\n"
+    assert not (tmp_path / "table.json").exists()
+
+
+@pytest.mark.parametrize("artifact,edit,where", [
+    ("models", lambda d: d.update(strata=[]), "['strata'] is an array, not an object"),
+    ("models", lambda d: d.update(strata={"s000": []}),
+     "['strata']['s000'] is an array, not an object"),
+    ("models", lambda d: d["strata"]["s003"]["groups"]["pp"].pop("knots"),
+     "['strata']['s003']['groups']['pp'] is missing key 'knots'"),
+    ("models", lambda d: d["strata"]["s003"].pop("groups"),
+     "['strata']['s003'] is missing key 'groups'"),
+    ("table", lambda d: d.update(table=[]), "['table'] is an array, not an object"),
+    ("table", lambda d: d["table"]["rows"]["s001"]["max-tput"].pop("result"),
+     "['table']['rows']['s001']['max-tput'] is missing key 'result'"),
+    ("table", lambda d: d["table"]["slas"][0].update(bound=None),
+     "['table']['slas'][0]['bound'] is null, not an integer or a number or a string"),
+    ("strata", lambda d: d.update(strata={}), "['strata'] is an object, not an array"),
+    ("strata", lambda d: d["strata"][2].update(members=7),
+     "['strata'][2]['members'] is an integer, not an array"),
+    ("strata", lambda d: d["config"].pop("tier1_cut"),
+     "['config']: stratify config is missing key 'tier1_cut'"),
+], ids=["models-strata-array", "models-stratum-array", "models-no-knots",
+        "models-no-groups", "table-array", "table-no-result", "table-null-bound",
+        "strata-object", "strata-int-members", "strata-config-key"])
+def test_malformed_artifact_bodies_exit_2_naming_the_key_path(
+        chain, tmp_path, capsys, artifact, edit, where):
+    # each used to crash with a traceback (exit 1) or print a bare key
+    doc = json.loads((chain / f"{artifact}.json").read_text())
+    edit(doc)
+    load = {"strata": load_strata, "models": load_models, "table": load_table}[artifact]
+    with pytest.raises(PipelineError) as exc:
+        load(doc)
+    assert str(exc.value) == f"{artifact} artifact: {where}"
+    paths = {name: chain / f"{name}.json" for name in ("strata", "models", "table")}
+    paths[artifact] = tmp_path / f"{artifact}.json"
+    paths[artifact].write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["tune", *(f"--{name}={path}" for name, path in paths.items()),
+                     "--classes", "small"]) == 2
+    assert capsys.readouterr().err == f"error: {paths[artifact]}: {artifact} artifact: {where}\n"
+
+
+def test_table_reader_ignores_keys_it_does_not_read(chain):
+    # an extra parameter used to reach ParamConfig(**params): a TypeError
+    # traceback from tune
+    doc = json.loads((chain / "table.json").read_text())
+    for rows in doc["table"]["rows"].values():
+        for row in rows.values():
+            row["result"]["params"]["window"] = 3
+    want = load_table(read_json_artifact(chain / "table.json", "table"))
+    got = load_table(doc)
+    for sid in want.rows:
+        for sla in want.slas:
+            assert got.lookup(sid, sla.id) == want.lookup(sid, sla.id)
+
+
+def test_a_missing_table_row_prints_the_message_not_its_repr(chain, capsys):
+    rc = cli.main(["tune", "--strata", str(chain / "strata.json"),
+                   "--models", str(chain / "models.json"),
+                   "--table", str(chain / "table.json"),
+                   "--sla", "foo=throughput-guarantee:10", "--classes", "small"])
+    assert rc == 2
+    assert re.fullmatch(r"error: no table row for \(s\d{3}, foo\)\n",
+                        capsys.readouterr().err)
+
+
+def test_readme_lists_the_artifact_schemas():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Artifacts\n", 1)[1].split("\n## ", 1)[0]
+    listed = dict(re.findall(r"^\| (\w+) \| `(xfertune/[\w-]+)` \|", section, re.M))
+    assert listed == SCHEMAS
 
 
 def test_tuned_transfer_with_load_step(chain, tmp_path, capsys):

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from xfertune.surfaces import (
     _modal_value,
     holdout_split,
 )
+from test_spline import assert_same_bits
 
 DS = DatasetMeta(num_files=4, total_size_bytes=4e6, avg_file_size_bytes=1e6,
                  file_size_stddev_bytes=0.0)
@@ -171,14 +173,77 @@ def test_axis_values_and_lattice_axes():
         models.axis_values("window")
 
 
+def assert_same_stratum_models(got: StratumModels, want: StratumModels):
+    """Equal bit for bit: every group's knots, grids and coefficients, and
+    the predictions on the whole lattice."""
+    assert (got.stratum_id, got.mean_energy, got.mean_throughput, got.entry_count) == (
+        want.stratum_id, want.mean_energy, want.mean_throughput, want.entry_count)
+    assert len(got.energy) == len(want.energy) and len(got.throughput) == len(want.throughput)
+    for g, w in zip(got.energy + got.throughput, want.energy + want.throughput):
+        assert (g.params, g.metric, g.conditioning) == (w.params, w.metric, w.conditioning)
+        for a, b in zip(g.knots + (g.grid, g.model.coeffs),
+                        w.knots + (w.grid, w.model.coeffs)):
+            assert_same_bits(a, b)
+    (got_axes, *got_arrays), (want_axes, *want_arrays) = (
+        got.lattice_predictions(), want.lattice_predictions())
+    assert got_axes == want_axes
+    for a, b in zip(got_arrays, want_arrays):
+        assert_same_bits(a, b)
+
+
+def reloaded(models: StratumModels) -> StratumModels:
+    """models through the artifact's JSON text and back."""
+    return StratumModels.from_dict(json.loads(json.dumps(models.as_dict())))
+
+
 def test_models_roundtrip_through_dict():
     models = fit_stratum_models(make_members(), "sX")
-    back = StratumModels.from_dict(models.as_dict())
+    back = reloaded(models)
+    assert_same_stratum_models(back, models)
     for cfg in list(lattice_configs())[::7]:
-        assert back.predict_energy(cfg) == pytest.approx(models.predict_energy(cfg), rel=1e-12)
-        assert back.predict_throughput(cfg) == pytest.approx(models.predict_throughput(cfg), rel=1e-12)
-    assert back.stratum_id == "sX"
-    assert back.entry_count == models.entry_count
+        assert back.predict_energy(cfg) == models.predict_energy(cfg)
+        assert back.predict_throughput(cfg) == models.predict_throughput(cfg)
+
+
+def test_models_dict_stores_grids_not_coefficients():
+    models = fit_stratum_models(make_members(), "sX")
+    doc = models.as_dict()
+    assert set(doc) == {"stratum_id", "groups", "mean_energy", "mean_throughput",
+                        "entry_count"}
+    assert list(doc["groups"]) == ["cpu_num+cpu_freq_mhz", "cc+p", "pp"]
+    for group, e, t in zip(PARAM_GROUPS, models.energy, models.throughput):
+        g = doc["groups"]["+".join(group)]
+        assert set(g) == {"conditioning", "knots", *METRICS}
+        assert g["conditioning"] == e.conditioning
+        assert g["knots"] == [list(map(float, AXES[p])) for p in group]
+        assert g["energy_joules"] == e.grid.tolist()
+        assert g["throughput_mbps"] == t.grid.tolist()
+
+
+@pytest.mark.parametrize("label,edit,message", [
+    ("cc+p", lambda g: g["knots"][0].reverse(), "xs: knots must be strictly increasing"),
+    ("pp", lambda g: g["knots"][0].reverse(), "x: knots must be strictly increasing"),
+    ("cc+p", lambda g: g["energy_joules"][1].__setitem__(0, math.nan),
+     "grid values must be finite"),
+    ("pp", lambda g: g["throughput_mbps"].__setitem__(0, math.inf),
+     "y values must be finite"),
+    ("cc+p", lambda g: g.update(energy_joules=g["energy_joules"][:-1],
+                                throughput_mbps=g["throughput_mbps"][:-1]),
+     r"grid must have shape \(len\(xs\), len\(ys\)\)"),
+    ("cc+p", lambda g: g["energy_joules"].pop(), "inhomogeneous"),
+    ("pp", lambda g: g["knots"].append([1.0, 2.0]), "want 1 knot axes and 1-D grids"),
+    ("cpu_num+cpu_freq_mhz", lambda g: g.update(knots=[[1.0, 2.0]]),
+     "want 2 knot axes and 2-D grids"),
+    ("pp", lambda g: g["knots"][0].__setitem__(0, "low"), "could not convert"),
+], ids=["reversed-xs", "reversed-knots", "nan-grid", "inf-values", "short-grids",
+        "ragged-grids", "extra-axis", "missing-axis", "text-knot"])
+def test_models_dict_with_knots_or_grids_the_fit_cannot_take_is_refused(
+        label, edit, message):
+    doc = fit_stratum_models(make_members(), "sX").as_dict()
+    edit(doc["groups"][label])
+    with pytest.raises(SurfaceFitError, match=f"^stratum sX: group {re.escape(label)}: "
+                                              f".*{message}"):
+        StratumModels.from_dict(doc)
 
 
 def test_fill_grid_interpolates_then_extends():
@@ -482,9 +547,10 @@ def test_fit_matches_legacy_per_metric_fit(members):
         assert len(got_models) == len(want_models)
         for g, w in zip(got_models, want_models):
             assert_same_group_model(g, w)
-    # same model bytes
+    # same model bytes, and loading them gives the fitted models back
     assert (json.dumps(got.as_dict(), sort_keys=True)
             == json.dumps(want.as_dict(), sort_keys=True))
+    assert_same_stratum_models(reloaded(got), got)
 
 
 
