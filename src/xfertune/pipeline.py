@@ -361,17 +361,18 @@ def compare_policies(spec: EndpointSpec, scenario: LoadScenario, config,
     """
     sizes = _class_sizes(classes)
 
-    def tuned(sla):
-        return lambda: OnlineTuner(strata, table, models, sla, config=config)
-    # the stepped policies, each with a factory for a fresh controller
-    stepped = {"fixed-baseline": lambda: FixedController(baseline_config(spec)),
-               "hla-max-tput": tuned(SLA.max_throughput()),
-               "hla-min-energy": tuned(SLA.min_energy())}
+    # the stepped policies' controllers, all built before any transfer runs,
+    # so a table that cannot serve the preset SLAs fails first
+    stepped = {"fixed-baseline": FixedController(baseline_config(spec)),
+               "hla-max-tput": OnlineTuner(strata, table, models, SLA.max_throughput(),
+                                           config=config),
+               "hla-min-energy": OnlineTuner(strata, table, models, SLA.min_energy(),
+                                             config=config)}
     rows = []
     totals = {}
-    for policy, make_controller in stepped.items():
+    for policy, controller in stepped.items():
         endpoint = SimEndpoint(spec, scenario, interval_s=interval_s)
-        report = run_transfer(endpoint, sizes, make_controller())
+        report = run_transfer(endpoint, sizes, controller)
         for crow in report.classes:
             rows.append({
                 "policy": policy, "class": crow["class"],

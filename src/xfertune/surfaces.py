@@ -1,25 +1,28 @@
 """Per-stratum performance models fitted from transfer logs.
 
-Each stratum gets six models: energy and throughput, each decomposed into
-three parameter groups, (cpu_num, cpu_freq_mhz) and (cc, p) as bicubic
-surfaces and pp as a 1-D spline. A group's models are fitted on the slice of
-entries whose remaining parameters sit at their modal values, so the three
-groups describe orthogonal cuts through the same operating point. Fitting
-reads a LogTable: the modal value of each parameter column is counted once
-per table, a slice is the rows a mask over the parameter array selects, and
-both metrics of a group come from one slice, whose cell means are summed in
-slice order by np.bincount; the two metric grids share their knots, so one
-stacked spline fit (one pair of batched solves for a surface) fits both. The
-holdout split and its RMSE run on the same columns, scoring both metrics of
-a group on one test slice. Combined predictions add the three group models
-and subtract twice the stratum mean. The slices meet at one anchor
-configuration, which the sum counts three times, and the stratum mean is not
-the anchor's value, so every prediction of a stratum carries the same
-offset: the order of configurations holds, absolute values (and with them
-SLA feasibility) do not (ROADMAP item 1). Predictions come per
-configuration (predict_energy, predict_throughput) or as arrays over the
-whole knot lattice (lattice_predictions), with identical values. A stratum
-mean that is not finite is refused when fitting and when loading.
+Each stratum's energy and throughput are decomposed into three parameter
+groups, (cpu_num, cpu_freq_mhz) and (cc, p) as bicubic surfaces and pp as a
+1-D spline. A group is one model (GroupModel): the splines of both metrics,
+fitted on the slice of entries whose remaining parameters sit at their
+modal values, so the three groups describe orthogonal cuts through the same
+operating point. Fitting reads a LogTable: the modal value of each
+parameter column is counted once per table, a slice is the rows a mask over
+the parameter array selects, and a group's cell means of both metrics are
+summed in slice order by np.bincount; the two metric grids share their
+knots, so one stacked spline fit (one pair of batched solves for a surface)
+fits both. The holdout split and its RMSE run on the same columns, scoring
+both metrics of a group on one test slice. Combined predictions add the
+three group models and subtract twice the stratum mean. The slices meet at
+one anchor configuration, which the sum counts three times, and the stratum
+mean is not the anchor's value, so every prediction of a stratum carries
+the same offset: the order of configurations holds, absolute values (and
+with them SLA feasibility) do not (ROADMAP item 1). Every prediction goes
+through StratumModels.predict_on, which evaluates each group on the mesh of
+the given axis values and combines the groups: per configuration
+(predict_energy, predict_throughput) the axes hold one value each, over the
+whole knot lattice (lattice_predictions) they are the knot axes, and a
+configuration gets the same bits either way. A stratum mean that is not
+finite is refused when fitting and when loading.
 
 The artifact form of a stratum's models (as_dict) holds, per group, only
 what the fit read: the conditioning, the knot axes and the two metric grids
@@ -27,7 +30,7 @@ on them. The coefficients are derived, so they are not stored: from_dict
 refits each group through the same stacked fit as fitting does, which gives
 the fitted coefficients bit for bit, and refuses knots or grids that the fit
 cannot take (knots not strictly increasing, a grid that is not finite or
-does not match the knots).
+does not match the knots, a JSON true or false where a number belongs).
 """
 from __future__ import annotations
 
@@ -147,71 +150,83 @@ def _group_grids(table: LogTable, rows: np.ndarray, group: tuple[str, ...]):
 
 @dataclass(frozen=True)
 class GroupModel:
-    """One parameter group's fitted model plus the slice it was fitted on."""
+    """One parameter group's fitted model plus the slice it was fitted on:
+    one spline per metric in METRICS order (Surfaces for a 2-D group,
+    Spline1Ds for pp), all on the same knots."""
 
     params: tuple[str, ...]
     conditioning: dict
-    metric: str
-    model: object                # Surface for 2-D groups, Spline1D for 1-D
+    models: tuple
 
     @property
     def label(self) -> str:
         return _group_label(self.params)
 
-    def value(self, cfg: ParamConfig) -> float:
-        if len(self.params) == 2:
-            return self.model(cfg.get(self.params[0]), cfg.get(self.params[1]))
-        return self.model(cfg.get(self.params[0]))
-
     def values_at(self, params: np.ndarray) -> np.ndarray:
-        """The model at each row of an n x 5 parameter array; each value
-        equals value() at that row's configuration."""
-        return self.model(*(params[:, PARAM_NAMES.index(p)].astype(float)
-                            for p in self.params))
+        """The METRICS models at each row of an n x 5 parameter array,
+        stacked in METRICS order: shape (len(METRICS), n)."""
+        points = [params[:, PARAM_NAMES.index(p)].astype(float) for p in self.params]
+        return np.stack([model(*points) for model in self.models])
 
     def values_on(self, axes: dict) -> np.ndarray:
-        """The model on the mesh of the given axis values, one array axis per
-        group parameter; each cell equals value() at that configuration."""
+        """The METRICS models on the mesh of the given axis values, stacked
+        in METRICS order: array axis 0 is the metric, then one axis per
+        parameter in PARAM_NAMES order, of length 1 for the parameters
+        outside the group, so the groups' arrays broadcast together."""
         mesh = np.meshgrid(*(np.asarray(axes[p], dtype=float) for p in self.params),
                            indexing="ij")
-        return self.model(*(m.ravel() for m in mesh)).reshape(mesh[0].shape)
+        points = [m.ravel() for m in mesh]
+        shape = [len(axes[p]) if p in self.params else 1 for p in PARAM_NAMES]
+        return np.stack([model(*points) for model in self.models]).reshape(
+            len(METRICS), *shape)
 
     @property
     def knots(self) -> tuple[np.ndarray, ...]:
         """The knot axes, one per group parameter."""
-        m = self.model
+        m = self.models[0]
         return (m.xs, m.ys) if len(self.params) == 2 else (m.knots,)
 
     @property
-    def grid(self) -> np.ndarray:
-        """The values the model interpolates on the mesh of its knots."""
-        return self.model.grid if len(self.params) == 2 else self.model.values
+    def grids(self) -> tuple[np.ndarray, ...]:
+        """The values each metric's model interpolates on the mesh of the
+        knots, in METRICS order."""
+        return tuple(m.grid if len(self.params) == 2 else m.values for m in self.models)
 
     def axis_values(self, name: str) -> tuple[int, ...]:
         return tuple(int(round(v)) for v in self.knots[self.params.index(name)])
 
 
-def _group_models(group: tuple[str, ...], conditioning: dict, knots,
-                  grids: np.ndarray) -> tuple[GroupModel, ...]:
-    """A group's models, one per metric in METRICS order, from its knot axes
-    and its METRICS grids stacked on them, in one stacked spline fit."""
+def _group_model(group: tuple[str, ...], conditioning: dict, knots,
+                 grids: np.ndarray) -> GroupModel:
+    """A group's model from its knot axes and its METRICS grids stacked on
+    them, in one stacked spline fit."""
     fit = fit_bicubic_surface if len(group) == 2 else fit_natural_spline
-    return tuple(GroupModel(params=group, conditioning=conditioning,
-                            metric=metric, model=model)
-                 for metric, model in zip(METRICS, fit(*knots, grids)))
+    return GroupModel(params=group, conditioning=conditioning, models=fit(*knots, grids))
 
 
-def _combine(parts, mean):
-    """Group values summed left to right, minus twice the stratum mean.
+def _holds_bool(value) -> bool:
+    """Whether a JSON value (nested lists) holds a true or false, which numpy
+    would read as 1.0 or 0.0."""
+    return isinstance(value, bool) or (isinstance(value, list)
+                                       and any(map(_holds_bool, value)))
 
-    Scalars and broadcast lattice arrays go through the same float
-    operations, so both give identical bits; builtin sum() would not, since
-    it uses compensated summation for floats from Python 3.12 on.
+
+def _point_axes(cfg: ParamConfig) -> dict:
+    """One-value axes whose mesh is the configuration cfg."""
+    return {p: (cfg.get(p),) for p in PARAM_NAMES}
+
+
+def _combine(parts, means):
+    """Group values summed left to right, minus twice the stratum means (the
+    mean of each of the METRICS, shaped to broadcast with the parts).
+
+    Every cell goes through the same float operations whatever the shape of
+    the mesh, so a configuration gets the same bits alone and in the lattice.
     """
     total = parts[0]
     for part in parts[1:]:
         total = total + part
-    return total - 2.0 * mean
+    return total - 2.0 * means
 
 
 @dataclass(frozen=True)
@@ -227,38 +242,38 @@ class StratumModels:
              "mean_energy": object, "mean_throughput": object, "entry_count": int}
 
     stratum_id: str
-    energy: tuple[GroupModel, ...]
-    throughput: tuple[GroupModel, ...]
+    groups: tuple[GroupModel, ...]   # in PARAM_GROUPS order
     mean_energy: float
     mean_throughput: float
     entry_count: int
 
+    def predict_on(self, axes: dict) -> np.ndarray:
+        """Predicted METRICS on the mesh of the given axis values (a
+        sequence of values per parameter name), stacked in METRICS order:
+        array axis 0 is the metric, then one axis per parameter in
+        PARAM_NAMES order. Every prediction the models make comes from here."""
+        means = np.array([self.mean_energy, self.mean_throughput])
+        return _combine([g.values_on(axes) for g in self.groups],
+                        means.reshape(-1, *(1,) * len(PARAM_NAMES)))
+
     def predict_energy(self, cfg: ParamConfig) -> float:
-        return _combine([m.value(cfg) for m in self.energy], self.mean_energy)
+        return self.predict_on(_point_axes(cfg))[0].item()
 
     def predict_throughput(self, cfg: ParamConfig) -> float:
-        return _combine([m.value(cfg) for m in self.throughput], self.mean_throughput)
+        return self.predict_on(_point_axes(cfg))[1].item()
 
     def lattice_predictions(self) -> tuple[dict, np.ndarray, np.ndarray]:
         """Lattice axes plus predicted energy and throughput on every lattice
         configuration, as arrays with one axis per parameter in PARAM_NAMES
-        order; cell for cell equal to predict_energy / predict_throughput."""
+        order."""
         axes = self.lattice_axes()
-
-        def tensor(group_models, mean):
-            parts = []
-            for m in group_models:
-                shape = [len(axes[p]) if p in m.params else 1 for p in PARAM_NAMES]
-                parts.append(m.values_on(axes).reshape(shape))
-            return _combine(parts, mean)
-
-        return (axes, tensor(self.energy, self.mean_energy),
-                tensor(self.throughput, self.mean_throughput))
+        energy, throughput = self.predict_on(axes)
+        return axes, energy, throughput
 
     def axis_values(self, name: str) -> tuple[int, ...]:
-        for m in self.energy:
-            if name in m.params:
-                return m.axis_values(name)
+        for g in self.groups:
+            if name in g.params:
+                return g.axis_values(name)
         raise SurfaceFitError(f"unknown parameter {name}")
 
     def lattice_axes(self) -> dict:
@@ -266,13 +281,11 @@ class StratumModels:
 
     def as_dict(self) -> dict:
         """The artifact form: what each group's fit read, no coefficients."""
-        groups = {}
-        for pair in zip(self.energy, self.throughput):
-            groups[pair[0].label] = {
-                "conditioning": dict(pair[0].conditioning),
-                "knots": [k.tolist() for k in pair[0].knots],
-                **{m.metric: m.grid.tolist() for m in pair},
-            }
+        groups = {g.label: {"conditioning": dict(g.conditioning),
+                            "knots": [k.tolist() for k in g.knots],
+                            **{metric: grid.tolist()
+                               for metric, grid in zip(METRICS, g.grids)}}
+                  for g in self.groups}
         return {
             "stratum_id": self.stratum_id,
             "groups": groups,
@@ -294,23 +307,25 @@ class StratumModels:
             label = _group_label(group)
             g = obj["groups"][label]
             try:
+                for key in ("knots", *METRICS):
+                    if _holds_bool(g[key]):
+                        raise SurfaceFitError(f"{key} holds true or false, not a number")
                 knots = [np.asarray(k, dtype=float) for k in g["knots"]]
                 grids = np.asarray([g[metric] for metric in METRICS], dtype=float)
                 if len(knots) != len(group) or grids.ndim != len(group) + 1:
                     raise SurfaceFitError(f"want {len(group)} knot axes and "
                                           f"{len(group)}-D grids")
-                groups.append(_group_models(group, dict(g["conditioning"]), knots, grids))
+                groups.append(_group_model(group, dict(g["conditioning"]), knots, grids))
             except (TypeError, ValueError) as exc:
                 raise SurfaceFitError(f"stratum {sid}: group {label}: {exc}") from None
-        energy, throughput = zip(*groups)
-        return cls(stratum_id=sid, energy=energy, throughput=throughput,
+        return cls(stratum_id=sid, groups=tuple(groups),
                    mean_energy=obj["mean_energy"],
                    mean_throughput=obj["mean_throughput"],
                    entry_count=obj["entry_count"])
 
 
 def fit_stratum_models(members, stratum_id: str) -> StratumModels:
-    """Fit the six per-group models on a stratum's member entries (a
+    """Fit the three group models on a stratum's member entries (a
     LogTable or a list of TransferLogEntry)."""
     if not len(members):
         raise SurfaceFitError("no entries to fit")
@@ -320,15 +335,14 @@ def fit_stratum_models(members, stratum_id: str) -> StratumModels:
     for group in PARAM_GROUPS:
         cond = _conditioning(table.params, group, modes)
         rows = np.flatnonzero(_slice_mask(table.params, cond))
-        groups.append(_group_models(group, cond, *_group_grids(table, rows, group)))
+        groups.append(_group_model(group, cond, *_group_grids(table, rows, group)))
     with np.errstate(over="ignore"):
         means = [float(np.mean(getattr(table, metric))) for metric in METRICS]
     for metric, mean in zip(METRICS, means):
         if not math.isfinite(mean):
             raise SurfaceFitError(f"stratum {stratum_id}: the mean of {metric} "
                                   f"is {mean!r}, not a finite number")
-    energy, throughput = zip(*groups)
-    return StratumModels(stratum_id=stratum_id, energy=energy, throughput=throughput,
+    return StratumModels(stratum_id=stratum_id, groups=tuple(groups),
                          mean_energy=means[0], mean_throughput=means[1],
                          entry_count=len(table))
 
@@ -373,16 +387,12 @@ def rmse_holdout(members, seed: int = 0) -> dict:
         raise SurfaceFitError(f"insufficient train coverage: {exc}") from exc
 
     rmse: dict[str, dict] = {metric: {} for metric in METRICS}
-    # a group's two models share their conditioning, and so their test slice
-    for group_models in zip(models.energy, models.throughput):
-        rows = np.flatnonzero(_slice_mask(test.params, group_models[0].conditioning))
-        params = test.params[rows]
-        for m in group_models:
-            if not len(rows):
-                rmse[m.metric][m.label] = None
-                continue
-            errs = m.values_at(params) - getattr(test, m.metric)[rows]
-            rmse[m.metric][m.label] = float(np.sqrt(np.mean(np.square(errs))))
+    for g in models.groups:
+        rows = np.flatnonzero(_slice_mask(test.params, g.conditioning))
+        for metric, values in zip(METRICS, g.values_at(test.params[rows])):
+            errs = values - getattr(test, metric)[rows]
+            rmse[metric][g.label] = (float(np.sqrt(np.mean(np.square(errs))))
+                                     if len(rows) else None)
 
     return {
         "energy_rmse": rmse["energy_joules"],

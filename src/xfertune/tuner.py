@@ -212,6 +212,13 @@ class OnlineTuner:
 
     def __init__(self, strata, table: ParamTable, models_by_stratum: dict,
                  sla: SLA, *, config: StratifyConfig | None = None):
+        # rows are looked up by SLA id, so a row built for another bound
+        # or kind under the same id would be run as if it were this SLA's
+        stored = next((s for s in table.slas if s.id == sla.id), None)
+        if stored is not None and stored != sla:
+            raise TunerError(f"sla {sla.id}={sla.kind}:{sla.bound} differs from the "
+                             f"table's sla {stored.id}={stored.kind}:{stored.bound}; "
+                             f"rerun optimize with it")
         self.strata = list(strata)
         self.table = table
         self.models = models_by_stratum

@@ -3,10 +3,13 @@
 bench/run.py wraps program functions by name to trace them and tags ingest
 spans with the length of what ingest_logs returns, so a renamed target or
 an ingest result without len() breaks --trace 1. The first test resolves
-every trace target by name without running the benchmark. The others run
-the smallest traced offline workload and the traced online workload and
-check that their output checks pass and their per-layer counters moved,
-the tick tags (trigger, switch) included.
+every trace target by name without running the benchmark. The traced ones
+run the smallest offline workload and the online workload and check that
+their output checks pass and their per-layer counters moved, the tick tags
+(trigger, switch) included. A traced run returns before the answer-quality
+metrics, so one untraced run of the smallest offline workload checks that
+it reports every end-to-end metric BENCHMARK.json names, the prediction
+errors that score predict_energy and predict_throughput included.
 """
 
 import importlib
@@ -37,10 +40,10 @@ def test_every_trace_target_names_a_program_function():
     assert not missing, f"trace targets missing from the program: {', '.join(missing)}"
 
 
-def traced_run(workload: str) -> dict:
+def bench_run(workload: str, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
-         "--seconds", "0.2", "--trace", "1"],
+         "--seconds", "0.2", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
@@ -52,7 +55,7 @@ def traced_run(workload: str) -> dict:
 
 def test_traced_continuous_load_run_passes_its_checks():
     # a renamed clustering target or a changed partition fails here too
-    metrics = traced_run("continuous-load")["metrics"]
+    metrics = bench_run("continuous-load", trace=1)["metrics"]
     assert metrics["logs.ingest_calls"]["value"] == 2
     assert metrics["logs.entries_per_s"]["value"] > 0
     assert metrics["clustering.stratify_s"]["value"] > 0
@@ -63,8 +66,15 @@ def test_traced_continuous_load_run_passes_its_checks():
 def test_traced_online_tune_run_passes_its_checks():
     # a renamed tuner or simulator target reads as zero here, and so do the
     # tick tags if a shared holding result loses .triggered or .action
-    result = traced_run("online-tune")
+    result = bench_run("online-tune", trace=1)
     metrics = result["metrics"]
     for name in ("tuner.ticks", "tuner.classify_s", "tuner.triggers",
                  "tuner.switches"):
         assert metrics[name]["value"] > 0, name
+
+
+def test_untraced_continuous_load_run_reports_every_end_to_end_metric():
+    metrics = bench_run("continuous-load", trace=0)["metrics"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    missing = [m["name"] for m in spec["end_to_end"] if m["name"] not in metrics]
+    assert not missing, f"end-to-end metrics missing: {', '.join(missing)}"

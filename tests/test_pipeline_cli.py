@@ -294,6 +294,34 @@ def test_infeasible_sla_exit_code(chain, tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_an_sla_that_differs_from_the_tables_sla_of_its_id_exits_2(
+        chain, tmp_path, capsys):
+    table = tmp_path / "cap.json"
+    assert cli.main(["optimize", "--models", str(chain / "models.json"),
+                     "--sla", "cap=energy-constrained:100000",
+                     "--sla", "max-tput=energy-constrained:100000",
+                     "--sla", "min-energy", "--out", str(table)]) == 0
+    online = ["--strata", str(chain / "strata.json"),
+              "--models", str(chain / "models.json"), "--table", str(table)]
+    capsys.readouterr()
+    for sla in ("cap=energy-constrained:1", "cap=throughput-guarantee:5000"):
+        rc = cli.main(["tune", *online, "--sla", sla, "--classes", "small"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: sla {sla}.0 differs from the table's sla "
+            f"cap=energy-constrained:100000.0; rerun optimize with it\n")
+    # the table's max-tput is a custom SLA, not the preset compare tunes for
+    rc = cli.main(["compare", *online, "--out", str(tmp_path / "compare.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: sla max-tput=energy-constrained:inf differs from the table's sla "
+        "max-tput=energy-constrained:100000.0")
+    # the SLA the table was built for still runs
+    assert cli.main(["tune", *online, "--sla", "cap=energy-constrained:100000",
+                     "--classes", "small"]) == 0
+    assert "transfer complete" in capsys.readouterr().out
+
+
 def test_usage_and_data_error_exit_codes(chain, tmp_path, capsys):
     assert cli.main([]) == 1
     assert cli.main(["tune"]) == 1

@@ -12,6 +12,7 @@ import json
 import math
 import operator
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -129,13 +130,13 @@ def test_fit_reproduces_conditioning_slices_exactly():
     members = make_members()
     models = fit_stratum_models(members, "sX")
     assert models.entry_count == len(members)
-    for group_models, metric in ((models.energy, "energy_joules"),
-                                 (models.throughput, "throughput_mbps")):
-        for m in group_models:
-            on_slice = legacy_slice_members(members, m.conditioning)
-            assert on_slice
-            for e in on_slice:
-                assert m.value(e.params) == pytest.approx(getattr(e, metric), rel=1e-9)
+    for g in models.groups:
+        on_slice = legacy_slice_members(members, g.conditioning)
+        assert on_slice
+        values = g.values_at(LogTable.from_entries(on_slice).params)
+        for metric, got in zip(METRICS, values):
+            want = [getattr(e, metric) for e in on_slice]
+            assert got.tolist() == pytest.approx(want, rel=1e-9)
 
 
 def test_combined_predictor_is_truth_plus_constant():
@@ -160,7 +161,7 @@ def test_predict_is_group_sum_minus_twice_mean():
     members = make_members()
     models = fit_stratum_models(members, "sX")
     cfg = ParamConfig(2, 1800, 2, 1, 4)
-    want = sum(m.value(cfg) for m in models.energy) - 2.0 * models.mean_energy
+    want = sum(m.value(cfg) for m in per_metric(models).energy) - 2.0 * models.mean_energy
     assert models.predict_energy(cfg) == pytest.approx(want, rel=1e-12)
 
 
@@ -178,11 +179,12 @@ def assert_same_stratum_models(got: StratumModels, want: StratumModels):
     the predictions on the whole lattice."""
     assert (got.stratum_id, got.mean_energy, got.mean_throughput, got.entry_count) == (
         want.stratum_id, want.mean_energy, want.mean_throughput, want.entry_count)
-    assert len(got.energy) == len(want.energy) and len(got.throughput) == len(want.throughput)
-    for g, w in zip(got.energy + got.throughput, want.energy + want.throughput):
-        assert (g.params, g.metric, g.conditioning) == (w.params, w.metric, w.conditioning)
-        for a, b in zip(g.knots + (g.grid, g.model.coeffs),
-                        w.knots + (w.grid, w.model.coeffs)):
+    assert len(got.groups) == len(want.groups)
+    for g, w in zip(got.groups, want.groups):
+        assert (g.params, g.conditioning) == (w.params, w.conditioning)
+        assert len(g.models) == len(w.models) == len(METRICS)
+        for a, b in zip(g.knots + g.grids + tuple(m.coeffs for m in g.models),
+                        w.knots + w.grids + tuple(m.coeffs for m in w.models)):
             assert_same_bits(a, b)
     (got_axes, *got_arrays), (want_axes, *want_arrays) = (
         got.lattice_predictions(), want.lattice_predictions())
@@ -211,13 +213,13 @@ def test_models_dict_stores_grids_not_coefficients():
     assert set(doc) == {"stratum_id", "groups", "mean_energy", "mean_throughput",
                         "entry_count"}
     assert list(doc["groups"]) == ["cpu_num+cpu_freq_mhz", "cc+p", "pp"]
-    for group, e, t in zip(PARAM_GROUPS, models.energy, models.throughput):
+    for group, m in zip(PARAM_GROUPS, models.groups):
         g = doc["groups"]["+".join(group)]
         assert set(g) == {"conditioning", "knots", *METRICS}
-        assert g["conditioning"] == e.conditioning
+        assert g["conditioning"] == m.conditioning
         assert g["knots"] == [list(map(float, AXES[p])) for p in group]
-        assert g["energy_joules"] == e.grid.tolist()
-        assert g["throughput_mbps"] == t.grid.tolist()
+        assert g["energy_joules"] == m.grids[0].tolist()
+        assert g["throughput_mbps"] == m.grids[1].tolist()
 
 
 @pytest.mark.parametrize("label,edit,message", [
@@ -235,8 +237,14 @@ def test_models_dict_stores_grids_not_coefficients():
     ("cpu_num+cpu_freq_mhz", lambda g: g.update(knots=[[1.0, 2.0]]),
      "want 2 knot axes and 2-D grids"),
     ("pp", lambda g: g["knots"][0].__setitem__(0, "low"), "could not convert"),
+    ("cc+p", lambda g: g["knots"][1].__setitem__(0, True), "knots holds true or false"),
+    ("pp", lambda g: g["energy_joules"].__setitem__(0, True),
+     "energy_joules holds true or false"),
+    ("cpu_num+cpu_freq_mhz", lambda g: g["throughput_mbps"][1].__setitem__(1, False),
+     "throughput_mbps holds true or false"),
 ], ids=["reversed-xs", "reversed-knots", "nan-grid", "inf-values", "short-grids",
-        "ragged-grids", "extra-axis", "missing-axis", "text-knot"])
+        "ragged-grids", "extra-axis", "missing-axis", "text-knot", "true-knot",
+        "true-pp-energy", "false-grid"])
 def test_models_dict_with_knots_or_grids_the_fit_cannot_take_is_refused(
         label, edit, message):
     doc = fit_stratum_models(make_members(), "sX").as_dict()
@@ -334,7 +342,59 @@ def test_insufficient_train_coverage_is_reported():
 def test_group_layout():
     assert PARAM_GROUPS == (("cpu_num", "cpu_freq_mhz"), ("cc", "p"), ("pp",))
     models = fit_stratum_models(make_members(), "sX")
-    assert [m.label for m in models.energy] == ["cpu_num+cpu_freq_mhz", "cc+p", "pp"]
+    assert [g.label for g in models.groups] == ["cpu_num+cpu_freq_mhz", "cc+p", "pp"]
+
+
+# -- per-metric group models and the scalar prediction they replaced ----------
+#
+# Test-only oracles: a group model per (metric, group) pair, evaluated one
+# configuration at a time, and a prediction that sums a metric's three group
+# values left to right (what builtin sum() computes up to Python 3.11) minus
+# twice the stratum mean, as the models were before a group held both
+# metrics and every prediction went through StratumModels.predict_on.
+
+
+@dataclass(frozen=True)
+class LegacyGroupModel:
+    params: tuple
+    conditioning: dict
+    metric: str
+    model: object                # Surface for 2-D groups, Spline1D for 1-D
+
+    @property
+    def label(self) -> str:
+        return "+".join(self.params)
+
+    def value(self, cfg: ParamConfig) -> float:
+        if len(self.params) == 2:
+            return self.model(cfg.get(self.params[0]), cfg.get(self.params[1]))
+        return self.model(cfg.get(self.params[0]))
+
+
+@dataclass(frozen=True)
+class LegacyStratumModels:
+    energy: tuple
+    throughput: tuple
+    mean_energy: float
+    mean_throughput: float
+
+    def predict_energy(self, cfg: ParamConfig) -> float:
+        values = [m.value(cfg) for m in self.energy]
+        return functools.reduce(operator.add, values) - 2.0 * self.mean_energy
+
+    def predict_throughput(self, cfg: ParamConfig) -> float:
+        values = [m.value(cfg) for m in self.throughput]
+        return functools.reduce(operator.add, values) - 2.0 * self.mean_throughput
+
+
+def per_metric(models: StratumModels) -> LegacyStratumModels:
+    """The fitted splines of models as per-metric group models."""
+    energy, throughput = (
+        tuple(LegacyGroupModel(g.params, g.conditioning, metric, g.models[k])
+              for g in models.groups)
+        for k, metric in enumerate(METRICS))
+    return LegacyStratumModels(energy, throughput, models.mean_energy,
+                               models.mean_throughput)
 
 
 # -- the per-metric fit that one-pass group grids replaced --------------------
@@ -415,16 +475,14 @@ def legacy_fit_stratum_models(members, stratum_id):
             else:
                 xs, vals = legacy_grid_1d(sl, group[0], metric)
                 model = fit_natural_spline(xs, vals)
-            models.append(GroupModel(params=group, conditioning=cond,
-                                     metric=metric, model=model))
+            models.append(LegacyGroupModel(params=group, conditioning=cond,
+                                           metric=metric, model=model))
         by_metric[metric] = tuple(models)
-    return StratumModels(
-        stratum_id=stratum_id,
+    return LegacyStratumModels(
         energy=by_metric["energy_joules"],
         throughput=by_metric["throughput_mbps"],
         mean_energy=float(np.mean([e.energy_joules for e in members])),
         mean_throughput=float(np.mean([e.throughput_mbps for e in members])),
-        entry_count=len(members),
     )
 
 
@@ -515,19 +573,20 @@ def fallback_member_sets(draw):
     return random_entries(configs, rng)
 
 
-def assert_same_group_model(got: GroupModel, want: GroupModel):
-    assert (got.params, got.metric) == (want.params, want.metric)
-    assert got.conditioning == want.conditioning
-    if len(got.params) == 2:
-        pairs = [(got.model.xs, want.model.xs), (got.model.ys, want.model.ys),
-                 (got.model.grid, want.model.grid),
-                 (got.model.coeffs, want.model.coeffs)]
-    else:
-        pairs = [(got.model.knots, want.model.knots),
-                 (got.model.values, want.model.values),
-                 (got.model.coeffs, want.model.coeffs)]
-    for a, b in pairs:
-        assert np.array_equal(a, b)
+def assert_same_group_model(got: GroupModel, want: tuple):
+    """got equals want, its per-metric models in METRICS order, bit for bit."""
+    assert [w.metric for w in want] == list(METRICS)
+    assert len(got.models) == len(want)
+    for model, w in zip(got.models, want):
+        assert (got.params, got.conditioning) == (w.params, w.conditioning)
+        if len(got.params) == 2:
+            pairs = [(model.xs, w.model.xs), (model.ys, w.model.ys),
+                     (model.grid, w.model.grid), (model.coeffs, w.model.coeffs)]
+        else:
+            pairs = [(model.knots, w.model.knots), (model.values, w.model.values),
+                     (model.coeffs, w.model.coeffs)]
+        for a, b in pairs:
+            assert np.array_equal(a, b)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -542,15 +601,42 @@ def test_fit_matches_legacy_per_metric_fit(members):
         assert str(got.value) == str(exc)
         return
     got = fit_stratum_models(table, "h")
-    for got_models, want_models in ((got.energy, want.energy),
-                                    (got.throughput, want.throughput)):
-        assert len(got_models) == len(want_models)
-        for g, w in zip(got_models, want_models):
-            assert_same_group_model(g, w)
-    # same model bytes, and loading them gives the fitted models back
-    assert (json.dumps(got.as_dict(), sort_keys=True)
-            == json.dumps(want.as_dict(), sort_keys=True))
+    assert len(got.groups) == len(want.energy) == len(want.throughput)
+    for g, pair in zip(got.groups, zip(want.energy, want.throughput)):
+        assert_same_group_model(g, pair)
+    assert (got.mean_energy, got.mean_throughput, got.entry_count) == (
+        want.mean_energy, want.mean_throughput, len(members))
+    # loading the stored models gives the fitted models back
     assert_same_stratum_models(reloaded(got), got)
+
+
+OFF_KNOT_CONFIGS = st.builds(
+    ParamConfig, cpu_num=st.integers(1, 12), cpu_freq_mhz=st.integers(1000, 2600),
+    cc=st.integers(1, 20), p=st.integers(1, 10), pp=st.integers(0, 12))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(members=st.one_of(ragged_member_sets(), fallback_member_sets()),
+       configs=st.lists(OFF_KNOT_CONFIGS, min_size=1, max_size=20))
+def test_predictions_match_the_per_metric_scalar_sum(members, configs):
+    # every lattice cell, and configurations between and beyond the knots
+    try:
+        models = fit_stratum_models(LogTable.from_entries(members), "h")
+    except SurfaceFitError:
+        return
+    want = per_metric(models)
+    axes, energy, throughput = models.lattice_predictions()
+    cells = list(itertools.product(*(range(len(axes[p])) for p in PARAM_NAMES)))
+    for k, index in enumerate(cells):
+        cfg = ParamConfig(*(axes[p][i] for p, i in zip(PARAM_NAMES, index)))
+        if k % 8 == 0:
+            configs.append(cfg)
+        assert energy[index] == want.predict_energy(cfg)
+        assert throughput[index] == want.predict_throughput(cfg)
+    for cfg in configs:
+        got = (models.predict_energy(cfg), models.predict_throughput(cfg))
+        assert tuple(map(type, got)) == (float, float)
+        assert got == (want.predict_energy(cfg), want.predict_throughput(cfg))
 
 
 

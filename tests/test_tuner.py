@@ -397,6 +397,27 @@ def test_constructor_and_tick_validation(
         tuner.tick(sample())
 
 
+@pytest.mark.parametrize("sla", [
+    SLA(id="cap", kind=KIND_ENERGY_CAP, bound=1.0),
+    SLA(id="cap", kind=KIND_THROUGHPUT_FLOOR, bound=500.0),
+    SLA(id="max-tput", kind=KIND_ENERGY_CAP, bound=4300.0),
+], ids=["other-bound", "other-kind", "custom-preset-id"])
+def test_an_sla_that_differs_from_the_tables_sla_of_its_id_is_refused(
+        strata, wide_table, models, stratify_config, sla):
+    stored = next(s for s in wide_table.slas if s.id == sla.id)
+    with pytest.raises(TunerError, match=(
+            f"^sla {sla.id}={sla.kind}:{sla.bound} differs from the table's "
+            f"sla {sla.id}={stored.kind}:{stored.bound}; rerun optimize")):
+        OnlineTuner(strata, wide_table, models, sla, config=stratify_config)
+    # the table's own SLA, rebuilt equal, still runs
+    same = SLA(id=stored.id, kind=stored.kind, bound=stored.bound)
+    tuner = OnlineTuner(strata, wide_table, models, same, config=stratify_config)
+    tuner.start_transfer(1e9)
+    params = tuner.start_class(DATASET_CLASSES["small"],
+                               SimEndpoint(ENDPOINTS["chameleon"]).describe())
+    assert params == wide_table.lookup(tuner.stratum.id, same.id).params
+
+
 def test_tick_rejects_a_step_that_is_not_positive(
         strata, wide_table, models, small_siblings, stratify_config):
     tuner = make_tuner(strata, wide_table, models, SLA.max_throughput(),
