@@ -363,7 +363,7 @@ class Stratum:
     # xfertune.pipeline)
     SHAPE = {"id": str, "tier1_key": str, "tier2_key": str, "tier3_key": str,
              "route": [str], "ext_load_interval": [(int, float)], "members": list,
-             "centroids": {str: list}}
+             "centroids": dict.fromkeys(TIER_FEATURE_NAMES, [(int, float)])}
 
     id: str
     tier1_key: str

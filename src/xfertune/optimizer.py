@@ -204,6 +204,8 @@ def find_critical_points(model) -> list[CriticalPoint]:
     eigenvalues. Knots that are not stationary are kept as boundary
     candidates with kind "boundary".
     """
+    if np.ndim(getattr(model, "coeffs", None)) != {Spline1D: 2, Surface: 4}.get(type(model)):
+        raise TypeError("model must be a Spline1D or Surface, not a stack of them")
     points: list[CriticalPoint] = []
     if isinstance(model, Spline1D):
         knots = model.knots
@@ -251,8 +253,7 @@ def find_critical_points(model) -> list[CriticalPoint]:
                 points.append(CriticalPoint(
                     coords=(x, y), value=model(x, y), kind=kind,
                     stationary=stationary))
-        return _dedupe(points)
-    raise TypeError("model must be Spline1D or Surface")
+    return _dedupe(points)
 
 
 @dataclass(frozen=True)

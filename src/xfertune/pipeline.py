@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClusterError, StratifyConfig, Stratum
+from .clustering import TIER_FEATURE_NAMES, ClusterError, StratifyConfig, Stratum
 from .logs import LogTable, ParamConfig, ParamLattice, as_log_table
 from .optimizer import SLA, OptimizationResult, ParamTable, build_param_table
 from .simulator import (DATASET_CLASSES, EndpointSpec, LoadScenario,
@@ -183,13 +183,19 @@ _STRATA_BODY = {"config": dict, "strata": [Stratum.SHAPE]}
 
 
 def load_strata(doc: dict):
-    """(config, strata) of a strata artifact; a body of another shape, or
-    a config StratifyConfig refuses, raises PipelineError."""
+    """(config, strata) of a strata artifact; a body of another shape, a
+    config StratifyConfig refuses or a centroid unfit for it raises PipelineError."""
     _check_body(doc, _STRATA_BODY, "strata")
     try:
         config = StratifyConfig.from_dict(doc["config"])
     except ClusterError as exc:
         raise PipelineError(f"strata artifact: ['config']: {exc}") from None
+    for i, d in enumerate(doc["strata"]):
+        for tier in TIER_FEATURE_NAMES:
+            got, want = len(d["centroids"][tier]), len(getattr(config, f"{tier}_features"))
+            if got != want:
+                raise PipelineError(f"strata artifact: ['strata'][{i}]['centroids'][{tier!r}] of "
+                                    f"stratum {d['id']} has length {got} for {want} features")
     return config, [Stratum.from_dict(d) for d in doc["strata"]]
 
 

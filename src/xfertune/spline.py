@@ -9,14 +9,14 @@ surface is two batched solves (all rows, then all coefficient columns); each
 column goes through the same floating-point operations in the same order as
 a 1-D fit, so the coefficients equal those of one fit per row bit for bit.
 Both fit functions also take a stack of value arrays on the same knots (the
-energy and throughput grids of one parameter group) and fit all of them in
-the same solves, each bit for bit equal to a fit of it alone. A fit whose
-coefficients overflow (huge finite values or knots) raises SplineError.
-A fitted spline or surface is called for its values only, at a point or at
-arrays of points; evaluation outside the knot range extends the boundary
-cell polynomial, and callers should treat that as extrapolation. The cell
-coefficients are plain polynomials; xfertune.optimizer's critical-point
-search differentiates them itself.
+energy and throughput grids of one parameter group) and fit them in the same
+solves into one spline that holds the stack on leading axes, each row bit
+for bit a fit of it alone. Coefficients that overflow (huge finite values or
+knots) raise SplineError. A spline or surface is called for its values only,
+at a point or at arrays of points, with one cell lookup for the whole stack;
+evaluation outside the knot range extends the boundary cell polynomial, and
+callers should treat that as extrapolation. The cell coefficients are plain
+polynomials; xfertune.optimizer's critical-point search differentiates them.
 
 Piece coefficients are stored in the absolute power basis: on cell i the
 curve is a0 + a1*t + a2*t^2 + a3*t^3 with t the raw coordinate, not an
@@ -91,19 +91,17 @@ def cell_index(knots: np.ndarray, t):
 
 @dataclass(frozen=True)
 class Spline1D:
-    """Piecewise cubic with absolute-basis coefficients per cell."""
+    """Piecewise cubics, one per stacked row, in absolute-basis cell coefficients."""
 
     knots: np.ndarray            # shape (n,)
-    coeffs: np.ndarray           # shape (n-1, 4), columns a0..a3
-    values: np.ndarray           # y at knots
+    coeffs: np.ndarray           # shape (*lead, n-1, 4), columns a0..a3
+    values: np.ndarray           # y at knots, shape (*lead, n)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        a = self.coeffs[cell_index(self.knots, tt)]
-        out = a[:, 0] + tt * (a[:, 1] + tt * (a[:, 2] + tt * a[:, 3]))
-        return float(out[0]) if scalar else out
+        a = self.coeffs[..., cell_index(self.knots, t), :]
+        out = a[..., 0] + t * (a[..., 1] + t * (a[..., 2] + t * a[..., 3]))
+        return float(out) if out.ndim == 0 else out
 
 
 def _natural_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -137,11 +135,11 @@ def fit_natural_spline(x, y):
 
     x must be strictly increasing. With two points the result is the straight
     line (which satisfies the natural conditions exactly). A y of shape
-    (k, n) is a stack of k value rows on the same knots: the k splines come
-    from one solve, as a tuple, each bit for bit equal to a fit of its row.
+    (k, n) is a stack of k value rows on the same knots, fitted in one solve
+    into one spline whose row r is bit for bit the fit of y[r] alone.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    y = np.array(y, dtype=float)
     _check_knots(x, "x")
     if y.ndim not in (1, 2) or y.shape[-1] != len(x):
         raise SplineError("x and y must have the same length")
@@ -150,10 +148,7 @@ def fit_natural_spline(x, y):
     coeffs = _natural_coeffs(x, y.T)
     if not np.all(np.isfinite(coeffs)):
         raise SplineError("spline coefficients overflow")
-    if y.ndim == 1:
-        return Spline1D(knots=x, coeffs=coeffs, values=y.copy())
-    return tuple(Spline1D(knots=x, coeffs=coeffs[:, r].copy(), values=row.copy())
-                 for r, row in enumerate(y))
+    return Spline1D(knots=x, coeffs=np.moveaxis(coeffs, 0, -2), values=y)
 
 
 def _pow_rows(t: np.ndarray) -> np.ndarray:
@@ -163,25 +158,22 @@ def _pow_rows(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Surface:
-    """Bicubic spline surface on a rectangular grid.
+    """Bicubic spline surfaces on a rectangular grid, one per stacked grid.
 
-    coeffs[i, j, a, b] multiplies x^a * y^b on the cell
+    coeffs[..., i, j, a, b] multiplies x^a * y^b on the cell
     [xs[i], xs[i+1]] x [ys[j], ys[j+1]].
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    coeffs: np.ndarray           # shape (nx-1, ny-1, 4, 4)
-    grid: np.ndarray             # fitted values, shape (nx, ny)
+    coeffs: np.ndarray           # shape (*lead, nx-1, ny-1, 4, 4)
+    grid: np.ndarray             # fitted values, shape (*lead, nx, ny)
 
     def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        scalar = x.ndim == 0 and y.ndim == 0
-        xx, yy = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-        block = self.coeffs[cell_index(self.xs, xx), cell_index(self.ys, yy)]
-        out = np.einsum("na,nab,nb->n", _pow_rows(xx), block, _pow_rows(yy))
-        return float(out[0]) if scalar else out
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        block = self.coeffs[..., cell_index(self.xs, x), cell_index(self.ys, y), :, :]
+        out = np.einsum("...a,...ab,...b->...", _pow_rows(x), block, _pow_rows(y))
+        return float(out) if out.ndim == 0 else out
 
 
 def fit_bicubic_surface(xs, ys, grid):
@@ -191,12 +183,12 @@ def fit_bicubic_surface(xs, ys, grid):
     splining rows in y and then each coefficient in x equals the transpose
     construction because spline fitting is linear in the data. The knots
     are checked once, not per 1-D fit. A grid of shape (k, nx, ny) is a
-    stack of k grids on the same knots: the k surfaces come from the same
-    two solves, as a tuple, each bit for bit equal to a fit of its grid.
+    stack of k grids on the same knots, fitted in the same two solves into
+    one surface whose row g is bit for bit the fit of grid[g] alone.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.array(grid, dtype=float)
     _check_knots(xs, "xs")
     _check_knots(ys, "ys")
     nx, ny = len(xs), len(ys)
@@ -204,11 +196,10 @@ def fit_bicubic_surface(xs, ys, grid):
         raise SplineError("grid must have shape (len(xs), len(ys))")
     if not np.all(np.isfinite(grid)):
         raise SplineError("grid values must be finite")
-    stack = grid.reshape(-1, nx, ny)
-    k = len(stack)
+    k = grid.size // (nx * ny)
     # every row of every grid along y at once: [j, (g, i), b] of grid g,
     # row i, cell j, power b
-    ycoef = _natural_coeffs(ys, stack.reshape(k * nx, ny).T)
+    ycoef = _natural_coeffs(ys, grid.reshape(k * nx, ny).T)
     # huge grid values can overflow the row coefficients
     if not np.all(np.isfinite(ycoef)):
         raise SplineError("y values must be finite")
@@ -218,8 +209,7 @@ def fit_bicubic_surface(xs, ys, grid):
     if not np.all(np.isfinite(xcoef)):
         raise SplineError("surface coefficients overflow")
     blocks = xcoef.reshape(nx - 1, k, ny - 1, 4, 4).transpose(1, 0, 2, 4, 3)
-    # contiguous copies, as before: numpy may sum a strided operand in
-    # another order, so a view could change evaluated values in the last bit
-    surfaces = tuple(Surface(xs=xs, ys=ys, coeffs=blocks[g].copy(), grid=stack[g].copy())
-                     for g in range(k))
-    return surfaces[0] if grid.ndim == 2 else surfaces
+    # one contiguous copy: numpy may sum a strided operand in another
+    # order, so a view could change evaluated values in the last bit
+    coeffs = np.ascontiguousarray(blocks).reshape(grid.shape[:-2] + blocks.shape[1:])
+    return Surface(xs=xs, ys=ys, coeffs=coeffs, grid=grid)

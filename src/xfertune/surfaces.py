@@ -2,10 +2,10 @@
 
 Each stratum's energy and throughput are decomposed into three parameter
 groups, (cpu_num, cpu_freq_mhz) and (cc, p) as bicubic surfaces and pp as a
-1-D spline. A group is one model (GroupModel): the splines of both metrics,
-fitted on the slice of entries whose remaining parameters sit at their
-modal values, so the three groups describe orthogonal cuts through the same
-operating point. Fitting reads a LogTable: the modal value of each
+1-D spline. A group is one model (GroupModel): one spline whose stack holds
+both metrics, fitted on the slice of entries whose remaining parameters sit
+at their modal values, so the three groups describe orthogonal cuts through
+the same operating point. Fitting reads a LogTable: the modal value of each
 parameter column is counted once per table, a slice is the rows a mask over
 the parameter array selects, and a group's cell means of both metrics are
 summed in slice order by np.bincount; the two metric grids share their
@@ -29,8 +29,9 @@ what the fit read: the conditioning, the knot axes and the two metric grids
 on them. The coefficients are derived, so they are not stored: from_dict
 refits each group through the same stacked fit as fitting does, which gives
 the fitted coefficients bit for bit, and refuses knots or grids that the fit
-cannot take (knots not strictly increasing, a grid that is not finite or
-does not match the knots, a JSON true or false where a number belongs).
+cannot take or that no fit writes (knots not strictly increasing, or not
+integers in [PARAM_MIN, 2**63), a grid that is not finite or does not match
+the knots, a JSON true or false where a number belongs).
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logs import PARAM_NAMES, LogTable, ParamConfig, as_log_table, unique_rows
-from .spline import fit_bicubic_surface, fit_natural_spline
+from .logs import PARAM_MIN, PARAM_NAMES, LogTable, ParamConfig, as_log_table, unique_rows
+from .spline import Spline1D, Surface, fit_bicubic_surface, fit_natural_spline
 
 PARAM_GROUPS: tuple[tuple[str, ...], ...] = (
     ("cpu_num", "cpu_freq_mhz"),
@@ -151,12 +152,12 @@ def _group_grids(table: LogTable, rows: np.ndarray, group: tuple[str, ...]):
 @dataclass(frozen=True)
 class GroupModel:
     """One parameter group's fitted model plus the slice it was fitted on:
-    one spline per metric in METRICS order (Surfaces for a 2-D group,
-    Spline1Ds for pp), all on the same knots."""
+    one spline (a Surface for a 2-D group, a Spline1D for pp) whose stack
+    holds both metrics in METRICS order on the same knots."""
 
     params: tuple[str, ...]
     conditioning: dict
-    models: tuple
+    spline: Surface | Spline1D
 
     @property
     def label(self) -> str:
@@ -165,8 +166,8 @@ class GroupModel:
     def values_at(self, params: np.ndarray) -> np.ndarray:
         """The METRICS models at each row of an n x 5 parameter array,
         stacked in METRICS order: shape (len(METRICS), n)."""
-        points = [params[:, PARAM_NAMES.index(p)].astype(float) for p in self.params]
-        return np.stack([model(*points) for model in self.models])
+        return self.spline(*(params[:, PARAM_NAMES.index(p)].astype(float)
+                             for p in self.params))
 
     def values_on(self, axes: dict) -> np.ndarray:
         """The METRICS models on the mesh of the given axis values, stacked
@@ -175,25 +176,23 @@ class GroupModel:
         outside the group, so the groups' arrays broadcast together."""
         mesh = np.meshgrid(*(np.asarray(axes[p], dtype=float) for p in self.params),
                            indexing="ij")
-        points = [m.ravel() for m in mesh]
         shape = [len(axes[p]) if p in self.params else 1 for p in PARAM_NAMES]
-        return np.stack([model(*points) for model in self.models]).reshape(
-            len(METRICS), *shape)
+        return self.spline(*(m.ravel() for m in mesh)).reshape(len(METRICS), *shape)
 
     @property
     def knots(self) -> tuple[np.ndarray, ...]:
         """The knot axes, one per group parameter."""
-        m = self.models[0]
-        return (m.xs, m.ys) if len(self.params) == 2 else (m.knots,)
+        return ((self.spline.xs, self.spline.ys) if len(self.params) == 2
+                else (self.spline.knots,))
 
     @property
-    def grids(self) -> tuple[np.ndarray, ...]:
-        """The values each metric's model interpolates on the mesh of the
-        knots, in METRICS order."""
-        return tuple(m.grid if len(self.params) == 2 else m.values for m in self.models)
+    def grids(self) -> np.ndarray:
+        """The values the spline interpolates on the mesh of the knots,
+        stacked in METRICS order."""
+        return self.spline.grid if len(self.params) == 2 else self.spline.values
 
     def axis_values(self, name: str) -> tuple[int, ...]:
-        return tuple(int(round(v)) for v in self.knots[self.params.index(name)])
+        return tuple(int(v) for v in self.knots[self.params.index(name)])
 
 
 def _group_model(group: tuple[str, ...], conditioning: dict, knots,
@@ -201,7 +200,7 @@ def _group_model(group: tuple[str, ...], conditioning: dict, knots,
     """A group's model from its knot axes and its METRICS grids stacked on
     them, in one stacked spline fit."""
     fit = fit_bicubic_surface if len(group) == 2 else fit_natural_spline
-    return GroupModel(params=group, conditioning=conditioning, models=fit(*knots, grids))
+    return GroupModel(params=group, conditioning=conditioning, spline=fit(*knots, grids))
 
 
 def _holds_bool(value) -> bool:
@@ -283,8 +282,7 @@ class StratumModels:
         """The artifact form: what each group's fit read, no coefficients."""
         groups = {g.label: {"conditioning": dict(g.conditioning),
                             "knots": [k.tolist() for k in g.knots],
-                            **{metric: grid.tolist()
-                               for metric, grid in zip(METRICS, g.grids)}}
+                            **dict(zip(METRICS, g.grids.tolist()))}
                   for g in self.groups}
         return {
             "stratum_id": self.stratum_id,
@@ -315,6 +313,10 @@ class StratumModels:
                 if len(knots) != len(group) or grids.ndim != len(group) + 1:
                     raise SurfaceFitError(f"want {len(group)} knot axes and "
                                           f"{len(group)}-D grids")
+                for name, ax in zip(group, knots):
+                    if not np.all((ax == np.floor(ax)) & (ax >= PARAM_MIN[name]) & (ax < 2.0**63)):
+                        raise SurfaceFitError(f"{name} knots {ax.tolist()} are not all "
+                                              f"integers in [{PARAM_MIN[name]}, 2**63)")
                 groups.append(_group_model(group, dict(g["conditioning"]), knots, grids))
             except (TypeError, ValueError) as exc:
                 raise SurfaceFitError(f"stratum {sid}: group {label}: {exc}") from None

@@ -178,6 +178,48 @@ def test_optimize_exits_2_on_models_with_bad_knots_or_grids(
     assert not (tmp_path / "table.json").exists()
 
 
+def test_optimize_exits_2_on_models_whose_knots_are_not_parameter_values(
+        chain, tmp_path, capsys):
+    # used to exit 0 with a min-energy row at pp=-4, which tune then refused
+    # with "pp must be >= 0"
+    doc = json.loads((chain / "models.json").read_text())
+    for stratum in doc["strata"].values():
+        pp = stratum["groups"]["pp"]
+        pp["knots"] = [[-4.0, 4.0, 8.0]]
+        pp["energy_joules"][0] /= 10.0
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["optimize", "--models", str(path),
+                     "--out", str(tmp_path / "table.json")]) == 2
+    assert capsys.readouterr().err == ("error: stratum s000: group pp: pp knots "
+                                       "[-4.0, 4.0, 8.0] are not all integers in [0, 2**63)\n")
+    assert not (tmp_path / "table.json").exists()
+
+
+@pytest.mark.parametrize("edit,where", [
+    (lambda d: d["strata"][0]["centroids"].pop("tier2"),
+     "['strata'][0]['centroids'] is missing key 'tier2'"),
+    (lambda d: d["strata"][0]["centroids"]["tier1"].pop(),
+     "['strata'][0]['centroids']['tier1'] of stratum s000 has length 1 for 2 features"),
+    (lambda d: d["strata"][4]["centroids"]["tier3"].append(0.5),
+     "['strata'][4]['centroids']['tier3'] of stratum s004 has length 3 for 2 features"),
+    (lambda d: d["strata"][2]["centroids"]["tier2"].__setitem__(0, "wide"),
+     "['strata'][2]['centroids']['tier2'][0] is a string, not an integer or a number"),
+], ids=["no-tier2", "short-tier1", "long-tier3", "text-tier2"])
+def test_tune_exits_2_on_strata_centroids_that_do_not_fit_the_config(
+        chain, tmp_path, capsys, edit, where):
+    # a missing tier2 centroid used to print "error: tier2", a short tier1
+    # one "error: both points must have the same number of dimensions"
+    doc = json.loads((chain / "strata.json").read_text())
+    edit(doc)
+    path = tmp_path / "strata.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["tune", "--strata", str(path), "--models", str(chain / "models.json"),
+                     "--table", str(chain / "table.json"), "--classes", "small"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: strata artifact: {where}\n"
+
+
 @pytest.mark.parametrize("artifact,edit,where", [
     ("models", lambda d: d.update(strata=[]), "['strata'] is an array, not an object"),
     ("models", lambda d: d.update(strata={"s000": []}),

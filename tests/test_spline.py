@@ -10,9 +10,12 @@ coefficients.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from xfertune import SplineError, fit_bicubic_surface, fit_natural_spline
+from xfertune import (Spline1D, SplineError, Surface, find_critical_points,
+                      fit_bicubic_surface, fit_natural_spline)
 
 
 def basis_row(t: float, d: int) -> np.ndarray:
@@ -418,17 +421,20 @@ def test_stacked_fits_equal_single_fits_bit_for_bit(seed):
         ys = random_knots(rng, ny, min_gap=0.01) * 10.0 ** rng.uniform(-2, 4)
         grids = rng.standard_normal((2, nx, ny)) * 10.0 ** rng.uniform(-3, 12, size=(2, 1, 1))
         stacked = fit_bicubic_surface(xs, ys, grids)
-        assert isinstance(stacked, tuple) and len(stacked) == 2
-        for surface, grid in zip(stacked, grids):
+        assert isinstance(stacked, Surface) and stacked.coeffs.shape[0] == 2
+        assert stacked.coeffs.flags.c_contiguous
+        for g, grid in enumerate(grids):
             single = fit_bicubic_surface(xs, ys, grid)
-            assert_same_bits(surface.coeffs, single.coeffs)
-            assert_same_bits(surface.grid, single.grid)
-            assert surface.coeffs.flags.c_contiguous
+            assert_same_bits(stacked.coeffs[g], single.coeffs)
+            assert_same_bits(stacked.grid[g], single.grid)
+            assert single.coeffs.flags.c_contiguous
         rows = grids[:, :, 0]
-        for spline, row in zip(fit_natural_spline(xs, rows), rows):
+        spline = fit_natural_spline(xs, rows)
+        assert isinstance(spline, Spline1D) and spline.coeffs.shape[0] == 2
+        for r, row in enumerate(rows):
             single = fit_natural_spline(xs, row)
-            assert_same_bits(spline.coeffs, single.coeffs)
-            assert_same_bits(spline.values, single.values)
+            assert_same_bits(spline.coeffs[r], single.coeffs)
+            assert_same_bits(spline.values[r], single.values)
 
 
 def test_stacked_fits_reject_mismatched_shapes():
@@ -441,3 +447,116 @@ def test_stacked_fits_reject_mismatched_shapes():
         fit_natural_spline(xs, np.zeros((2, 2)))
     with pytest.raises(SplineError, match="same length"):
         fit_natural_spline(xs, np.zeros((1, 2, 3)))
+
+
+# -- a stacked fit evaluates as its rows fitted alone -------------------------
+#
+# A stack of value arrays on shared knots is one spline whose call looks up
+# each point's cell once for every row. Row r must give the bits a fit of
+# row r alone gives, at any point: on the knots, between them, beyond them,
+# as a scalar, and on point arrays that broadcast. legacy_call is the
+# evaluation as it was when a fit returned one object per row, kept as the
+# reference for those bits: a flat point array at a time, a 2-D block per
+# point from C-contiguous coefficients, summed by one einsum.
+
+
+def legacy_call(model, *points):
+    """model (a single spline or surface) at the broadcast points, one flat
+    point array at a time, shaped as the points."""
+    flat = [p.ravel() for p in np.broadcast_arrays(*(np.asarray(p, dtype=float)
+                                                      for p in points))]
+    coeffs = np.ascontiguousarray(model.coeffs)
+    if isinstance(model, Surface):
+        xx, yy = flat
+        block = coeffs[_cells(model.xs, xx), _cells(model.ys, yy)]
+        out = np.einsum("na,nab,nb->n", _pow_rows(xx), block, _pow_rows(yy))
+    else:
+        (tt,) = flat
+        a = coeffs[_cells(model.knots, tt)]
+        out = a[:, 0] + tt * (a[:, 1] + tt * (a[:, 2] + tt * a[:, 3]))
+    return out.reshape(np.broadcast_shapes(*(np.shape(p) for p in points)))
+
+
+def _cells(knots, t):
+    return np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+
+
+def _pow_rows(t):
+    return np.stack([np.ones_like(t), t, t * t, t ** 3], axis=-1)
+
+
+@st.composite
+def stacked_problems(draw):
+    """Knot axes, a (k, nx, ny) stack of grids on them, and probe coordinates
+    along each axis: every knot, points between knots, points beyond both
+    ends."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 3))
+    axes = []
+    for _ in range(2):
+        n = draw(st.integers(2, 8))
+        knots = np.sort(rng.choice(64, size=n, replace=False)).astype(float)
+        knots *= 10.0 ** draw(st.integers(-2, 3))
+        lo, hi = knots[0], knots[-1]
+        span = hi - lo
+        probes = np.concatenate([
+            knots,
+            rng.uniform(lo, hi, size=draw(st.integers(1, 12))),
+            lo - span * rng.uniform(0.01, 2.0, size=2),
+            hi + span * rng.uniform(0.01, 2.0, size=2)])
+        axes.append((knots, rng.permutation(probes)))
+    scale = 10.0 ** rng.uniform(-3, 9, size=(k, 1, 1))
+    grids = rng.standard_normal((k, len(axes[0][0]), len(axes[1][0]))) * scale
+    return axes, grids
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(problem=stacked_problems())
+def test_stacked_evaluation_equals_single_evaluation(problem):
+    ((xs, px), (ys, py)), grids = problem
+    k = len(grids)
+    rows = grids[:, :, 0]
+    surface, spline = fit_bicubic_surface(xs, ys, grids), fit_natural_spline(xs, rows)
+    fits = [(surface, surface.grid, grids, [fit_bicubic_surface(xs, ys, g) for g in grids],
+             (px, py)),
+            (spline, spline.values, rows, [fit_natural_spline(xs, r) for r in rows], (px,))]
+    for stacked, values, want_values, singles, points in fits:
+        assert_same_bits(values, want_values)
+        for r, single in enumerate(singles):
+            assert_same_bits(stacked.coeffs[r], single.coeffs)
+        m = min(len(p) for p in points)
+        flat = tuple(p[:m] for p in points)
+        # broadcast: each axis's probes against every other axis's probes
+        mesh = tuple(p.reshape((-1,) + (1,) * (len(points) - 1 - d))
+                     for d, p in enumerate(points))
+        for pts in (flat, mesh):
+            got = stacked(*pts)
+            assert got.shape == (k,) + np.broadcast_shapes(*(p.shape for p in pts))
+            for r, single in enumerate(singles):
+                assert_same_bits(got[r], single(*pts))
+                assert_same_bits(got[r], legacy_call(single, *pts))
+        # a mesh gives what its flattened points give
+        full = np.broadcast_arrays(*mesh)
+        assert_same_bits(stacked(*mesh).reshape(k, -1),
+                         stacked(*(a.ravel() for a in full)))
+        for point in zip(*(p.tolist() for p in flat)):
+            got = stacked(*point)
+            assert got.shape == (k,)
+            for r, single in enumerate(singles):
+                alone = single(*point)
+                assert type(alone) is float
+                assert_same_bits(got[r], np.float64(alone))
+                assert_same_bits(got[r], legacy_call(single, *point))
+
+
+def test_critical_points_refuse_a_stack():
+    xs, ys = np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0])
+    grids = np.arange(12.0).reshape(2, 3, 2) ** 2
+    surface = fit_bicubic_surface(xs, ys, grids)
+    spline = fit_natural_spline(xs, grids[:, :, 0])
+    for stacked in (surface, spline):
+        with pytest.raises(TypeError, match="not a stack"):
+            find_critical_points(stacked)
+    # a row fitted alone is not a stack
+    assert find_critical_points(fit_bicubic_surface(xs, ys, grids[0]))
+    assert find_critical_points(fit_natural_spline(xs, grids[0, :, 0]))

@@ -182,9 +182,9 @@ def assert_same_stratum_models(got: StratumModels, want: StratumModels):
     assert len(got.groups) == len(want.groups)
     for g, w in zip(got.groups, want.groups):
         assert (g.params, g.conditioning) == (w.params, w.conditioning)
-        assert len(g.models) == len(w.models) == len(METRICS)
-        for a, b in zip(g.knots + g.grids + tuple(m.coeffs for m in g.models),
-                        w.knots + w.grids + tuple(m.coeffs for m in w.models)):
+        assert len(g.grids) == len(g.spline.coeffs) == len(w.grids) == len(METRICS)
+        for a, b in zip(g.knots + (g.grids, g.spline.coeffs),
+                        w.knots + (w.grids, w.spline.coeffs)):
             assert_same_bits(a, b)
     (got_axes, *got_arrays), (want_axes, *want_arrays) = (
         got.lattice_predictions(), want.lattice_predictions())
@@ -242,9 +242,25 @@ def test_models_dict_stores_grids_not_coefficients():
      "energy_joules holds true or false"),
     ("cpu_num+cpu_freq_mhz", lambda g: g["throughput_mbps"][1].__setitem__(1, False),
      "throughput_mbps holds true or false"),
+    # knots that are not parameter values: the fit takes them, the lattice
+    # would hold a negative pp or repeat a configuration (cc 1.3 -> 1)
+    ("pp", lambda g: g.update(knots=[[-4.0, 4.0, 8.0]]),
+     r"pp knots \[-4\.0, 4\.0, 8\.0\] are not all integers in \[0, 2\*\*63\)$"),
+    ("cc+p", lambda g: g["knots"][0].__setitem__(1, 1.3),
+     r"cc knots \[1\.0, 1\.3, 4\.0\] are not all integers in \[1, 2\*\*63\)$"),
+    ("cpu_num+cpu_freq_mhz", lambda g: g["knots"][0].__setitem__(0, 0.0),
+     r"cpu_num knots \[0\.0, 2\.0, 4\.0\] are not all integers in \[1, 2\*\*63\)$"),
+    ("cpu_num+cpu_freq_mhz", lambda g: g["knots"][1].__setitem__(2, 2.0 ** 63),
+     r"cpu_freq_mhz knots \[1200\.0, 1800\.0, 9\.223372036854776e\+18\] "
+     r"are not all integers in \[1, 2\*\*63\)$"),
+    ("pp", lambda g: g["knots"][0].__setitem__(2, math.inf),
+     r"pp knots \[0\.0, 4\.0, inf\] are not all integers in \[0, 2\*\*63\)$"),
+    ("pp", lambda g: g["knots"][0].__setitem__(2, math.nan),
+     r"pp knots \[0\.0, 4\.0, nan\] are not all integers in \[0, 2\*\*63\)$"),
 ], ids=["reversed-xs", "reversed-knots", "nan-grid", "inf-values", "short-grids",
         "ragged-grids", "extra-axis", "missing-axis", "text-knot", "true-knot",
-        "true-pp-energy", "false-grid"])
+        "true-pp-energy", "false-grid", "negative-pp-knot", "fractional-cc-knot",
+        "zero-cpu-knot", "knot-past-int64", "inf-knot", "nan-knot"])
 def test_models_dict_with_knots_or_grids_the_fit_cannot_take_is_refused(
         label, edit, message):
     doc = fit_stratum_models(make_members(), "sX").as_dict()
@@ -388,9 +404,14 @@ class LegacyStratumModels:
 
 
 def per_metric(models: StratumModels) -> LegacyStratumModels:
-    """The fitted splines of models as per-metric group models."""
+    """The fitted models as per-metric group models: each metric's grid of
+    a group fitted on its own, not as a row of the group's stack."""
+    def alone(g: GroupModel, k: int):
+        fit = fit_bicubic_surface if len(g.params) == 2 else fit_natural_spline
+        return fit(*g.knots, g.grids[k])
+
     energy, throughput = (
-        tuple(LegacyGroupModel(g.params, g.conditioning, metric, g.models[k])
+        tuple(LegacyGroupModel(g.params, g.conditioning, metric, alone(g, k))
               for g in models.groups)
         for k, metric in enumerate(METRICS))
     return LegacyStratumModels(energy, throughput, models.mean_energy,
@@ -574,17 +595,19 @@ def fallback_member_sets(draw):
 
 
 def assert_same_group_model(got: GroupModel, want: tuple):
-    """got equals want, its per-metric models in METRICS order, bit for bit."""
+    """got equals want, its per-metric models in METRICS order, bit for bit:
+    row k of got's stacked spline is want[k]'s model."""
     assert [w.metric for w in want] == list(METRICS)
-    assert len(got.models) == len(want)
-    for model, w in zip(got.models, want):
+    spline = got.spline
+    assert len(spline.coeffs) == len(want)
+    for k, w in enumerate(want):
         assert (got.params, got.conditioning) == (w.params, w.conditioning)
         if len(got.params) == 2:
-            pairs = [(model.xs, w.model.xs), (model.ys, w.model.ys),
-                     (model.grid, w.model.grid), (model.coeffs, w.model.coeffs)]
+            pairs = [(spline.xs, w.model.xs), (spline.ys, w.model.ys),
+                     (spline.grid[k], w.model.grid), (spline.coeffs[k], w.model.coeffs)]
         else:
-            pairs = [(model.knots, w.model.knots), (model.values, w.model.values),
-                     (model.coeffs, w.model.coeffs)]
+            pairs = [(spline.knots, w.model.knots), (spline.values[k], w.model.values),
+                     (spline.coeffs[k], w.model.coeffs)]
         for a, b in pairs:
             assert np.array_equal(a, b)
 
