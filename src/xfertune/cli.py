@@ -128,11 +128,12 @@ def cmd_fit(args) -> int:
     write_json_artifact(args.out, models_doc(models, holdout or None))
     print(f"fitted {len(models)} strata -> {args.out}")
     for sid in sorted(holdout):
-        details = []
-        for word, key in (("energy", "energy_rmse"), ("tput", "throughput_rmse")):
-            parts = [f"{k}={v:.3g}" for k, v in holdout[sid][key].items() if v is not None]
-            details.append(f"{word} rmse {', '.join(parts) if parts else 'n/a (no rows held out)'}")
-        print(f"  {sid}: {'; '.join(details)}")
+        rep = holdout[sid]
+        if rep["test_count"]:
+            print(f"  {sid}: energy rmse {rep['energy_rmse']:.3g}; "
+                  f"tput rmse {rep['throughput_rmse']:.3g}")
+        else:
+            print(f"  {sid}: rmse n/a (no rows held out)")
     return 0
 
 

@@ -34,7 +34,7 @@ from .tuner import (FILE_CLASSES, FixedController, OnlineTuner, TransferReport,
 
 SCHEMAS = {
     "strata": "xfertune/strata-v1",
-    "models": "xfertune/models-v2",
+    "models": "xfertune/models-v3",
     "table": "xfertune/table-v1",
     "transfer": "xfertune/transfer-v1",
     "compare": "xfertune/compare-v1",

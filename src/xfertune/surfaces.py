@@ -10,19 +10,23 @@ parameter column is counted once per table, a slice is the rows a mask over
 the parameter array selects, and a group's cell means of both metrics are
 summed in slice order by np.bincount; the two metric grids share their
 knots, so one stacked spline fit (one pair of batched solves for a surface)
-fits both. The holdout split and its RMSE run on the same columns, scoring
-both metrics of a group on one test slice. Combined predictions add the
-three group models and subtract twice the stratum mean. The slices meet at
-one anchor configuration, which the sum counts three times, and the stratum
-mean is not the anchor's value, so every prediction of a stratum carries
-the same offset: the order of configurations holds, absolute values (and
-with them SLA feasibility) do not (ROADMAP item 1). Every prediction goes
-through StratumModels.predict_on, which evaluates each group on the mesh of
-the given axis values and combines the groups: per configuration
-(predict_energy, predict_throughput) the axes hold one value each, over the
-whole knot lattice (lattice_predictions) they are the knot axes, and a
-configuration gets the same bits either way. A stratum mean that is not
-finite is refused when fitting and when loading.
+fits both.
+
+The three slices cross at one anchor configuration, whose pp is the one the
+(cpu_num, cpu_freq_mhz) group's conditioning fixes. The combined prediction
+is the product of the three group values over the anchor value squared,
+core * (app / anchor) * (pipe / anchor), where the anchor value is the pp
+group's at that pp: it comes from the models, so nothing is stored for it.
+On the knots this reproduces a metric that is a product of one factor per
+group, up to rounding. An anchor value that is not a positive finite number
+is refused when fitting and when loading. Every prediction goes through
+StratumModels.predict_on, which evaluates each group on the mesh of the given
+axis values and combines the groups: per configuration (predict_energy,
+predict_throughput) the axes hold one value each, over the whole knot lattice
+(lattice_predictions) they are the knot axes, and a configuration gets the
+same bits either way. The holdout split draws one permutation of the rows
+and trains on the first max(1, floor(0.7 * count)) rows of each parameter
+tuple in that order; its RMSE scores the same combine on every held-out row.
 
 The artifact form of a stratum's models (as_dict) holds, per group, only
 what the fit read: the conditioning, the knot axes and the two metric grids
@@ -36,7 +40,7 @@ the knots, a JSON true or false where a number belongs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -215,17 +219,18 @@ def _point_axes(cfg: ParamConfig) -> dict:
     return {p: (cfg.get(p),) for p in PARAM_NAMES}
 
 
-def _combine(parts, means):
-    """Group values summed left to right, minus twice the stratum means (the
-    mean of each of the METRICS, shaped to broadcast with the parts).
+def _combine(parts, anchor):
+    """The group values (in PARAM_GROUPS order) times each other over the
+    anchor value squared, as core * (app / anchor) * (pipe / anchor); anchor
+    holds one value per metric, shaped to broadcast with the parts.
 
-    Every cell goes through the same float operations whatever the shape of
-    the mesh, so a configuration gets the same bits alone and in the lattice.
+    Dividing before multiplying keeps values of the anchor's magnitude from
+    overflowing, and every cell goes through the same float operations
+    whatever the shape of the mesh, so a configuration gets the same bits
+    alone and in the lattice.
     """
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return total - 2.0 * means
+    core, app, pipe = parts
+    return core * (app / anchor) * (pipe / anchor)
 
 
 @dataclass(frozen=True)
@@ -233,27 +238,36 @@ class StratumModels:
     """All fitted models for one stratum plus combined predictors."""
 
     # the shape of as_dict() that the artifact reader checks (see
-    # xfertune.pipeline); from_dict checks the means and arrays itself
+    # xfertune.pipeline); from_dict checks the arrays itself
     SHAPE = {"stratum_id": str,
-             "groups": {_group_label(group): {"conditioning": {str: int}, "knots": list,
-                                              **dict.fromkeys(METRICS, list)}
-                        for group in PARAM_GROUPS},
-             "mean_energy": object, "mean_throughput": object, "entry_count": int}
+             "groups": {_group_label(group): {
+                 "conditioning": {p: int for p in PARAM_NAMES if p not in group},
+                 "knots": list, **dict.fromkeys(METRICS, list)}
+                 for group in PARAM_GROUPS},
+             "entry_count": int}
 
     stratum_id: str
     groups: tuple[GroupModel, ...]   # in PARAM_GROUPS order
-    mean_energy: float
-    mean_throughput: float
     entry_count: int
+    # the METRICS at the anchor configuration, derived from the groups
+    anchor: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        core, _, pipe = self.groups
+        anchor = pipe.spline(float(core.conditioning["pp"]))
+        for metric, value in zip(METRICS, anchor.tolist()):
+            if not (math.isfinite(value) and value > 0.0):
+                raise SurfaceFitError(f"stratum {self.stratum_id}: the anchor's {metric} "
+                                      f"is {value!r}, not a positive finite number")
+        object.__setattr__(self, "anchor", anchor)
 
     def predict_on(self, axes: dict) -> np.ndarray:
         """Predicted METRICS on the mesh of the given axis values (a
         sequence of values per parameter name), stacked in METRICS order:
         array axis 0 is the metric, then one axis per parameter in
         PARAM_NAMES order. Every prediction the models make comes from here."""
-        means = np.array([self.mean_energy, self.mean_throughput])
         return _combine([g.values_on(axes) for g in self.groups],
-                        means.reshape(-1, *(1,) * len(PARAM_NAMES)))
+                        self.anchor.reshape(-1, *(1,) * len(PARAM_NAMES)))
 
     def predict_energy(self, cfg: ParamConfig) -> float:
         return self.predict_on(_point_axes(cfg))[0].item()
@@ -287,8 +301,6 @@ class StratumModels:
         return {
             "stratum_id": self.stratum_id,
             "groups": groups,
-            "mean_energy": self.mean_energy,
-            "mean_throughput": self.mean_throughput,
             "entry_count": self.entry_count,
         }
 
@@ -296,10 +308,6 @@ class StratumModels:
     def from_dict(cls, obj: dict) -> "StratumModels":
         """The models as_dict stored, refitted as fit_stratum_models fits."""
         sid = obj["stratum_id"]
-        for key in ("mean_energy", "mean_throughput"):
-            v = obj[key]
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise SurfaceFitError(f"stratum {sid}: {key} {v!r} is not a finite number")
         groups = []
         for group in PARAM_GROUPS:
             label = _group_label(group)
@@ -320,10 +328,7 @@ class StratumModels:
                 groups.append(_group_model(group, dict(g["conditioning"]), knots, grids))
             except (TypeError, ValueError) as exc:
                 raise SurfaceFitError(f"stratum {sid}: group {label}: {exc}") from None
-        return cls(stratum_id=sid, groups=tuple(groups),
-                   mean_energy=obj["mean_energy"],
-                   mean_throughput=obj["mean_throughput"],
-                   entry_count=obj["entry_count"])
+        return cls(stratum_id=sid, groups=tuple(groups), entry_count=obj["entry_count"])
 
 
 def fit_stratum_models(members, stratum_id: str) -> StratumModels:
@@ -338,69 +343,48 @@ def fit_stratum_models(members, stratum_id: str) -> StratumModels:
         cond = _conditioning(table.params, group, modes)
         rows = np.flatnonzero(_slice_mask(table.params, cond))
         groups.append(_group_model(group, cond, *_group_grids(table, rows, group)))
-    with np.errstate(over="ignore"):
-        means = [float(np.mean(getattr(table, metric))) for metric in METRICS]
-    for metric, mean in zip(METRICS, means):
-        if not math.isfinite(mean):
-            raise SurfaceFitError(f"stratum {stratum_id}: the mean of {metric} "
-                                  f"is {mean!r}, not a finite number")
-    return StratumModels(stratum_id=stratum_id, groups=tuple(groups),
-                         mean_energy=means[0], mean_throughput=means[1],
-                         entry_count=len(table))
+    return StratumModels(stratum_id=stratum_id, groups=tuple(groups), entry_count=len(table))
 
 
 def holdout_split(members, seed: int = 0) -> tuple[LogTable, LogTable]:
     """70/30 split stratified per observed parameter tuple, as two tables.
 
-    Every tuple keeps at least one entry in train, so the train grid covers
-    every observed lattice point and refitting cannot lose axis values.
-    Tuples are visited in sorted order, each shuffling its entry indices
-    (ascending) as a Python list with one generator.
+    One permutation of the rows orders each tuple's rows; the first
+    max(1, floor(0.7 * count)) of them train, so the train grid covers every
+    observed lattice point and refitting cannot lose axis values.
     """
     if not len(members):
         raise SurfaceFitError("no entries to split")
     table = as_log_table(members)
-    rng = np.random.default_rng(seed)
+    perm = np.random.default_rng(seed).permutation(len(table))
     _, inverse, counts = unique_rows(table.params)
-    # entry indices grouped by tuple, tuples in sorted order, ascending within
-    grouped = np.argsort(inverse, kind="stable").tolist()
-    train_idx, test_idx = [], []
-    start = 0
-    for end in np.cumsum(counts).tolist():
-        idx = grouped[start:end]
-        start = end
-        rng.shuffle(idx)
-        n_train = max(1, math.floor(HOLDOUT_TRAIN_FRAC * len(idx)))
-        train_idx.extend(idx[:n_train])
-        test_idx.extend(idx[n_train:])
-    return table.take(sorted(train_idx)), table.take(sorted(test_idx))
+    # rows grouped by tuple, in permutation order within a tuple
+    order = perm[np.argsort(inverse[perm], kind="stable")]
+    rank = np.empty(len(table), dtype=np.int64)
+    rank[order] = np.arange(len(table)) - np.repeat(np.cumsum(counts) - counts, counts)
+    n_train = np.maximum(1, np.floor(HOLDOUT_TRAIN_FRAC * counts).astype(np.int64))
+    train = rank < n_train[inverse]
+    return table.take(np.flatnonzero(train)), table.take(np.flatnonzero(~train))
 
 
 def rmse_holdout(members, seed: int = 0) -> dict:
-    """Fit on a stratified train split, report per-model RMSE on held-out
-    entries from each model's own conditioning slice (None when the slice
-    has no test entries): energy_rmse and throughput_rmse map each group
-    label to its RMSE, next to the stratum means and the split sizes."""
-    table = as_log_table(members)
-    train, test = holdout_split(table, seed=seed)
+    """Fit on a stratified train split and score the combined predictor on
+    every held-out row: energy_rmse and throughput_rmse (None when no row is
+    held out) next to the split sizes."""
+    train, test = holdout_split(members, seed=seed)
     try:
         models = fit_stratum_models(train, "")
     except SurfaceFitError as exc:
         raise SurfaceFitError(f"insufficient train coverage: {exc}") from exc
-
-    rmse: dict[str, dict] = {metric: {} for metric in METRICS}
-    for g in models.groups:
-        rows = np.flatnonzero(_slice_mask(test.params, g.conditioning))
-        for metric, values in zip(METRICS, g.values_at(test.params[rows])):
-            errs = values - getattr(test, metric)[rows]
-            rmse[metric][g.label] = (float(np.sqrt(np.mean(np.square(errs))))
-                                     if len(rows) else None)
-
+    rmse = [None] * len(METRICS)
+    if len(test):
+        predicted = _combine([g.values_at(test.params) for g in models.groups],
+                             models.anchor[:, None])
+        logged = np.stack([getattr(test, metric) for metric in METRICS])
+        rmse = np.sqrt(np.mean(np.square(predicted - logged), axis=1)).tolist()
     return {
-        "energy_rmse": rmse["energy_joules"],
-        "throughput_rmse": rmse["throughput_mbps"],
-        "mean_energy": float(np.mean(table.energy_joules)),
-        "mean_throughput": float(np.mean(table.throughput_mbps)),
+        "energy_rmse": rmse[0],
+        "throughput_rmse": rmse[1],
         "train_count": len(train),
         "test_count": len(test),
     }

@@ -77,7 +77,7 @@ def test_offline_artifacts_are_schema_tagged(chain):
     models = json.loads((chain / "models.json").read_text())
     table = json.loads((chain / "table.json").read_text())
     assert strata["schema"] == SCHEMAS["strata"] == "xfertune/strata-v1"
-    assert models["schema"] == SCHEMAS["models"] == "xfertune/models-v2"
+    assert models["schema"] == SCHEMAS["models"] == "xfertune/models-v3"
     assert table["schema"] == SCHEMAS["table"] == "xfertune/table-v1"
     assert len(strata["strata"]) == 9
     assert sorted(models["strata"]) == [f"s00{i}" for i in range(9)]
@@ -89,7 +89,7 @@ def test_offline_artifacts_are_schema_tagged(chain):
 
 
 def test_schema_mismatch_and_malformed_artifacts(chain, tmp_path):
-    with pytest.raises(PipelineError, match="expected schema xfertune/models-v2, "
+    with pytest.raises(PipelineError, match="expected schema xfertune/models-v3, "
                                             "found 'xfertune/strata-v1'"):
         read_json_artifact(chain / "strata.json", "models")
     bad = tmp_path / "bad.json"
@@ -137,15 +137,25 @@ def test_models_artifact_holds_no_coefficients(chain):
         assert list(stratum["groups"]) == ["cc+p", "cpu_num+cpu_freq_mhz", "pp"]
 
 
-def test_a_models_v1_file_is_refused(chain, tmp_path, capsys):
+def assert_old_models_refused(chain, tmp_path, capsys, schema):
     doc = json.loads((chain / "models.json").read_text())
-    doc["schema"] = "xfertune/models-v1"
+    doc["schema"] = schema
     path = tmp_path / "models.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["optimize", "--models", str(path),
                      "--out", str(tmp_path / "table.json")]) == 2
-    assert capsys.readouterr().err == (f"error: {path}: expected schema xfertune/models-v2, "
-                                       f"found 'xfertune/models-v1'\n")
+    assert capsys.readouterr().err == (f"error: {path}: expected schema xfertune/models-v3, "
+                                       f"found {schema!r}\n")
+    assert not (tmp_path / "table.json").exists()
+
+
+def test_a_models_v1_file_is_refused(chain, tmp_path, capsys):
+    assert_old_models_refused(chain, tmp_path, capsys, "xfertune/models-v1")
+
+
+def test_a_models_v2_file_is_refused(chain, tmp_path, capsys):
+    # v2 files also stored stratum means, which predicted with the wrong offset
+    assert_old_models_refused(chain, tmp_path, capsys, "xfertune/models-v2")
 
 
 def _group(doc, label):
@@ -228,6 +238,11 @@ def test_tune_exits_2_on_strata_centroids_that_do_not_fit_the_config(
      "['strata']['s003']['groups']['pp'] is missing key 'knots'"),
     ("models", lambda d: d["strata"]["s003"].pop("groups"),
      "['strata']['s003'] is missing key 'groups'"),
+    # the anchor is read at this pp
+    ("models", lambda d: d["strata"]["s003"]["groups"]["cpu_num+cpu_freq_mhz"]
+     ["conditioning"].pop("pp"),
+     "['strata']['s003']['groups']['cpu_num+cpu_freq_mhz']['conditioning'] "
+     "is missing key 'pp'"),
     ("table", lambda d: d.update(table=[]), "['table'] is an array, not an object"),
     ("table", lambda d: d["table"]["rows"]["s001"]["max-tput"].pop("result"),
      "['table']['rows']['s001']['max-tput'] is missing key 'result'"),
@@ -239,8 +254,8 @@ def test_tune_exits_2_on_strata_centroids_that_do_not_fit_the_config(
     ("strata", lambda d: d["config"].pop("tier1_cut"),
      "['config']: stratify config is missing key 'tier1_cut'"),
 ], ids=["models-strata-array", "models-stratum-array", "models-no-knots",
-        "models-no-groups", "table-array", "table-no-result", "table-null-bound",
-        "strata-object", "strata-int-members", "strata-config-key"])
+        "models-no-groups", "models-no-anchor-pp", "table-array", "table-no-result",
+        "table-null-bound", "strata-object", "strata-int-members", "strata-config-key"])
 def test_malformed_artifact_bodies_exit_2_naming_the_key_path(
         chain, tmp_path, capsys, artifact, edit, where):
     # each used to crash with a traceback (exit 1) or print a bare key
@@ -645,37 +660,50 @@ def test_fit_exits_2_on_a_log_whose_surface_coefficients_overflow(tmp_path, caps
     assert not (tmp_path / "models.json").exists()
 
 
-def test_fit_exits_2_on_a_stratum_whose_mean_energy_overflows(tmp_path, capsys):
+def test_fit_and_optimize_on_energies_near_the_float_limit_write_finite_rows_or_exit_2(
+        tmp_path, capsys):
     # every cc=16 entry at 1e307 J: each grid cell and coefficient stays
-    # finite, but a stratum's energies sum past the largest float; its mean
-    # used to be written as "inf", which optimize then could not read
+    # finite, but a stratum's energies sum past the largest float; nothing
+    # may overflow into a row, and no step may die with a traceback
     logs, strata = tmp_path / "logs.jsonl", tmp_path / "strata.json"
+    models, table = tmp_path / "models.json", tmp_path / "table.json"
     entries = [replace(e, energy_joules=1e307, avg_power_watts=1e307 / e.duration_s)
                if e.params.cc == 16 else e
                for e in generate_training_logs(seed=0)]
     serialize_logs(entries, logs)
     assert cli.main(["stratify", "--logs", str(logs), "--out", str(strata)]) == 0
     capsys.readouterr()
-    assert cli.main(["fit", "--logs", str(logs), "--strata", str(strata),
-                     "--out", str(tmp_path / "models.json")]) == 2
+    code = cli.main(["fit", "--logs", str(logs), "--strata", str(strata),
+                     "--out", str(models)])
+    if code == 0:
+        code = cli.main(["optimize", "--models", str(models), "--out", str(table)])
     err = capsys.readouterr().err
-    assert err == ("error: stratum s000: the mean of energy_joules is inf, "
-                   "not a finite number\n")
-    assert not (tmp_path / "models.json").exists()
+    if code == 2:
+        assert re.fullmatch(r"error: stratum s\d{3}: [^\n]+\n", err)
+        assert not table.exists()
+        return
+    assert (code, err) == (0, "")
+    rows = json.loads(table.read_text())["table"]["rows"]
+    values = [cell["result"][key] for r in rows.values() for cell in r.values()
+              if cell["status"] == "ok"
+              for key in ("predicted_energy", "predicted_throughput")]
+    assert values and all(type(v) is float and math.isfinite(v) for v in values)
 
 
-@pytest.mark.parametrize("value", ["inf", None, True, "12.5"])
-def test_optimize_exits_2_on_models_whose_mean_is_not_a_finite_number(
+@pytest.mark.parametrize("value", [0.0, -5.0])
+def test_optimize_exits_2_on_models_whose_anchor_is_not_positive(
         chain, tmp_path, capsys, value):
+    # a constant pp grid makes the pp spline that constant, anchor included
     doc = json.loads((chain / "models.json").read_text())
     sid = sorted(doc["strata"])[-1]
-    doc["strata"][sid]["mean_energy"] = value
+    pp = doc["strata"][sid]["groups"]["pp"]
+    pp["energy_joules"] = [value] * len(pp["energy_joules"])
     models = tmp_path / "models.json"
     models.write_text(json.dumps(doc))
     assert cli.main(["optimize", "--models", str(models),
                      "--out", str(tmp_path / "table.json")]) == 2
-    assert capsys.readouterr().err == (f"error: stratum {sid}: mean_energy {value!r} "
-                                       f"is not a finite number\n")
+    assert capsys.readouterr().err == (f"error: stratum {sid}: the anchor's energy_joules "
+                                       f"is {value!r}, not a positive finite number\n")
     assert not (tmp_path / "table.json").exists()
 
 

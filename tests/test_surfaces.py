@@ -1,11 +1,13 @@
 """Per-stratum surface fitting tests.
 
-Ground truth here is a synthetic metric that is additively separable across
-the three parameter groups. The combined predictor then differs from the
-truth by one constant over the whole lattice, so argmax/argmin must match
-exhaustive search even though absolute values carry the offset.
+Ground truth here is a synthetic metric that is a product of one positive
+factor per parameter group. The combined predictor (the three group values
+over the anchor value squared) then reproduces the truth on the whole
+lattice up to rounding, so absolute values, argmax and argmin all match
+exhaustive search.
 """
 
+import collections
 import functools
 import itertools
 import json
@@ -62,14 +64,14 @@ def true_energy(cfg: ParamConfig) -> float:
     core = cfg.cpu_num ** 2 + cfg.cpu_freq_mhz / 600.0 + cfg.cpu_num * cfg.cpu_freq_mhz / 2400.0
     app = 3.0 * cfg.cc + cfg.p ** 2 + 0.25 * cfg.cc * cfg.p
     pipe = 10.0 / (1.0 + cfg.pp)
-    return core + app + pipe
+    return core * app * pipe
 
 
 def true_throughput(cfg: ParamConfig) -> float:
     core = 40.0 * cfg.cpu_num * cfg.cpu_freq_mhz / 2400.0
     app = 25.0 * cfg.cc / (1.0 + 0.1 * cfg.p) + 5.0 * cfg.p
-    pipe = 2.0 * cfg.pp
-    return core + app + pipe
+    pipe = 1.0 + 0.25 * cfg.pp
+    return core * app * pipe
 
 
 def lattice_configs(axes=AXES):
@@ -139,14 +141,13 @@ def test_fit_reproduces_conditioning_slices_exactly():
             assert got.tolist() == pytest.approx(want, rel=1e-9)
 
 
-def test_combined_predictor_is_truth_plus_constant():
-    members = make_members()
-    models = fit_stratum_models(members, "sX")
-    cfgs = list(lattice_configs())
-    de = [models.predict_energy(c) - true_energy(c) for c in cfgs]
-    dt = [models.predict_throughput(c) - true_throughput(c) for c in cfgs]
-    assert max(de) - min(de) < 1e-9 * max(1.0, max(map(abs, de)))
-    assert max(dt) - min(dt) < 1e-9 * max(1.0, max(map(abs, dt)))
+def test_combined_predictor_reproduces_separable_truth():
+    models = fit_stratum_models(make_members(), "sX")
+    axes, energy, throughput = models.lattice_predictions()
+    assert axes == AXES
+    for cfg, e, t in zip(lattice_configs(), energy.ravel(), throughput.ravel()):
+        assert e == pytest.approx(true_energy(cfg), rel=1e-9)
+        assert t == pytest.approx(true_throughput(cfg), rel=1e-9)
 
 
 def test_predictor_extrema_match_exhaustive_truth():
@@ -157,12 +158,37 @@ def test_predictor_extrema_match_exhaustive_truth():
     assert max(cfgs, key=models.predict_throughput) == max(cfgs, key=true_throughput)
 
 
-def test_predict_is_group_sum_minus_twice_mean():
-    members = make_members()
-    models = fit_stratum_models(members, "sX")
+def test_predict_is_the_group_product_over_the_anchor_squared():
+    models = fit_stratum_models(make_members(), "sX")
+    # every slice is conditioned on the largest values: they cross there
+    anchor = ParamConfig(4, 2400, 4, 2, 8)
+    assert [{**g.conditioning, **{p: anchor.get(p) for p in g.params}}
+            for g in models.groups] == [anchor.as_dict()] * 3
+    assert models.anchor.tolist() == pytest.approx(
+        [true_energy(anchor), true_throughput(anchor)], rel=1e-12)
     cfg = ParamConfig(2, 1800, 2, 1, 4)
-    want = sum(m.value(cfg) for m in per_metric(models).energy) - 2.0 * models.mean_energy
+    core, app, pipe = (m.value(cfg) for m in per_metric(models).energy)
+    want = core * app * pipe / models.anchor[0] ** 2
     assert models.predict_energy(cfg) == pytest.approx(want, rel=1e-12)
+
+
+def test_default_corpus_predictions_are_close_to_the_logged_values(corpus, strata, models):
+    # the simulator's throughput is a min() of caps, not a product of one
+    # factor per group, so only the median error is held to a tight bound
+    table = LogTable.from_entries(corpus)
+    rel = []
+    for s in strata:
+        members = table.take(s.members)
+        axes, energy, throughput = models[s.id].lattice_predictions()
+        cell = tuple(np.searchsorted(axes[p], members.params[:, j])
+                     for j, p in enumerate(PARAM_NAMES))
+        assert np.array_equal(np.column_stack([np.asarray(axes[p])[i] for p, i in
+                                               zip(PARAM_NAMES, cell)]), members.params)
+        ratio = np.stack([energy[cell] / members.energy_joules,
+                          throughput[cell] / members.throughput_mbps])
+        rel.append(np.abs(ratio - 1.0))
+    median_energy, median_throughput = np.median(np.concatenate(rel, axis=1), axis=1)
+    assert median_energy < 0.05 and median_throughput < 0.02
 
 
 def test_axis_values_and_lattice_axes():
@@ -177,8 +203,8 @@ def test_axis_values_and_lattice_axes():
 def assert_same_stratum_models(got: StratumModels, want: StratumModels):
     """Equal bit for bit: every group's knots, grids and coefficients, and
     the predictions on the whole lattice."""
-    assert (got.stratum_id, got.mean_energy, got.mean_throughput, got.entry_count) == (
-        want.stratum_id, want.mean_energy, want.mean_throughput, want.entry_count)
+    assert (got.stratum_id, got.entry_count) == (want.stratum_id, want.entry_count)
+    assert_same_bits(got.anchor, want.anchor)
     assert len(got.groups) == len(want.groups)
     for g, w in zip(got.groups, want.groups):
         assert (g.params, g.conditioning) == (w.params, w.conditioning)
@@ -210,8 +236,7 @@ def test_models_roundtrip_through_dict():
 def test_models_dict_stores_grids_not_coefficients():
     models = fit_stratum_models(make_members(), "sX")
     doc = models.as_dict()
-    assert set(doc) == {"stratum_id", "groups", "mean_energy", "mean_throughput",
-                        "entry_count"}
+    assert set(doc) == {"stratum_id", "groups", "entry_count"}
     assert list(doc["groups"]) == ["cpu_num+cpu_freq_mhz", "cc+p", "pp"]
     for group, m in zip(PARAM_GROUPS, models.groups):
         g = doc["groups"]["+".join(group)]
@@ -333,19 +358,17 @@ def test_holdout_split_is_seed_deterministic():
 
 def test_single_sweep_holdout_has_no_test_entries():
     report = rmse_holdout(make_members())
-    assert report["test_count"] == 0
-    assert set(report["energy_rmse"].values()) == {None}
-    assert set(report["throughput_rmse"].values()) == {None}
+    assert report == {"energy_rmse": None, "throughput_rmse": None,
+                      "train_count": len(make_members()), "test_count": 0}
 
 
 def test_duplicate_sweeps_give_zero_holdout_rmse():
-    report = rmse_holdout(make_members(copies=2), seed=3)
+    members = make_members(copies=2)
+    report = rmse_holdout(members, seed=3)
     assert report["test_count"] > 0
-    for rmse_by_group, mean in ((report["energy_rmse"], report["mean_energy"]),
-                                (report["throughput_rmse"], report["mean_throughput"])):
-        for label, rmse in rmse_by_group.items():
-            assert rmse is not None, label
-            assert rmse < 1e-9 * mean
+    for metric, key in zip(METRICS, ("energy_rmse", "throughput_rmse")):
+        mean = np.mean([getattr(e, metric) for e in members])
+        assert report[key] < 1e-9 * mean
 
 
 def test_insufficient_train_coverage_is_reported():
@@ -364,10 +387,11 @@ def test_group_layout():
 # -- per-metric group models and the scalar prediction they replaced ----------
 #
 # Test-only oracles: a group model per (metric, group) pair, evaluated one
-# configuration at a time, and a prediction that sums a metric's three group
-# values left to right (what builtin sum() computes up to Python 3.11) minus
-# twice the stratum mean, as the models were before a group held both
-# metrics and every prediction went through StratumModels.predict_on.
+# configuration at a time, and a prediction that combines a metric's three
+# group values as Python floats, core * (app / anchor) * (pipe / anchor) with
+# the anchor the pp model at the core group's conditioning pp, as the models
+# were before a group held both metrics and every prediction went through
+# StratumModels.predict_on.
 
 
 @dataclass(frozen=True)
@@ -387,20 +411,27 @@ class LegacyGroupModel:
         return self.model(cfg.get(self.params[0]))
 
 
+def legacy_anchor(group_models) -> float:
+    core, _, pipe = group_models
+    return pipe.model(core.conditioning["pp"])
+
+
+def legacy_combine(group_models, cfg: ParamConfig) -> float:
+    core, app, pipe = (m.value(cfg) for m in group_models)
+    anchor = legacy_anchor(group_models)
+    return core * (app / anchor) * (pipe / anchor)
+
+
 @dataclass(frozen=True)
 class LegacyStratumModels:
     energy: tuple
     throughput: tuple
-    mean_energy: float
-    mean_throughput: float
 
     def predict_energy(self, cfg: ParamConfig) -> float:
-        values = [m.value(cfg) for m in self.energy]
-        return functools.reduce(operator.add, values) - 2.0 * self.mean_energy
+        return legacy_combine(self.energy, cfg)
 
     def predict_throughput(self, cfg: ParamConfig) -> float:
-        values = [m.value(cfg) for m in self.throughput]
-        return functools.reduce(operator.add, values) - 2.0 * self.mean_throughput
+        return legacy_combine(self.throughput, cfg)
 
 
 def per_metric(models: StratumModels) -> LegacyStratumModels:
@@ -414,8 +445,7 @@ def per_metric(models: StratumModels) -> LegacyStratumModels:
         tuple(LegacyGroupModel(g.params, g.conditioning, metric, alone(g, k))
               for g in models.groups)
         for k, metric in enumerate(METRICS))
-    return LegacyStratumModels(energy, throughput, models.mean_energy,
-                               models.mean_throughput)
+    return LegacyStratumModels(energy, throughput)
 
 
 # -- the per-metric fit that one-pass group grids replaced --------------------
@@ -499,12 +529,13 @@ def legacy_fit_stratum_models(members, stratum_id):
             models.append(LegacyGroupModel(params=group, conditioning=cond,
                                            metric=metric, model=model))
         by_metric[metric] = tuple(models)
-    return LegacyStratumModels(
-        energy=by_metric["energy_joules"],
-        throughput=by_metric["throughput_mbps"],
-        mean_energy=float(np.mean([e.energy_joules for e in members])),
-        mean_throughput=float(np.mean([e.throughput_mbps for e in members])),
-    )
+    for metric, group_models in by_metric.items():
+        anchor = float(legacy_anchor(group_models))
+        if not (math.isfinite(anchor) and anchor > 0.0):
+            raise SurfaceFitError(f"stratum {stratum_id}: the anchor's {metric} "
+                                  f"is {anchor!r}, not a positive finite number")
+    return LegacyStratumModels(energy=by_metric["energy_joules"],
+                               throughput=by_metric["throughput_mbps"])
 
 
 PARAM_POOLS = {
@@ -627,8 +658,8 @@ def test_fit_matches_legacy_per_metric_fit(members):
     assert len(got.groups) == len(want.energy) == len(want.throughput)
     for g, pair in zip(got.groups, zip(want.energy, want.throughput)):
         assert_same_group_model(g, pair)
-    assert (got.mean_energy, got.mean_throughput, got.entry_count) == (
-        want.mean_energy, want.mean_throughput, len(members))
+    assert got.entry_count == len(members)
+    assert got.anchor.tolist() == [legacy_anchor(want.energy), legacy_anchor(want.throughput)]
     # loading the stored models gives the fitted models back
     assert_same_stratum_models(reloaded(got), got)
 
@@ -641,7 +672,7 @@ OFF_KNOT_CONFIGS = st.builds(
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(members=st.one_of(ragged_member_sets(), fallback_member_sets()),
        configs=st.lists(OFF_KNOT_CONFIGS, min_size=1, max_size=20))
-def test_predictions_match_the_per_metric_scalar_sum(members, configs):
+def test_predictions_match_the_per_metric_anchored_product(members, configs):
     # every lattice cell, and configurations between and beyond the knots
     try:
         models = fit_stratum_models(LogTable.from_entries(members), "h")
@@ -663,70 +694,53 @@ def test_predictions_match_the_per_metric_scalar_sum(members, configs):
 
 
 
-# -- holdout as it was before it ran on table columns ------------------------------
-#
-# Test-only oracles: the split grouped indices per parameter tuple in a dict
-# and returned entry lists; the report scored each model with value() one
-# held-out entry at a time.
+# -- holdout -------------------------------------------------------------------
 
 
-def legacy_holdout_split(members, seed=0):
-    rng = np.random.default_rng(seed)
-    by_tuple = {}
-    for i, e in enumerate(members):
-        by_tuple.setdefault(tuple(e.params.get(p) for p in PARAM_NAMES), []).append(i)
-    train_idx, test_idx = [], []
-    for key in sorted(by_tuple):
-        idx = list(by_tuple[key])
-        rng.shuffle(idx)
-        n_train = max(1, math.floor(HOLDOUT_TRAIN_FRAC * len(idx)))
-        train_idx.extend(idx[:n_train])
-        test_idx.extend(idx[n_train:])
-    return ([members[i] for i in sorted(train_idx)],
-            [members[i] for i in sorted(test_idx)])
-
-
-def legacy_rmse_holdout(members, seed=0):
-    train, test = legacy_holdout_split(members, seed=seed)
-    try:
-        models = legacy_fit_stratum_models(train, "")
-    except SurfaceFitError as exc:
-        raise SurfaceFitError(f"insufficient train coverage: {exc}") from exc
-
-    def per_model(group_models):
-        out = {}
-        for m in group_models:
-            errs = [m.value(e.params) - getattr(e, m.metric)
-                    for e in legacy_slice_members(test, m.conditioning)]
-            out[m.label] = float(np.sqrt(np.mean(np.square(errs)))) if errs else None
-        return out
-
-    return {
-        "energy_rmse": per_model(models.energy),
-        "throughput_rmse": per_model(models.throughput),
-        "mean_energy": float(np.mean([e.energy_joules for e in members])),
-        "mean_throughput": float(np.mean([e.throughput_mbps for e in members])),
-        "train_count": len(train),
-        "test_count": len(test),
-    }
+def param_key(e):
+    return tuple(e.params.get(p) for p in PARAM_NAMES)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(members=st.one_of(ragged_member_sets(), fallback_member_sets()),
        seed=st.integers(0, 3))
-def test_holdout_matches_legacy_holdout(members, seed):
+def test_holdout_split_trains_on_the_share_of_every_tuple(members, seed):
+    train, test = holdout_split(LogTable.from_entries(members), seed=seed)
+    # a partition of the rows, each side in log order
+    position = {e.timestamp_s: i for i, e in enumerate(members)}
+    got = [[position[e.timestamp_s] for e in side] for side in (train, test)]
+    assert all(side == sorted(side) for side in got)
+    assert sorted(got[0] + got[1]) == list(range(len(members)))
+    logged = collections.Counter(map(param_key, members))
+    trained = collections.Counter(map(param_key, train))
+    assert trained == {key: max(1, math.floor(HOLDOUT_TRAIN_FRAC * n))
+                       for key, n in logged.items()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(members=st.one_of(ragged_member_sets(), fallback_member_sets()),
+       seed=st.integers(0, 3))
+def test_holdout_rmse_scores_the_combined_predictor_on_every_held_out_row(members, seed):
     table = LogTable.from_entries(members)
-    want_train, want_test = legacy_holdout_split(members, seed=seed)
-    got_train, got_test = holdout_split(table, seed=seed)
-    assert list(got_train) == want_train and list(got_test) == want_test
+    train, test = holdout_split(table, seed=seed)
     try:
-        want = legacy_rmse_holdout(members, seed=seed)
+        models = legacy_fit_stratum_models(list(train), "")
     except SurfaceFitError as exc:
         with pytest.raises(SurfaceFitError) as got:
             rmse_holdout(table, seed=seed)
-        assert str(got.value) == str(exc)
+        assert str(got.value) == f"insufficient train coverage: {exc}"
         return
-    assert rmse_holdout(table, seed=seed) == want
+    report = rmse_holdout(table, seed=seed)
+    assert (report["train_count"], report["test_count"]) == (len(train), len(test))
+    for key, predict, metric in (("energy_rmse", models.predict_energy, "energy_joules"),
+                                 ("throughput_rmse", models.predict_throughput,
+                                  "throughput_mbps")):
+        errs = [predict(e.params) - getattr(e, metric) for e in test]
+        if not errs:
+            assert report[key] is None
+            continue
+        want = math.sqrt(math.fsum(d * d for d in errs) / len(errs))
+        assert report[key] == pytest.approx(want, rel=1e-9)
 
 
 def per_group_conditioning(params, group):
