@@ -25,7 +25,8 @@ def main():
     for ti in t:
         print(f"  {ti:4.1f} {s(ti):8.3f}")
 
-    # per-cell coefficients are plain polynomials a0 + a1 x + a2 x^2 + a3 x^3
+    # per-cell coefficients are in the local basis c0 + c1 u + c2 u^2 + c3 u^3,
+    # u = x - (the cell's knot), so c0 is the knot's own value
     print(f"\nfirst-cell coefficients: {np.round(s.coeffs[0], 4).tolist()}")
 
     print("\n== bicubic surface ==")
@@ -37,8 +38,8 @@ def main():
     f = fit_bicubic_surface(xs, ys, grid)
     print(f"grid {grid.shape[0]}x{grid.shape[1]} over x={xs.tolist()}, "
           f"y={ys.tolist()}")
-    print(f"reproduces the grid: "
-          f"{np.allclose([[f(gx, gy) for gy in ys] for gx in xs], grid)}")
+    print(f"reproduces the grid exactly: "
+          f"{np.array_equal([[f(gx, gy) for gy in ys] for gx in xs], grid)}")
     between = [[f(gx, gy) for gy in (1500.0, 2050.0)] for gx in (3.0, 6.0)]
     print(f"between the knots: {np.round(between, 4).tolist()}")
 

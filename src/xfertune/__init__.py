@@ -27,7 +27,7 @@ from .simulator import (DATASET_CLASSES, ENDPOINTS, EndpointSpec,
                         baseline_config, default_lattice,
                         generate_training_logs, power_above_base_watts,
                         synth_file_sizes, throughput_mbps)
-from .spline import (Spline1D, SplineError, Surface, fit_bicubic_surface,
+from .spline import (Spline, SplineError, fit_bicubic_surface,
                      fit_natural_spline)
 from .surfaces import (GroupModel, StratumModels, SurfaceFitError,
                        fit_stratum_models, rmse_holdout)

@@ -8,9 +8,11 @@ arrays over the whole lattice, infeasible cells are masked out, and the first
 best cell in lexicographic lattice order wins. A parameter table evaluates
 each stratum's lattice once and selects every SLA's row from those arrays.
 
-Critical points of the spline models (Newton search plus Hessian
-classification) are an analysis utility: a stationary point between knots is
-not a deployable configuration, so it never takes part in the selection.
+Critical points of a single fitted spline (Newton search in each cell's
+local coordinates plus Hessian classification, with knot derivatives read
+from the cell coefficients) are an analysis utility: a stationary point
+between knots is not a deployable configuration, so it never takes part in
+the selection.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logs import PARAM_NAMES, ParamConfig
-from .spline import Spline1D, Surface, cell_index
+from .spline import Spline
 from .surfaces import StratumModels
 
 NEWTON_MAX_ITER = 50
@@ -125,63 +127,60 @@ def _classify_2d(fxx: float, fxy: float, fyy: float) -> str:
     return "flat"
 
 
-def _cell_poly_1d(coeffs: np.ndarray, t: float, order: int) -> float:
-    a0, a1, a2, a3 = coeffs
+def _pow_vec(u: float, order: int) -> np.ndarray:
+    """The order-th derivative of the local basis row [1, u, u^2, u^3]."""
     if order == 0:
-        return a0 + t * (a1 + t * (a2 + t * a3))
+        return np.array([1.0, u, u * u, u ** 3])
     if order == 1:
-        return a1 + t * (2.0 * a2 + 3.0 * t * a3)
-    return 2.0 * a2 + 6.0 * t * a3
+        return np.array([0.0, 1.0, 2.0 * u, 3.0 * u * u])
+    return np.array([0.0, 0.0, 2.0, 6.0 * u])
 
 
-def _newton_1d(coeffs: np.ndarray, lo: float, hi: float):
-    t = 0.5 * (lo + hi)
+def _cell_eval(coeffs: np.ndarray, u: float, order: int) -> float:
+    return float(_pow_vec(u, order) @ coeffs)
+
+
+def _block_eval(block: np.ndarray, u: float, v: float, dx: int, dy: int) -> float:
+    return float(_pow_vec(u, dx) @ block @ _pow_vec(v, dy))
+
+
+def _newton_1d(coeffs: np.ndarray, h: float):
+    """A stationary point u in [0, h] of one cell, from its midpoint."""
+    u = 0.5 * h
     for _ in range(NEWTON_MAX_ITER):
-        g = _cell_poly_1d(coeffs, t, 1)
+        g = _cell_eval(coeffs, u, 1)
         if abs(g) < NEWTON_GRAD_TOL:
-            pad = 1e-9 * (hi - lo)
-            if lo - pad <= t <= hi + pad:
-                return min(max(t, lo), hi)
+            pad = 1e-9 * h
+            if -pad <= u <= h + pad:
+                return min(max(u, 0.0), h)
             return None
-        h = _cell_poly_1d(coeffs, t, 2)
-        if abs(h) < 1e-14 * max(1.0, abs(g)):
+        curv = _cell_eval(coeffs, u, 2)
+        if abs(curv) < 1e-14 * max(1.0, abs(g)):
             return None
-        t -= g / h
+        u -= g / curv
     return None
 
 
-def _block_eval(block: np.ndarray, x: float, y: float, dx: int, dy: int) -> float:
-    px = _pow_vec(x, dx)
-    py = _pow_vec(y, dy)
-    return float(px @ block @ py)
-
-
-def _pow_vec(t: float, order: int) -> np.ndarray:
-    if order == 0:
-        return np.array([1.0, t, t * t, t ** 3])
-    if order == 1:
-        return np.array([0.0, 1.0, 2.0 * t, 3.0 * t * t])
-    return np.array([0.0, 0.0, 2.0, 6.0 * t])
-
-
-def _newton_2d(block: np.ndarray, xlo, xhi, ylo, yhi):
-    x, y = 0.5 * (xlo + xhi), 0.5 * (ylo + yhi)
+def _newton_2d(block: np.ndarray, hx: float, hy: float):
+    """A stationary point (u, v) in [0, hx] x [0, hy] of one cell, from its
+    centre."""
+    u, v = 0.5 * hx, 0.5 * hy
     for _ in range(NEWTON_MAX_ITER):
-        gx = _block_eval(block, x, y, 1, 0)
-        gy = _block_eval(block, x, y, 0, 1)
+        gx = _block_eval(block, u, v, 1, 0)
+        gy = _block_eval(block, u, v, 0, 1)
         if math.hypot(gx, gy) < NEWTON_GRAD_TOL:
-            padx, pady = 1e-9 * (xhi - xlo), 1e-9 * (yhi - ylo)
-            if xlo - padx <= x <= xhi + padx and ylo - pady <= y <= yhi + pady:
-                return min(max(x, xlo), xhi), min(max(y, ylo), yhi)
+            padx, pady = 1e-9 * hx, 1e-9 * hy
+            if -padx <= u <= hx + padx and -pady <= v <= hy + pady:
+                return min(max(u, 0.0), hx), min(max(v, 0.0), hy)
             return None
-        fxx = _block_eval(block, x, y, 2, 0)
-        fxy = _block_eval(block, x, y, 1, 1)
-        fyy = _block_eval(block, x, y, 0, 2)
+        fxx = _block_eval(block, u, v, 2, 0)
+        fxy = _block_eval(block, u, v, 1, 1)
+        fyy = _block_eval(block, u, v, 0, 2)
         det = fxx * fyy - fxy * fxy
         if abs(det) < 1e-14 * max(1.0, (abs(fxx) + abs(fyy) + abs(fxy)) ** 2):
             return None
-        x -= (fyy * gx - fxy * gy) / det
-        y -= (fxx * gy - fxy * gx) / det
+        u -= (fyy * gx - fxy * gy) / det
+        v -= (fxx * gy - fxy * gx) / det
     return None
 
 
@@ -196,63 +195,55 @@ def _dedupe(points: list[CriticalPoint]) -> list[CriticalPoint]:
     return sorted(kept, key=lambda q: q.coords)
 
 
-def find_critical_points(model) -> list[CriticalPoint]:
-    """Stationary points of a fitted spline or surface plus all grid knots.
+def find_critical_points(model: Spline) -> list[CriticalPoint]:
+    """Stationary points of a fitted 1-D or 2-D spline plus all its knots.
 
-    Newton iteration runs from every cell center; converged interior points
-    are classified by the sign pattern of the (closed-form) Hessian
-    eigenvalues. Knots that are not stationary are kept as boundary
-    candidates with kind "boundary".
+    Newton iteration runs in each cell's local coordinates from the cell
+    centre; converged interior points are classified by the sign pattern of
+    the (closed-form) Hessian eigenvalues. A knot's derivatives are read
+    from its cell's coefficients. Knots that are not stationary are kept as
+    boundary candidates with kind "boundary".
     """
-    if np.ndim(getattr(model, "coeffs", None)) != {Spline1D: 2, Surface: 4}.get(type(model)):
-        raise TypeError("model must be a Spline1D or Surface, not a stack of them")
+    dims = len(model.knots) if isinstance(model, Spline) else 0
+    if dims not in (1, 2) or model.coeffs.ndim != 2 * dims:
+        raise TypeError("model must be a 1-D or 2-D Spline, not a stack of them")
     points: list[CriticalPoint] = []
-    if isinstance(model, Spline1D):
-        knots = model.knots
-        for i in range(len(knots) - 1):
-            t = _newton_1d(model.coeffs[i], knots[i], knots[i + 1])
-            if t is not None:
+    if dims == 1:
+        knots = model.knots[0].tolist()
+        for t, t1, c in zip(knots, knots[1:], model.coeffs):
+            u = _newton_1d(c, t1 - t)
+            if u is not None:
                 points.append(CriticalPoint(
-                    coords=(t,), value=float(_cell_poly_1d(model.coeffs[i], t, 0)),
-                    kind=_classify_1d(_cell_poly_1d(model.coeffs[i], t, 2)),
-                    stationary=True))
-        for t, i in zip(knots.tolist(), cell_index(knots, knots).tolist()):
-            a = model.coeffs[i]
-            stationary = abs(float(_cell_poly_1d(a, t, 1))) < NEWTON_GRAD_TOL * 10
+                    coords=(t + u,), value=_cell_eval(c, u, 0),
+                    kind=_classify_1d(_cell_eval(c, u, 2)), stationary=True))
+        for t, c in zip(knots, model.coeffs):
+            stationary = abs(c[1]) < NEWTON_GRAD_TOL * 10
             points.append(CriticalPoint(
-                coords=(t,), value=float(_cell_poly_1d(a, t, 0)),
-                kind=_classify_1d(_cell_poly_1d(a, t, 2)) if stationary else "boundary",
+                coords=(t,), value=float(c[0]),
+                kind=_classify_1d(2.0 * c[2]) if stationary else "boundary",
                 stationary=stationary))
         return _dedupe(points)
-    if isinstance(model, Surface):
-        xs, ys = model.xs, model.ys
-        for i in range(len(xs) - 1):
-            for j in range(len(ys) - 1):
-                got = _newton_2d(model.coeffs[i, j], xs[i], xs[i + 1], ys[j], ys[j + 1])
-                if got is None:
-                    continue
-                x, y = got
-                block = model.coeffs[i, j]
-                points.append(CriticalPoint(
-                    coords=(x, y), value=_block_eval(block, x, y, 0, 0),
-                    kind=_classify_2d(_block_eval(block, x, y, 2, 0),
-                                      _block_eval(block, x, y, 1, 1),
-                                      _block_eval(block, x, y, 0, 2)),
-                    stationary=True))
-        for x, i in zip(xs.tolist(), cell_index(xs, xs).tolist()):
-            for y, j in zip(ys.tolist(), cell_index(ys, ys).tolist()):
-                block = model.coeffs[i, j]
-                gx = _block_eval(block, x, y, 1, 0)
-                gy = _block_eval(block, x, y, 0, 1)
-                stationary = math.hypot(gx, gy) < NEWTON_GRAD_TOL * 10
-                kind = "boundary"
-                if stationary:
-                    kind = _classify_2d(_block_eval(block, x, y, 2, 0),
-                                        _block_eval(block, x, y, 1, 1),
-                                        _block_eval(block, x, y, 0, 2))
-                points.append(CriticalPoint(
-                    coords=(x, y), value=model(x, y), kind=kind,
-                    stationary=stationary))
+    xs, ys = (k.tolist() for k in model.knots)
+    for x, x1, row in zip(xs, xs[1:], model.coeffs):
+        for y, y1, block in zip(ys, ys[1:], row):
+            got = _newton_2d(block, x1 - x, y1 - y)
+            if got is None:
+                continue
+            u, v = got
+            points.append(CriticalPoint(
+                coords=(x + u, y + v), value=_block_eval(block, u, v, 0, 0),
+                kind=_classify_2d(_block_eval(block, u, v, 2, 0),
+                                  _block_eval(block, u, v, 1, 1),
+                                  _block_eval(block, u, v, 0, 2)),
+                stationary=True))
+    for x, row in zip(xs, model.coeffs):
+        for y, b in zip(ys, row):
+            stationary = math.hypot(b[1, 0], b[0, 1]) < NEWTON_GRAD_TOL * 10
+            points.append(CriticalPoint(
+                coords=(x, y), value=float(b[0, 0]),
+                kind=(_classify_2d(2.0 * b[2, 0], b[1, 1], 2.0 * b[0, 2])
+                      if stationary else "boundary"),
+                stationary=stationary))
     return _dedupe(points)
 
 

@@ -1,26 +1,29 @@
-"""Natural cubic splines in one and two dimensions.
+"""Natural cubic splines on the tensor grid of their knots, in one or two
+dimensions.
 
-1-D fits solve the tridiagonal second-derivative system with natural end
-conditions (zero curvature at both boundary knots). Surfaces are tensor
-products: a spline along y per grid row, then splines along x through each
-resulting coefficient, giving per-cell bicubic polynomials that are C2 in
-both directions. The solver takes many right-hand sides at once, so a
-surface is two batched solves (all rows, then all coefficient columns); each
-column goes through the same floating-point operations in the same order as
-a 1-D fit, so the coefficients equal those of one fit per row bit for bit.
-Both fit functions also take a stack of value arrays on the same knots (the
-energy and throughput grids of one parameter group) and fit them in the same
-solves into one spline that holds the stack on leading axes, each row bit
-for bit a fit of it alone. Coefficients that overflow (huge finite values or
-knots) raise SplineError. A spline or surface is called for its values only,
-at a point or at arrays of points, with one cell lookup for the whole stack;
-evaluation outside the knot range extends the boundary cell polynomial, and
-callers should treat that as extrapolation. The cell coefficients are plain
-polynomials; xfertune.optimizer's critical-point search differentiates them.
+A Spline stores its cells in the local (pp-form) basis of de Boor's A
+Practical Guide to Splines: along an axis with knots x, the cell of knot i
+is c0 + c1*u + c2*u^2 + c3*u^3 with u = t - x[i], so c0 is the knot's own
+value. There is one cell per knot: the last knot's cell continues the last
+cubic, and the first cell extends below the first knot, so evaluation
+outside the knot range extends the boundary cubics (callers should treat
+that as extrapolation). A point's cell is the last knot at or below it, so
+on a knot every u is exactly 0 and the spline returns its grid value bit
+for bit (a grid value of -0.0 may come back as 0.0).
 
-Piece coefficients are stored in the absolute power basis: on cell i the
-curve is a0 + a1*t + a2*t^2 + a3*t^3 with t the raw coordinate, not an
-offset from the left knot.
+A fit is one batched natural 1-D fit per axis, in order: every line of
+values along the first axis, then every resulting coefficient along the
+next, each pass appending its power axis. A 1-D fit solves the tridiagonal
+second-derivative system with zero curvature at both boundary knots; a 2-D
+fit is the bicubic tensor product, C2 in both directions. Every line goes
+through the same floating-point operations in the same order as a 1-D fit
+of it alone, so a stack of value arrays on the same knots (the energy and
+throughput grids of one parameter group), held on leading axes, fits each
+array bit for bit as a fit of it alone would. Coefficients that overflow
+(huge finite values) raise SplineError. A spline is called for its values
+only, at a point or at arrays of points: one cell lookup per point for the
+whole stack, then one Horner scheme per axis, nested with the last axis
+innermost.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ def _check_knots(x: np.ndarray, label: str) -> None:
 def _thomas(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
             rhs: np.ndarray) -> np.ndarray:
     """Solve a tridiagonal system in O(n) for rhs of shape (n,), or for each
-    column of rhs of shape (n, k) at once. Diagonally dominant input assumed."""
+    column of rhs of shape (n, ...) at once. Diagonally dominant input assumed."""
     n = len(diag)
     c = np.zeros(n)
     d = np.zeros(rhs.shape)
@@ -62,15 +65,10 @@ def _thomas(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     return out
 
 
-def _knot_axis(v: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A knot-indexed 1-D v shaped to broadcast along y's first axis."""
-    return v.reshape(v.shape + (1,) * (y.ndim - 1))
-
-
 def _second_derivatives(h: np.ndarray, slope: np.ndarray) -> np.ndarray:
     """Knot second derivatives M with natural ends M[0] = M[-1] = 0, from
-    the knot gaps h and the cell slopes of y: of shape (n-1,) for y of shape
-    (n,), or (n-1, k) for each column of y of shape (n, k)."""
+    the knot gaps h (shape (n-1,)) and the cell slopes (shape (n-1, ...),
+    one column per line of values)."""
     m = np.zeros((len(h) + 1,) + slope.shape[1:])
     if len(h) == 1:
         return m
@@ -83,51 +81,64 @@ def _second_derivatives(h: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return m
 
 
-def cell_index(knots: np.ndarray, t):
-    """Cell of each t: the last knot at or below it, clipped to the first
-    and last cells, so evaluation outside the knots extends them."""
-    return np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+def _local_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Local-basis cell coefficients c0..c3 of the natural spline through
+    checked knots x and values y whose axis 0 runs along x: shape
+    y.shape + (4,), one cell per knot, the last continuing the last cubic.
+    Each line of y goes through the same scalar operations in the same
+    order as a 1-D y, so its coefficients are bit-identical to a fit of it
+    alone. Differences are slice subtractions, the operation np.diff runs."""
+    h = x[1:] - x[:-1]
+    hc = h.reshape(h.shape + (1,) * (y.ndim - 1))
+    slope = (y[1:] - y[:-1]) / hc
+    m = _second_derivatives(h, slope)
+    c1 = slope - hc * (2.0 * m[:-1] + m[1:]) / 6.0
+    c3 = (m[1:] - m[:-1]) / (6.0 * hc)
+    # the last cubic's slope at its right end, where the last cell starts
+    end = slope[-1:] + hc[-1:] * (m[-2:-1] + 2.0 * m[-1:]) / 6.0
+    return np.stack([y, np.concatenate((c1, end)), m / 2.0,
+                     np.concatenate((c3, c3[-1:]))], axis=-1)
 
 
 @dataclass(frozen=True)
-class Spline1D:
-    """Piecewise cubics, one per stacked row, in absolute-basis cell coefficients."""
+class Spline:
+    """Natural cubic splines on one tensor grid of knots, one per stacked grid.
 
-    knots: np.ndarray            # shape (n,)
-    coeffs: np.ndarray           # shape (*lead, n-1, 4), columns a0..a3
-    values: np.ndarray           # y at knots, shape (*lead, n)
+    coeffs[..., i1, .., id, a1, .., ad] multiplies u1^a1 * .. * ud^ad on the
+    cell of knot (i1, .., id), where uk = tk - knots[k][ik].
+    """
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        a = self.coeffs[..., cell_index(self.knots, t), :]
-        out = a[..., 0] + t * (a[..., 1] + t * (a[..., 2] + t * a[..., 3]))
-        return float(out) if out.ndim == 0 else out
+    knots: tuple                 # one strictly increasing axis per dimension
+    coeffs: np.ndarray           # shape (*lead, n1, .., nd, 4, .., 4)
+    grid: np.ndarray             # fitted values, shape (*lead, n1, .., nd)
+
+    def __call__(self, *t):
+        t = [np.asarray(v, dtype=float) for v in t]
+        # a point's cell is the last knot at or below it, or the first knot
+        # below them all: the count of the knots after the first that are <= t
+        cells = [np.searchsorted(x[1:], v, side="right") for x, v in zip(self.knots, t)]
+        # the cell arrays broadcast as indices, each offset u as an operand
+        c = self.coeffs[(..., *cells) + (slice(None),) * len(t)]
+        for d in reversed(range(len(t))):
+            u = (t[d] - self.knots[d][cells[d]]).reshape(t[d].shape + (1,) * d)
+            c = c[..., 0] + u * (c[..., 1] + u * (c[..., 2] + u * c[..., 3]))
+        return float(c) if c.ndim == 0 else c
 
 
-def _natural_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Absolute-basis cell coefficients of the natural spline through checked
-    knots x and finite values y: shape (n-1, 4) for y of shape (n,), and
-    (n-1, k, 4) for the k splines through the columns of y of shape (n, k).
-    Each column goes through the same scalar operations in the same order as
-    a 1-D y, so its coefficients are bit-identical to a fit of it alone.
-    Differences are slice subtractions, the operation np.diff runs. Huge
-    finite values or knots can overflow the coefficients: the callers check
-    them, so the overflow is not also reported as a warning."""
+def _fit(knots: tuple, values: np.ndarray, name: str) -> Spline:
+    """The natural spline through values on the mesh of checked knots, one
+    batched 1-D fit per axis; values may stack grids on leading axes. Huge
+    finite values can overflow the coefficients: this checks them once, so
+    the overflow is not also reported as a warning (a non-finite value
+    stays non-finite through every later pass)."""
+    lead = values.ndim - len(knots)
+    coeffs = values
     with np.errstate(over="ignore", invalid="ignore"):
-        h = x[1:] - x[:-1]
-        xi, yi = x[:-1], y[:-1]
-        hc, xc, xc3 = (_knot_axis(v, y) for v in (h, xi, xi ** 3))
-        slope = (y[1:] - y[:-1]) / hc
-        m = _second_derivatives(h, slope)
-        c1 = slope - hc * (2.0 * m[:-1] + m[1:]) / 6.0
-        c2 = m[:-1] / 2.0
-        c3 = (m[1:] - m[:-1]) / _knot_axis(6.0 * h, y)
-        # expand s(t) = y_i + c1*u + c2*u^2 + c3*u^3, u = t - x_i, into powers of t
-        a3 = c3
-        a2 = c2 - 3.0 * c3 * xc
-        a1 = c1 - 2.0 * c2 * xc + 3.0 * c3 * xc * xc
-        a0 = yi - c1 * xc + c2 * xc * xc - c3 * xc3
-    return np.stack([a0, a1, a2, a3], axis=-1)
+        for axis, x in enumerate(knots, start=lead):
+            coeffs = np.moveaxis(_local_coeffs(x, np.moveaxis(coeffs, axis, 0)), 0, axis)
+    if not np.all(np.isfinite(coeffs)):
+        raise SplineError(f"{name} coefficients overflow")
+    return Spline(knots=knots, coeffs=coeffs, grid=values)
 
 
 def fit_natural_spline(x, y):
@@ -145,71 +156,23 @@ def fit_natural_spline(x, y):
         raise SplineError("x and y must have the same length")
     if not np.all(np.isfinite(y)):
         raise SplineError("y values must be finite")
-    coeffs = _natural_coeffs(x, y.T)
-    if not np.all(np.isfinite(coeffs)):
-        raise SplineError("spline coefficients overflow")
-    return Spline1D(knots=x, coeffs=np.moveaxis(coeffs, 0, -2), values=y)
-
-
-def _pow_rows(t: np.ndarray) -> np.ndarray:
-    """Rows of basis powers [1, t, t^2, t^3]."""
-    return np.stack([np.ones_like(t), t, t * t, t ** 3], axis=-1)
-
-
-@dataclass(frozen=True)
-class Surface:
-    """Bicubic spline surfaces on a rectangular grid, one per stacked grid.
-
-    coeffs[..., i, j, a, b] multiplies x^a * y^b on the cell
-    [xs[i], xs[i+1]] x [ys[j], ys[j+1]].
-    """
-
-    xs: np.ndarray
-    ys: np.ndarray
-    coeffs: np.ndarray           # shape (*lead, nx-1, ny-1, 4, 4)
-    grid: np.ndarray             # fitted values, shape (*lead, nx, ny)
-
-    def __call__(self, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        block = self.coeffs[..., cell_index(self.xs, x), cell_index(self.ys, y), :, :]
-        out = np.einsum("...a,...ab,...b->...", _pow_rows(x), block, _pow_rows(y))
-        return float(out) if out.ndim == 0 else out
+    return _fit((x,), y, "spline")
 
 
 def fit_bicubic_surface(xs, ys, grid):
     """Tensor-product natural bicubic surface interpolating grid values.
 
-    grid[i, j] is the value at (xs[i], ys[j]). Fitting order does not matter:
-    splining rows in y and then each coefficient in x equals the transpose
-    construction because spline fitting is linear in the data. The knots
-    are checked once, not per 1-D fit. A grid of shape (k, nx, ny) is a
-    stack of k grids on the same knots, fitted in the same two solves into
-    one surface whose row g is bit for bit the fit of grid[g] alone.
+    grid[i, j] is the value at (xs[i], ys[j]). A grid of shape (k, nx, ny)
+    is a stack of k grids on the same knots, fitted in the same two solves
+    into one surface whose row g is bit for bit the fit of grid[g] alone.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     grid = np.array(grid, dtype=float)
     _check_knots(xs, "xs")
     _check_knots(ys, "ys")
-    nx, ny = len(xs), len(ys)
-    if grid.ndim not in (2, 3) or grid.shape[-2:] != (nx, ny):
+    if grid.ndim not in (2, 3) or grid.shape[-2:] != (len(xs), len(ys)):
         raise SplineError("grid must have shape (len(xs), len(ys))")
     if not np.all(np.isfinite(grid)):
         raise SplineError("grid values must be finite")
-    k = grid.size // (nx * ny)
-    # every row of every grid along y at once: [j, (g, i), b] of grid g,
-    # row i, cell j, power b
-    ycoef = _natural_coeffs(ys, grid.reshape(k * nx, ny).T)
-    # huge grid values can overflow the row coefficients
-    if not np.all(np.isfinite(ycoef)):
-        raise SplineError("y values must be finite")
-    # then every (g, j, b) column along x at once, giving [i, (g, j, b), a]
-    columns = ycoef.reshape(ny - 1, k, nx, 4).transpose(2, 1, 0, 3)
-    xcoef = _natural_coeffs(xs, columns.reshape(nx, k * (ny - 1) * 4))
-    if not np.all(np.isfinite(xcoef)):
-        raise SplineError("surface coefficients overflow")
-    blocks = xcoef.reshape(nx - 1, k, ny - 1, 4, 4).transpose(1, 0, 2, 4, 3)
-    # one contiguous copy: numpy may sum a strided operand in another
-    # order, so a view could change evaluated values in the last bit
-    coeffs = np.ascontiguousarray(blocks).reshape(grid.shape[:-2] + blocks.shape[1:])
-    return Surface(xs=xs, ys=ys, coeffs=coeffs, grid=grid)
+    return _fit((xs, ys), grid, "surface")

@@ -1,25 +1,27 @@
 """Per-stratum performance models fitted from transfer logs.
 
 Each stratum's energy and throughput are decomposed into three parameter
-groups, (cpu_num, cpu_freq_mhz) and (cc, p) as bicubic surfaces and pp as a
-1-D spline. A group is one model (GroupModel): one spline whose stack holds
-both metrics, fitted on the slice of entries whose remaining parameters sit
+groups, (cpu_num, cpu_freq_mhz) and (cc, p) as bicubic splines and pp as a
+1-D spline. A group is one model (GroupModel): one xfertune.spline.Spline
+over the group's parameters, whatever their number, whose stack holds both
+metrics, fitted on the slice of entries whose remaining parameters sit
 at their modal values, so the three groups describe orthogonal cuts through
 the same operating point. Fitting reads a LogTable: the modal value of each
 parameter column is counted once per table, a slice is the rows a mask over
 the parameter array selects, and a group's cell means of both metrics are
 summed in slice order by np.bincount; the two metric grids share their
-knots, so one stacked spline fit (one pair of batched solves for a surface)
-fits both.
+knots, so one stacked spline fit (one batched solve per axis) fits both.
 
 The three slices cross at one anchor configuration, whose pp is the one the
 (cpu_num, cpu_freq_mhz) group's conditioning fixes. The combined prediction
 is the product of the three group values over the anchor value squared,
 core * (app / anchor) * (pipe / anchor), where the anchor value is the pp
 group's at that pp: it comes from the models, so nothing is stored for it.
-On the knots this reproduces a metric that is a product of one factor per
-group, up to rounding. An anchor value that is not a positive finite number
-is refused when fitting and when loading. Every prediction goes through
+A spline returns its grid value bit for bit on its knots, so on the knot
+lattice a prediction is exactly this product of the group grids, and up
+to rounding it reproduces a metric that is a product of one factor per
+group. An anchor value that is not a positive finite number is refused
+when fitting and when loading. Every prediction goes through
 StratumModels.predict_on, which evaluates each group on the mesh of the given
 axis values and combines the groups: per configuration (predict_energy,
 predict_throughput) the axes hold one value each, over the whole knot lattice
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logs import PARAM_MIN, PARAM_NAMES, LogTable, ParamConfig, as_log_table, unique_rows
-from .spline import Spline1D, Surface, fit_bicubic_surface, fit_natural_spline
+from .spline import Spline, fit_bicubic_surface, fit_natural_spline
 
 PARAM_GROUPS: tuple[tuple[str, ...], ...] = (
     ("cpu_num", "cpu_freq_mhz"),
@@ -156,12 +158,12 @@ def _group_grids(table: LogTable, rows: np.ndarray, group: tuple[str, ...]):
 @dataclass(frozen=True)
 class GroupModel:
     """One parameter group's fitted model plus the slice it was fitted on:
-    one spline (a Surface for a 2-D group, a Spline1D for pp) whose stack
-    holds both metrics in METRICS order on the same knots."""
+    one spline over the group's parameters whose stack holds both metrics
+    in METRICS order on the same knots."""
 
     params: tuple[str, ...]
     conditioning: dict
-    spline: Surface | Spline1D
+    spline: Spline
 
     @property
     def label(self) -> str:
@@ -183,20 +185,8 @@ class GroupModel:
         shape = [len(axes[p]) if p in self.params else 1 for p in PARAM_NAMES]
         return self.spline(*(m.ravel() for m in mesh)).reshape(len(METRICS), *shape)
 
-    @property
-    def knots(self) -> tuple[np.ndarray, ...]:
-        """The knot axes, one per group parameter."""
-        return ((self.spline.xs, self.spline.ys) if len(self.params) == 2
-                else (self.spline.knots,))
-
-    @property
-    def grids(self) -> np.ndarray:
-        """The values the spline interpolates on the mesh of the knots,
-        stacked in METRICS order."""
-        return self.spline.grid if len(self.params) == 2 else self.spline.values
-
     def axis_values(self, name: str) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.knots[self.params.index(name)])
+        return tuple(int(v) for v in self.spline.knots[self.params.index(name)])
 
 
 def _group_model(group: tuple[str, ...], conditioning: dict, knots,
@@ -295,8 +285,8 @@ class StratumModels:
     def as_dict(self) -> dict:
         """The artifact form: what each group's fit read, no coefficients."""
         groups = {g.label: {"conditioning": dict(g.conditioning),
-                            "knots": [k.tolist() for k in g.knots],
-                            **dict(zip(METRICS, g.grids.tolist()))}
+                            "knots": [k.tolist() for k in g.spline.knots],
+                            **dict(zip(METRICS, g.spline.grid.tolist()))}
                   for g in self.groups}
         return {
             "stratum_id": self.stratum_id,

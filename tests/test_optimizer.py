@@ -105,17 +105,18 @@ def test_hessian_classification_matches_eigen_oracle():
 
 
 def stationary_roots_oracle(spline) -> list:
-    """Real roots of each cell's derivative polynomial via np.roots."""
+    """Real roots of each cell's derivative polynomial via np.roots, in the
+    cell's local coordinate u = t - knot, mapped back to t."""
     out = []
-    knots = spline.knots
-    for i in range(len(knots) - 1):
-        a0, a1, a2, a3 = spline.coeffs[i]
-        poly = [3.0 * a3, 2.0 * a2, a1]
+    (knots,) = spline.knots
+    for i, h in enumerate(np.diff(knots)):
+        _, c1, c2, c3 = spline.coeffs[i]
+        poly = [3.0 * c3, 2.0 * c2, c1]
         if max(abs(c) for c in poly) < 1e-14:
             continue
         for r in np.roots(poly):
-            if abs(r.imag) < 1e-9 and knots[i] - 1e-9 <= r.real <= knots[i + 1] + 1e-9:
-                out.append(float(np.clip(r.real, knots[i], knots[i + 1])))
+            if abs(r.imag) < 1e-9 and -1e-9 <= r.real <= h + 1e-9:
+                out.append(knots[i] + float(np.clip(r.real, 0.0, h)))
     return sorted(out)
 
 

@@ -664,7 +664,8 @@ def test_fit_and_optimize_on_energies_near_the_float_limit_write_finite_rows_or_
         tmp_path, capsys):
     # every cc=16 entry at 1e307 J: each grid cell and coefficient stays
     # finite, but a stratum's energies sum past the largest float; nothing
-    # may overflow into a row, and no step may die with a traceback
+    # may overflow into a row, no grid value may cancel to a non-positive
+    # prediction, and no step may die with a traceback
     logs, strata = tmp_path / "logs.jsonl", tmp_path / "strata.json"
     models, table = tmp_path / "models.json", tmp_path / "table.json"
     entries = [replace(e, energy_joules=1e307, avg_power_watts=1e307 / e.duration_s)
@@ -687,7 +688,7 @@ def test_fit_and_optimize_on_energies_near_the_float_limit_write_finite_rows_or_
     values = [cell["result"][key] for r in rows.values() for cell in r.values()
               if cell["status"] == "ok"
               for key in ("predicted_energy", "predicted_throughput")]
-    assert values and all(type(v) is float and math.isfinite(v) for v in values)
+    assert values and all(type(v) is float and math.isfinite(v) and v > 0.0 for v in values)
 
 
 @pytest.mark.parametrize("value", [0.0, -5.0])

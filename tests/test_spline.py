@@ -1,12 +1,17 @@
 """Spline fitting tests.
 
-The production fit uses a tridiagonal second-derivative solve. The oracle
-here is an independent dense solve of the full piecewise system:
-interpolation at both cell ends, first/second derivative continuity at
-interior knots, and zero curvature at the boundary knots. Derivatives of a
-fitted spline or surface are taken by numpy.polynomial on its stored cell
-coefficients.
+The production fit uses a tridiagonal second-derivative solve and stores
+each cell in the local basis c0 + c1*u + c2*u^2 + c3*u^3, u the offset from
+the cell's knot. The oracles here are an independent dense solve of the
+full piecewise system (interpolation at both cell ends, first/second
+derivative continuity at interior knots, zero curvature at the boundary
+knots) and the natural spline worked out in exact rational arithmetic
+(fractions). Derivatives of a fitted spline or surface are taken by
+numpy.polynomial on its stored cell coefficients.
 """
+
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,36 +19,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from xfertune import (Spline1D, SplineError, Surface, find_critical_points,
+from xfertune import (Spline, SplineError, find_critical_points,
                       fit_bicubic_surface, fit_natural_spline)
 
 
-def basis_row(t: float, d: int) -> np.ndarray:
+def basis_row(u: float, d: int) -> np.ndarray:
+    """The d-th derivative of the local basis row [1, u, u^2, u^3]."""
     if d == 0:
-        return np.array([1.0, t, t * t, t ** 3])
+        return np.array([1.0, u, u * u, u ** 3])
     if d == 1:
-        return np.array([0.0, 1.0, 2.0 * t, 3.0 * t * t])
-    return np.array([0.0, 0.0, 2.0, 6.0 * t])
+        return np.array([0.0, 1.0, 2.0 * u, 3.0 * u * u])
+    return np.array([0.0, 0.0, 2.0, 6.0 * u])
 
 
 def _cell(knots, t):
-    return int(np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2))
+    return int(np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 1))
 
 
 def spline_derivative(s, t, order: int):
     """The order-th derivative of a fitted spline at t (a float or an
     array), by numpy.polynomial on the coefficients of the cell holding t."""
+    (knots,) = s.knots
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.array([P.polyval(v, P.polyder(s.coeffs[_cell(s.knots, v)], order))
-                    for v in ts])
+    cells = [_cell(knots, v) for v in ts]
+    out = np.array([P.polyval(v - knots[i], P.polyder(s.coeffs[i], order))
+                    for v, i in zip(ts, cells)])
     return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def cell_derivative(s, i: int, t: float, order: int) -> float:
+    """The order-th derivative of cell i's cubic (knot i's cell) at t,
+    inside that cell or not."""
+    (knots,) = s.knots
+    return float(basis_row(t - knots[i], order) @ s.coeffs[i])
 
 
 def surface_derivative(f, x: float, y: float, dx: int, dy: int) -> float:
     """d^(dx+dy) f / dx^dx dy^dy at (x, y), by numpy.polynomial on the
     coefficient block of the cell holding the point."""
-    block = f.coeffs[_cell(f.xs, x), _cell(f.ys, y)]
-    return float(P.polyval2d(x, y, P.polyder(P.polyder(block, dx, axis=0), dy, axis=1)))
+    xs, ys = f.knots
+    i, j = _cell(xs, x), _cell(ys, y)
+    return float(P.polyval2d(x - xs[i], y - ys[j],
+                             P.polyder(P.polyder(f.coeffs[i, j], dx, axis=0), dy, axis=1)))
 
 
 def surface_gradient(f, x: float, y: float) -> tuple[float, float]:
@@ -56,32 +73,80 @@ def surface_hessian(f, x: float, y: float) -> tuple[float, float, float]:
 
 
 def dense_natural_coeffs(x, y) -> np.ndarray:
-    """Per-cell absolute-basis coefficients from one dense linear solve."""
+    """Local-basis coefficients of each of the n-1 cells between the knots,
+    from one dense linear solve."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    h = np.diff(x)
     cells = len(x) - 1
     size = 4 * cells
     a = np.zeros((size, size))
     rhs = np.zeros(size)
     row = 0
     for i in range(cells):
-        a[row, 4 * i:4 * i + 4] = basis_row(x[i], 0)
+        a[row, 4 * i:4 * i + 4] = basis_row(0.0, 0)
         rhs[row] = y[i]
         row += 1
-        a[row, 4 * i:4 * i + 4] = basis_row(x[i + 1], 0)
+        a[row, 4 * i:4 * i + 4] = basis_row(h[i], 0)
         rhs[row] = y[i + 1]
         row += 1
     for i in range(cells - 1):
         for d in (1, 2):
-            a[row, 4 * i:4 * i + 4] = basis_row(x[i + 1], d)
-            a[row, 4 * (i + 1):4 * (i + 1) + 4] = -basis_row(x[i + 1], d)
+            a[row, 4 * i:4 * i + 4] = basis_row(h[i], d)
+            a[row, 4 * (i + 1):4 * (i + 1) + 4] = -basis_row(0.0, d)
             row += 1
-    a[row, 0:4] = basis_row(x[0], 2)
+    a[row, 0:4] = basis_row(0.0, 2)
     row += 1
-    a[row, 4 * (cells - 1):] = basis_row(x[-1], 2)
+    a[row, 4 * (cells - 1):] = basis_row(h[-1], 2)
     row += 1
     assert row == size
     return np.linalg.solve(a, rhs).reshape(cells, 4)
+
+
+def with_last_knot_cell(cells: np.ndarray, x) -> np.ndarray:
+    """The n-1 cells between the knots plus the last knot's cell: the last
+    cubic re-expanded about the last knot."""
+    c, h = cells[-1], x[-1] - x[-2]
+    last = [basis_row(h, 0) @ c, basis_row(h, 1) @ c, basis_row(h, 2) @ c / 2.0, c[3]]
+    return np.vstack([cells, last])
+
+
+def exact_natural_spline(x, y):
+    """The natural cubic spline through (x, y) in exact rational arithmetic,
+    as a function of t that extends the boundary cubics outside the knots."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    n = len(x)
+    h = [b - a for a, b in zip(x, x[1:])]
+    slope = [(b - a) / g for a, b, g in zip(y, y[1:], h)]
+    # interior rows h[i-1]*M[i-1] + 2(h[i-1]+h[i])*M[i] + h[i]*M[i+1] = rhs,
+    # eliminated downwards and substituted back (M[0] = M[-1] = 0)
+    m = [Fraction(0)] * n
+    cp, dp = [Fraction(0)] * n, [Fraction(0)] * n
+    for i in range(1, n - 1):
+        den = 2 * (h[i - 1] + h[i]) - h[i - 1] * cp[i - 1]
+        cp[i] = h[i] / den if i < n - 2 else Fraction(0)
+        dp[i] = (6 * (slope[i] - slope[i - 1]) - h[i - 1] * dp[i - 1]) / den
+    for i in range(n - 2, 0, -1):
+        m[i] = dp[i] - cp[i] * m[i + 1]
+
+    def at(t) -> Fraction:
+        t = Fraction(t)
+        i = max(0, min(n - 2, sum(1 for v in x if v <= t) - 1))
+        u = t - x[i]
+        c1 = slope[i] - h[i] * (2 * m[i] + m[i + 1]) / 6
+        c3 = (m[i + 1] - m[i]) / (6 * h[i])
+        return y[i] + u * (c1 + u * (m[i] / 2 + u * c3))
+    return at
+
+
+def exact_value(knots, grid, point) -> Fraction:
+    """The tensor-product natural spline through grid on the mesh of the
+    knot axes at point, exactly: the spline along the first axis through
+    the exact values of the lower-dimensional splines of its grid rows."""
+    if len(knots) == 1:
+        return exact_natural_spline(knots[0], grid)(point[0])
+    rows = [exact_value(knots[1:], g, point[1:]) for g in grid]
+    return exact_natural_spline(knots[0], rows)(point[0])
 
 
 def random_knots(rng, n: int, min_gap: float = 0.2) -> np.ndarray:
@@ -92,8 +157,10 @@ def random_knots(rng, n: int, min_gap: float = 0.2) -> np.ndarray:
 
 def test_hand_worked_three_knot_spline():
     s = fit_natural_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
-    # first cell: s(t) = 1.5 t - 0.5 t^3
-    assert np.allclose(s.coeffs[0], [0.0, 1.5, 0.0, -0.5], atol=1e-12)
+    # first cell: s(t) = 1.5 t - 0.5 t^3; then the second cubic about t = 1,
+    # and the same cubic about t = 2 for the last knot's cell
+    assert np.allclose(s.coeffs, [[0.0, 1.5, 0.0, -0.5], [1.0, 0.0, -1.5, 0.5],
+                                  [0.0, -1.5, 0.0, 0.5]], atol=1e-12)
     assert s(0.5) == pytest.approx(0.6875, abs=1e-12)
     assert spline_derivative(s, 1.0, 2) == pytest.approx(-3.0, abs=1e-12)
     assert spline_derivative(s, 0.0, 1) == pytest.approx(1.5, abs=1e-12)
@@ -106,7 +173,7 @@ def test_matches_dense_solve_on_random_knots():
         x = random_knots(rng, n)
         y = rng.standard_normal(n)
         got = fit_natural_spline(x, y).coeffs
-        want = dense_natural_coeffs(x, y)
+        want = with_last_knot_cell(dense_natural_coeffs(x, y), x)
         assert np.max(np.abs(got - want)) < 1e-8
 
 
@@ -115,7 +182,7 @@ def test_interpolates_and_has_natural_ends():
     x = random_knots(rng, 8)
     y = rng.standard_normal(8)
     s = fit_natural_spline(x, y)
-    assert np.allclose(s(x), y, rtol=0, atol=1e-10)
+    assert_same_bits(s(x), y)
     assert abs(spline_derivative(s, x[0], 2)) < 1e-8
     assert abs(spline_derivative(s, x[-1], 2)) < 1e-8
 
@@ -126,12 +193,14 @@ def test_continuity_at_interior_knots():
     y = rng.standard_normal(9)
     s = fit_natural_spline(x, y)
     scale = max(1.0, np.max(np.abs(y)))
-    for i in range(1, len(x) - 1):
+    for i in range(1, len(x)):
         t = x[i]
         for d, tol in ((0, 1e-9), (1, 1e-9), (2, 1e-8)):
-            left = basis_row(t, d) @ s.coeffs[i - 1]
-            right = basis_row(t, d) @ s.coeffs[i]
+            left = cell_derivative(s, i - 1, t, d)
+            right = cell_derivative(s, i, t, d)
             assert abs(left - right) < tol * scale
+    # the last knot's cell continues the last cubic
+    assert s.coeffs[-1][3] == s.coeffs[-2][3]
 
 
 def test_linear_data_is_reproduced_exactly():
@@ -209,7 +278,7 @@ def test_surface_interpolates_grid_values():
     xs, ys, grid, f = random_surface(rng, 5, 4)
     for i in range(len(xs)):
         for j in range(len(ys)):
-            assert f(xs[i], ys[j]) == pytest.approx(grid[i, j], abs=1e-10)
+            assert f(xs[i], ys[j]) == grid[i, j]
 
 
 def test_surface_matches_nested_one_dimensional_fits():
@@ -262,8 +331,8 @@ def test_surface_is_natural_normal_to_edges():
         assert abs(surface_hessian(f, x, ys[-1])[2]) < 1e-8
 
 
-def block_eval(block: np.ndarray, x: float, y: float, dx: int, dy: int) -> float:
-    return float(basis_row(x, dx) @ block @ basis_row(y, dy))
+def block_eval(block: np.ndarray, u: float, v: float, dx: int, dy: int) -> float:
+    return float(basis_row(u, dx) @ block @ basis_row(v, dy))
 
 
 def test_surface_continuity_across_cell_boundaries():
@@ -271,13 +340,13 @@ def test_surface_continuity_across_cell_boundaries():
     xs, ys, grid, f = random_surface(rng, 5, 4)
     scale = max(1.0, np.max(np.abs(grid)))
     probes = np.linspace(ys[0] + 0.01, ys[-1] - 0.01, 7)
-    for i in range(1, len(xs) - 1):
+    for i in range(1, len(xs)):
         for y in probes:
-            j = int(np.searchsorted(ys, y, side="right") - 1)
+            j = _cell(ys, y)
             for dx, dy, tol in ((0, 0, 1e-9), (1, 0, 1e-9), (2, 0, 1e-8),
                                 (0, 1, 1e-9), (1, 1, 1e-8)):
-                left = block_eval(f.coeffs[i - 1, j], xs[i], y, dx, dy)
-                right = block_eval(f.coeffs[i, j], xs[i], y, dx, dy)
+                left = block_eval(f.coeffs[i - 1, j], xs[i] - xs[i - 1], y - ys[j], dx, dy)
+                right = block_eval(f.coeffs[i, j], 0.0, y - ys[j], dx, dy)
                 assert abs(left - right) < tol * scale
 
 
@@ -290,15 +359,16 @@ def test_surface_rejects_bad_input():
         fit_bicubic_surface([0.0, 1.0], [0.0, 1.0], np.array([[0.0, 1.0], [np.inf, 2.0]]))
 
 
-# -- batched solves against the per-row loop ----------------------------------
+# -- batched solves against the per-line loop ---------------------------------
 #
-# fit_bicubic_surface solves every grid row, then every (cell, power) column,
-# in one batched call each. The legacy_* functions are the 1-D solver and the
-# per-row loop it replaced, kept as the reference: each coefficient must come
-# out bit for bit the same.
+# A fit solves every line of values along the first axis, then every line of
+# the resulting (cell, power) coefficients along the second, in one batched
+# call each. The loop_* functions are the 1-D solver and a loop over the
+# lines, kept as the reference: each coefficient must come out bit for bit
+# the same.
 
 
-def legacy_thomas(lower, diag, upper, rhs):
+def loop_thomas(lower, diag, upper, rhs):
     n = len(diag)
     c = np.zeros(n)
     d = np.zeros(n)
@@ -315,39 +385,34 @@ def legacy_thomas(lower, diag, upper, rhs):
     return out
 
 
-def legacy_natural_coeffs(x, y):
+def loop_natural_coeffs(x, y):
+    """Local-basis coefficients of one line of values: one cell per knot,
+    the last continuing the last cubic."""
     n = len(x)
     m = np.zeros(n)
     h = np.diff(x)
+    slope = np.diff(y) / h
     if n > 2:
-        slope = np.diff(y) / h
         rhs = 6.0 * (slope[1:] - slope[:-1])
         diag = 2.0 * (h[:-1] + h[1:])
         lower = np.concatenate(([0.0], h[1:-1]))
         upper = np.concatenate((h[1:-1], [0.0]))
-        m[1:-1] = legacy_thomas(lower, diag, upper, rhs)
-    xi, yi = x[:-1], y[:-1]
-    c1 = np.diff(y) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
-    c2 = m[:-1] / 2.0
+        m[1:-1] = loop_thomas(lower, diag, upper, rhs)
+    c1 = slope - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    end = slope[-1] + h[-1] * (m[-2] + 2.0 * m[-1]) / 6.0
     c3 = (m[1:] - m[:-1]) / (6.0 * h)
-    a3 = c3
-    a2 = c2 - 3.0 * c3 * xi
-    a1 = c1 - 2.0 * c2 * xi + 3.0 * c3 * xi * xi
-    a0 = yi - c1 * xi + c2 * xi * xi - c3 * xi ** 3
-    return np.column_stack([a0, a1, a2, a3])
+    return np.column_stack([y, np.append(c1, end), m / 2.0, np.append(c3, c3[-1])])
 
 
-def legacy_surface_coeffs(xs, ys, grid):
+def loop_surface_coeffs(xs, ys, grid):
     nx, ny = grid.shape
-    ycoef = np.zeros((nx, ny - 1, 4))
+    xcoef = np.zeros((nx, ny, 4))
+    for j in range(ny):
+        xcoef[:, j] = loop_natural_coeffs(xs, grid[:, j])
+    coeffs = np.zeros((nx, ny, 4, 4))
     for i in range(nx):
-        ycoef[i] = legacy_natural_coeffs(ys, grid[i])
-    if not np.all(np.isfinite(ycoef)):
-        raise SplineError("y values must be finite")
-    coeffs = np.zeros((nx - 1, ny - 1, 4, 4))
-    for j in range(ny - 1):
-        for b in range(4):
-            coeffs[:, j, :, b] = legacy_natural_coeffs(xs, ycoef[:, j, b])
+        for a in range(4):
+            coeffs[i, :, a] = loop_natural_coeffs(ys, xcoef[i, :, a])
     return coeffs
 
 
@@ -367,29 +432,25 @@ def test_batched_fits_equal_the_per_row_loop_bit_for_bit(seed):
         ys = random_knots(rng, ny, min_gap=0.01) * 10.0 ** rng.uniform(-2, 4)
         grid = rng.standard_normal((nx, ny)) * 10.0 ** rng.uniform(-3, 12)
         assert_same_bits(fit_bicubic_surface(xs, ys, grid).coeffs,
-                         legacy_surface_coeffs(xs, ys, grid))
+                         loop_surface_coeffs(xs, ys, grid))
         assert_same_bits(fit_natural_spline(xs, grid[:, 0]).coeffs,
-                         legacy_natural_coeffs(xs, grid[:, 0]))
+                         loop_natural_coeffs(xs, grid[:, 0]))
 
 
 @pytest.mark.parametrize("nx,ny", [(2, 2), (2, 5), (5, 2), (4, 4)])
 def test_batched_fit_raises_as_the_per_row_loop_on_overflow(nx, ny):
+    # values of +-1.7e308 at neighbouring knots overflow a cell slope, in
+    # the first pass (alternating along x) or only in the second
+    # (alternating along y); the per-line loop stores infinite and NaN
+    # coefficients there, the fit refuses them
     rng = np.random.default_rng(nx * 10 + ny)
     xs = 1e3 + np.arange(nx, dtype=float)
     ys = 1e3 + np.cumsum(rng.uniform(0.5, 1.0, ny))
-    grid = rng.standard_normal((nx, ny)) * 1e305
-    with np.errstate(all="ignore"):
-        with pytest.raises(SplineError, match="^y values must be finite$"):
-            legacy_surface_coeffs(xs, ys, grid)
-        with pytest.raises(SplineError, match="^y values must be finite$"):
-            fit_bicubic_surface(xs, ys, grid)
-    # finite rows whose x pass overflows: the per-row loop stores infinite
-    # and NaN coefficients there, the fit refuses them
-    grid = np.full((nx, ny), 1e307)
-    grid[0] = -1e307
-    xs = 1e6 * (10.0 + np.arange(nx))
-    with np.errstate(all="ignore"):
-        assert not np.all(np.isfinite(legacy_surface_coeffs(xs, ys, grid)))
+    sign = (-1.0) ** np.arange(max(nx, ny))
+    for grid in (np.outer(sign[:nx], np.ones(ny)) * 1.7e308,
+                 np.outer(np.ones(nx), sign[:ny]) * 1.7e308):
+        with np.errstate(all="ignore"):
+            assert not np.all(np.isfinite(loop_surface_coeffs(xs, ys, grid)))
         with pytest.raises(SplineError, match="^surface coefficients overflow$"):
             fit_bicubic_surface(xs, ys, grid)
         with pytest.raises(SplineError, match="^surface coefficients overflow$"):
@@ -399,15 +460,16 @@ def test_batched_fit_raises_as_the_per_row_loop_on_overflow(nx, ny):
 def test_spline_refuses_coefficients_that_overflow():
     with np.errstate(all="ignore"):
         assert not np.all(np.isfinite(
-            legacy_natural_coeffs(np.array([0.0, 1.0, 2.0]),
-                                  np.array([1.7e308, -1.7e308, 1.7e308]))))
-        with pytest.raises(SplineError, match="^spline coefficients overflow$"):
-            fit_natural_spline([0.0, 1.0, 2.0], [1.7e308, -1.7e308, 1.7e308])
-        with pytest.raises(SplineError, match="^spline coefficients overflow$"):
-            fit_natural_spline([0.0, 1.0, 2.0], [[1.0, 2.0, 3.0], [1.7e308, -1.7e308, 1.7e308]])
-        # knots whose cubes overflow the power basis
-        with pytest.raises(SplineError, match="^spline coefficients overflow$"):
-            fit_natural_spline([0.0, 1e103, 2e103], [1.0, 2.0, 3.0])
+            loop_natural_coeffs(np.array([0.0, 1.0, 2.0]),
+                                np.array([1.7e308, -1.7e308, 1.7e308]))))
+    with pytest.raises(SplineError, match="^spline coefficients overflow$"):
+        fit_natural_spline([0.0, 1.0, 2.0], [1.7e308, -1.7e308, 1.7e308])
+    with pytest.raises(SplineError, match="^spline coefficients overflow$"):
+        fit_natural_spline([0.0, 1.0, 2.0], [[1.0, 2.0, 3.0], [1.7e308, -1.7e308, 1.7e308]])
+    # knots whose cubes overflow fit: no knot is raised to a power
+    s = fit_natural_spline([0.0, 1e103, 2e103], [1.0, 2.0, 3.0])
+    assert_same_bits(s(s.knots[0]), np.array([1.0, 2.0, 3.0]))
+    assert s(1.5e103) == pytest.approx(2.5, rel=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -420,21 +482,14 @@ def test_stacked_fits_equal_single_fits_bit_for_bit(seed):
         xs = random_knots(rng, nx, min_gap=0.01) * 10.0 ** rng.uniform(-2, 4)
         ys = random_knots(rng, ny, min_gap=0.01) * 10.0 ** rng.uniform(-2, 4)
         grids = rng.standard_normal((2, nx, ny)) * 10.0 ** rng.uniform(-3, 12, size=(2, 1, 1))
-        stacked = fit_bicubic_surface(xs, ys, grids)
-        assert isinstance(stacked, Surface) and stacked.coeffs.shape[0] == 2
-        assert stacked.coeffs.flags.c_contiguous
-        for g, grid in enumerate(grids):
-            single = fit_bicubic_surface(xs, ys, grid)
-            assert_same_bits(stacked.coeffs[g], single.coeffs)
-            assert_same_bits(stacked.grid[g], single.grid)
-            assert single.coeffs.flags.c_contiguous
-        rows = grids[:, :, 0]
-        spline = fit_natural_spline(xs, rows)
-        assert isinstance(spline, Spline1D) and spline.coeffs.shape[0] == 2
-        for r, row in enumerate(rows):
-            single = fit_natural_spline(xs, row)
-            assert_same_bits(spline.coeffs[r], single.coeffs)
-            assert_same_bits(spline.values[r], single.values)
+        for fit, knots, stack in ((fit_bicubic_surface, (xs, ys), grids),
+                                  (fit_natural_spline, (xs,), grids[:, :, 0])):
+            stacked = fit(*knots, stack)
+            assert isinstance(stacked, Spline) and stacked.coeffs.shape[0] == 2
+            for g, grid in enumerate(stack):
+                single = fit(*knots, grid)
+                assert_same_bits(stacked.coeffs[g], single.coeffs)
+                assert_same_bits(stacked.grid[g], single.grid)
 
 
 def test_stacked_fits_reject_mismatched_shapes():
@@ -454,35 +509,25 @@ def test_stacked_fits_reject_mismatched_shapes():
 # A stack of value arrays on shared knots is one spline whose call looks up
 # each point's cell once for every row. Row r must give the bits a fit of
 # row r alone gives, at any point: on the knots, between them, beyond them,
-# as a scalar, and on point arrays that broadcast. legacy_call is the
-# evaluation as it was when a fit returned one object per row, kept as the
-# reference for those bits: a flat point array at a time, a 2-D block per
-# point from C-contiguous coefficients, summed by one einsum.
+# as a scalar, and on point arrays that broadcast. loop_call is the
+# reference for those bits: one point at a time, the same nested Horner
+# scheme on the coefficients of the point's cell.
 
 
-def legacy_call(model, *points):
-    """model (a single spline or surface) at the broadcast points, one flat
-    point array at a time, shaped as the points."""
-    flat = [p.ravel() for p in np.broadcast_arrays(*(np.asarray(p, dtype=float)
-                                                      for p in points))]
-    coeffs = np.ascontiguousarray(model.coeffs)
-    if isinstance(model, Surface):
-        xx, yy = flat
-        block = coeffs[_cells(model.xs, xx), _cells(model.ys, yy)]
-        out = np.einsum("na,nab,nb->n", _pow_rows(xx), block, _pow_rows(yy))
-    else:
-        (tt,) = flat
-        a = coeffs[_cells(model.knots, tt)]
-        out = a[:, 0] + tt * (a[:, 1] + tt * (a[:, 2] + tt * a[:, 3]))
-    return out.reshape(np.broadcast_shapes(*(np.shape(p) for p in points)))
-
-
-def _cells(knots, t):
-    return np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
-
-
-def _pow_rows(t):
-    return np.stack([np.ones_like(t), t, t * t, t ** 3], axis=-1)
+def loop_call(model, *points):
+    """model (a single spline) at the broadcast points, one point at a time,
+    shaped as the points."""
+    pts = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in points))
+    out = np.empty(pts[0].shape)
+    for idx in np.ndindex(out.shape):
+        t = [p[idx] for p in pts]
+        cells = [_cell(k, v) for k, v in zip(model.knots, t)]
+        c = model.coeffs[tuple(cells)]
+        for d in reversed(range(len(t))):
+            u = t[d] - model.knots[d][cells[d]]
+            c = c[..., 0] + u * (c[..., 1] + u * (c[..., 2] + u * c[..., 3]))
+        out[idx] = c
+    return out
 
 
 @st.composite
@@ -517,11 +562,10 @@ def test_stacked_evaluation_equals_single_evaluation(problem):
     k = len(grids)
     rows = grids[:, :, 0]
     surface, spline = fit_bicubic_surface(xs, ys, grids), fit_natural_spline(xs, rows)
-    fits = [(surface, surface.grid, grids, [fit_bicubic_surface(xs, ys, g) for g in grids],
-             (px, py)),
-            (spline, spline.values, rows, [fit_natural_spline(xs, r) for r in rows], (px,))]
-    for stacked, values, want_values, singles, points in fits:
-        assert_same_bits(values, want_values)
+    fits = [(surface, grids, [fit_bicubic_surface(xs, ys, g) for g in grids], (px, py)),
+            (spline, rows, [fit_natural_spline(xs, r) for r in rows], (px,))]
+    for stacked, want_values, singles, points in fits:
+        assert_same_bits(stacked.grid, want_values)
         for r, single in enumerate(singles):
             assert_same_bits(stacked.coeffs[r], single.coeffs)
         m = min(len(p) for p in points)
@@ -534,7 +578,8 @@ def test_stacked_evaluation_equals_single_evaluation(problem):
             assert got.shape == (k,) + np.broadcast_shapes(*(p.shape for p in pts))
             for r, single in enumerate(singles):
                 assert_same_bits(got[r], single(*pts))
-                assert_same_bits(got[r], legacy_call(single, *pts))
+        for r, single in enumerate(singles):
+            assert_same_bits(stacked(*flat)[r], loop_call(single, *flat))
         # a mesh gives what its flattened points give
         full = np.broadcast_arrays(*mesh)
         assert_same_bits(stacked(*mesh).reshape(k, -1),
@@ -546,7 +591,35 @@ def test_stacked_evaluation_equals_single_evaluation(problem):
                 alone = single(*point)
                 assert type(alone) is float
                 assert_same_bits(got[r], np.float64(alone))
-                assert_same_bits(got[r], legacy_call(single, *point))
+                assert_same_bits(got[r], loop_call(single, *point))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(problem=stacked_problems())
+def test_knots_give_their_grid_values_and_other_points_the_exact_spline(problem):
+    # in 1-D and 2-D, stacked and alone: every knot evaluates to its grid
+    # value bit for bit, each stacked row is the fit of it alone bit for
+    # bit, and elsewhere, beyond the knots too, the value is within 1e-12
+    # of the natural spline in exact rational arithmetic, relative to the
+    # largest magnitude among the row's grid and the exact values probed
+    ((xs, px), (ys, py)), grids = problem
+    for fit, knots, stack, probes in ((fit_bicubic_surface, (xs, ys), grids, (px, py)),
+                                      (fit_natural_spline, (xs,), grids[:, :, 0], (px,))):
+        mesh = np.meshgrid(*knots, indexing="ij")
+        stacked = fit(*knots, stack)
+        assert_same_bits(stacked(*mesh), stack)
+        # per axis: the probes below and above the knots and three between
+        off = [np.sort(p[~np.isin(p, k)]) for k, p in zip(knots, probes)]
+        off = [np.concatenate([o[:1], o[1:-1][:3], o[-1:]]).tolist() for o in off]
+        points = list(itertools.product(*off))
+        for r, grid in enumerate(stack):
+            single = fit(*knots, grid)
+            assert_same_bits(single(*mesh), grid)
+            assert_same_bits(stacked.coeffs[r], single.coeffs)
+            exact = [exact_value(knots, grid.tolist(), pt) for pt in points]
+            scale = max(max(map(abs, exact)), Fraction(float(np.max(np.abs(grid)))))
+            for pt, want in zip(points, exact):
+                assert abs(Fraction(single(*pt)) - want) <= Fraction(1e-12) * scale, pt
 
 
 def test_critical_points_refuse_a_stack():

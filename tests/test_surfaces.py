@@ -34,12 +34,13 @@ from xfertune import (
     rmse_holdout,
 )
 from xfertune.logs import PARAM_NAMES
-from xfertune.spline import fit_bicubic_surface, fit_natural_spline
+from xfertune.spline import Spline, fit_bicubic_surface, fit_natural_spline
 from xfertune.surfaces import (
     HOLDOUT_TRAIN_FRAC,
     METRICS,
     PARAM_GROUPS,
     _column_modes,
+    _combine,
     _conditioning,
     _fill_grid,
     _modal_value,
@@ -172,6 +173,22 @@ def test_predict_is_the_group_product_over_the_anchor_squared():
     assert models.predict_energy(cfg) == pytest.approx(want, rel=1e-12)
 
 
+def test_lattice_predictions_are_the_anchored_product_of_the_group_grids(models):
+    # every lattice configuration sits on a knot of each group, where the
+    # spline returns its grid value bit for bit, and so does the anchor
+    for m in models.values():
+        axes = m.lattice_axes()
+        core, _, pipe = m.groups
+        (pp_knots,) = pipe.spline.knots
+        anchor = pipe.spline.grid[:, pp_knots.tolist().index(core.conditioning["pp"])]
+        assert_same_bits(m.anchor, anchor)
+        parts = [g.spline.grid.reshape(len(METRICS), *(len(axes[p]) if p in g.params else 1
+                                                       for p in PARAM_NAMES))
+                 for g in m.groups]
+        want = _combine(parts, anchor.reshape(-1, *(1,) * len(PARAM_NAMES)))
+        assert_same_bits(m.predict_on(axes), want)
+
+
 def test_default_corpus_predictions_are_close_to_the_logged_values(corpus, strata, models):
     # the simulator's throughput is a min() of caps, not a product of one
     # factor per group, so only the median error is held to a tight bound
@@ -208,9 +225,9 @@ def assert_same_stratum_models(got: StratumModels, want: StratumModels):
     assert len(got.groups) == len(want.groups)
     for g, w in zip(got.groups, want.groups):
         assert (g.params, g.conditioning) == (w.params, w.conditioning)
-        assert len(g.grids) == len(g.spline.coeffs) == len(w.grids) == len(METRICS)
-        for a, b in zip(g.knots + (g.grids, g.spline.coeffs),
-                        w.knots + (w.grids, w.spline.coeffs)):
+        assert len(g.spline.grid) == len(g.spline.coeffs) == len(w.spline.grid) == len(METRICS)
+        for a, b in zip(g.spline.knots + (g.spline.grid, g.spline.coeffs),
+                        w.spline.knots + (w.spline.grid, w.spline.coeffs)):
             assert_same_bits(a, b)
     (got_axes, *got_arrays), (want_axes, *want_arrays) = (
         got.lattice_predictions(), want.lattice_predictions())
@@ -243,8 +260,8 @@ def test_models_dict_stores_grids_not_coefficients():
         assert set(g) == {"conditioning", "knots", *METRICS}
         assert g["conditioning"] == m.conditioning
         assert g["knots"] == [list(map(float, AXES[p])) for p in group]
-        assert g["energy_joules"] == m.grids[0].tolist()
-        assert g["throughput_mbps"] == m.grids[1].tolist()
+        assert g["energy_joules"] == m.spline.grid[0].tolist()
+        assert g["throughput_mbps"] == m.spline.grid[1].tolist()
 
 
 @pytest.mark.parametrize("label,edit,message", [
@@ -399,16 +416,14 @@ class LegacyGroupModel:
     params: tuple
     conditioning: dict
     metric: str
-    model: object                # Surface for 2-D groups, Spline1D for 1-D
+    model: Spline                # one metric's spline over the group
 
     @property
     def label(self) -> str:
         return "+".join(self.params)
 
     def value(self, cfg: ParamConfig) -> float:
-        if len(self.params) == 2:
-            return self.model(cfg.get(self.params[0]), cfg.get(self.params[1]))
-        return self.model(cfg.get(self.params[0]))
+        return self.model(*(cfg.get(p) for p in self.params))
 
 
 def legacy_anchor(group_models) -> float:
@@ -439,7 +454,7 @@ def per_metric(models: StratumModels) -> LegacyStratumModels:
     a group fitted on its own, not as a row of the group's stack."""
     def alone(g: GroupModel, k: int):
         fit = fit_bicubic_surface if len(g.params) == 2 else fit_natural_spline
-        return fit(*g.knots, g.grids[k])
+        return fit(*g.spline.knots, g.spline.grid[k])
 
     energy, throughput = (
         tuple(LegacyGroupModel(g.params, g.conditioning, metric, alone(g, k))
@@ -633,12 +648,8 @@ def assert_same_group_model(got: GroupModel, want: tuple):
     assert len(spline.coeffs) == len(want)
     for k, w in enumerate(want):
         assert (got.params, got.conditioning) == (w.params, w.conditioning)
-        if len(got.params) == 2:
-            pairs = [(spline.xs, w.model.xs), (spline.ys, w.model.ys),
-                     (spline.grid[k], w.model.grid), (spline.coeffs[k], w.model.coeffs)]
-        else:
-            pairs = [(spline.knots, w.model.knots), (spline.values[k], w.model.values),
-                     (spline.coeffs[k], w.model.coeffs)]
+        pairs = [*zip(spline.knots, w.model.knots), (spline.grid[k], w.model.grid),
+                 (spline.coeffs[k], w.model.coeffs)]
         for a, b in pairs:
             assert np.array_equal(a, b)
 
