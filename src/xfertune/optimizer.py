@@ -2,10 +2,10 @@
 
 An SLA either caps predicted energy (maximize throughput under the cap) or
 guarantees predicted throughput (minimize energy above the floor). The
-optimizer scores the full knot lattice at once: each group model is evaluated
-on its own knot mesh, the groups are broadcast into energy and throughput
-arrays over the whole lattice, infeasible cells are masked out, and the first
-best cell in lexicographic lattice order wins. A parameter table evaluates
+optimizer scores the full knot lattice at once: the stratum's models predict
+energy and throughput for every lattice configuration in one call, as arrays
+over the whole lattice, infeasible cells are masked out, and the first best
+cell in lexicographic lattice order wins. A parameter table evaluates
 each stratum's lattice once and selects every SLA's row from those arrays.
 
 Critical points of a single fitted spline (Newton search in each cell's

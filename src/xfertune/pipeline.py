@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
@@ -124,9 +125,12 @@ def write_json_artifact(path: str | Path, obj: dict) -> None:
 
 
 def read_json_artifact(path: str | Path, schema_key: str) -> dict:
+    def refuse(token):   # json.load would read it as a float no artifact holds
+        raise PipelineError(f"{path}: malformed JSON: {token} is not a JSON value")
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=refuse)
         except json.JSONDecodeError as exc:
             raise PipelineError(f"{path}: malformed JSON: {exc.msg}") from exc
     want = SCHEMAS[schema_key]
@@ -184,18 +188,28 @@ _STRATA_BODY = {"config": dict, "strata": [Stratum.SHAPE]}
 
 def load_strata(doc: dict):
     """(config, strata) of a strata artifact; a body of another shape, a
-    config StratifyConfig refuses or a centroid unfit for it raises PipelineError."""
+    config StratifyConfig refuses, a load band outside [0, 1] or a centroid
+    unfit for the config or not finite raises PipelineError."""
     _check_body(doc, _STRATA_BODY, "strata")
     try:
         config = StratifyConfig.from_dict(doc["config"])
     except ClusterError as exc:
         raise PipelineError(f"strata artifact: ['config']: {exc}") from None
     for i, d in enumerate(doc["strata"]):
+        where = f"strata artifact: ['strata'][{i}]"
+        band = d["ext_load_interval"]
+        if not (len(band) == 2 and 0.0 <= band[0] <= band[1] <= 1.0):
+            raise PipelineError(f"{where}['ext_load_interval'] of stratum {d['id']} is "
+                                f"{band}, not two numbers 0 <= lo <= hi <= 1")
         for tier in TIER_FEATURE_NAMES:
-            got, want = len(d["centroids"][tier]), len(getattr(config, f"{tier}_features"))
-            if got != want:
-                raise PipelineError(f"strata artifact: ['strata'][{i}]['centroids'][{tier!r}] of "
-                                    f"stratum {d['id']} has length {got} for {want} features")
+            centroid, want = d["centroids"][tier], len(getattr(config, f"{tier}_features"))
+            if len(centroid) != want:
+                raise PipelineError(f"{where}['centroids'][{tier!r}] of stratum {d['id']} "
+                                    f"has length {len(centroid)} for {want} features")
+            for j, value in enumerate(centroid):
+                if not abs(value) <= sys.float_info.max:   # NaN, +-inf, ints beyond floats
+                    raise PipelineError(f"{where}['centroids'][{tier!r}][{j}] of stratum "
+                                        f"{d['id']} is {value!r}, not a finite float")
     return config, [Stratum.from_dict(d) for d in doc["strata"]]
 
 

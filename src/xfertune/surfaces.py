@@ -22,13 +22,13 @@ lattice a prediction is exactly this product of the group grids, and up
 to rounding it reproduces a metric that is a product of one factor per
 group. An anchor value that is not a positive finite number is refused
 when fitting and when loading. Every prediction goes through
-StratumModels.predict_on, which evaluates each group on the mesh of the given
-axis values and combines the groups: per configuration (predict_energy,
-predict_throughput) the axes hold one value each, over the whole knot lattice
-(lattice_predictions) they are the knot axes, and a configuration gets the
-same bits either way. The holdout split draws one permutation of the rows
-and trains on the first max(1, floor(0.7 * count)) rows of each parameter
-tuple in that order; its RMSE scores the same combine on every held-out row.
+StratumModels.predict, which evaluates each group at the rows of a parameter
+array and combines the groups, so a configuration gets the same bits alone
+(predict_energy, predict_throughput), in the knot lattice
+(lattice_predictions) and among the held-out rows. The holdout split draws
+one permutation of the rows and trains on the first max(1, floor(0.7 *
+count)) rows of each parameter tuple in that order; its RMSE scores that
+prediction on every held-out row.
 
 The artifact form of a stratum's models (as_dict) holds, per group, only
 what the fit read: the conditioning, the knot axes and the two metric grids
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -175,16 +176,6 @@ class GroupModel:
         return self.spline(*(params[:, PARAM_NAMES.index(p)].astype(float)
                              for p in self.params))
 
-    def values_on(self, axes: dict) -> np.ndarray:
-        """The METRICS models on the mesh of the given axis values, stacked
-        in METRICS order: array axis 0 is the metric, then one axis per
-        parameter in PARAM_NAMES order, of length 1 for the parameters
-        outside the group, so the groups' arrays broadcast together."""
-        mesh = np.meshgrid(*(np.asarray(axes[p], dtype=float) for p in self.params),
-                           indexing="ij")
-        shape = [len(axes[p]) if p in self.params else 1 for p in PARAM_NAMES]
-        return self.spline(*(m.ravel() for m in mesh)).reshape(len(METRICS), *shape)
-
     def axis_values(self, name: str) -> tuple[int, ...]:
         return tuple(int(v) for v in self.spline.knots[self.params.index(name)])
 
@@ -204,19 +195,14 @@ def _holds_bool(value) -> bool:
                                        and any(map(_holds_bool, value)))
 
 
-def _point_axes(cfg: ParamConfig) -> dict:
-    """One-value axes whose mesh is the configuration cfg."""
-    return {p: (cfg.get(p),) for p in PARAM_NAMES}
-
-
 def _combine(parts, anchor):
     """The group values (in PARAM_GROUPS order) times each other over the
     anchor value squared, as core * (app / anchor) * (pipe / anchor); anchor
     holds one value per metric, shaped to broadcast with the parts.
 
     Dividing before multiplying keeps values of the anchor's magnitude from
-    overflowing, and every cell goes through the same float operations
-    whatever the shape of the mesh, so a configuration gets the same bits
+    overflowing, and every element goes through the same float operations
+    whatever the number of rows, so a configuration gets the same bits
     alone and in the lattice.
     """
     core, app, pipe = parts
@@ -251,27 +237,26 @@ class StratumModels:
                                       f"is {value!r}, not a positive finite number")
         object.__setattr__(self, "anchor", anchor)
 
-    def predict_on(self, axes: dict) -> np.ndarray:
-        """Predicted METRICS on the mesh of the given axis values (a
-        sequence of values per parameter name), stacked in METRICS order:
-        array axis 0 is the metric, then one axis per parameter in
-        PARAM_NAMES order. Every prediction the models make comes from here."""
-        return _combine([g.values_on(axes) for g in self.groups],
-                        self.anchor.reshape(-1, *(1,) * len(PARAM_NAMES)))
+    def predict(self, params: np.ndarray) -> np.ndarray:
+        """Predicted METRICS at each row of an n x 5 parameter array (columns
+        in PARAM_NAMES order), stacked in METRICS order: shape
+        (len(METRICS), n). Every prediction the models make comes from here."""
+        return _combine([g.values_at(params) for g in self.groups], self.anchor[:, None])
 
     def predict_energy(self, cfg: ParamConfig) -> float:
-        return self.predict_on(_point_axes(cfg))[0].item()
+        return self.predict(np.array([attrgetter(*PARAM_NAMES)(cfg)], dtype=float))[0].item()
 
     def predict_throughput(self, cfg: ParamConfig) -> float:
-        return self.predict_on(_point_axes(cfg))[1].item()
+        return self.predict(np.array([attrgetter(*PARAM_NAMES)(cfg)], dtype=float))[1].item()
 
     def lattice_predictions(self) -> tuple[dict, np.ndarray, np.ndarray]:
         """Lattice axes plus predicted energy and throughput on every lattice
         configuration, as arrays with one axis per parameter in PARAM_NAMES
         order."""
         axes = self.lattice_axes()
-        energy, throughput = self.predict_on(axes)
-        return axes, energy, throughput
+        mesh = np.meshgrid(*axes.values(), indexing="ij")
+        energy, throughput = self.predict(np.stack(mesh, axis=-1).reshape(-1, len(mesh)))
+        return axes, energy.reshape(mesh[0].shape), throughput.reshape(mesh[0].shape)
 
     def axis_values(self, name: str) -> tuple[int, ...]:
         for g in self.groups:
@@ -368,10 +353,9 @@ def rmse_holdout(members, seed: int = 0) -> dict:
         raise SurfaceFitError(f"insufficient train coverage: {exc}") from exc
     rmse = [None] * len(METRICS)
     if len(test):
-        predicted = _combine([g.values_at(test.params) for g in models.groups],
-                             models.anchor[:, None])
         logged = np.stack([getattr(test, metric) for metric in METRICS])
-        rmse = np.sqrt(np.mean(np.square(predicted - logged), axis=1)).tolist()
+        rmse = np.sqrt(np.mean(np.square(models.predict(test.params) - logged),
+                               axis=1)).tolist()
     return {
         "energy_rmse": rmse[0],
         "throughput_rmse": rmse[1],

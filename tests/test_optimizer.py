@@ -171,13 +171,13 @@ def test_surface_newton_finds_interior_maximum():
 
 
 def scalar_predictions(models, axes):
-    """(config, energy, throughput) for every lattice point, one predict_on
-    call on the point's one-value axes each, in lexicographic lattice order."""
+    """(config, energy, throughput) for every lattice point, one predict
+    call on the point's one-row parameter array each, in lexicographic
+    lattice order."""
     out = []
     for combo in itertools.product(*(axes[p] for p in PARAM_NAMES)):
         cfg = ParamConfig(**dict(zip(PARAM_NAMES, combo)))
-        energy, throughput = models.predict_on({p: (v,) for p, v in
-                                                zip(PARAM_NAMES, combo)}).ravel().tolist()
+        energy, throughput = models.predict(np.array([combo], dtype=float)).ravel().tolist()
         out.append((cfg, energy, throughput))
     return out
 

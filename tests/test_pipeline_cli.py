@@ -164,16 +164,19 @@ def _group(doc, label):
 
 @pytest.mark.parametrize("edit,message", [
     (lambda d: _group(d, "cc+p")["knots"][0].reverse(),
-     "group cc+p: xs: knots must be strictly increasing"),
-    # json.dumps writes the NaN token, which json.load reads back
+     "stratum s004: group cc+p: xs: knots must be strictly increasing"),
+    # json.dumps writes the NaN token, which json.load used to read back
     (lambda d: _group(d, "pp")["energy_joules"].__setitem__(1, math.nan),
-     "group pp: y values must be finite"),
+     "{path}: malformed JSON: NaN is not a JSON value"),
+    # written as 1e999, a number that json reads as inf
+    (lambda d: _group(d, "pp")["energy_joules"].__setitem__(1, math.inf),
+     "stratum s004: group pp: y values must be finite"),
     (lambda d: _group(d, "cpu_num+cpu_freq_mhz").update(
         energy_joules=[row[:-1] for row in _group(d, "cpu_num+cpu_freq_mhz")["energy_joules"]],
         throughput_mbps=[row[:-1] for row in
                          _group(d, "cpu_num+cpu_freq_mhz")["throughput_mbps"]]),
-     "group cpu_num+cpu_freq_mhz: grid must have shape (len(xs), len(ys))"),
-], ids=["reversed-xs", "nan-token", "wrong-shape"])
+     "stratum s004: group cpu_num+cpu_freq_mhz: grid must have shape (len(xs), len(ys))"),
+], ids=["reversed-xs", "nan-token", "inf-number", "wrong-shape"])
 def test_optimize_exits_2_on_models_with_bad_knots_or_grids(
         chain, tmp_path, capsys, edit, message):
     # used to load whatever coefficients the file held: a reversed axis
@@ -181,10 +184,10 @@ def test_optimize_exits_2_on_models_with_bad_knots_or_grids(
     doc = json.loads((chain / "models.json").read_text())
     edit(doc)
     path = tmp_path / "models.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc).replace("Infinity", "1e999"))
     assert cli.main(["optimize", "--models", str(path),
                      "--out", str(tmp_path / "table.json")]) == 2
-    assert capsys.readouterr().err == f"error: stratum s004: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
     assert not (tmp_path / "table.json").exists()
 
 
@@ -253,9 +256,34 @@ def test_tune_exits_2_on_strata_centroids_that_do_not_fit_the_config(
      "['strata'][2]['members'] is an integer, not an array"),
     ("strata", lambda d: d["config"].pop("tier1_cut"),
      "['config']: stratify config is missing key 'tier1_cut'"),
+    # a 3-element interval used to exit 2 with "too many values to unpack",
+    # a reversed one to let tune exit 0
+    ("strata", lambda d: d["strata"][1].update(ext_load_interval=[0.2, 0.35, 0.5]),
+     "['strata'][1]['ext_load_interval'] of stratum s001 is [0.2, 0.35, 0.5], "
+     "not two numbers 0 <= lo <= hi <= 1"),
+    ("strata", lambda d: d["strata"][1].update(ext_load_interval=[0.5, 0.1]),
+     "['strata'][1]['ext_load_interval'] of stratum s001 is [0.5, 0.1], "
+     "not two numbers 0 <= lo <= hi <= 1"),
+    ("strata", lambda d: d["strata"][3].update(ext_load_interval=[-0.1, 0.2]),
+     "['strata'][3]['ext_load_interval'] of stratum s003 is [-0.1, 0.2], "
+     "not two numbers 0 <= lo <= hi <= 1"),
+    # non-finite tier-1 centroids used to exit 2 with "min() arg is an empty
+    # sequence"; json reads the number 1e999 as inf
+    ("strata", lambda d: d["strata"][0]["centroids"]["tier1"].__setitem__(1, json.loads("1e999")),
+     "['strata'][0]['centroids']['tier1'][1] of stratum s000 is inf, not a finite float"),
+    ("strata", lambda d: d["strata"][2]["centroids"]["tier3"].__setitem__(0, math.nan),
+     "['strata'][2]['centroids']['tier3'][0] of stratum s002 is nan, not a finite float"),
+    ("strata", lambda d: d["strata"][4]["centroids"]["tier2"].__setitem__(1, -math.inf),
+     "['strata'][4]['centroids']['tier2'][1] of stratum s004 is -inf, not a finite float"),
+    ("strata", lambda d: d["strata"][0]["centroids"]["tier2"].__setitem__(0, -10**400),
+     f"['strata'][0]['centroids']['tier2'][0] of stratum s000 is {-10**400}, "
+     "not a finite float"),
 ], ids=["models-strata-array", "models-stratum-array", "models-no-knots",
         "models-no-groups", "models-no-anchor-pp", "table-array", "table-no-result",
-        "table-null-bound", "strata-object", "strata-int-members", "strata-config-key"])
+        "table-null-bound", "strata-object", "strata-int-members", "strata-config-key",
+        "strata-interval-3", "strata-interval-reversed", "strata-interval-negative",
+        "strata-inf-centroid", "strata-nan-centroid", "strata-minus-inf-centroid",
+        "strata-huge-int-centroid"])
 def test_malformed_artifact_bodies_exit_2_naming_the_key_path(
         chain, tmp_path, capsys, artifact, edit, where):
     # each used to crash with a traceback (exit 1) or print a bare key
@@ -265,13 +293,19 @@ def test_malformed_artifact_bodies_exit_2_naming_the_key_path(
     with pytest.raises(PipelineError) as exc:
         load(doc)
     assert str(exc.value) == f"{artifact} artifact: {where}"
+    # json.dumps writes a non-finite float as a NaN, Infinity or -Infinity
+    # token, which the reader refuses by name before it reads the body
+    text = json.dumps(doc)
+    token = re.search(r"NaN|-?Infinity", text)
     paths = {name: chain / f"{name}.json" for name in ("strata", "models", "table")}
     paths[artifact] = tmp_path / f"{artifact}.json"
-    paths[artifact].write_text(json.dumps(doc))
+    paths[artifact].write_text(text)
     capsys.readouterr()
     assert cli.main(["tune", *(f"--{name}={path}" for name, path in paths.items()),
                      "--classes", "small"]) == 2
-    assert capsys.readouterr().err == f"error: {paths[artifact]}: {artifact} artifact: {where}\n"
+    want = (f"malformed JSON: {token[0]} is not a JSON value" if token
+            else f"{artifact} artifact: {where}")
+    assert capsys.readouterr().err == f"error: {paths[artifact]}: {want}\n"
 
 
 def test_table_reader_ignores_keys_it_does_not_read(chain):

@@ -186,7 +186,7 @@ def test_lattice_predictions_are_the_anchored_product_of_the_group_grids(models)
                                                        for p in PARAM_NAMES))
                  for g in m.groups]
         want = _combine(parts, anchor.reshape(-1, *(1,) * len(PARAM_NAMES)))
-        assert_same_bits(m.predict_on(axes), want)
+        assert_same_bits(np.stack(m.lattice_predictions()[1:]), want)
 
 
 def test_default_corpus_predictions_are_close_to_the_logged_values(corpus, strata, models):
@@ -408,7 +408,7 @@ def test_group_layout():
 # group values as Python floats, core * (app / anchor) * (pipe / anchor) with
 # the anchor the pp model at the core group's conditioning pp, as the models
 # were before a group held both metrics and every prediction went through
-# StratumModels.predict_on.
+# StratumModels.predict.
 
 
 @dataclass(frozen=True)
@@ -702,6 +702,34 @@ def test_predictions_match_the_per_metric_anchored_product(members, configs):
         got = (models.predict_energy(cfg), models.predict_throughput(cfg))
         assert tuple(map(type, got)) == (float, float)
         assert got == (want.predict_energy(cfg), want.predict_throughput(cfg))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(members=st.one_of(ragged_member_sets(), fallback_member_sets()),
+       configs=st.lists(OFF_KNOT_CONFIGS, max_size=20), data=st.data())
+def test_predict_rows_equal_single_configurations_and_lattice_cells(members, configs, data):
+    # a row's prediction does not depend on the rows around it: lattice rows
+    # and rows between and beyond the knots, mixed in one array
+    try:
+        models = fit_stratum_models(LogTable.from_entries(members), "h")
+    except SurfaceFitError:
+        return
+    axes, energy, throughput = models.lattice_predictions()
+    cells = data.draw(st.lists(st.tuples(*(st.integers(0, len(axes[p]) - 1)
+                                           for p in PARAM_NAMES)), min_size=1, max_size=20))
+    rows = [[cfg.get(p) for p in PARAM_NAMES] for cfg in configs]
+    rows += [[axes[p][i] for p, i in zip(PARAM_NAMES, index)] for index in cells]
+    order = data.draw(st.permutations(range(len(rows))))
+    params = np.array([rows[k] for k in order], dtype=np.int64)
+    got = models.predict(params)
+    assert got.shape == (len(METRICS), len(rows))
+    singles = [ParamConfig(*row) for row in params.tolist()]
+    assert_same_bits(got, np.array([[models.predict_energy(cfg) for cfg in singles],
+                                    [models.predict_throughput(cfg) for cfg in singles]]))
+    for k, pos in enumerate(order):
+        if pos >= len(configs):
+            index = cells[pos - len(configs)]
+            assert_same_bits(got[:, k], np.array([energy[index], throughput[index]]))
 
 
 
