@@ -289,9 +289,15 @@ _INFEASIBLE_ROW = {"reason": str}
 
 
 def load_table(doc: dict) -> ParamTable:
-    """The ParamTable of a table artifact; a body of another shape raises
-    PipelineError. A row whose status is not ok must give its reason."""
+    """The ParamTable of a table artifact; a body of another shape, or an
+    SLA bound that is an int beyond float range, raises PipelineError. A row
+    whose status is not ok must give its reason."""
     _check_body(doc, _TABLE_BODY, "table")
+    for i, sla in enumerate(doc["table"]["slas"]):
+        bound = sla["bound"]
+        if isinstance(bound, int) and not abs(bound) <= sys.float_info.max:
+            raise PipelineError(f"table artifact: ['table']['slas'][{i}]['bound'] of sla "
+                                f"{sla['id']} is an integer beyond float range")
     for sid, rows in doc["table"]["rows"].items():
         for sla_id, row in rows.items():
             _check_body(row, _OK_ROW if row["status"] == "ok" else _INFEASIBLE_ROW,

@@ -301,7 +301,7 @@ class StratumModels:
                         raise SurfaceFitError(f"{name} knots {ax.tolist()} are not all "
                                               f"integers in [{PARAM_MIN[name]}, 2**63)")
                 groups.append(_group_model(group, dict(g["conditioning"]), knots, grids))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise SurfaceFitError(f"stratum {sid}: group {label}: {exc}") from None
         return cls(stratum_id=sid, groups=tuple(groups), entry_count=obj["entry_count"])
 

@@ -16,11 +16,10 @@ Which loop runs follows from the SLA: energy caps and the pure min-energy
 objective run the energy loop, throughput floors and the pure max-throughput
 objective run the throughput loop.
 
-A transfer's file set is an array of sizes, split into classes with masks.
-A class's statistics keep the sizes' own arithmetic: an int total is exact,
-and squared deviations are added left to right in file order, so the work
-outside the tick loop is a few array passes per class. A transfer checks its
-sizes once.
+A transfer's file set is one float64 array of sizes below 2**53 bytes, split
+into classes with masks. A class's total and its squared deviations are
+added left to right in file order, so the work outside the tick loop is a
+few array passes per class.
 
 Inside the loop, a holding tick allocates only the endpoint's sample: the
 tuner returns one shared TickResult per (stratum, parameters, trigger flag),
@@ -47,7 +46,8 @@ MIB = 1 << 20
 SMALL_MAX_BYTES = 1 * MIB          # < 1 MiB: small
 MEDIUM_MAX_BYTES = 50 * MIB        # < 50 MiB: medium, else large
 FILE_CLASSES = ("small", "medium", "large")
-_INT64_MAX = (1 << 63) - 1
+# float64 holds every integer below 2**53 exactly, so a size is its own float
+MAX_SIZE_BYTES = 2**53
 
 ALPHA = 0.1
 BETA = 0.1
@@ -94,64 +94,27 @@ class TickResult:
     params: ParamConfig
 
 
-def _size_kind(t) -> str | None:
-    if issubclass(t, (bool, np.bool_)):
-        return None
-    if issubclass(t, (int, np.integer)):
-        return "i"
-    if issubclass(t, (float, np.floating)):
-        return "f"
-    return None
-
-
-@dataclass(frozen=True, slots=True)
-class _CheckedSizes:
-    """Sizes that _size_array has already returned, or a subset of them:
-    run_transfer checks a file set once and passes its classes on in this
-    wrapper, so cluster_files and dataset_meta_for do not check them again.
-    It still calls those two by name, where the benchmark's tracer
-    (bench/tracing.py) times a transfer's classification."""
-
-    arr: np.ndarray
-
-
 def _size_array(sizes) -> np.ndarray:
-    """File sizes as a 1-D array whose arithmetic is that of the sizes:
-    int64 for ints, float64 for floats, object for ints beyond int64 or a
-    mix of ints and floats. Every size must be a finite positive int or
-    float; bools are not sizes."""
-    if isinstance(sizes, _CheckedSizes):
-        return sizes.arr
+    """File sizes as a 1-D float64 array. Every size must be an int or a
+    float, finite, > 0 and below 2**53 bytes; bools are not sizes."""
     if isinstance(sizes, np.ndarray) and sizes.dtype.kind in "iuf":
-        arr = sizes
+        arr = sizes.astype(np.float64, copy=False)
     else:
         values = sizes.tolist() if isinstance(sizes, np.ndarray) else list(sizes)
-        kinds = {_size_kind(t) for t in set(map(type, values))}
-        if None in kinds:
+        if not all(issubclass(t, (int, float, np.integer, np.floating)) and t is not bool
+                   for t in set(map(type, values))):
             raise TunerError("file sizes must be ints or floats")
-        if kinds == {"f"}:
+        try:
             arr = np.array(values, dtype=np.float64)
-        else:
-            try:
-                arr = np.array(values, dtype=np.int64 if kinds <= {"i"} else object)
-            except OverflowError:
-                arr = np.array(values, dtype=object)
+        except OverflowError:   # an int beyond float range
+            raise TunerError("file sizes must be below 2**53 bytes") from None
     if arr.ndim != 1:
         raise TunerError("file sizes must be one-dimensional")
-    # NaN fails both comparisons; an int compares exactly with inf
-    if not np.all((arr > 0) & (arr < math.inf)):
+    if not np.all((arr > 0) & (arr < math.inf)):   # NaN fails too
         raise TunerError("file sizes must be finite and > 0")
+    if not np.all(arr < MAX_SIZE_BYTES):
+        raise TunerError("file sizes must be below 2**53 bytes")
     return arr
-
-
-def _total_bytes(sizes: np.ndarray) -> float:
-    """Sum of a nonempty size array in the sizes' own arithmetic: exact for
-    ints (then rounded once), left to right for floats."""
-    if sizes.dtype.kind == "f":
-        return float(np.cumsum(sizes)[-1])
-    if sizes.dtype.kind in "iu" and int(sizes.max()) * len(sizes) <= _INT64_MAX:
-        return float(int(sizes.sum()))
-    return float(sum(sizes.tolist()))   # past int64, or ints mixed with floats
 
 
 def cluster_files(sizes) -> dict:
@@ -166,21 +129,16 @@ def cluster_files(sizes) -> dict:
 
 
 def dataset_meta_for(sizes) -> DatasetMeta:
-    """Population statistics of a file set. The total is the exact sum of
-    int sizes, or the left-to-right sum of float ones; each squared
-    deviation is Python's float ``**`` of one distinct size, and they are
-    added left to right in file order."""
+    """Population statistics of a file set. The total and the squared
+    deviations are float64 sums taken left to right in file order."""
     arr = _size_array(sizes)
     n = len(arr)
     if n == 0:
         raise TunerError("no file sizes")
-    total = _total_bytes(arr)
+    total = float(np.cumsum(arr)[-1])
     avg = total / n
-    # distinct sizes from a sort: np.unique is several times slower here
-    ordered = np.sort(arr)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    squares = np.array([(v - avg) ** 2 for v in distinct.tolist()])
-    var = float(np.cumsum(squares[np.searchsorted(distinct, arr)])[-1]) / n
+    dev = arr - avg
+    var = float(np.cumsum(dev * dev)[-1]) / n
     return DatasetMeta(num_files=n, total_size_bytes=total,
                        avg_file_size_bytes=avg, file_size_stddev_bytes=math.sqrt(var))
 
@@ -449,11 +407,11 @@ def run_transfer(endpoint, file_sizes, controller) -> TransferReport:
     the raised EndpointFailure carries the partial report.
     """
     sizes = _size_array(file_sizes)
-    classes = cluster_files(_CheckedSizes(sizes))
+    classes = cluster_files(sizes)
     plan = [(c, classes[c]) for c in FILE_CLASSES if len(classes[c])]
     if not plan:
         raise TunerError("no files to transfer")
-    total_bytes = _total_bytes(sizes)
+    total_bytes = float(np.cumsum(sizes)[-1])
     controller.start_transfer(total_bytes)
     rows = []
     moved_total = 0.0
@@ -468,7 +426,7 @@ def run_transfer(endpoint, file_sizes, controller) -> TransferReport:
             warnings=tuple(controller.warnings), events=tuple(controller.events))
 
     for cname, sizes in plan:
-        ds = dataset_meta_for(_CheckedSizes(sizes))
+        ds = dataset_meta_for(sizes)
         params = controller.start_class(ds, endpoint.describe())
         endpoint.begin(ds, params)
         t0, e0 = controller.elapsed_s, controller.e_consumed

@@ -176,7 +176,10 @@ def _group(doc, label):
         throughput_mbps=[row[:-1] for row in
                          _group(d, "cpu_num+cpu_freq_mhz")["throughput_mbps"]]),
      "stratum s004: group cpu_num+cpu_freq_mhz: grid must have shape (len(xs), len(ys))"),
-], ids=["reversed-xs", "nan-token", "inf-number", "wrong-shape"])
+    # used to exit 1 with an OverflowError traceback
+    (lambda d: _group(d, "pp")["energy_joules"].__setitem__(1, 10**400),
+     "stratum s004: group pp: int too large to convert to float"),
+], ids=["reversed-xs", "nan-token", "inf-number", "wrong-shape", "huge-int"])
 def test_optimize_exits_2_on_models_with_bad_knots_or_grids(
         chain, tmp_path, capsys, edit, message):
     # used to load whatever coefficients the file held: a reversed axis
@@ -251,6 +254,9 @@ def test_tune_exits_2_on_strata_centroids_that_do_not_fit_the_config(
      "['table']['rows']['s001']['max-tput'] is missing key 'result'"),
     ("table", lambda d: d["table"]["slas"][0].update(bound=None),
      "['table']['slas'][0]['bound'] is null, not an integer or a number or a string"),
+    # used to exit 1 with an OverflowError traceback from float(bound)
+    ("table", lambda d: d["table"]["slas"][1].update(bound=10**400),
+     "['table']['slas'][1]['bound'] of sla min-energy is an integer beyond float range"),
     ("strata", lambda d: d.update(strata={}), "['strata'] is an object, not an array"),
     ("strata", lambda d: d["strata"][2].update(members=7),
      "['strata'][2]['members'] is an integer, not an array"),
@@ -280,7 +286,7 @@ def test_tune_exits_2_on_strata_centroids_that_do_not_fit_the_config(
      "not a finite float"),
 ], ids=["models-strata-array", "models-stratum-array", "models-no-knots",
         "models-no-groups", "models-no-anchor-pp", "table-array", "table-no-result",
-        "table-null-bound", "strata-object", "strata-int-members", "strata-config-key",
+        "table-null-bound", "table-huge-int-bound", "strata-object", "strata-int-members", "strata-config-key",
         "strata-interval-3", "strata-interval-reversed", "strata-interval-negative",
         "strata-inf-centroid", "strata-nan-centroid", "strata-minus-inf-centroid",
         "strata-huge-int-centroid"])
