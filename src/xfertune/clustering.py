@@ -14,11 +14,19 @@ loop that rescans the whole matrix after every merge. Memory is that one
 n x n matrix plus BLOCK_ROWS x n scratch: the distances are filled, and the
 neighbour cache seeded, one block of rows at a time.
 
+In stratify, n is the number of occupied cells of a grid whose pitch is the
+tier's cut / SNAP_STEPS, not the number of entries: a log with a continuous
+ext_load has as many distinct tier vectors as entries, but however long it
+grows its vectors occupy at most (SNAP_STEPS / cut + 1)^d cells of the unit
+cube, and a few hundred on a load jittered by +-0.02 at the default cut.
+
 stratify runs on the numpy columns of a LogTable: each tier's normalised
-feature rows are computed once per distinct raw row with the scalar
-FeatureSpec.normalize, entries are grouped by vector, load band and route
-code with array masks, and centroids are means of the lexicographically
-sorted rows, so the strata equal those of the per-entry loop bit for bit.
+feature values are computed once per distinct raw value of each column with
+the scalar FeatureSpec.normalize, entries are grouped by vector, load band
+and route code with array masks, and centroids are means of the
+lexicographically sorted raw rows, so the strata equal those of the
+per-entry loop bit for bit wherever no grid cell holds two distinct vectors
+of a tier.
 """
 from __future__ import annotations
 
@@ -407,23 +415,57 @@ class Stratum:
         )
 
 
+# grid steps per cut: stratify clusters a tier's vectors on the cells of a
+# grid of pitch cut / SNAP_STEPS, which moves every linkage distance by less
+# than 2% of the cut in up to four dimensions
+SNAP_STEPS = 256
+
+
+def _grid_cells(rows: np.ndarray, cut: float) -> np.ndarray:
+    """The grid cell of each row (coordinates in [0, 1], so no cell number
+    overflows), as the row's coordinates in units of the pitch cut /
+    SNAP_STEPS rounded to integers; the rows themselves when the cut is 0
+    or so small that the grid's scale overflows."""
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = SNAP_STEPS / np.float64(cut)
+    if not (cut > 0 and np.isfinite(scale)):
+        return rows
+    return np.round(rows * scale)
+
+
 def _cluster_by_vectors(vectors, indices, cut: float) -> list[np.ndarray]:
-    """Cluster entries by their feature vectors, deduplicating exact repeats.
+    """Cluster entries by their feature vectors (coordinates in [0, 1]) over
+    the occupied cells of a grid of pitch cut / SNAP_STEPS.
 
     vectors holds one row per entry of indices (ascending entry indices).
-    Identical vectors would merge pairwise at distance zero first, after which
-    average linkage over the multiset equals multiplicity-weighted linkage
-    over the unique vectors, so clustering uniques with counts is exact.
-    unique_rows orders the unique rows as sorted() orders tuples. Returns
-    arrays of entry indices, ascending, ordered by smallest member vector.
+    UPGMA runs over the occupied cells, each weighted by its entries and
+    placed at the mean of its distinct vectors: identical points would merge
+    pairwise at distance zero first, after which average linkage over the
+    multiset equals that weighted linkage. A cell holding one distinct
+    vector is exact. Otherwise a vector and its cell's point differ by at
+    most the pitch in each coordinate, so a pairwise distance, and with it
+    every average-linkage distance, moves by at most 2 sqrt(d) cut /
+    SNAP_STEPS in d dimensions. A cut of 0 is exact: no cell holds two
+    distinct vectors, so they never merge. Returns arrays of entry indices,
+    ascending, ordered by smallest member vector as sorted() orders tuples.
     """
     indices = np.asarray(indices)
-    uniq, inverse, counts = unique_rows(np.asarray(vectors, dtype=float))
-    if len(uniq) == 1:
+    points, inverse, counts = unique_rows(np.asarray(vectors, dtype=float))
+    cells, cell_of, _ = unique_rows(_grid_cells(points, cut))
+    if len(cells) < len(points):
+        # number the cells in the order of their first distinct vector, which
+        # is lexicographic, and place each at the mean of its distinct vectors
+        first = np.unique(cell_of, return_index=True)[1]
+        cell_of = np.argsort(np.argsort(first))[cell_of]
+        points = np.array([np.bincount(cell_of, weights=col) for col in points.T]).T
+        points /= np.bincount(cell_of)[:, None]
+        inverse, counts = cell_of[inverse], np.bincount(cell_of, weights=counts)
+    if len(points) == 1:
         return [indices]
-    dend = _upgma(np.ascontiguousarray(uniq), counts.astype(float))
-    clusters = cut_dendrogram(dend, cut)   # ordered by smallest unique index
-    label = np.empty(len(uniq), dtype=np.int64)
+    dend = _upgma(np.ascontiguousarray(points), counts.astype(float))
+    # ordered by smallest point index, so by smallest member vector
+    clusters = cut_dendrogram(dend, cut)
+    label = np.empty(len(points), dtype=np.int64)
     for k, cl in enumerate(clusters):
         label[sorted(cl)] = k
     of_entry = label[inverse]
@@ -437,12 +479,14 @@ def _clamp01(x: float) -> float:
 
 def _tier_vectors(table: LogTable, features) -> np.ndarray:
     """Every entry's normalised feature row, one FeatureSpec.normalize call
-    per distinct raw row (math.log10, not np.log10, so the bits match)."""
-    raw = np.array([getattr(table, f.name) for f in features], dtype=float)
-    uniq, inverse, _ = unique_rows(raw.reshape(len(features), len(table)).T)
-    vecs = np.array([[f.normalize(v) for f, v in zip(features, row)]
-                     for row in uniq.tolist()], dtype=float).reshape(len(uniq), len(features))
-    return vecs[inverse]
+    per distinct value of each column (math.log10, not np.log10, so the bits
+    match)."""
+    out = np.empty((len(table), len(features)))
+    for k, f in enumerate(features):
+        values, inverse = np.unique(np.asarray(getattr(table, f.name), dtype=float),
+                                    return_inverse=True)
+        out[:, k] = np.array([f.normalize(v) for v in values.tolist()])[inverse]
+    return out
 
 
 def _centroid(rows: np.ndarray) -> tuple:

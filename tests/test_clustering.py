@@ -12,6 +12,7 @@ equal strata.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,109 @@ def test_stratify_matches_legacy_oracle_on_jittered_loads(monkeypatch, tier1_cut
     monkeypatch.setattr(clustering, "_upgma", legacy_upgma)
     want = [s.as_dict() for s in stratify(entries, config)]
     assert got == want
+
+
+@pytest.mark.parametrize("vectors, want", [
+    ([[0.10001, 0.9], [0.10002, 0.1]], [[0], [1]]),
+    # the last two rows share a cell, which becomes one point
+    ([[0.10001, 0.9], [0.10002, 0.1], [0.10003, 0.1]], [[0], [1, 2]])])
+def test_groups_follow_the_smallest_raw_member_vector(vectors, want):
+    # one axis-0 cell, so the cells alone would order the first row last
+    cells = clustering._grid_cells(np.array(vectors), 0.25)
+    assert np.all(cells[:, 0] == cells[0, 0]) and np.all(cells[1:, 1] < cells[0, 1])
+    got = _cluster_by_vectors(vectors, range(len(vectors)), 0.25)
+    assert [g.tolist() for g in got] == want
+
+
+def test_a_cell_weighs_its_entries():
+    # 0.2 and 0.20001 share a cell; weighted by its 20 entries, the cell pulls
+    # the pair {0.0, cell} within the cut of 0.43, as the multiset does
+    vectors = [[0.0]] + [[0.2]] * 10 + [[0.20001]] * 10 + [[0.43]]
+    cells = clustering._grid_cells(np.array(vectors), 0.25)
+    assert len(np.unique(cells)) == 3
+    exact = cut_dendrogram(upgma_cluster(vectors), 0.25)
+    got = _cluster_by_vectors(vectors, range(len(vectors)), 0.25)
+    assert [g.tolist() for g in got] == [sorted(c) for c in exact] == [list(range(22))]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cut, want", [(0.0, [[0, 1], [2], [3]]),
+                                       (5e-324, [[0, 1], [2], [3]]),
+                                       (1e-310, [[0, 1], [2], [3]]),
+                                       (1e300, [[0, 1, 2, 3]])])
+def test_extreme_cuts_cluster_without_warnings(cut, want):
+    # a cut of 0, or one whose grid scale overflows, clusters the exact
+    # vectors: distinct vectors stay apart however close they are
+    vectors = [[0.1, 0.2], [0.1, 0.2], [0.1, 0.2000001], [0.9, 0.5]]
+    assert [g.tolist() for g in _cluster_by_vectors(vectors, range(4), cut)] == want
+
+
+@st.composite
+def separated_blobs(draw):
+    """Blobs of points, each of diameter below cut / 2 - margin, their
+    centres on a lattice more than cut + diameter + 2 margin apart, where
+    margin bounds how far the grid moves a distance: every partition of the
+    grid and of the exact vectors is then the blobs."""
+    dim = draw(st.integers(1, 4))
+    cut = draw(st.sampled_from([0.002, 0.01, 0.05, 0.1, 0.2]))
+    margin = 2 * np.sqrt(dim) * cut / clustering.SNAP_STEPS
+    diameter = (cut / 2 - margin) * draw(st.floats(0.0, 0.99))
+    spacing = (cut + diameter + 2 * margin) * draw(st.floats(1.001, 1.4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_blobs = min(draw(st.integers(1, 6)), 3 ** dim)
+    lattice = rng.choice(3 ** dim, size=n_blobs, replace=False)
+    centres = np.array(np.unravel_index(lattice, (3,) * dim)).T * spacing + diameter / 2
+    pts = []
+    for c in centres:
+        size = int(rng.integers(1, 40))
+        off = rng.normal(size=(size, dim))
+        off *= rng.uniform(0.0, diameter / 2, (size, 1)) / np.linalg.norm(off, axis=1,
+                                                                           keepdims=True)
+        pts.append(c + off)
+    pts = np.concatenate(pts)
+    dups = rng.integers(0, len(pts), len(pts) // 4)
+    pts[dups] = pts[rng.integers(0, len(pts), len(dups))]
+    return pts[rng.permutation(len(pts))], cut
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=separated_blobs())
+def test_grid_partition_equals_the_exact_partition_on_separated_blobs(case):
+    pts, cut = case
+    exact = cut_dendrogram(upgma_cluster(pts), cut)
+    want = sorted((sorted(c) for c in exact), key=lambda c: min(map(tuple, pts[c])))
+    got = _cluster_by_vectors(pts, np.arange(len(pts)), cut)
+    assert [g.tolist() for g in got] == want
+
+
+def test_stratify_scales_to_a_long_jittered_log(monkeypatch):
+    # the multiroute corpus (3 routes x 2 sweeps) with every load jittered
+    # by +-0.02: 23,328 distinct tier-1 vectors, which exact UPGMA would
+    # hold in a 4.3 GB distance matrix
+    specs = [simulator.ENDPOINTS[n] for n in ("chameleon", "cloudlab", "intercloud")]
+    table = LogTable.from_entries(simulator.generate_training_logs(
+        specs=specs, sweeps=2, noise=0.02, seed=1))
+    rng = np.random.default_rng(1)
+    table = dataclasses.replace(
+        table, ext_load=table.ext_load + rng.uniform(-0.02, 0.02, len(table)))
+    assert len(table) == 23328 and len(np.unique(table.ext_load)) == len(table)
+    seen = []
+    upgma = clustering._upgma
+
+    def spy(points, weights):
+        seen.append(len(points))
+        assert len(points) <= 1000, f"UPGMA over {len(points)} points"
+        return upgma(points, weights)
+
+    monkeypatch.setattr(clustering, "_upgma", spy)
+    tracemalloc.start()
+    try:
+        strata = stratify(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen and peak < 100e6
+    assert_is_partition(len(table), strata)
 
 
 def test_cut_partitions_match_scipy():
