@@ -24,6 +24,8 @@ from .simulator import ENDPOINTS, LoadScenario, generate_training_logs
 from .tuner import FILE_CLASSES, EndpointFailure
 
 PRESET_SLAS = {"max-tput": SLA.max_throughput, "min-energy": SLA.min_energy}
+# ingest lists the distinct loads up to this many, else their count and range
+LISTED_LOAD_LEVELS = 12
 
 
 def parse_sla(text: str) -> SLA:
@@ -90,7 +92,10 @@ def cmd_ingest(args) -> int:
     loads = np.unique(table.ext_load).tolist()
     print(f"ok: {len(table)} entries")
     print(f"routes: {', '.join('->'.join(r) for r in table.routes)}")
-    print(f"load levels: {', '.join(str(v) for v in loads)}")
+    if len(loads) <= LISTED_LOAD_LEVELS:
+        print(f"load levels: {', '.join(str(v) for v in loads)}")
+    else:   # continuous loads: one level per entry is no summary
+        print(f"load levels: {len(loads)} in [{loads[0]}, {loads[-1]}]")
     print(f"distinct configurations: {len(unique_rows(table.params)[0])}")
     if args.out:
         serialize_logs(table, args.out)

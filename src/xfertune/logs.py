@@ -15,6 +15,12 @@ LogTable: one numpy column per field, which stratification and fitting read
 directly. TransferLogEntry stays the record type at the edges: indexing and
 iterating a table yield entries, and LogTable.from_entries converts a list.
 
+serialize_logs writes the lines json.dumps(entry.as_dict(), sort_keys=True)
+gives, a batch of entries at a time: one line template holds the fixed
+sorted key layout, and each field column of the batch is formatted in one
+call (float.__repr__, int.__repr__ or the JSON string encoder where the
+column is all one plain kind, json.dumps per value otherwise).
+
 Parameters are checked against their lower bounds only: logs of real
 transfers need not sit on any parameter lattice.
 """
@@ -23,7 +29,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -623,10 +631,59 @@ def ingest_logs(path: str | Path) -> LogTable:
                     route=route, routes=routes, **v)
 
 
+# -- JSON-Lines writing -----------------------------------------------------------
+
+# each leaf field's dotted attribute path, nested as as_dict() nests it
+_LAYOUT = {"params": {n: f"params.{n}" for n in PARAM_NAMES},
+           "dataset": {n: f"dataset.{n}" for n in ("num_files", *DATASET_FLOATS)},
+           "network": {n: f"network.{n}" for n in ("source_id", "dest_id", *NETWORK_FLOATS)},
+           **{n: n for n in METRIC_FIELDS}}
+
+
+def _leaves(doc: dict):
+    """The leaf values of nested dicts in the order json.dumps(doc,
+    sort_keys=True) writes them."""
+    for key in sorted(doc):
+        value = doc[key]
+        yield from _leaves(value) if isinstance(value, dict) else (value,)
+
+
+_LEAVES = attrgetter(*_leaves(_LAYOUT))
+# one entry line with a %s in place of each leaf value (a string followed
+# by ',' or '}'), in _leaves order
+_LINE = re.sub(r'"[^"]*"(?=[,}])', "%s", json.dumps(_LAYOUT, sort_keys=True)) + "\n"
+# entries formatted and written at once; a larger batch holds more line
+# strings alive at once for little speed
+WRITE_BATCH_LINES = 256
+
+
+def _column_text(values: tuple) -> list:
+    """The JSON text of each value of one column: by one bound method over
+    the column where its values are all one plain kind, else by json.dumps
+    per value (NaN, infinities, bools, subclasses, mixed kinds, and the
+    TypeError of a value JSON cannot write)."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    return [json.dumps(v, sort_keys=True) for v in values]
+
+
 def serialize_logs(entries, path: str | Path) -> None:
     """Write entries (a LogTable or a sequence of TransferLogEntry) as
-    canonical JSON-Lines (sorted keys, repr floats)."""
+    canonical JSON-Lines: each line is json.dumps(entry.as_dict(),
+    sort_keys=True), sorted keys and repr floats.
+
+    Lines are made WRITE_BATCH_LINES at a time: one attrgetter reads every
+    leaf of each entry, each leaf column is formatted by _column_text, which
+    gives the text json.dumps gives each value, and each line is one
+    %-format of the fixed template of the sorted key layout.
+    """
+    it = iter(entries)
     with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry.as_dict(), sort_keys=True))
-            fh.write("\n")
+        while batch := list(itertools.islice(it, WRITE_BATCH_LINES)):
+            columns = map(_column_text, zip(*map(_LEAVES, batch)))
+            fh.write("".join(map(_LINE.__mod__, zip(*columns))))

@@ -166,11 +166,20 @@ def generate_training_logs(specs=None, lattice: ParamLattice | None = None,
                            noise: float = 0.0, seed: int = 0):
     """Synthesize a historical log corpus over the full parameter lattice.
 
-    One entry per (endpoint, sweep, load, file-class, configuration).
-    noise > 0 perturbs throughput and power multiplicatively; energy is
-    always power * duration exactly, so entries stay self-consistent. A
-    configuration whose rate cannot move its dataset in finite time raises
-    SimulationError.
+    One entry per (endpoint, sweep, load, file-class, configuration), in
+    that nesting order, with timestamps 0, 1, 2, ... noise > 0 perturbs
+    throughput and power multiplicatively; energy is always power * duration
+    exactly, so entries stay self-consistent. A configuration whose rate
+    cannot move its dataset in finite time raises SimulationError, naming
+    the first such entry.
+
+    Per endpoint, the lattice's configurations are listed once, the
+    throughput and power laws are evaluated once per (load, class,
+    configuration) and reused by every sweep, and entries of one load share
+    one NetworkMeta. A sweep of n entries draws its noise with one
+    rng.standard_normal(2 * n), read in pairs: entry k's throughput factor
+    from draw 2k, its power factor from draw 2k + 1. That is the order of
+    one scalar draw per factor, so a seed gives the same stream either way.
     """
     specs = list(specs) if specs is not None else [ENDPOINTS["chameleon"]]
     classes = dict(classes) if classes is not None else dict(DATASET_CLASSES)
@@ -183,34 +192,46 @@ def generate_training_logs(specs=None, lattice: ParamLattice | None = None,
             raise SimulationError("training loads must be in [0, 1)")
     rng = np.random.default_rng(seed)
     entries = []
-    ts = 0
     for spec in specs:
-        lat = lattice or default_lattice(spec)
+        configs = list((lattice or default_lattice(spec)).configs())
+        # one sweep's entries as columns, in generation order
+        cells = [(load, cls, ds, cfg) for load in loads
+                 for cls, ds in classes.items() for cfg in configs]
+        n = len(cells)
+        base_t = np.array([throughput_mbps(spec, cfg, load, ds.avg_file_size_bytes)
+                           for load, _, ds, cfg in cells])
+        base_p = np.array([power_above_base_watts(spec, cfg, t)
+                           for (_, _, _, cfg), t in zip(cells, base_t.tolist())])
+        bits = np.array([ds.total_size_bytes * 8.0 / 1e6 for _, _, ds, _ in cells])
+        nets = {load: NetworkMeta(source_id=spec.source_id, dest_id=spec.dest_id,
+                                  bandwidth_mbps=spec.bandwidth_mbps,
+                                  rtt_ms=spec.rtt_ms, ext_load=load)
+                for load in loads}
+        params = [cfg for _, _, _, cfg in cells]
+        datasets = [ds for _, _, ds, _ in cells]
+        networks = [nets[load] for load, _, _, _ in cells]
         for _ in range(sweeps):
-            for load in loads:
-                for cls, ds in classes.items():
-                    for cfg in lat.configs():
-                        t = throughput_mbps(spec, cfg, load, ds.avg_file_size_bytes)
-                        p = power_above_base_watts(spec, cfg, t)
-                        if noise > 0.0:
-                            t *= max(1e-9, 1.0 + noise * rng.standard_normal())
-                            t = min(t, spec.bandwidth_mbps)
-                            p *= max(0.0, 1.0 + noise * rng.standard_normal())
-                        duration = ds.total_size_bytes * 8.0 / 1e6 / t if t > 0.0 else math.inf
-                        if duration == math.inf:
-                            raise SimulationError(
-                                f"{spec.name}: throughput {t!r} Mbps at {cfg}, load {load} "
-                                f"cannot move the {cls} dataset in finite time")
-                        entries.append(TransferLogEntry(
-                            params=cfg, dataset=ds,
-                            network=NetworkMeta(
-                                source_id=spec.source_id, dest_id=spec.dest_id,
-                                bandwidth_mbps=spec.bandwidth_mbps,
-                                rtt_ms=spec.rtt_ms, ext_load=load),
-                            throughput_mbps=t, energy_joules=p * duration,
-                            avg_power_watts=p, duration_s=duration,
-                            timestamp_s=float(ts)))
-                        ts += 1
+            t, p = base_t, base_p
+            # Python floats overflow to inf and give NaN without a word;
+            # the arrays do the same IEEE operations, so they keep quiet too
+            with np.errstate(all="ignore"):
+                if noise > 0.0:
+                    z = rng.standard_normal(2 * n)
+                    t = np.minimum(t * np.maximum(1e-9, 1.0 + noise * z[0::2]),
+                                   spec.bandwidth_mbps)
+                    p = p * np.maximum(0.0, 1.0 + noise * z[1::2])
+                duration = np.divide(bits, t, out=np.full(n, math.inf), where=t > 0.0)
+                energy = p * duration
+            stuck = np.flatnonzero(duration == math.inf)
+            if len(stuck):
+                load, cls, _, cfg = cells[stuck[0]]
+                raise SimulationError(
+                    f"{spec.name}: throughput {t[stuck[0]].item()!r} Mbps at {cfg}, "
+                    f"load {load} cannot move the {cls} dataset in finite time")
+            ts = len(entries)
+            entries += map(TransferLogEntry, params, datasets, networks, t.tolist(),
+                           energy.tolist(), p.tolist(), duration.tolist(),
+                           map(float, range(ts, ts + n)))
     return entries
 
 

@@ -128,6 +128,18 @@ def cluster_files(sizes) -> dict:
             "large": arr[large]}
 
 
+def _total_bytes(arr: np.ndarray) -> float:
+    """The float64 sum of positive sizes taken left to right in file order.
+    When every size is an integer and np.sum's pairwise total is below
+    2**53, every partial sum of any order is exact, so that total is the
+    left-to-right one; otherwise the sizes are summed in order. Rounding
+    is monotone, so a pairwise total below 2**53 means the exact one is."""
+    total = float(np.sum(arr))
+    if total < MAX_SIZE_BYTES and np.array_equal(np.trunc(arr), arr):
+        return total
+    return float(np.cumsum(arr)[-1])
+
+
 def dataset_meta_for(sizes) -> DatasetMeta:
     """Population statistics of a file set. The total and the squared
     deviations are float64 sums taken left to right in file order."""
@@ -135,7 +147,7 @@ def dataset_meta_for(sizes) -> DatasetMeta:
     n = len(arr)
     if n == 0:
         raise TunerError("no file sizes")
-    total = float(np.cumsum(arr)[-1])
+    total = _total_bytes(arr)
     avg = total / n
     dev = arr - avg
     var = float(np.cumsum(dev * dev)[-1]) / n
@@ -411,7 +423,7 @@ def run_transfer(endpoint, file_sizes, controller) -> TransferReport:
     plan = [(c, classes[c]) for c in FILE_CLASSES if len(classes[c])]
     if not plan:
         raise TunerError("no files to transfer")
-    total_bytes = float(np.cumsum(sizes)[-1])
+    total_bytes = _total_bytes(sizes)
     controller.start_transfer(total_bytes)
     rows = []
     moved_total = 0.0

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -657,3 +658,106 @@ def test_a_valid_chunk_is_decoded_by_one_json_loads(tmp_path):
         got = outcome(ingest_logs, path)
     assert loads.call_count == 3
     assert got == want and len(got) == 2100
+
+
+# -- the writer: each line is json.dumps(entry.as_dict(), sort_keys=True) --------
+
+def dumps_text(entries) -> str:
+    return "".join(json.dumps(e.as_dict(), sort_keys=True) + "\n" for e in entries)
+
+
+def written_text(entries, path) -> str:
+    serialize_logs(entries, path)
+    return path.read_text(encoding="utf-8")
+
+
+# every leaf of an entry by its as_dict() section and the kind it holds
+WRITER_FIELDS = {
+    **{("params", n): "int" for n in PARAM_NAMES},
+    ("dataset", "num_files"): "int",
+    **{("dataset", n): "float" for n in logs.DATASET_FLOATS},
+    ("network", "source_id"): "str",
+    ("network", "dest_id"): "str",
+    **{("network", n): "float" for n in logs.NETWORK_FLOATS},
+    **{(None, n): "float" for n in logs.METRIC_FIELDS},
+}
+PLAIN_VALUES = {"float": st.floats(allow_nan=False, allow_infinity=False),
+                "int": st.integers(-2**70, 2**70),
+                "str": st.text(max_size=6)}   # non-ASCII, quotes, escapes
+# values json.dumps writes its own way, or that mix kinds into a column
+ODD_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, True, False, None,
+                     np.float64(-0.0), np.float64(math.nan)]),
+    st.integers(-2**70, 2**70), st.floats().map(np.float64), st.text(max_size=3))
+# a batch of 4 lines makes the same edges as the writer's 256 in short
+# corpora, which hypothesis generates and shrinks quickly
+TEST_BATCH = 4
+TEST_SIZES = (0, 1, TEST_BATCH - 1, TEST_BATCH, TEST_BATCH + 1, 4 * TEST_BATCH + 1)
+
+
+def entry_of(fields: dict, i: int) -> TransferLogEntry:
+    """Row i of per-leaf value columns, unchecked."""
+    section = {s: {n: col[i] for (sec, n), col in fields.items() if sec == s}
+               for s in ("params", "dataset", "network", None)}
+    return TransferLogEntry(params=ParamConfig(**section["params"]),
+                            dataset=DatasetMeta(**section["dataset"]),
+                            network=NetworkMeta(**section["network"]), **section[None])
+
+
+@st.composite
+def writer_corpora(draw):
+    """Entries whose leaf columns cycle through a few plain values of their
+    kind, with a few odd values put in anywhere."""
+    n = draw(st.sampled_from(TEST_SIZES))
+    fields = {}
+    for leaf, kind in WRITER_FIELDS.items():
+        pool = draw(st.lists(PLAIN_VALUES[kind], min_size=1, max_size=3))
+        col = [pool[i % len(pool)] for i in range(n)]
+        if n:
+            for i, value in draw(st.lists(st.tuples(st.integers(0, n - 1), ODD_VALUES),
+                                          max_size=2)):
+                col[i] = value
+        fields[leaf] = col
+    return [entry_of(fields, i) for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(entries=writer_corpora())
+def test_written_lines_equal_json_dumps_of_each_entry(tmp_path_factory, entries):
+    path = tmp_path_factory.mktemp("writer") / "logs.jsonl"
+    with mock.patch.object(logs, "WRITE_BATCH_LINES", TEST_BATCH):
+        assert written_text(entries, path) == dumps_text(entries)
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1025])
+def test_an_odd_value_is_written_alone_at_each_batch_edge(tmp_path, n):
+    assert logs.WRITE_BATCH_LINES == 256
+    entries = [make_entry(timestamp_s=float(i)) for i in range(n)]
+    odd = {0: dict(timestamp_s=math.nan), 255: dict(energy_joules=-0.0),
+           256: dict(throughput_mbps=7), 257: dict(duration_s=np.float64(0.1)),
+           1024: dict(avg_power_watts=True)}
+    for i, over in odd.items():
+        if i < n:
+            entries[i] = replace(entries[i], **over)
+    assert written_text(entries, tmp_path / "logs.jsonl") == dumps_text(entries)
+
+
+def test_a_table_is_written_as_its_entries(tmp_path):
+    routes = [("uc", "tacc"), ("é\"\\", "☃\n"), ("a", "b")]
+    entries = [make_entry(network=NetworkMeta(*routes[i % 3], 1e4, 30.0, i / 1000),
+                          timestamp_s=float(i), duration_s=[10.0, math.inf, math.nan][i % 3])
+               for i in range(300)]
+    table = LogTable.from_entries(entries)
+    text = written_text(table, tmp_path / "table.jsonl")
+    assert text == dumps_text(table) == dumps_text(entries)
+    assert '"source_id": "\\u00e9\\"\\\\"' in text and "Infinity" in text and "NaN" in text
+
+
+@pytest.mark.parametrize("at", [0, 300])
+def test_a_value_json_cannot_write_still_raises_type_error(tmp_path, at):
+    entries = [make_entry(timestamp_s=float(i)) for i in range(400)]
+    entries[at] = replace(entries[at], params=replace(entries[at].params, cc=np.int64(4)))
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        json.dumps(entries[at].as_dict(), sort_keys=True)
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        serialize_logs(entries, tmp_path / "logs.jsonl")

@@ -72,6 +72,19 @@ def test_generate_and_ingest_reporting(tmp_path, capsys):
     assert "distinct configurations: 432" in out
 
 
+def test_ingest_summarizes_continuous_loads_by_count_and_range(tmp_path, capsys):
+    loads = tuple(0.1 + k / 100 for k in range(cli.LISTED_LOAD_LEVELS + 1))
+    narrow = ParamLattice(cpu_num=(1,), cpu_freq_mhz=(1200,), cc=(1, 4), p=(1,), pp=(0,))
+    logs = tmp_path / "logs.jsonl"
+    serialize_logs(generate_training_logs(lattice=narrow, loads=loads), logs)
+    assert cli.main(["ingest", "--logs", str(logs)]) == 0
+    out = capsys.readouterr().out
+    assert f"load levels: 13 in [0.1, {loads[-1]}]\n" in out
+    serialize_logs(generate_training_logs(lattice=narrow, loads=loads[:-1]), logs)
+    assert cli.main(["ingest", "--logs", str(logs)]) == 0
+    assert f"load levels: {', '.join(map(str, loads[:-1]))}\n" in capsys.readouterr().out
+
+
 def test_offline_artifacts_are_schema_tagged(chain):
     strata = json.loads((chain / "strata.json").read_text())
     models = json.loads((chain / "models.json").read_text())

@@ -2,6 +2,7 @@
 generation invariants, and the stepping endpoint against the segment-exact
 analytic run."""
 
+import json
 import math
 import os
 import subprocess
@@ -20,9 +21,12 @@ from xfertune import (
     EndpointFailure,
     EndpointSpec,
     LoadScenario,
+    NetworkMeta,
     ParamConfig,
+    ParamLattice,
     SimEndpoint,
     SimulationError,
+    TransferLogEntry,
     baseline_config,
     default_lattice,
     generate_training_logs,
@@ -204,6 +208,94 @@ def test_noise_perturbs_but_keeps_entries_self_consistent(corpus):
     assert changed > 60
     again = generate_training_logs(noise=0.05, seed=4)
     assert [e.throughput_mbps for e in again] == [e.throughput_mbps for e in noisy]
+
+
+def legacy_generate_training_logs(specs=None, lattice=None, loads=(0.2, 0.35, 0.5),
+                                  classes=None, sweeps=1, noise=0.0, seed=0):
+    """The per-entry generator the per-configuration one replaced, kept as a
+    test-only oracle: it evaluates both laws, draws two scalars and builds a
+    NetworkMeta for every entry (argument checks left out)."""
+    specs = list(specs) if specs is not None else [CHAM]
+    classes = dict(classes) if classes is not None else dict(DATASET_CLASSES)
+    rng = np.random.default_rng(seed)
+    entries = []
+    ts = 0
+    for spec in specs:
+        lat = lattice or default_lattice(spec)
+        for _ in range(sweeps):
+            for load in loads:
+                for cls, ds in classes.items():
+                    for cfg in lat.configs():
+                        t = throughput_mbps(spec, cfg, load, ds.avg_file_size_bytes)
+                        p = power_above_base_watts(spec, cfg, t)
+                        if noise > 0.0:
+                            t *= max(1e-9, 1.0 + noise * rng.standard_normal())
+                            t = min(t, spec.bandwidth_mbps)
+                            p *= max(0.0, 1.0 + noise * rng.standard_normal())
+                        duration = ds.total_size_bytes * 8.0 / 1e6 / t if t > 0.0 else math.inf
+                        if duration == math.inf:
+                            raise SimulationError(
+                                f"{spec.name}: throughput {t!r} Mbps at {cfg}, load {load} "
+                                f"cannot move the {cls} dataset in finite time")
+                        entries.append(TransferLogEntry(
+                            params=cfg, dataset=ds,
+                            network=NetworkMeta(
+                                source_id=spec.source_id, dest_id=spec.dest_id,
+                                bandwidth_mbps=spec.bandwidth_mbps,
+                                rtt_ms=spec.rtt_ms, ext_load=load),
+                            throughput_mbps=t, energy_joules=p * duration,
+                            avg_power_watts=p, duration_s=duration,
+                            timestamp_s=float(ts)))
+                        ts += 1
+    return entries
+
+
+def _lines(entries):
+    return [json.dumps(e.as_dict(), sort_keys=True) for e in entries]
+
+
+NARROW = ParamLattice(cpu_num=(1, 4), cpu_freq_mhz=(1200, 2300), cc=(1, 16), p=(1, 8),
+                      pp=(0, 8))
+SPECS = [ENDPOINTS[n] for n in ("chameleon", "cloudlab", "intercloud")]
+SMALL_LARGE = {c: DATASET_CLASSES[c] for c in ("large", "small")}
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.02, 0.1, 3.0, 1e308])
+@pytest.mark.parametrize("sweeps", [1, 2, 3])
+@pytest.mark.parametrize("kw", [dict(lattice=NARROW),
+                                dict(specs=SPECS, lattice=NARROW),
+                                dict(specs=SPECS[1:], lattice=NARROW, classes=SMALL_LARGE,
+                                     loads=(0.5, 0.0)),
+                                dict(lattice=NARROW, loads=())],
+                         ids=["one-route", "three-routes", "class-subset", "no-loads"])
+def test_generation_equals_the_per_entry_loop(kw, sweeps, noise):
+    # noise 3 clips both factors often; noise 1e308 overflows them to inf;
+    # the multiroute test below covers the default lattice
+    got = generate_training_logs(**kw, sweeps=sweeps, noise=noise, seed=11)
+    want = legacy_generate_training_logs(**kw, sweeps=sweeps, noise=noise, seed=11)
+    assert _lines(got) == _lines(want)
+    assert all(type(getattr(e, f)) is float for e in got[::97]
+               for f in ("throughput_mbps", "energy_joules", "avg_power_watts",
+                         "duration_s", "timestamp_s"))
+
+
+def test_generation_of_the_multiroute_corpus_equals_the_per_entry_loop():
+    kw = dict(specs=SPECS, sweeps=2, noise=0.02, seed=1)
+    assert _lines(generate_training_logs(**kw)) == _lines(legacy_generate_training_logs(**kw))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+@pytest.mark.parametrize("window", [5e-324, 1e-300])
+def test_a_stuck_entry_raises_what_the_per_entry_loop_raises(window, noise):
+    # the stuck endpoint comes second, after a sweep of draws on the first
+    specs = [ENDPOINTS["cloudlab"], replace(CHAM, window_bytes=window)]
+    kw = dict(specs=specs, lattice=NARROW, sweeps=2, noise=noise, seed=5)
+    with pytest.raises(SimulationError) as want:
+        legacy_generate_training_logs(**kw)
+    with pytest.raises(SimulationError) as got:
+        generate_training_logs(**kw)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("chameleon: throughput ")
 
 
 def test_scenario_lookup_and_validation():

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -685,6 +686,23 @@ def test_a_transfer_starts_from_the_left_to_right_total():
     endpoint = SimEndpoint(ENDPOINTS["chameleon"], LoadScenario.constant(0.2))
     run_transfer(endpoint, sizes, Recording(ParamConfig(8, 2300, 16, 8, 8)))
     assert totals == [_left_to_right_sum(sizes)]
+
+
+def test_an_integer_total_takes_one_pairwise_sum_below_2_53():
+    sizes = _class_sizes(FILE_CLASSES)
+    with mock.patch.object(np, "cumsum", wraps=np.cumsum) as cumsum:
+        meta = dataset_meta_for(sizes)
+    assert cumsum.call_count == 1   # the squared deviations only
+    assert meta.total_size_bytes == _left_to_right_sum(map(float, sizes.tolist()))
+
+
+def test_an_integer_total_beyond_2_53_is_still_taken_left_to_right():
+    # left to right, each +1 after 2**53 rounds back to 2**53; numpy's
+    # pairwise sum adds the ones up first
+    sizes = [2**53 - 1] + [1] * 15
+    assert float(np.sum(np.array(sizes, dtype=np.float64))) == 2.0**53 + 14
+    assert dataset_meta_for(sizes).total_size_bytes == _left_to_right_sum(
+        map(float, sizes)) == 2.0**53
 
 
 @pytest.mark.parametrize("bad,message", [
