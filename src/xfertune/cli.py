@@ -79,11 +79,11 @@ def _load_config(path: str | None) -> StratifyConfig:
 def cmd_generate(args) -> int:
     specs = [_endpoint(n) for n in args.endpoints.split(",") if n]
     loads = tuple(float(x) for x in args.loads.split(",") if x)
-    entries = generate_training_logs(specs=specs, loads=loads,
-                                     sweeps=args.sweeps, noise=args.noise,
-                                     seed=args.seed)
-    serialize_logs(entries, args.out)
-    print(f"wrote {len(entries)} log entries to {args.out}")
+    table = generate_training_logs(specs=specs, loads=loads,
+                                   sweeps=args.sweeps, noise=args.noise,
+                                   seed=args.seed)
+    serialize_logs(table, args.out)
+    print(f"wrote {len(table)} log entries to {args.out}")
     return 0
 
 

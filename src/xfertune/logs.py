@@ -12,14 +12,19 @@ alone (else the chunk is decoded line by line), and validates the chunk with
 numpy masks, against the same ordered rule list that validate_entry applies
 to one entry, so both report the same first broken invariant. It returns a
 LogTable: one numpy column per field, which stratification and fitting read
-directly. TransferLogEntry stays the record type at the edges: indexing and
-iterating a table yield entries, and LogTable.from_entries converts a list.
+directly. TransferLogEntry stays the record type at the edges: indexing a
+table builds one row's entry, iterating it shares one ParamConfig,
+DatasetMeta and NetworkMeta among rows equal bit for bit, and
+LogTable.from_entries converts a list.
 
 serialize_logs writes the lines json.dumps(entry.as_dict(), sort_keys=True)
-gives, a batch of entries at a time: one line template holds the fixed
-sorted key layout, and each field column of the batch is formatted in one
-call (float.__repr__, int.__repr__ or the JSON string encoder where the
-column is all one plain kind, json.dumps per value otherwise).
+gives, WRITE_BATCH_LINES at a time, into one line template of the fixed
+sorted key layout. A LogTable is written from its columns: each column's
+distinct values are formatted once (floats told apart by their bits, route
+ids by code), and a column without repeats a batch at a time. A sequence of
+entries is formatted a batch column at a time (float.__repr__, int.__repr__
+or the JSON string encoder where the column is all one plain kind,
+json.dumps per value otherwise).
 
 Parameters are checked against their lower bounds only: logs of real
 transfers need not sit on any parameter lattice.
@@ -29,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
@@ -386,6 +392,26 @@ def unique_rows(a: np.ndarray):
     return rows[first], inverse, np.diff(first, append=len(a))
 
 
+def _shared(key: np.ndarray, build) -> tuple[list, np.ndarray]:
+    """One build(i) per distinct row of a 2-D key array, each made from a
+    row i that holds it, and the index of each row's object."""
+    distinct, inverse, _ = unique_rows(key)
+    rep = np.empty(len(distinct), dtype=np.int64)
+    rep[inverse] = np.arange(len(key))
+    return [build(i) for i in rep.tolist()], inverse
+
+
+def _bit_key(table, ints: np.ndarray, floats) -> np.ndarray:
+    """An int64 column beside the bit patterns of named float columns, so
+    rows compare equal only when every value is identical (-0.0 apart
+    from 0.0)."""
+    return np.column_stack([ints, *(getattr(table, n).view(np.int64) for n in floats)])
+
+
+# rows of a table turned into Python values at once while iterating it
+_ROW_BLOCK = 1024
+
+
 # the LogTable fields that hold one row per entry
 _ROW_ARRAYS = ("params", "num_files", *FLOAT_COLUMNS, "route")
 
@@ -399,7 +425,7 @@ class LogTable:
     float64 column of its own name. `route` codes index `routes`, the
     distinct (source_id, dest_id) pairs of the log in sorted order, so
     sorting codes sorts routes. len(), indexing and iteration give
-    TransferLogEntry records.
+    TransferLogEntry records, and a slice gives a sub-table.
     """
 
     params: np.ndarray
@@ -425,19 +451,47 @@ class LogTable:
     def __len__(self) -> int:
         return len(self.route)
 
-    def __iter__(self):
-        params = self.params.tolist()
-        num_files = self.num_files.tolist()
-        f = {name: getattr(self, name).tolist() for name in FLOAT_COLUMNS}
-        for i, code in enumerate(self.route.tolist()):
-            yield TransferLogEntry(
-                params=ParamConfig(*params[i]),
-                dataset=DatasetMeta(num_files[i], *(f[n][i] for n in DATASET_FLOATS)),
-                network=NetworkMeta(*self.routes[code], *(f[n][i] for n in NETWORK_FLOATS)),
-                **{n: f[n][i] for n in METRIC_FIELDS})
+    def _params_at(self, i: int) -> ParamConfig:
+        return ParamConfig(*self.params[i].tolist())
 
-    def __getitem__(self, i: int) -> TransferLogEntry:
-        return next(iter(self.take([i])))
+    def _dataset_at(self, i: int) -> DatasetMeta:
+        return DatasetMeta(self.num_files.item(i),
+                           *(getattr(self, n).item(i) for n in DATASET_FLOATS))
+
+    def _network_at(self, i: int) -> NetworkMeta:
+        return NetworkMeta(*self.routes[self.route.item(i)],
+                           *(getattr(self, n).item(i) for n in NETWORK_FLOATS))
+
+    def __iter__(self):
+        """Each row as a TransferLogEntry. Rows whose parameters, dataset or
+        network are equal bit for bit share one ParamConfig, DatasetMeta or
+        NetworkMeta, each built once; the metrics are read _ROW_BLOCK rows
+        at a time."""
+        params, p_idx = _shared(self.params, self._params_at)
+        datasets, d_idx = _shared(_bit_key(self, self.num_files, DATASET_FLOATS),
+                                  self._dataset_at)
+        networks, n_idx = _shared(_bit_key(self, self.route, NETWORK_FLOATS),
+                                  self._network_at)
+        for start in range(0, len(self), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            yield from map(TransferLogEntry,
+                           map(params.__getitem__, p_idx[rows].tolist()),
+                           map(datasets.__getitem__, d_idx[rows].tolist()),
+                           map(networks.__getitem__, n_idx[rows].tolist()),
+                           *(getattr(self, n)[rows].tolist() for n in METRIC_FIELDS))
+
+    def __getitem__(self, i):
+        """Row i as a TransferLogEntry, negative i counting from the end; a
+        slice gives the sub-table of its rows."""
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("LogTable index out of range")
+        i %= n
+        return TransferLogEntry(self._params_at(i), self._dataset_at(i), self._network_at(i),
+                                *(getattr(self, name).item(i) for name in METRIC_FIELDS))
 
     def take(self, indices) -> "LogTable":
         """The sub-table of the given rows, in the given order."""
@@ -652,12 +706,14 @@ _LEAVES = attrgetter(*_leaves(_LAYOUT))
 # one entry line with a %s in place of each leaf value (a string followed
 # by ',' or '}'), in _leaves order
 _LINE = re.sub(r'"[^"]*"(?=[,}])', "%s", json.dumps(_LAYOUT, sort_keys=True)) + "\n"
+# the text around the values: "%s".join(_LINE_PIECES) == _LINE
+_LINE_PIECES = _LINE.split("%s")
 # entries formatted and written at once; a larger batch holds more line
 # strings alive at once for little speed
 WRITE_BATCH_LINES = 256
 
 
-def _column_text(values: tuple) -> list:
+def _column_text(values) -> list:
     """The JSON text of each value of one column: by one bound method over
     the column where its values are all one plain kind, else by json.dumps
     per value (NaN, infinities, bools, subclasses, mixed kinds, and the
@@ -672,18 +728,60 @@ def _column_text(values: tuple) -> list:
     return [json.dumps(v, sort_keys=True) for v in values]
 
 
+def _leaf_text(table: LogTable, path: str):
+    """One leaf column of a table as (texts, codes): the JSON text of each
+    distinct value, formatted once, as an object array, and each row's
+    index into it. Floats are told apart by their bits, so -0.0 keeps its
+    sign. Where no value repeats, texts is None and codes is the column
+    itself, formatted a batch at a time."""
+    section, _, name = path.rpartition(".")
+    if name in ("source_id", "dest_id"):
+        k = name == "dest_id"
+        return np.array([encode_basestring_ascii(r[k]) for r in table.routes],
+                        dtype=object), table.route
+    col = table.params[:, PARAM_NAMES.index(name)] if section == "params" else \
+        getattr(table, name)
+    distinct, codes = np.unique(col.view(np.int64), return_inverse=True)
+    if len(distinct) == len(col):
+        return None, col
+    return np.array(_column_text(distinct.view(col.dtype).tolist()), dtype=object), codes
+
+
+def _write_table(table: LogTable, fh) -> None:
+    """Write a table's lines WRITE_BATCH_LINES at a time: each batch is one
+    list, the template's text repeated per line, whose value slots are
+    filled a leaf column at a time by slice assignment, joined once."""
+    leaves = [_leaf_text(table, path) for path in _leaves(_LAYOUT)]
+    width = 2 * len(leaves) + 1
+    line = [None] * width
+    line[::2] = _LINE_PIECES
+    template = line * WRITE_BATCH_LINES
+    for start in range(0, len(table), WRITE_BATCH_LINES):
+        rows = slice(start, start + WRITE_BATCH_LINES)
+        parts = template[:min(WRITE_BATCH_LINES, len(table) - start) * width]
+        for k, (texts, codes) in enumerate(leaves):
+            parts[2 * k + 1::width] = (_column_text(codes[rows].tolist()) if texts is None
+                                       else texts[codes[rows]].tolist())
+        fh.write("".join(parts))
+
+
 def serialize_logs(entries, path: str | Path) -> None:
     """Write entries (a LogTable or a sequence of TransferLogEntry) as
     canonical JSON-Lines: each line is json.dumps(entry.as_dict(),
     sort_keys=True), sorted keys and repr floats.
 
-    Lines are made WRITE_BATCH_LINES at a time: one attrgetter reads every
-    leaf of each entry, each leaf column is formatted by _column_text, which
-    gives the text json.dumps gives each value, and each line is one
-    %-format of the fixed template of the sorted key layout.
+    A LogTable is written from its columns by _write_table, each column's
+    distinct values formatted once. A sequence is written WRITE_BATCH_LINES
+    entries at a time: one attrgetter reads every leaf of each entry, each
+    leaf column is formatted by _column_text, which gives the text
+    json.dumps gives each value, and each line is one %-format of the fixed
+    template of the sorted key layout.
     """
-    it = iter(entries)
     with open(path, "w", encoding="utf-8") as fh:
+        if isinstance(entries, LogTable):
+            _write_table(entries, fh)
+            return
+        it = iter(entries)
         while batch := list(itertools.islice(it, WRITE_BATCH_LINES)):
             columns = map(_column_text, zip(*map(_LEAVES, batch)))
             fh.write("".join(map(_LINE.__mod__, zip(*columns))))

@@ -9,6 +9,9 @@ on long fat links. Power above the idle baseline is a frequency power law on
 the active cores plus a per-Mbps network term; logged energies are above
 baseline.
 
+generate_training_logs returns its corpus as a LogTable, built column by
+column from per-configuration law evaluations without an object per entry.
+
 Nothing here reads a clock or other ambient state: equal seeds and inputs
 give byte-identical outputs.
 """
@@ -21,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .logs import (DatasetMeta, NetworkMeta, ParamConfig, ParamLattice,
-                   TransferLogEntry, validate_params)
+from .logs import (DATASET_FLOATS, PARAM_NAMES, DatasetMeta, LogTable, NetworkMeta,
+                   ParamConfig, ParamLattice, _route_codes, validate_params)
 from .tuner import EndpointFailure, MonitorSample
 
 
@@ -161,25 +164,34 @@ def power_above_base_watts(spec: EndpointSpec, params: ParamConfig,
     return core + spec.net_power_watts_per_mbps * tput_mbps
 
 
+def _cells(values, inner: int, outer: int, dtype=np.float64) -> np.ndarray:
+    """A column over a sweep's cells: each value repeated inner times, and
+    the whole tiled outer times."""
+    return np.tile(np.repeat(np.array(values, dtype=dtype), inner), outer)
+
+
 def generate_training_logs(specs=None, lattice: ParamLattice | None = None,
                            loads=DEFAULT_LOADS, classes=None, sweeps: int = 1,
-                           noise: float = 0.0, seed: int = 0):
+                           noise: float = 0.0, seed: int = 0) -> LogTable:
     """Synthesize a historical log corpus over the full parameter lattice.
 
-    One entry per (endpoint, sweep, load, file-class, configuration), in
-    that nesting order, with timestamps 0, 1, 2, ... noise > 0 perturbs
+    One row per (endpoint, sweep, load, file-class, configuration), in that
+    nesting order, with timestamps 0, 1, 2, ... noise > 0 perturbs
     throughput and power multiplicatively; energy is always power * duration
     exactly, so entries stay self-consistent. A configuration whose rate
     cannot move its dataset in finite time raises SimulationError, naming
     the first such entry.
 
-    Per endpoint, the lattice's configurations are listed once, the
-    throughput and power laws are evaluated once per (load, class,
-    configuration) and reused by every sweep, and entries of one load share
-    one NetworkMeta. A sweep of n entries draws its noise with one
-    rng.standard_normal(2 * n), read in pairs: entry k's throughput factor
-    from draw 2k, its power factor from draw 2k + 1. That is the order of
-    one scalar draw per factor, so a seed gives the same stream either way.
+    The corpus is built as the columns of a LogTable, with no object per
+    row. Per endpoint, the throughput and power laws are evaluated once per
+    (load, class, configuration) and reused by every sweep, and a sweep's
+    parameter, dataset and network columns are built once: the lattice's
+    configuration array tiled over the (load, class) cells, each class's
+    and load's values repeated over the configurations. A sweep of n
+    entries draws its noise with one rng.standard_normal(2 * n), read in
+    pairs: entry k's throughput factor from draw 2k, its power factor from
+    draw 2k + 1. That is the order of one scalar draw per factor, so a seed
+    gives the same stream either way.
     """
     specs = list(specs) if specs is not None else [ENDPOINTS["chameleon"]]
     classes = dict(classes) if classes is not None else dict(DATASET_CLASSES)
@@ -191,25 +203,32 @@ def generate_training_logs(specs=None, lattice: ParamLattice | None = None,
         if not 0.0 <= load < 1.0:
             raise SimulationError("training loads must be in [0, 1)")
     rng = np.random.default_rng(seed)
-    entries = []
+    sweep_columns, pairs, counts = [], [], []
     for spec in specs:
         configs = list((lattice or default_lattice(spec)).configs())
-        # one sweep's entries as columns, in generation order
         cells = [(load, cls, ds, cfg) for load in loads
                  for cls, ds in classes.items() for cfg in configs]
-        n = len(cells)
+        n, m = len(cells), len(configs)
         base_t = np.array([throughput_mbps(spec, cfg, load, ds.avg_file_size_bytes)
                            for load, _, ds, cfg in cells])
         base_p = np.array([power_above_base_watts(spec, cfg, t)
                            for (_, _, _, cfg), t in zip(cells, base_t.tolist())])
-        bits = np.array([ds.total_size_bytes * 8.0 / 1e6 for _, _, ds, _ in cells])
-        nets = {load: NetworkMeta(source_id=spec.source_id, dest_id=spec.dest_id,
-                                  bandwidth_mbps=spec.bandwidth_mbps,
-                                  rtt_ms=spec.rtt_ms, ext_load=load)
-                for load in loads}
-        params = [cfg for _, _, _, cfg in cells]
-        datasets = [ds for _, _, ds, _ in cells]
-        networks = [nets[load] for load, _, _, _ in cells]
+        try:
+            cell = {"params": np.tile(np.array([[c.get(name) for name in PARAM_NAMES]
+                                                for c in configs], dtype=np.int64),
+                                      (len(loads) * len(classes), 1)),
+                    "num_files": _cells([ds.num_files for ds in classes.values()], m,
+                                        len(loads), np.int64)}
+        except OverflowError:   # a log column holds int64
+            raise SimulationError(f"{spec.name}: parameter values and file counts "
+                                  "must be < 2**63") from None
+        cell.update({name: _cells([getattr(ds, name) for ds in classes.values()], m,
+                                  len(loads))
+                     for name in DATASET_FLOATS})
+        cell.update(bandwidth_mbps=np.full(n, spec.bandwidth_mbps, dtype=np.float64),
+                    rtt_ms=np.full(n, spec.rtt_ms, dtype=np.float64),
+                    ext_load=_cells(loads, len(classes) * m, 1))
+        bits = cell["total_size_bytes"] * 8.0 / 1e6
         for _ in range(sweeps):
             t, p = base_t, base_p
             # Python floats overflow to inf and give NaN without a word;
@@ -228,11 +247,18 @@ def generate_training_logs(specs=None, lattice: ParamLattice | None = None,
                 raise SimulationError(
                     f"{spec.name}: throughput {t[stuck[0]].item()!r} Mbps at {cfg}, "
                     f"load {load} cannot move the {cls} dataset in finite time")
-            ts = len(entries)
-            entries += map(TransferLogEntry, params, datasets, networks, t.tolist(),
-                           energy.tolist(), p.tolist(), duration.tolist(),
-                           map(float, range(ts, ts + n)))
-    return entries
+            sweep_columns.append({**cell, "throughput_mbps": t, "energy_joules": energy,
+                                  "avg_power_watts": p, "duration_s": duration})
+        if n:   # a route with no rows is no route of the log
+            pairs.append((spec.source_id, spec.dest_id))
+            counts.append(n * sweeps)
+    if not sweep_columns:   # no endpoints
+        return LogTable.from_entries([])
+    columns = {name: np.concatenate([c[name] for c in sweep_columns])
+               for name in sweep_columns[0]}
+    codes, routes = _route_codes(pairs)
+    return LogTable(**columns, timestamp_s=np.arange(sum(counts), dtype=np.float64),
+                    route=np.repeat(codes, counts), routes=routes)
 
 
 @dataclass(frozen=True)

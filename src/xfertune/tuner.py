@@ -16,10 +16,10 @@ Which loop runs follows from the SLA: energy caps and the pure min-energy
 objective run the energy loop, throughput floors and the pure max-throughput
 objective run the throughput loop.
 
-A transfer's file set is one float64 array of sizes below 2**53 bytes, split
-into classes with masks. A class's total and its squared deviations are
-added left to right in file order, so the work outside the tick loop is a
-few array passes per class.
+A transfer's file set is one float64 array of sizes below 2**53 bytes,
+checked once and split into classes with masks. A class's total and its
+squared deviations are added left to right in file order, so the work
+outside the tick loop is a few array passes per class.
 
 Inside the loop, a holding tick allocates only the endpoint's sample: the
 tuner returns one shared TickResult per (stratum, parameters, trigger flag),
@@ -94,9 +94,22 @@ class TickResult:
     params: ParamConfig
 
 
+class _CheckedSizes:
+    """An array _size_array returned, which cluster_files and
+    dataset_meta_for then take without checking it again: a transfer checks
+    its sizes once and still classifies them through those two."""
+
+    __slots__ = ("arr",)
+
+    def __init__(self, arr: np.ndarray):
+        self.arr = arr
+
+
 def _size_array(sizes) -> np.ndarray:
     """File sizes as a 1-D float64 array. Every size must be an int or a
     float, finite, > 0 and below 2**53 bytes; bools are not sizes."""
+    if isinstance(sizes, _CheckedSizes):
+        return sizes.arr
     if isinstance(sizes, np.ndarray) and sizes.dtype.kind in "iuf":
         arr = sizes.astype(np.float64, copy=False)
     else:
@@ -418,8 +431,8 @@ def run_transfer(endpoint, file_sizes, controller) -> TransferReport:
     each class re-assigned to its own stratum. If the endpoint fails midway
     the raised EndpointFailure carries the partial report.
     """
-    sizes = _size_array(file_sizes)
-    classes = cluster_files(sizes)
+    sizes = _size_array(file_sizes)   # the transfer's one check of its sizes
+    classes = cluster_files(_CheckedSizes(sizes))
     plan = [(c, classes[c]) for c in FILE_CLASSES if len(classes[c])]
     if not plan:
         raise TunerError("no files to transfer")
@@ -438,7 +451,7 @@ def run_transfer(endpoint, file_sizes, controller) -> TransferReport:
             warnings=tuple(controller.warnings), events=tuple(controller.events))
 
     for cname, sizes in plan:
-        ds = dataset_meta_for(sizes)
+        ds = dataset_meta_for(_CheckedSizes(sizes))
         params = controller.start_class(ds, endpoint.describe())
         endpoint.begin(ds, params)
         t0, e0 = controller.elapsed_s, controller.e_consumed

@@ -761,3 +761,107 @@ def test_a_value_json_cannot_write_still_raises_type_error(tmp_path, at):
         json.dumps(entries[at].as_dict(), sort_keys=True)
     with pytest.raises(TypeError, match="int64 is not JSON serializable"):
         serialize_logs(entries, tmp_path / "logs.jsonl")
+
+
+# -- a table written from its columns ------------------------------------------------
+
+# floats the column writer must tell apart by their bits or write its own way
+TABLE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                     1.7976931348623157e308, 0.30000000000000004, 1.2345678901234567e-300,
+                     9007199254740993.0, 1e16, 123456789.01234567]),
+    st.floats())
+TABLE_INTS = st.one_of(st.sampled_from([2**63 - 1, 2**63 - 2, -2**63, -2**63 + 1, 0]),
+                       st.integers(-2**63, 2**63 - 1))
+ROUTE_IDS = st.one_of(st.sampled_from(['"', "\\", ",", "é", "☃", 'a,"b\\c\n', "\x00"]),
+                      st.text(max_size=4))
+TABLE_KINDS = {"float": TABLE_FLOATS, "int": TABLE_INTS, "str": ROUTE_IDS}
+
+
+@st.composite
+def table_corpora(draw):
+    """Entries whose leaf columns either cycle through a few values or draw
+    a value per row, so the writer meets columns with repeats and without."""
+    n = draw(st.sampled_from(TEST_SIZES))
+    fields = {}
+    for leaf, kind in WRITER_FIELDS.items():
+        if draw(st.booleans()):
+            pool = draw(st.lists(TABLE_KINDS[kind], min_size=1, max_size=3))
+            fields[leaf] = [pool[i % len(pool)] for i in range(n)]
+        else:
+            fields[leaf] = draw(st.lists(TABLE_KINDS[kind], min_size=n, max_size=n))
+    return [entry_of(fields, i) for i in range(n)]
+
+
+def signed_zeros(n: int) -> list:
+    """Entries with 0.0 and -0.0 in every float column."""
+    return [make_entry(network=NetworkMeta("a", "b", 1e4, 30.0, [0.0, -0.0][i % 2]),
+                       dataset=DatasetMeta(1, 1e3, [-0.0, 0.0][i % 2], 0.0),
+                       **{name: [0.0, -0.0][(i // 2) % 2] for name in logs.METRIC_FIELDS})
+            for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(entries=table_corpora())
+@example(entries=signed_zeros(TEST_BATCH + 1))
+def test_a_table_is_written_as_json_dumps_of_each_row(tmp_path_factory, entries):
+    table = LogTable.from_entries(entries)
+    path = tmp_path_factory.mktemp("writer") / "logs.jsonl"
+    with mock.patch.object(logs, "WRITE_BATCH_LINES", TEST_BATCH):
+        assert written_text(table, path) == dumps_text(entries)
+
+
+def test_the_table_writer_keeps_the_sign_of_zero(tmp_path):
+    entries = signed_zeros(6)
+    text = written_text(LogTable.from_entries(entries), tmp_path / "logs.jsonl")
+    assert text == dumps_text(entries)
+    assert '"ext_load": -0.0' in text and '"ext_load": 0.0' in text
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257])
+def test_the_table_writer_fills_every_batch_edge(tmp_path, n):
+    assert logs.WRITE_BATCH_LINES == 256
+    entries = [make_entry(timestamp_s=float(i), throughput_mbps=900.0 + i % 7,
+                          network=NetworkMeta(f"s{i % 3}", "d", 1e4, 30.0, (i % 5) / 10))
+               for i in range(n)]
+    assert written_text(LogTable.from_entries(entries), tmp_path / "a.jsonl") == \
+        dumps_text(entries)
+
+
+def test_rows_of_a_table_are_its_entries():
+    entries = [make_entry(params=ParamConfig(1 + i % 3, 1200, 4, 2, 0),
+                          network=NetworkMeta("ab"[i % 2], "c", 1e4, 30.0,
+                                              [0.0, -0.0, 0.5][i % 3]),
+                          dataset=DatasetMeta(100 + i % 2, 1e9, 1e7, [0.0, -0.0][i % 2]),
+                          timestamp_s=float(i), energy_joules=[500.0, -0.0][i % 2])
+               for i in range(11)]
+    table = LogTable.from_entries(entries)
+    want = [json.dumps(e.as_dict(), sort_keys=True) for e in entries]
+    dumps = lambda rows: [json.dumps(e.as_dict(), sort_keys=True) for e in rows]
+    assert dumps(table) == want   # -0.0 survives iteration
+    assert dumps(table[i] for i in range(-11, 11)) == want + want
+    assert table[np.int64(3)] == entries[3]
+    for bad in (11, -12):
+        with pytest.raises(IndexError):
+            table[bad]
+    with pytest.raises(TypeError):
+        table[1.0]
+    for rows in (slice(None), slice(2, 7), slice(None, None, -3), slice(20, 30),
+                 slice(-4, None, 2)):
+        sub = table[rows]
+        assert isinstance(sub, LogTable) and sub.routes == table.routes
+        assert dumps(sub) == want[rows]
+    # rows equal bit for bit share one object; -0.0 and 0.0 are not equal bits
+    rows = list(table)
+    assert rows[0].params is rows[3].params and rows[0].params is not rows[1].params
+    assert rows[0].dataset is rows[2].dataset and rows[0].dataset is not rows[1].dataset
+    assert rows[0].network is rows[6].network and rows[0].network is not rows[4].network
+    assert math.copysign(1.0, rows[1].network.ext_load) == -1.0
+    assert math.copysign(1.0, rows[1].dataset.file_size_stddev_bytes) == -1.0
+
+
+def test_iteration_reads_the_metrics_a_block_at_a_time():
+    entries = [make_entry(timestamp_s=float(i)) for i in range(2 * logs._ROW_BLOCK + 1)]
+    table = LogTable.from_entries(entries)
+    assert [e.timestamp_s for e in table] == [e.timestamp_s for e in entries]
+    assert list(table) == entries

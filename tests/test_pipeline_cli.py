@@ -781,8 +781,8 @@ def test_static_optimal_searches_the_compared_routes_lattice():
     # cloudlab's single-core optimum
     chameleon, cloudlab = ENDPOINTS["chameleon"], ENDPOINTS["cloudlab"]
     narrow = replace(default_lattice(chameleon), cpu_num=(2, 4))
-    corpus = (generate_training_logs(specs=[chameleon], lattice=narrow, seed=0)
-              + generate_training_logs(specs=[cloudlab], seed=0))
+    corpus = (list(generate_training_logs(specs=[chameleon], lattice=narrow, seed=0))
+              + list(generate_training_logs(specs=[cloudlab], seed=0)))
     config = StratifyConfig()
     strata = stratify(corpus, config)
     models, _ = fit_all_strata(corpus, strata, with_holdout=False)

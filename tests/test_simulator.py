@@ -21,6 +21,7 @@ from xfertune import (
     EndpointFailure,
     EndpointSpec,
     LoadScenario,
+    LogTable,
     NetworkMeta,
     ParamConfig,
     ParamLattice,
@@ -34,7 +35,7 @@ from xfertune import (
     throughput_mbps,
     validate_entry,
 )
-from xfertune import cli
+from xfertune import cli, logs
 from xfertune.logs import PARAM_NAMES, DatasetMeta
 from xfertune.pipeline import _analytic_fixed_run
 from xfertune.simulator import power_above_base_watts
@@ -175,6 +176,17 @@ def test_corpus_generation_guards(tmp_path, capsys):
         generate_training_logs(loads=(0.2, 1.0))
 
 
+def test_values_a_log_column_cannot_hold_raise():
+    # the corpus is int64 columns: a value ingest would reject as >= 2**63
+    # is refused when generating, not written
+    huge = dict(lattice=replace(default_lattice(CHAM), cc=(1, 2**63)))
+    many = dict(classes={"huge": replace(DATASET_CLASSES["small"], num_files=2**63)})
+    for kw in (huge, many):
+        with pytest.raises(SimulationError, match=r"^chameleon: parameter values and "
+                                                  r"file counts must be < 2\*\*63$"):
+            generate_training_logs(**kw)
+
+
 @pytest.mark.parametrize("window, cls", [(5e-324, "small"),   # a rate of 0
                                          (1e-300, "medium")])  # a time of inf
 def test_a_rate_that_cannot_finish_a_logged_transfer_raises(window, cls):
@@ -254,6 +266,17 @@ def _lines(entries):
     return [json.dumps(e.as_dict(), sort_keys=True) for e in entries]
 
 
+def assert_same_columns(got: LogTable, want: LogTable):
+    """Equal tables bit for bit: every column compared through an int64
+    view, so -0.0 differs from 0.0 and NaN equals its own bits."""
+    assert isinstance(got, LogTable)
+    assert got.routes == want.routes
+    for name in logs._ROW_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
 NARROW = ParamLattice(cpu_num=(1, 4), cpu_freq_mhz=(1200, 2300), cc=(1, 16), p=(1, 8),
                       pp=(0, 8))
 SPECS = [ENDPOINTS[n] for n in ("chameleon", "cloudlab", "intercloud")]
@@ -266,13 +289,20 @@ SMALL_LARGE = {c: DATASET_CLASSES[c] for c in ("large", "small")}
                                 dict(specs=SPECS, lattice=NARROW),
                                 dict(specs=SPECS[1:], lattice=NARROW, classes=SMALL_LARGE,
                                      loads=(0.5, 0.0)),
-                                dict(lattice=NARROW, loads=())],
-                         ids=["one-route", "three-routes", "class-subset", "no-loads"])
+                                dict(lattice=NARROW, loads=()),
+                                # routes out of sorted order, one of them twice
+                                dict(specs=[SPECS[2], SPECS[0], SPECS[2]], lattice=NARROW,
+                                     classes=SMALL_LARGE, loads=(0.35,)),
+                                dict(specs=SPECS, lattice=NARROW, classes={}),
+                                dict(specs=[])],
+                         ids=["one-route", "three-routes", "class-subset", "no-loads",
+                              "repeated-route", "no-classes", "no-endpoints"])
 def test_generation_equals_the_per_entry_loop(kw, sweeps, noise):
     # noise 3 clips both factors often; noise 1e308 overflows them to inf;
     # the multiroute test below covers the default lattice
     got = generate_training_logs(**kw, sweeps=sweeps, noise=noise, seed=11)
     want = legacy_generate_training_logs(**kw, sweeps=sweeps, noise=noise, seed=11)
+    assert_same_columns(got, LogTable.from_entries(want))
     assert _lines(got) == _lines(want)
     assert all(type(getattr(e, f)) is float for e in got[::97]
                for f in ("throughput_mbps", "energy_joules", "avg_power_watts",
@@ -281,7 +311,9 @@ def test_generation_equals_the_per_entry_loop(kw, sweeps, noise):
 
 def test_generation_of_the_multiroute_corpus_equals_the_per_entry_loop():
     kw = dict(specs=SPECS, sweeps=2, noise=0.02, seed=1)
-    assert _lines(generate_training_logs(**kw)) == _lines(legacy_generate_training_logs(**kw))
+    got, want = generate_training_logs(**kw), legacy_generate_training_logs(**kw)
+    assert_same_columns(got, LogTable.from_entries(want))
+    assert _lines(got) == _lines(want)
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.1])

@@ -673,6 +673,19 @@ def test_a_default_transfer_classes_its_files_as_before():
         avg_file_size_bytes=1773741.8089780326, file_size_stddev_bytes=16655131.663654761)
 
 
+def test_a_transfer_checks_its_sizes_once():
+    from xfertune import tuner
+
+    endpoint = SimEndpoint(ENDPOINTS["chameleon"], LoadScenario.constant(0.2))
+    with mock.patch.object(tuner, "_size_array", wraps=tuner._size_array) as spy:
+        run_transfer(endpoint, _class_sizes(FILE_CLASSES),
+                     FixedController(ParamConfig(8, 2300, 16, 8, 8)))
+    checked = [c for c in spy.call_args_list
+               if not isinstance(c.args[0], tuner._CheckedSizes)]
+    # the split and the three classes' statistics take the checked array
+    assert len(checked) == 1 and spy.call_count == 1 + 1 + 3
+
+
 def test_a_transfer_starts_from_the_left_to_right_total():
     # numpy's pairwise sum of these sizes rounds differently
     sizes = [5e6 / 3 + k / 3 for k in range(40)]
