@@ -28,7 +28,7 @@ def main():
     # held-out accuracy, one stratum as a spot check
     s0 = strata[0]
     members = [entries[i] for i in s0.members]
-    rep = rmse_holdout(members)
+    rep = rmse_holdout(members, s0.id)
     print(f"\nholdout check on {s0.id} "
           f"({rep['train_count']} train / {rep['test_count']} test):")
     for metric, field in (("energy", "energy_joules"), ("throughput", "throughput_mbps")):

@@ -17,14 +17,15 @@ table builds one row's entry, iterating it shares one ParamConfig,
 DatasetMeta and NetworkMeta among rows equal bit for bit, and
 LogTable.from_entries converts a list.
 
-serialize_logs writes the lines json.dumps(entry.as_dict(), sort_keys=True)
-gives, WRITE_BATCH_LINES at a time, into one line template of the fixed
-sorted key layout. A LogTable is written from its columns: each column's
-distinct values are formatted once (floats told apart by their bits, route
-ids by code), and a column without repeats a batch at a time. A sequence of
-entries is formatted a batch column at a time (float.__repr__, int.__repr__
-or the JSON string encoder where the column is all one plain kind,
-json.dumps per value otherwise).
+serialize_logs has one path: it writes a LogTable from its columns, and a
+sequence of entries as the table LogTable.from_entries makes of it, so a
+list is written as its table holds it: ints in float fields as floats,
+numpy integers as ints, and None, a string in a number field or a float in
+an int field raising. Each line is json.dumps of the row's as_dict() with
+sorted keys, written WRITE_BATCH_LINES at a time into the text pieces of
+the fixed sorted key layout; each column's distinct values are formatted
+once (floats told apart by their bits, route ids by code), and a column
+without repeats a batch at a time.
 
 Parameters are checked against their lower bounds only: logs of real
 transfers need not sit on any parameter lattice.
@@ -36,6 +37,7 @@ import json
 import math
 import operator
 import re
+from array import array
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
@@ -500,20 +502,22 @@ class LogTable:
 
     @classmethod
     def from_entries(cls, entries) -> "LogTable":
-        """Column table of a sequence of TransferLogEntry (not validated)."""
-        n = len(entries)
-        params = np.array([attrgetter(*PARAM_NAMES)(e.params) for e in entries],
-                          dtype=np.int64).reshape(n, len(PARAM_NAMES))
-        floats = {name: np.fromiter(map(attrgetter(f"{section}.{name}"), entries),
-                                    np.float64, n)
-                  for section, names in (("dataset", DATASET_FLOATS),
-                                         ("network", NETWORK_FLOATS))
+        """Column table of a sequence of TransferLogEntry (not validated).
+        Each column is filled through an array.array of C int64 or double,
+        which takes ints and floats, numpy's included, and raises TypeError
+        for a value it would have to convert: None, a string, or a float
+        such as 4.5 in an int field."""
+        def column(path: str, code: str, dtype) -> np.ndarray:
+            return np.frombuffer(array(code, map(attrgetter(path), entries)), dtype)
+
+        floats = {name: column(section + name, "d", np.float64)
+                  for section, names in (("dataset.", DATASET_FLOATS),
+                                         ("network.", NETWORK_FLOATS), ("", METRIC_FIELDS))
                   for name in names}
-        floats.update({name: np.fromiter(map(attrgetter(name), entries), np.float64, n)
-                       for name in METRIC_FIELDS})
         route, routes = _route_codes([e.network.route for e in entries])
-        return cls(params=params,
-                   num_files=np.fromiter((e.dataset.num_files for e in entries), np.int64, n),
+        return cls(params=np.column_stack([column(f"params.{p}", "q", np.int64)
+                                           for p in PARAM_NAMES]),
+                   num_files=column("dataset.num_files", "q", np.int64),
                    route=route, routes=routes, **floats)
 
 
@@ -687,10 +691,10 @@ def ingest_logs(path: str | Path) -> LogTable:
 
 # -- JSON-Lines writing -----------------------------------------------------------
 
-# each leaf field's dotted attribute path, nested as as_dict() nests it
-_LAYOUT = {"params": {n: f"params.{n}" for n in PARAM_NAMES},
-           "dataset": {n: f"dataset.{n}" for n in ("num_files", *DATASET_FLOATS)},
-           "network": {n: f"network.{n}" for n in ("source_id", "dest_id", *NETWORK_FLOATS)},
+# each leaf field's name, nested as as_dict() nests it
+_LAYOUT = {"params": {n: n for n in PARAM_NAMES},
+           "dataset": {n: n for n in ("num_files", *DATASET_FLOATS)},
+           "network": {n: n for n in ("source_id", "dest_id", *NETWORK_FLOATS)},
            **{n: n for n in METRIC_FIELDS}}
 
 
@@ -702,44 +706,34 @@ def _leaves(doc: dict):
         yield from _leaves(value) if isinstance(value, dict) else (value,)
 
 
-_LEAVES = attrgetter(*_leaves(_LAYOUT))
-# one entry line with a %s in place of each leaf value (a string followed
-# by ',' or '}'), in _leaves order
-_LINE = re.sub(r'"[^"]*"(?=[,}])', "%s", json.dumps(_LAYOUT, sort_keys=True)) + "\n"
-# the text around the values: "%s".join(_LINE_PIECES) == _LINE
-_LINE_PIECES = _LINE.split("%s")
-# entries formatted and written at once; a larger batch holds more line
+# the text of one entry line around its leaf values (each a string of the
+# layout followed by ',' or '}'), in _leaves order
+_LINE_PIECES = re.split(r'"[^"]*"(?=[,}])', json.dumps(_LAYOUT, sort_keys=True) + "\n")
+# lines formatted and written at once; a larger batch holds more line
 # strings alive at once for little speed
 WRITE_BATCH_LINES = 256
 
 
-def _column_text(values) -> list:
-    """The JSON text of each value of one column: by one bound method over
-    the column where its values are all one plain kind, else by json.dumps
-    per value (NaN, infinities, bools, subclasses, mixed kinds, and the
-    TypeError of a value JSON cannot write)."""
-    kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
-    return [json.dumps(v, sort_keys=True) for v in values]
+def _column_text(values: list) -> list:
+    """The JSON text of each value of an int64 or float64 column's tolist():
+    repr where every value is finite, else json.dumps per value, which
+    writes NaN and Infinity."""
+    if all(map(math.isfinite, values)):
+        return list(map(repr, values))
+    return list(map(json.dumps, values))
 
 
-def _leaf_text(table: LogTable, path: str):
+def _leaf_text(table: LogTable, name: str):
     """One leaf column of a table as (texts, codes): the JSON text of each
     distinct value, formatted once, as an object array, and each row's
     index into it. Floats are told apart by their bits, so -0.0 keeps its
     sign. Where no value repeats, texts is None and codes is the column
     itself, formatted a batch at a time."""
-    section, _, name = path.rpartition(".")
     if name in ("source_id", "dest_id"):
         k = name == "dest_id"
         return np.array([encode_basestring_ascii(r[k]) for r in table.routes],
                         dtype=object), table.route
-    col = table.params[:, PARAM_NAMES.index(name)] if section == "params" else \
+    col = table.params[:, PARAM_NAMES.index(name)] if name in PARAM_NAMES else \
         getattr(table, name)
     distinct, codes = np.unique(col.view(np.int64), return_inverse=True)
     if len(distinct) == len(col):
@@ -749,9 +743,9 @@ def _leaf_text(table: LogTable, path: str):
 
 def _write_table(table: LogTable, fh) -> None:
     """Write a table's lines WRITE_BATCH_LINES at a time: each batch is one
-    list, the template's text repeated per line, whose value slots are
+    list, the line's text pieces repeated per line, whose value slots are
     filled a leaf column at a time by slice assignment, joined once."""
-    leaves = [_leaf_text(table, path) for path in _leaves(_LAYOUT)]
+    leaves = [_leaf_text(table, name) for name in _leaves(_LAYOUT)]
     width = 2 * len(leaves) + 1
     line = [None] * width
     line[::2] = _LINE_PIECES
@@ -766,22 +760,19 @@ def _write_table(table: LogTable, fh) -> None:
 
 
 def serialize_logs(entries, path: str | Path) -> None:
-    """Write entries (a LogTable or a sequence of TransferLogEntry) as
-    canonical JSON-Lines: each line is json.dumps(entry.as_dict(),
-    sort_keys=True), sorted keys and repr floats.
+    """Write a LogTable, or a sequence of TransferLogEntry as the table
+    LogTable.from_entries makes of it, as canonical JSON-Lines: each line
+    is json.dumps(row.as_dict(), sort_keys=True) of the table's row, sorted
+    keys and repr floats.
 
-    A LogTable is written from its columns by _write_table, each column's
-    distinct values formatted once. A sequence is written WRITE_BATCH_LINES
-    entries at a time: one attrgetter reads every leaf of each entry, each
-    leaf column is formatted by _column_text, which gives the text
-    json.dumps gives each value, and each line is one %-format of the fixed
-    template of the sorted key layout.
+    A list is written as its table holds it: an int in a float field is
+    written as a float (7 as 7.0, as ingest_logs reads it back), numpy
+    integers as ints, and a bool as 1 or 1.0; a value the table cannot hold,
+    such as None, a string in a number field or a float in an int field,
+    raises TypeError before the file is opened. Nothing else is checked:
+    ingest_logs and validate_entry validate. The columns are written by
+    _write_table, each column's distinct values formatted once.
     """
+    table = as_log_table(entries)
     with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(entries, LogTable):
-            _write_table(entries, fh)
-            return
-        it = iter(entries)
-        while batch := list(itertools.islice(it, WRITE_BATCH_LINES)):
-            columns = map(_column_text, zip(*map(_LEAVES, batch)))
-            fh.write("".join(map(_LINE.__mod__, zip(*columns))))
+        _write_table(table, fh)

@@ -254,7 +254,7 @@ def fit_all_strata(entries, strata, with_holdout: bool = True):
         members = table.take(_member_rows(table, s))
         models[s.id] = fit_stratum_models(members, s.id)
         if with_holdout:
-            holdout[s.id] = rmse_holdout(members)
+            holdout[s.id] = rmse_holdout(members, s.id)
     return models, holdout
 
 

@@ -48,7 +48,7 @@ from operator import attrgetter
 import numpy as np
 
 from .logs import PARAM_MIN, PARAM_NAMES, LogTable, ParamConfig, as_log_table, unique_rows
-from .spline import Spline, fit_bicubic_surface, fit_natural_spline
+from .spline import Spline, SplineError, fit_bicubic_surface, fit_natural_spline
 
 PARAM_GROUPS: tuple[tuple[str, ...], ...] = (
     ("cpu_num", "cpu_freq_mhz"),
@@ -308,16 +308,21 @@ class StratumModels:
 
 def fit_stratum_models(members, stratum_id: str) -> StratumModels:
     """Fit the three group models on a stratum's member entries (a
-    LogTable or a list of TransferLogEntry)."""
+    LogTable or a list of TransferLogEntry). A fit that fails raises
+    SurfaceFitError naming the stratum, and the group whose slice failed."""
     if not len(members):
-        raise SurfaceFitError("no entries to fit")
+        raise SurfaceFitError(f"stratum {stratum_id}: no entries to fit")
     table = as_log_table(members)
     modes = _column_modes(table.params)
     groups = []
     for group in PARAM_GROUPS:
         cond = _conditioning(table.params, group, modes)
         rows = np.flatnonzero(_slice_mask(table.params, cond))
-        groups.append(_group_model(group, cond, *_group_grids(table, rows, group)))
+        try:
+            groups.append(_group_model(group, cond, *_group_grids(table, rows, group)))
+        except (SurfaceFitError, SplineError) as exc:
+            raise SurfaceFitError(f"stratum {stratum_id}: group {_group_label(group)}: "
+                                  f"{exc}") from None
     return StratumModels(stratum_id=stratum_id, groups=tuple(groups), entry_count=len(table))
 
 
@@ -342,15 +347,17 @@ def holdout_split(members, seed: int = 0) -> tuple[LogTable, LogTable]:
     return table.take(np.flatnonzero(train)), table.take(np.flatnonzero(~train))
 
 
-def rmse_holdout(members, seed: int = 0) -> dict:
+def rmse_holdout(members, stratum_id: str, seed: int = 0) -> dict:
     """Fit on a stratified train split and score the combined predictor on
     every held-out row: energy_rmse and throughput_rmse (None when no row is
-    held out) next to the split sizes."""
+    held out) next to the split sizes. A refit the train rows cannot support
+    raises SurfaceFitError saying so, with the stratum's fit error."""
     train, test = holdout_split(members, seed=seed)
     try:
-        models = fit_stratum_models(train, "")
+        models = fit_stratum_models(train, stratum_id)
     except SurfaceFitError as exc:
-        raise SurfaceFitError(f"insufficient train coverage: {exc}") from exc
+        raise SurfaceFitError(f"holdout refit on {len(train)} of {len(train) + len(test)} "
+                              f"rows of {exc}") from exc
     rmse = [None] * len(METRICS)
     if len(test):
         logged = np.stack([getattr(test, metric) for metric in METRICS])

@@ -216,7 +216,7 @@ def test_criterion_06_holdout_rmse(corpus_two_sweeps, stratify_config):
     worst_gap = worst_e = worst_t = 0.0
     for s in strata2:
         members = [corpus_two_sweeps[i] for i in s.members]
-        rep = rmse_holdout(members, seed=0)
+        rep = rmse_holdout(members, s.id, seed=0)
         assert rep["test_count"] == len(members) // 2
         models = fit_stratum_models(members, s.id)
         errs = np.array([[models.predict_energy(e.params) - e.energy_joules,

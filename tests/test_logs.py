@@ -660,7 +660,7 @@ def test_a_valid_chunk_is_decoded_by_one_json_loads(tmp_path):
     assert got == want and len(got) == 2100
 
 
-# -- the writer: each line is json.dumps(entry.as_dict(), sort_keys=True) --------
+# -- the writer: each line is json.dumps(row.as_dict(), sort_keys=True) of its table
 
 def dumps_text(entries) -> str:
     return "".join(json.dumps(e.as_dict(), sort_keys=True) + "\n" for e in entries)
@@ -681,14 +681,6 @@ WRITER_FIELDS = {
     **{("network", n): "float" for n in logs.NETWORK_FLOATS},
     **{(None, n): "float" for n in logs.METRIC_FIELDS},
 }
-PLAIN_VALUES = {"float": st.floats(allow_nan=False, allow_infinity=False),
-                "int": st.integers(-2**70, 2**70),
-                "str": st.text(max_size=6)}   # non-ASCII, quotes, escapes
-# values json.dumps writes its own way, or that mix kinds into a column
-ODD_VALUES = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, True, False, None,
-                     np.float64(-0.0), np.float64(math.nan)]),
-    st.integers(-2**70, 2**70), st.floats().map(np.float64), st.text(max_size=3))
 # a batch of 4 lines makes the same edges as the writer's 256 in short
 # corpora, which hypothesis generates and shrinks quickly
 TEST_BATCH = 4
@@ -704,31 +696,6 @@ def entry_of(fields: dict, i: int) -> TransferLogEntry:
                             network=NetworkMeta(**section["network"]), **section[None])
 
 
-@st.composite
-def writer_corpora(draw):
-    """Entries whose leaf columns cycle through a few plain values of their
-    kind, with a few odd values put in anywhere."""
-    n = draw(st.sampled_from(TEST_SIZES))
-    fields = {}
-    for leaf, kind in WRITER_FIELDS.items():
-        pool = draw(st.lists(PLAIN_VALUES[kind], min_size=1, max_size=3))
-        col = [pool[i % len(pool)] for i in range(n)]
-        if n:
-            for i, value in draw(st.lists(st.tuples(st.integers(0, n - 1), ODD_VALUES),
-                                          max_size=2)):
-                col[i] = value
-        fields[leaf] = col
-    return [entry_of(fields, i) for i in range(n)]
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(entries=writer_corpora())
-def test_written_lines_equal_json_dumps_of_each_entry(tmp_path_factory, entries):
-    path = tmp_path_factory.mktemp("writer") / "logs.jsonl"
-    with mock.patch.object(logs, "WRITE_BATCH_LINES", TEST_BATCH):
-        assert written_text(entries, path) == dumps_text(entries)
-
-
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1025])
 def test_an_odd_value_is_written_alone_at_each_batch_edge(tmp_path, n):
     assert logs.WRITE_BATCH_LINES == 256
@@ -739,7 +706,30 @@ def test_an_odd_value_is_written_alone_at_each_batch_edge(tmp_path, n):
     for i, over in odd.items():
         if i < n:
             entries[i] = replace(entries[i], **over)
-    assert written_text(entries, tmp_path / "logs.jsonl") == dumps_text(entries)
+    assert written_text(entries, tmp_path / "logs.jsonl") == \
+        dumps_text(LogTable.from_entries(entries))
+
+
+def test_a_list_is_written_as_its_table_holds_it(tmp_path):
+    """Ints in float fields are written as floats, numpy integers and bools
+    as the numbers the table holds; None, a string in a number field or a
+    float in an int field raises before the file opens."""
+    odd = make_entry(throughput_mbps=7, avg_power_watts=True,
+                     dataset=DatasetMeta(True, 1e9, 1e9, 0.0),
+                     params=ParamConfig(np.int64(4), 1200, 4, 2, 0))
+    held = make_entry(throughput_mbps=7.0, avg_power_watts=1.0,
+                      dataset=DatasetMeta(1, 1e9, 1e9, 0.0),
+                      params=ParamConfig(4, 1200, 4, 2, 0))
+    assert written_text([odd], tmp_path / "logs.jsonl") == dumps_text([held])
+    for over in (dict(throughput_mbps=None), dict(params=ParamConfig(1, None, 4, 2, 0)),
+                 dict(network=NetworkMeta(None, "b", 1e4, 30.0, 0.2)),
+                 dict(network=NetworkMeta("a", "b", "1e4", 30.0, 0.2)),
+                 dict(params=ParamConfig(1, 1200, 4.5, 2, 0)),
+                 dict(dataset=DatasetMeta(100.0, 1e9, 1e7, 1e6))):
+        path = tmp_path / "none.jsonl"
+        with pytest.raises(TypeError):
+            serialize_logs([make_entry(), make_entry(**over)], path)
+        assert not path.exists()
 
 
 def test_a_table_is_written_as_its_entries(tmp_path):
@@ -751,16 +741,6 @@ def test_a_table_is_written_as_its_entries(tmp_path):
     text = written_text(table, tmp_path / "table.jsonl")
     assert text == dumps_text(table) == dumps_text(entries)
     assert '"source_id": "\\u00e9\\"\\\\"' in text and "Infinity" in text and "NaN" in text
-
-
-@pytest.mark.parametrize("at", [0, 300])
-def test_a_value_json_cannot_write_still_raises_type_error(tmp_path, at):
-    entries = [make_entry(timestamp_s=float(i)) for i in range(400)]
-    entries[at] = replace(entries[at], params=replace(entries[at].params, cc=np.int64(4)))
-    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
-        json.dumps(entries[at].as_dict(), sort_keys=True)
-    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
-        serialize_logs(entries, tmp_path / "logs.jsonl")
 
 
 # -- a table written from its columns ------------------------------------------------
@@ -808,7 +788,8 @@ def test_a_table_is_written_as_json_dumps_of_each_row(tmp_path_factory, entries)
     table = LogTable.from_entries(entries)
     path = tmp_path_factory.mktemp("writer") / "logs.jsonl"
     with mock.patch.object(logs, "WRITE_BATCH_LINES", TEST_BATCH):
-        assert written_text(table, path) == dumps_text(entries)
+        for written in (table, entries):
+            assert written_text(written, path) == dumps_text(entries)
 
 
 def test_the_table_writer_keeps_the_sign_of_zero(tmp_path):

@@ -469,6 +469,58 @@ def test_fit_rejects_strata_from_a_longer_log(chain, tmp_path, capsys):
     assert "is not in the log of 100 entries" in capsys.readouterr().err
 
 
+def test_fit_without_holdout_writes_the_same_strata_and_no_rmse(chain, tmp_path, capsys):
+    out = tmp_path / "models.json"
+    capsys.readouterr()
+    assert cli.main(["fit", "--logs", str(chain / "logs.jsonl"),
+                     "--strata", str(chain / "strata.json"),
+                     "--out", str(out), "--no-holdout"]) == 0
+    assert capsys.readouterr().out == f"fitted 9 strata -> {out}\n"
+    doc, full = (json.loads(path.read_text()) for path in (out, chain / "models.json"))
+    assert "holdout" not in doc and "holdout" in full
+    assert doc["strata"] == full["strata"]
+
+
+# the fit error of a 2-route corpus with a share of its rows dropped
+RAGGED_FIT_ERRORS = {
+    (0.5, 1): r"stratum s\d{3}: group pp: insufficient distinct pp values in conditioning slice",
+    (0.8, 2): (r"holdout refit on \d+ of \d+ rows of stratum s\d{3}: "
+               r"group cpu_num\+cpu_freq_mhz: insufficient distinct cpu_freq_mhz values "
+               r"in conditioning slice"),
+}
+
+
+def test_fit_errors_on_ragged_corpora_name_the_stratum_once(tmp_path, capsys):
+    full, logs, strata = (tmp_path / n for n in ("full.jsonl", "logs.jsonl", "strata.json"))
+    assert cli.main(["generate", "--endpoints", "chameleon,cloudlab", "--sweeps", "2",
+                     "--noise", "0.02", "--seed", "1", "--out", str(full)]) == 0
+    lines = full.read_text().splitlines(keepends=True)
+    for (drop, seed), message in RAGGED_FIT_ERRORS.items():
+        kept = np.random.default_rng(seed).permutation(len(lines))[
+            :len(lines) - int(drop * len(lines))]
+        logs.write_text("".join(lines[i] for i in sorted(kept)))
+        assert cli.main(["stratify", "--logs", str(logs), "--out", str(strata)]) == 0
+        capsys.readouterr()
+        assert cli.main(["fit", "--logs", str(logs), "--strata", str(strata),
+                         "--out", str(tmp_path / "models.json")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {message}\n", err), err
+        assert err.count("stratum") == 1
+        assert not (tmp_path / "models.json").exists()
+
+
+def test_a_generated_log_round_trips_through_ingest_byte_for_byte(tmp_path):
+    """The round trip of the CI workflow: ingest --out rewrites a generated
+    log to the same bytes, and so does writing the list of its entries."""
+    a, b, c = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "c.jsonl"))
+    assert cli.main(["generate", "--endpoints", "chameleon,cloudlab", "--sweeps", "2",
+                     "--noise", "0.02", "--seed", "3", "--out", str(a)]) == 0
+    assert cli.main(["ingest", "--logs", str(a), "--out", str(b)]) == 0
+    serialize_logs(list(generate_training_logs(
+        specs=[ENDPOINTS["chameleon"], ENDPOINTS["cloudlab"]], sweeps=2, noise=0.02, seed=3)), c)
+    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+
 @pytest.mark.parametrize("bad", [-1, 3888, 2.0, "3", True])
 def test_fit_rejects_bad_member_indices(corpus, strata, bad):
     s0 = strata[0]
@@ -709,7 +761,7 @@ def test_fit_exits_2_on_a_log_whose_surface_coefficients_overflow(tmp_path, caps
     assert cli.main(["fit", "--logs", str(logs), "--strata", str(strata),
                      "--out", str(tmp_path / "models.json")]) == 2
     err = capsys.readouterr().err
-    assert err == "error: surface coefficients overflow\n"
+    assert err == "error: stratum s000: group cc+p: surface coefficients overflow\n"
     assert not (tmp_path / "models.json").exists()
 
 

@@ -337,9 +337,10 @@ def test_fill_grid_crosses_axes_and_falls_back_to_mean():
 def test_fit_requires_two_distinct_values_per_axis():
     axes = dict(AXES)
     axes["cc"] = (4,)
-    with pytest.raises(SurfaceFitError, match="insufficient distinct cc values"):
+    with pytest.raises(SurfaceFitError, match=r"^stratum sX: group cc\+p: "
+                                              r"insufficient distinct cc values"):
         fit_stratum_models(make_members(axes), "sX")
-    with pytest.raises(SurfaceFitError, match="no entries to fit"):
+    with pytest.raises(SurfaceFitError, match="^stratum sX: no entries to fit$"):
         fit_stratum_models([], "sX")
 
 
@@ -374,14 +375,14 @@ def test_holdout_split_is_seed_deterministic():
 
 
 def test_single_sweep_holdout_has_no_test_entries():
-    report = rmse_holdout(make_members())
+    report = rmse_holdout(make_members(), "sX")
     assert report == {"energy_rmse": None, "throughput_rmse": None,
                       "train_count": len(make_members()), "test_count": 0}
 
 
 def test_duplicate_sweeps_give_zero_holdout_rmse():
     members = make_members(copies=2)
-    report = rmse_holdout(members, seed=3)
+    report = rmse_holdout(members, "sX", seed=3)
     assert report["test_count"] > 0
     for metric, key in zip(METRICS, ("energy_rmse", "throughput_rmse")):
         mean = np.mean([getattr(e, metric) for e in members])
@@ -391,8 +392,12 @@ def test_duplicate_sweeps_give_zero_holdout_rmse():
 def test_insufficient_train_coverage_is_reported():
     axes = dict(AXES)
     axes["p"] = (2,)
-    with pytest.raises(SurfaceFitError, match="insufficient train coverage"):
-        rmse_holdout(make_members(axes, copies=2))
+    members = make_members(axes, copies=2)
+    with pytest.raises(SurfaceFitError) as got:
+        rmse_holdout(members, "sX")
+    assert str(got.value) == (f"holdout refit on {len(members) // 2} of {len(members)} rows "
+                              f"of stratum sX: group cc+p: insufficient distinct p values "
+                              f"in conditioning slice")
 
 
 def test_group_layout():
@@ -524,6 +529,16 @@ def legacy_grid_1d(slice_members, name, metric):
         obs = [getattr(e, metric) for e in slice_members if e.params.get(name) == v]
         vals.append(functools.reduce(operator.add, obs, 0) / len(obs))
     return np.array(xs, dtype=float), np.array(vals)
+
+
+def named_fit_error(legacy: SurfaceFitError, stratum_id: str) -> str:
+    """The error fit_stratum_models raises where the legacy fit raised
+    legacy: the same message, after the stratum and the group whose
+    conditioning slice lacks the values."""
+    name = re.fullmatch(r"insufficient distinct (\w+) values in conditioning slice",
+                        str(legacy))[1]
+    group = next(g for g in PARAM_GROUPS if name in g)
+    return f"stratum {stratum_id}: group {'+'.join(group)}: {legacy}"
 
 
 def legacy_fit_stratum_models(members, stratum_id):
@@ -663,7 +678,7 @@ def test_fit_matches_legacy_per_metric_fit(members):
     except SurfaceFitError as exc:
         with pytest.raises(SurfaceFitError) as got:
             fit_stratum_models(table, "h")
-        assert str(got.value) == str(exc)
+        assert str(got.value) == named_fit_error(exc, "h")
         return
     got = fit_stratum_models(table, "h")
     assert len(got.groups) == len(want.energy) == len(want.throughput)
@@ -766,10 +781,11 @@ def test_holdout_rmse_scores_the_combined_predictor_on_every_held_out_row(member
         models = legacy_fit_stratum_models(list(train), "")
     except SurfaceFitError as exc:
         with pytest.raises(SurfaceFitError) as got:
-            rmse_holdout(table, seed=seed)
-        assert str(got.value) == f"insufficient train coverage: {exc}"
+            rmse_holdout(table, "h", seed=seed)
+        assert str(got.value) == (f"holdout refit on {len(train)} of {len(table)} rows "
+                                  f"of {named_fit_error(exc, 'h')}")
         return
-    report = rmse_holdout(table, seed=seed)
+    report = rmse_holdout(table, "h", seed=seed)
     assert (report["train_count"], report["test_count"]) == (len(train), len(test))
     for key, predict, metric in (("energy_rmse", models.predict_energy, "energy_joules"),
                                  ("throughput_rmse", models.predict_throughput,
