@@ -681,6 +681,15 @@ WRITER_FIELDS = {
     **{("network", n): "float" for n in logs.NETWORK_FLOATS},
     **{(None, n): "float" for n in logs.METRIC_FIELDS},
 }
+PLAIN_VALUES = {"float": st.floats(allow_nan=False, allow_infinity=False),
+                "int": st.integers(-2**63, 2**63 - 1),
+                "str": st.text(max_size=6)}   # non-ASCII, quotes, escapes
+# values of a leaf's kind that json.dumps writes its own way
+ODD_VALUES = {"float": st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                                                  np.float64(-0.0), np.float64(math.nan)]),
+                                 st.floats().map(np.float64)),
+              "int": st.sampled_from([0, -1, 2**63 - 1, -2**63]),
+              "str": st.text(max_size=3)}
 # a batch of 4 lines makes the same edges as the writer's 256 in short
 # corpora, which hypothesis generates and shrinks quickly
 TEST_BATCH = 4
@@ -694,6 +703,33 @@ def entry_of(fields: dict, i: int) -> TransferLogEntry:
     return TransferLogEntry(params=ParamConfig(**section["params"]),
                             dataset=DatasetMeta(**section["dataset"]),
                             network=NetworkMeta(**section["network"]), **section[None])
+
+
+@st.composite
+def writer_corpora(draw):
+    """Entries whose leaf columns cycle through a few plain values of their
+    kind, with a few odd values of the leaf's kind put in anywhere."""
+    n = draw(st.sampled_from(TEST_SIZES))
+    fields = {}
+    for leaf, kind in WRITER_FIELDS.items():
+        pool = draw(st.lists(PLAIN_VALUES[kind], min_size=1, max_size=3))
+        col = [pool[i % len(pool)] for i in range(n)]
+        if n:
+            for i, value in draw(st.lists(st.tuples(st.integers(0, n - 1), ODD_VALUES[kind]),
+                                          max_size=2)):
+                col[i] = value
+        fields[leaf] = col
+    return [entry_of(fields, i) for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(entries=writer_corpora())
+def test_written_lines_equal_json_dumps_of_each_entry(tmp_path_factory, entries):
+    """A list whose values its table holds as they are is written as
+    json.dumps of each entry."""
+    path = tmp_path_factory.mktemp("writer") / "logs.jsonl"
+    with mock.patch.object(logs, "WRITE_BATCH_LINES", TEST_BATCH):
+        assert written_text(entries, path) == dumps_text(entries)
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1025])
@@ -741,6 +777,22 @@ def test_a_table_is_written_as_its_entries(tmp_path):
     text = written_text(table, tmp_path / "table.jsonl")
     assert text == dumps_text(table) == dumps_text(entries)
     assert '"source_id": "\\u00e9\\"\\\\"' in text and "Infinity" in text and "NaN" in text
+
+
+@pytest.mark.parametrize("at", [0, 300])
+def test_a_value_json_cannot_write_still_raises_type_error(tmp_path, at):
+    entries = [make_entry(timestamp_s=float(i)) for i in range(400)]
+    held = list(entries)
+    entries[at] = replace(entries[at], params=replace(entries[at].params, cc=complex(4)))
+    with pytest.raises(TypeError, match="complex is not JSON serializable"):
+        json.dumps(entries[at].as_dict(), sort_keys=True)
+    with pytest.raises(TypeError, match="complex"):
+        serialize_logs(entries, tmp_path / "logs.jsonl")
+    assert not (tmp_path / "logs.jsonl").exists()
+    # a numpy integer is a value the table holds: written as the int
+    entries[at] = replace(held[at], params=replace(held[at].params, cc=np.int64(4)))
+    held[at] = replace(held[at], params=replace(held[at].params, cc=4))
+    assert written_text(entries, tmp_path / "logs.jsonl") == dumps_text(held)
 
 
 # -- a table written from its columns ------------------------------------------------
