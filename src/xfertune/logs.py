@@ -6,16 +6,17 @@ achieved throughput / energy. Entries are exchanged as JSON-Lines files with a
 fixed key set; unknown keys are rejected so silent schema drift cannot creep
 into downstream fitting.
 
-ingest_logs decodes a chunk of lines with one json.loads of the lines joined
-into a JSON array, kept only when that provably equals decoding each line
-alone (else the chunk is decoded line by line), and validates the chunk with
-numpy masks, against the same ordered rule list that validate_entry applies
-to one entry, so both report the same first broken invariant. It returns a
-LogTable: one numpy column per field, which stratification and fitting read
-directly. TransferLogEntry stays the record type at the edges: indexing a
-table builds one row's entry, iterating it shares one ParamConfig,
-DatasetMeta and NetworkMeta among rows equal bit for bit, and
-LogTable.from_entries converts a list.
+ingest_logs decodes a chunk of lines with one orjson.loads of the lines
+joined into a JSON array, kept only when that provably equals decoding each
+line alone with the standard library's json.loads (else the chunk is decoded
+line by line with json.loads, which gives every parse and validation error
+its message), and validates the chunk with numpy masks, against the same
+ordered rule list that validate_entry applies to one entry, so both report
+the same first broken invariant. It returns a LogTable: one numpy column
+per field, which stratification and fitting read directly. TransferLogEntry
+stays the record type at the edges: indexing a table builds one row's
+entry, iterating it shares one ParamConfig, DatasetMeta and NetworkMeta
+among rows equal bit for bit, and LogTable.from_entries converts a list.
 
 serialize_logs has one path: it writes a LogTable from its columns, and a
 sequence of entries as the table LogTable.from_entries makes of it, so a
@@ -44,6 +45,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 # relative tolerance for energy == avg_power * duration
 ENERGY_POWER_TOL = 0.01
@@ -588,9 +590,21 @@ def _checked_columns(raw: dict, line_nos: list) -> dict:
 
 
 def _batch_columns(lines: list) -> dict | None:
-    """Validated columns of stripped nonempty lines decoded by one json.loads
-    of "[" + ",".join(lines) + "]", or None unless that decode is certainly
-    what decoding each line alone gives and every entry is valid.
+    """Validated columns of stripped nonempty lines decoded by one
+    orjson.loads of "[" + ",".join(lines) + "]", or None unless that decode
+    is certainly what json.loads of each line alone gives and every entry
+    is valid.
+
+    orjson accepts only strict RFC 8259 JSON, a subset of what json.loads
+    accepts (it refuses NaN and Infinity literals, numbers that overflow a
+    double and unpaired surrogate escapes), and reads the same tree from it.
+    Its values give the same typed columns: strings and ints in
+    [-2**63, 2**64) are equal, and both decoders round a float token to the
+    nearest double. An integer token outside that range becomes a float,
+    which an int field rejects, as it rejects json.loads's int outside
+    int64, and which a float field holds as the nearest double, as it holds
+    float() of json.loads's int. So a chunk orjson decodes gives the columns
+    json.loads of the joined text gives, and the rest is about that text.
 
     The batch equals the per-line decode when every join comma separates two
     top-level values. A join comma inside a value would sit in a string, in
@@ -614,8 +628,8 @@ def _batch_columns(lines: list) -> dict | None:
     if text.count('"') != _ENTRY_QUOTES * len(lines):
         return None
     try:
-        objs = json.loads(text)
-    except json.JSONDecodeError:
+        objs = orjson.loads(text)
+    except orjson.JSONDecodeError:
         return None
     if len(objs) != len(lines) or (raw := _raw_columns(objs)) is None:
         return None
@@ -666,9 +680,9 @@ def ingest_logs(path: str | Path) -> LogTable:
     Raises LogParseError for malformed lines and LogValidationError for
     entries violating domain invariants; both name the earliest offending
     line. Lines are read in chunks of INGEST_CHUNK_LINES, each decoded by
-    one json.loads where _batch_columns can prove that equal to decoding
-    line by line, and validated column-wise; integers in float fields load
-    as floats.
+    one orjson.loads where _batch_columns can prove that equal to decoding
+    line by line with json.loads, and validated column-wise; integers in
+    float fields load as floats.
     """
     chunks, pairs, known = [], [], {}
     with open(path, "r", encoding="utf-8") as fh:

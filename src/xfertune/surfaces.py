@@ -330,8 +330,11 @@ def holdout_split(members, seed: int = 0) -> tuple[LogTable, LogTable]:
     """70/30 split stratified per observed parameter tuple, as two tables.
 
     One permutation of the rows orders each tuple's rows; the first
-    max(1, floor(0.7 * count)) of them train, so the train grid covers every
-    observed lattice point and refitting cannot lose axis values.
+    max(1, floor(0.7 * count)) of them train, so the train rows hold every
+    observed parameter tuple. The refit can still fail where the whole
+    stratum fits: it takes the train rows' own modal conditioning, which
+    can differ from the stratum's, so a group's conditioning slice can lack
+    axis values (ROADMAP items 9 and 17).
     """
     if not len(members):
         raise SurfaceFitError("no entries to split")

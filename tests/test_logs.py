@@ -13,6 +13,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,7 @@ from xfertune import (
 from xfertune import cli, logs
 from xfertune.logs import (
     ENERGY_POWER_TOL,
+    FLOAT_COLUMNS,
     PARAM_MIN,
     PARAM_NAMES,
     SIZE_MEAN_TOL,
@@ -460,9 +462,18 @@ FAULTS = st.one_of(
 )
 
 
+def as_loaded(doc: dict) -> dict:
+    """An entry's as_dict() with ints in float fields as the floats ingest
+    loads them as."""
+    return {k: as_loaded(v) if isinstance(v, dict) else float(v) if k in FLOAT_COLUMNS else v
+            for k, v in doc.items()}
+
+
 def outcome(ingest, path):
+    """The repr of each entry an ingest gives, which tells floats apart bit
+    for bit and -0.0 from 0.0, or the error it raises."""
     try:
-        return [e.as_dict() for e in ingest(path)]
+        return [repr(as_loaded(e.as_dict())) for e in ingest(path)]
     except LogError as exc:
         return type(exc), str(exc)
 
@@ -492,7 +503,7 @@ def with_route(k: int, source_id: str) -> dict:
     return obj
 
 
-# Corpora that try to make the chunk's one joined json.loads read something
+# Corpora that try to make the chunk's one joined decode read something
 # other than its lines. In the first four, two lines join into one entry and
 # a later line holds two entries (or extra quote marks), so the joined text
 # still decodes to one valid entry per line. Each check of the joined decode
@@ -536,6 +547,69 @@ JOIN_BREAKERS = (
 )
 
 
+def token_line(k: int, **tokens) -> str:
+    """valid_obj(k) as a line with the named fields (a section's field as
+    section__name) written as the given JSON token text."""
+    obj = valid_obj(k)
+    for name in tokens:
+        set_field(obj, tuple(name.split("__")), f"@{name}@")
+    line = json.dumps(obj)
+    for name, token in tokens.items():
+        line = line.replace(f'"@{name}@"', token)
+    return line
+
+
+# 2**-1075, halfway between 0.0 and the least subnormal, written exactly
+_TIE = "0." + str(5 ** 1075).rjust(1075, "0")
+# Corpora of number and string spellings where orjson might read another value
+# than json.loads: the chunk's one orjson.loads must keep json.loads's value,
+# or refuse the chunk and leave it to the per-line path.
+DECODER_EDGES = (
+    # subnormals, the halfway tie and the values either side of it
+    corpus_text([token_line(0, timestamp_s="2.4703282292062328e-324",
+                            dataset__file_size_stddev_bytes="4.9406564584124654e-324"),
+                 token_line(1, timestamp_s="2.4703282292062327e-324", network__rtt_ms="1e-320"),
+                 token_line(2, timestamp_s=_TIE, network__ext_load="2.2250738585072011e-308"),
+                 token_line(3, timestamp_s="-" + _TIE,
+                            dataset__file_size_stddev_bytes="3" + _TIE[1:]),
+                 token_line(4, timestamp_s="-2.4703282292062328e-324")]),
+    # ints past 2**53 in a float field, one odd and one a round-half-even tie
+    corpus_text([token_line(0, timestamp_s="9007199254740993"),
+                 token_line(1, timestamp_s="9007199254740995",
+                            network__bandwidth_mbps="9007199254740993"),
+                 token_line(2, timestamp_s="-9007199254740993")]),
+    # 20-25-digit mantissas, either side of a halfway point, and the largest double
+    corpus_text([token_line(0, timestamp_s="1.0000000000000001110223"),
+                 token_line(1, timestamp_s="1.0000000000000001110224",
+                            network__rtt_ms="30.00000000000000177635684"),
+                 token_line(2, timestamp_s="123456789012345678901234.5",
+                            network__ext_load="0.2999999999999999888977697"),
+                 token_line(3, timestamp_s="12345678901234567890123e-25",
+                            network__bandwidth_mbps="1.7976931348623158e308")]),
+    # ints of 2**64 and above in a float field, and below -2**63
+    corpus_text([token_line(0, timestamp_s=str(2 ** 64)),
+                 token_line(1, timestamp_s=str(2 ** 64 + 1),
+                            network__bandwidth_mbps=str(3 * 2 ** 64 + 1)),
+                 token_line(2, timestamp_s=str(2 ** 70 + 2 ** 17)),
+                 token_line(3, timestamp_s=str(10 ** 25 + 1)),
+                 token_line(4, timestamp_s=str(-2 ** 63 - 1))]),
+    # ints of 2**64 and above, and below -2**63, in an int field; the oracle
+    # has no int64 bound, so a line with one above 2**63 breaks an earlier
+    # rule as well, which both ingests name
+    corpus_text([valid_obj(0), token_line(1, params__cc=str(2 ** 64), params__p="0"),
+                 valid_obj(2)]),
+    corpus_text([valid_obj(0), token_line(1, dataset__num_files=str(2 ** 64 + 1),
+                                          params__cpu_num="0")]),
+    corpus_text([valid_obj(0), token_line(1, params__pp=str(-2 ** 63 - 1))]),
+    # tokens json.loads reads as inf and orjson refuses
+    corpus_text([valid_obj(0), token_line(1, timestamp_s="1.7976931348623159e308")]),
+    corpus_text([valid_obj(0), token_line(1, throughput_mbps="1e400"), valid_obj(2)]),
+    # valid route ids holding a lone surrogate escape, and a pair
+    corpus_text([valid_obj(0), with_route(1, "a\ud800"), with_route(2, "\udc00"),
+                 with_route(3, "\U0001f600")]),
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(text=faulty_corpora(), chunk=st.sampled_from([1, 2, 3, 7, 1024]))
 @example(text=JOIN_BREAKERS[0], chunk=1024)
@@ -549,6 +623,16 @@ JOIN_BREAKERS = (
 @example(text=JOIN_BREAKERS[8], chunk=1024)
 @example(text=JOIN_BREAKERS[9], chunk=1024)
 @example(text=JOIN_BREAKERS[10], chunk=1024)
+@example(text=DECODER_EDGES[0], chunk=1024)
+@example(text=DECODER_EDGES[1], chunk=1024)
+@example(text=DECODER_EDGES[2], chunk=1024)
+@example(text=DECODER_EDGES[3], chunk=1024)
+@example(text=DECODER_EDGES[4], chunk=1024)
+@example(text=DECODER_EDGES[5], chunk=1024)
+@example(text=DECODER_EDGES[6], chunk=1024)
+@example(text=DECODER_EDGES[7], chunk=1024)
+@example(text=DECODER_EDGES[8], chunk=1024)
+@example(text=DECODER_EDGES[9], chunk=1024)
 def test_ingest_matches_legacy_per_line_ingest(tmp_path_factory, text, chunk):
     path = tmp_path_factory.mktemp("corpus") / "logs.jsonl"
     path.write_text(text)
@@ -648,15 +732,17 @@ def test_first_bad_line_wins_across_the_chunk_boundary(tmp_path, faults):
 
 
 def test_a_valid_chunk_is_decoded_by_one_json_loads(tmp_path):
-    """2,100 valid lines are three chunks: one json.loads each, none per line."""
+    """2,100 valid lines are three chunks: one orjson.loads each, and no
+    json.loads per line."""
     lines = [json.dumps(valid_obj(k)) for k in range(2100)]
     path = tmp_path / "logs.jsonl"
     path.write_text("\n".join(lines) + "\n")
     want = outcome(legacy_ingest_logs, path)
     assert logs.INGEST_CHUNK_LINES == 1024
-    with mock.patch.object(logs.json, "loads", wraps=json.loads) as loads:
+    with mock.patch.object(logs.orjson, "loads", wraps=orjson.loads) as batch_loads, \
+            mock.patch.object(logs.json, "loads", wraps=json.loads) as line_loads:
         got = outcome(ingest_logs, path)
-    assert loads.call_count == 3
+    assert batch_loads.call_count == 3 and line_loads.call_count == 0
     assert got == want and len(got) == 2100
 
 
