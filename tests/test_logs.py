@@ -283,12 +283,17 @@ def legacy_validate_params(params):
     for name in PARAM_NAMES:
         if params.get(name) < PARAM_MIN[name]:
             return f"{name} must be >= {PARAM_MIN[name]}"
+    for name in PARAM_NAMES:
+        if params.get(name) >= 2 ** 63:
+            return f"{name} must be < 2**63"
     return None
 
 
 def legacy_validate_dataset(meta):
     if not legacy_is_int(meta.num_files) or meta.num_files < 1:
         return "num_files must be >= 1"
+    if meta.num_files >= 2 ** 63:
+        return "num_files must be < 2**63"
     for name in ("total_size_bytes", "avg_file_size_bytes", "file_size_stddev_bytes"):
         if not legacy_is_num(getattr(meta, name)):
             return f"{name} must be a finite number"
@@ -406,9 +411,10 @@ FIELD_PATHS = ([("params", n) for n in PARAM_NAMES]
                + [("network", n) for n in sorted(LEGACY_KEYS["network"])]
                + [(n,) for n in sorted(LEGACY_KEYS["entry"] - {"params", "dataset", "network"})])
 # replacement values: wrong types, bools, NaN/Infinity literals, zero,
-# negative, fractional, huge and small values, mismatched ints and floats
-FAULT_VALUES = (0, -1, 1, 3, 2.0, 0.5, -0.0, 1e-12, 1e300, "", "a", None, True, False,
-                [], {}, math.nan, math.inf, -math.inf)
+# negative, fractional, huge and small values, ints outside int64,
+# mismatched ints and floats
+FAULT_VALUES = (0, -1, 1, 3, 2.0, 0.5, -0.0, 1e-12, 1e300, 2 ** 63, 2 ** 64 + 1, -2 ** 63 - 1,
+                "", "a", None, True, False, [], {}, math.nan, math.inf, -math.inf)
 
 
 def valid_obj(k: int) -> dict:
@@ -593,13 +599,9 @@ DECODER_EDGES = (
                  token_line(2, timestamp_s=str(2 ** 70 + 2 ** 17)),
                  token_line(3, timestamp_s=str(10 ** 25 + 1)),
                  token_line(4, timestamp_s=str(-2 ** 63 - 1))]),
-    # ints of 2**64 and above, and below -2**63, in an int field; the oracle
-    # has no int64 bound, so a line with one above 2**63 breaks an earlier
-    # rule as well, which both ingests name
-    corpus_text([valid_obj(0), token_line(1, params__cc=str(2 ** 64), params__p="0"),
-                 valid_obj(2)]),
-    corpus_text([valid_obj(0), token_line(1, dataset__num_files=str(2 ** 64 + 1),
-                                          params__cpu_num="0")]),
+    # ints of 2**64 and above, and below -2**63, in an int field
+    corpus_text([valid_obj(0), token_line(1, params__cc=str(2 ** 64)), valid_obj(2)]),
+    corpus_text([valid_obj(0), token_line(1, dataset__num_files=str(2 ** 64 + 1))]),
     corpus_text([valid_obj(0), token_line(1, params__pp=str(-2 ** 63 - 1))]),
     # tokens json.loads reads as inf and orjson refuses
     corpus_text([valid_obj(0), token_line(1, timestamp_s="1.7976931348623159e308")]),
@@ -655,6 +657,7 @@ def test_faults_reach_every_rule(tmp_path):
                 seen.add(got[1].rsplit(",", 1)[0])
     rules = {f"{n} must be an integer" for n in PARAM_NAMES}
     rules |= {f"{n} must be >= {PARAM_MIN[n]}" for n in PARAM_NAMES}
+    rules |= {f"{n} must be < 2**63" for n in (*PARAM_NAMES, "num_files")}
     rules |= {f"{n} must be a finite number" for n in
               ("total_size_bytes", "avg_file_size_bytes", "file_size_stddev_bytes",
                "throughput_mbps", "energy_joules", "avg_power_watts", "duration_s",
