@@ -6,13 +6,13 @@ achieved throughput / energy. Entries are exchanged as JSON-Lines files with a
 fixed key set; unknown keys are rejected so silent schema drift cannot creep
 into downstream fitting.
 
-ingest_logs decodes a chunk of lines with one orjson.loads of the lines
-joined into a JSON array, kept only when that provably equals decoding each
-line alone with the standard library's json.loads (else the chunk is decoded
-line by line with json.loads, which gives every parse and validation error
-its message), and validates the chunk with numpy masks, against the same
-ordered rule list that validate_entry applies to one entry, so both report
-the same first broken invariant. It returns a LogTable: one numpy column
+ingest_logs decodes each line of a chunk with one orjson.loads, whose
+values equal the standard library's json.loads on every valid entry, and
+validates the chunk with numpy masks, against the same ordered rule list
+that validate_entry applies to one entry, so both report the same first
+broken invariant. A chunk with a line orjson refuses or an invalid entry is
+decoded again line by line with json.loads, which gives every parse and
+validation error its message. It returns a LogTable: one numpy column
 per field, which stratification and fitting read directly. TransferLogEntry
 stays the record type at the edges: indexing a table builds one row's
 entry, iterating it shares one ParamConfig, DatasetMeta and NetworkMeta
@@ -536,9 +536,6 @@ _NETWORK_KEYS = {"source_id", "dest_id", *NETWORK_FLOATS}
 _TOP_KEYS = {"params", "dataset", "network", *METRIC_FIELDS}
 # lines decoded at once: bounds the decoded dicts held alongside the columns
 INGEST_CHUNK_LINES = 1024
-# quote marks around the keys and string values of one valid entry
-_ENTRY_QUOTES = 2 * (len(_TOP_KEYS) + len(_PARAM_KEYS) + len(_DATASET_KEYS)
-                     + len(_NETWORK_KEYS) + list(_KINDS.values()).count("str"))
 
 
 def _check_keys(obj: dict, expected: set, where: str, line_no: int) -> None:
@@ -590,56 +587,31 @@ def _checked_columns(raw: dict, line_nos: list) -> dict:
 
 
 def _batch_columns(lines: list) -> dict | None:
-    """Validated columns of stripped nonempty lines decoded by one
-    orjson.loads of "[" + ",".join(lines) + "]", or None unless that decode
-    is certainly what json.loads of each line alone gives and every entry
+    """Validated columns of stripped nonempty lines, each decoded by one
+    orjson.loads, or None unless orjson decodes every line and every entry
     is valid.
 
-    orjson accepts only strict RFC 8259 JSON, a subset of what json.loads
-    accepts (it refuses NaN and Infinity literals, numbers that overflow a
-    double and unpaired surrogate escapes), and reads the same tree from it.
-    Its values give the same typed columns: strings and ints in
-    [-2**63, 2**64) are equal, and both decoders round a float token to the
-    nearest double. An integer token outside that range becomes a float,
-    which an int field rejects, as it rejects json.loads's int outside
-    int64, and which a float field holds as the nearest double, as it holds
-    float() of json.loads's int. So a chunk orjson decodes gives the columns
-    json.loads of the joined text gives, and the rest is about that text.
-
-    The batch equals the per-line decode when every join comma separates two
-    top-level values. A join comma inside a value would sit in a string, in
-    an array, or between two members of an object. Each accepted entry has
-    its fixed keys and two route ids, each a string written with at least
-    two quote marks, so a text with exactly _ENTRY_QUOTES quote marks per
-    line holds no other string: no escaped quote, and no repeated key, whose
-    earlier value json.loads would drop unseen. The text then holds only
-    what the accepted values hold: no array, and no string but the fixed
-    keys and the route ids, none with a comma. A member after a comma starts
-    with '"', but every line starts with '{'. So all len(lines) - 1 join
-    commas separate values, and with exactly one value per line no line
-    holds a separator of its own: value k is the text of line k, which
-    json.loads decodes alone to the same value. The '{'/'}' and quote tests
-    also send a chunk they fail to the per-line path without a wasted
-    decode.
+    The columns are then what json.loads of each line gives. orjson accepts
+    only strict RFC 8259 JSON, a subset of what json.loads accepts (it
+    refuses NaN and Infinity literals, numbers that overflow a double and
+    unpaired surrogate escapes), reads the same tree from it and, like
+    json.loads, keeps the last of repeated keys. On every value a valid
+    entry holds the two agree: strings and ints in [-2**63, 2**64) are
+    equal, and both round a float token to the nearest double. An integer
+    token outside that range, which orjson reads as a float or refuses, can
+    pass only in a float field, where it holds the nearest double, as
+    float() of json.loads's int does.
     """
-    if not all(line[0] == "{" and line[-1] == "}" for line in lines):
-        return None
-    text = "[" + ",".join(lines) + "]"
-    if text.count('"') != _ENTRY_QUOTES * len(lines):
-        return None
     try:
-        objs = orjson.loads(text)
+        objs = list(map(orjson.loads, lines))
     except orjson.JSONDecodeError:
         return None
-    if len(objs) != len(lines) or (raw := _raw_columns(objs)) is None:
+    if (raw := _raw_columns(objs)) is None:
         return None
     try:
-        columns = _checked_columns(raw, range(len(lines)))
+        return _checked_columns(raw, range(len(lines)))
     except LogValidationError:
         return None
-    if "," in "".join(columns["source_id"]) or "," in "".join(columns["dest_id"]):
-        return None
-    return columns
 
 
 def _read_chunk(lines: list, first: int) -> dict:
@@ -679,10 +651,10 @@ def ingest_logs(path: str | Path) -> LogTable:
 
     Raises LogParseError for malformed lines and LogValidationError for
     entries violating domain invariants; both name the earliest offending
-    line. Lines are read in chunks of INGEST_CHUNK_LINES, each decoded by
-    one orjson.loads where _batch_columns can prove that equal to decoding
-    line by line with json.loads, and validated column-wise; integers in
-    float fields load as floats.
+    line. Lines are read in chunks of INGEST_CHUNK_LINES, each line decoded
+    by one orjson.loads and each chunk validated column-wise; a chunk that
+    fails is decoded again line by line with json.loads, which names the
+    error. Integers in float fields load as floats.
     """
     chunks, pairs, known = [], [], {}
     with open(path, "r", encoding="utf-8") as fh:

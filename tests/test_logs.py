@@ -509,29 +509,29 @@ def with_route(k: int, source_id: str) -> dict:
     return obj
 
 
-# Corpora that try to make the chunk's one joined decode read something
-# other than its lines. In the first four, two lines join into one entry and
-# a later line holds two entries (or extra quote marks), so the joined text
-# still decodes to one valid entry per line. Each check of the joined decode
-# is the only one that some corpus here fails.
+# Corpora whose text would read as valid entries to a decode that took more
+# than one line at a time: two values on one line, values across lines,
+# repeated keys, escaped quotes and commas in route ids. The decode of each
+# line alone must find the fault on the line json.loads finds it on, and keep
+# every valid value as json.loads reads it.
 _valid = json.dumps(valid_obj(2))
 JOIN_BREAKERS = (
-    # the join comma inside a route id
+    # an entry split inside a route id, and two entries on one line
     corpus_text([valid_obj(0), valid_obj(1),
                  json.dumps(with_route(2, "a},{b")).replace("},{", "}\n{"),
                  f"{json.dumps(valid_obj(3))}, {json.dumps(valid_obj(4))}", valid_obj(5)]),
-    # the join comma inside the dropped value of a repeated key
+    # a string left open, closed on the next line before a repeated key
     corpus_text([valid_obj(0), '{"timestamp_s": "}',
                  '{", ' + _valid[1:-1] + ', "timestamp_s": 2.0}',
                  f"{json.dumps(valid_obj(3))}, {json.dumps(valid_obj(4))}"]),
-    # the join comma between two members
+    # an entry whose last member is on the next line
     corpus_text([valid_obj(0), _valid[:-1].replace(', "timestamp_s": 2.0', ""),
                  '"timestamp_s": 2.0}',
                  f"{json.dumps(valid_obj(3))}, {json.dumps(valid_obj(4))}"]),
-    # a dropped value whose escaped quotes make up the count of quote marks
+    # a string left open, then a line of escaped quotes and an entry
     corpus_text([valid_obj(0), '{"timestamp_s": "}', '{' + '\\"' * 44 + '", ' + _valid[1:],
                  valid_obj(3)]),
-    # two valid entries on one line and nothing to make up the count
+    # two valid entries on one line
     corpus_text([valid_obj(0), f"{json.dumps(valid_obj(1))}, {json.dumps(valid_obj(2))}",
                  valid_obj(3)]),
     # valid ids holding '},{', a comma or an escaped quote
@@ -568,8 +568,8 @@ def token_line(k: int, **tokens) -> str:
 # 2**-1075, halfway between 0.0 and the least subnormal, written exactly
 _TIE = "0." + str(5 ** 1075).rjust(1075, "0")
 # Corpora of number and string spellings where orjson might read another value
-# than json.loads: the chunk's one orjson.loads must keep json.loads's value,
-# or refuse the chunk and leave it to the per-line path.
+# than json.loads: each line's orjson.loads must keep json.loads's value, or
+# refuse the line and leave its chunk to the per-line json.loads path.
 DECODER_EDGES = (
     # subnormals, the halfway tie and the values either side of it
     corpus_text([token_line(0, timestamp_s="2.4703282292062328e-324",
@@ -734,19 +734,30 @@ def test_first_bad_line_wins_across_the_chunk_boundary(tmp_path, faults):
     assert outcome(ingest_logs, path) == outcome(legacy_ingest_logs, path)
 
 
-def test_a_valid_chunk_is_decoded_by_one_json_loads(tmp_path):
-    """2,100 valid lines are three chunks: one orjson.loads each, and no
-    json.loads per line."""
+def test_each_valid_line_is_decoded_by_one_orjson_loads_and_no_json_loads(tmp_path):
+    """2,100 valid lines: one orjson.loads each, and no json.loads. With a
+    NaN line in the middle chunk, only that chunk is decoded again by
+    json.loads, which names the error as the oracle does."""
     lines = [json.dumps(valid_obj(k)) for k in range(2100)]
     path = tmp_path / "logs.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    want = outcome(legacy_ingest_logs, path)
     assert logs.INGEST_CHUNK_LINES == 1024
-    with mock.patch.object(logs.orjson, "loads", wraps=orjson.loads) as batch_loads, \
-            mock.patch.object(logs.json, "loads", wraps=json.loads) as line_loads:
-        got = outcome(ingest_logs, path)
-    assert batch_loads.call_count == 3 and line_loads.call_count == 0
-    assert got == want and len(got) == 2100
+    for nan_at in (None, 1500):
+        if nan_at is not None:
+            lines[nan_at] = json.dumps({**valid_obj(nan_at), "timestamp_s": math.nan})
+        path.write_text("\n".join(lines) + "\n")
+        want = outcome(legacy_ingest_logs, path)
+        with mock.patch.object(logs.orjson, "loads", wraps=orjson.loads) as batch_loads, \
+                mock.patch.object(logs.json, "loads", wraps=json.loads) as line_loads:
+            got = outcome(ingest_logs, path)
+        assert got == want
+        json_lines = [c.args[0] for c in line_loads.call_args_list]
+        if nan_at is None:
+            assert batch_loads.call_count == 2100 and json_lines == [] and len(got) == 2100
+        else:
+            # the first chunk, then the middle one up to its NaN line
+            assert batch_loads.call_count == 1024 + (nan_at - 1024 + 1)
+            assert json_lines == lines[1024:2048]
+            assert got == (LogValidationError, "timestamp_s must be a finite number, line 1501")
 
 
 # -- the writer: each line is json.dumps(row.as_dict(), sort_keys=True) of its table
