@@ -734,30 +734,33 @@ def test_first_bad_line_wins_across_the_chunk_boundary(tmp_path, faults):
     assert outcome(ingest_logs, path) == outcome(legacy_ingest_logs, path)
 
 
+def decode_calls(path):
+    """ingest_logs's outcome, its count of orjson.loads calls and the lines
+    it passed to json.loads."""
+    with mock.patch.object(logs.orjson, "loads", wraps=orjson.loads) as orjson_loads, \
+            mock.patch.object(logs.json, "loads", wraps=json.loads) as json_loads:
+        got = outcome(ingest_logs, path)
+    return got, orjson_loads.call_count, [c.args[0] for c in json_loads.call_args_list]
+
+
 def test_each_valid_line_is_decoded_by_one_orjson_loads_and_no_json_loads(tmp_path):
     """2,100 valid lines: one orjson.loads each, and no json.loads. With a
     NaN line in the middle chunk, only that chunk is decoded again by
     json.loads, which names the error as the oracle does."""
     lines = [json.dumps(valid_obj(k)) for k in range(2100)]
     path = tmp_path / "logs.jsonl"
+    path.write_text("\n".join(lines) + "\n")
     assert logs.INGEST_CHUNK_LINES == 1024
-    for nan_at in (None, 1500):
-        if nan_at is not None:
-            lines[nan_at] = json.dumps({**valid_obj(nan_at), "timestamp_s": math.nan})
-        path.write_text("\n".join(lines) + "\n")
-        want = outcome(legacy_ingest_logs, path)
-        with mock.patch.object(logs.orjson, "loads", wraps=orjson.loads) as batch_loads, \
-                mock.patch.object(logs.json, "loads", wraps=json.loads) as line_loads:
-            got = outcome(ingest_logs, path)
-        assert got == want
-        json_lines = [c.args[0] for c in line_loads.call_args_list]
-        if nan_at is None:
-            assert batch_loads.call_count == 2100 and json_lines == [] and len(got) == 2100
-        else:
-            # the first chunk, then the middle one up to its NaN line
-            assert batch_loads.call_count == 1024 + (nan_at - 1024 + 1)
-            assert json_lines == lines[1024:2048]
-            assert got == (LogValidationError, "timestamp_s must be a finite number, line 1501")
+    got, orjson_calls, json_lines = decode_calls(path)
+    assert got == outcome(legacy_ingest_logs, path) and len(got) == 2100
+    assert orjson_calls == 2100 and json_lines == []
+    lines[1500] = json.dumps({**valid_obj(1500), "timestamp_s": math.nan})
+    path.write_text("\n".join(lines) + "\n")
+    got, orjson_calls, json_lines = decode_calls(path)
+    assert got == outcome(legacy_ingest_logs, path) == \
+        (LogValidationError, "timestamp_s must be a finite number, line 1501")
+    # the first chunk, then the middle one up to its NaN line
+    assert orjson_calls == 1024 + 477 and json_lines == lines[1024:2048]
 
 
 # -- the writer: each line is json.dumps(row.as_dict(), sort_keys=True) of its table
