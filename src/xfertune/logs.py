@@ -26,7 +26,11 @@ an int field raising. Each line is json.dumps of the row's as_dict() with
 sorted keys, written WRITE_BATCH_LINES at a time into the text pieces of
 the fixed sorted key layout; each column's distinct values are formatted
 once (floats told apart by their bits, route ids by code), and a column
-without repeats a batch at a time.
+without repeats a batch at a time. orjson formats the numbers with one
+orjson.dumps per column batch: it prints repr's shortest round-trip digits,
+in repr's layout for ints and for floats that are 0 or have
+1e-4 <= |v| < 1e16, and json.dumps formats the floats outside that band,
+so the bytes are json.dumps's.
 
 Parameters are checked against their lower bounds only: logs of real
 transfers need not sit on any parameter lattice.
@@ -700,13 +704,23 @@ _LINE_PIECES = re.split(r'"[^"]*"(?=[,}])', json.dumps(_LAYOUT, sort_keys=True) 
 WRITE_BATCH_LINES = 256
 
 
-def _column_text(values: list) -> list:
-    """The JSON text of each value of an int64 or float64 column's tolist():
-    repr where every value is finite, else json.dumps per value, which
-    writes NaN and Infinity."""
-    if all(map(math.isfinite, values)):
-        return list(map(repr, values))
-    return list(map(json.dumps, values))
+def _column_text(col: np.ndarray) -> list:
+    """The JSON text of each value of an int64 or float64 column (or batch
+    of one), formatted with one orjson.dumps of its tolist(). orjson prints
+    an int as repr does, and a float with repr's shortest round-trip digits
+    in repr's layout wherever the value is 0 or 1e-4 <= |v| < 1e16. Outside
+    that band it writes another exponent layout (1e16, not 1e+16; 0.00001,
+    not 1e-05) and null for NaN and Infinity, so those values are formatted
+    again with json.dumps. The texts are json.dumps's either way."""
+    values = col.tolist()
+    if not values:
+        return []
+    texts = orjson.dumps(values)[1:-1].decode().split(",")
+    if col.dtype.kind == "f":
+        size = np.abs(col)
+        for i in np.flatnonzero(~((col == 0) | ((size >= 1e-4) & (size < 1e16)))).tolist():
+            texts[i] = json.dumps(values[i])
+    return texts
 
 
 def _leaf_text(table: LogTable, name: str):
@@ -714,7 +728,8 @@ def _leaf_text(table: LogTable, name: str):
     distinct value, formatted once, as an object array, and each row's
     index into it. Floats are told apart by their bits, so -0.0 keeps its
     sign. Where no value repeats, texts is None and codes is the column
-    itself, formatted a batch at a time."""
+    itself, which _write_table formats a batch at a time, so no column's
+    texts are held whole. Both paths format numbers with _column_text."""
     if name in ("source_id", "dest_id"):
         k = name == "dest_id"
         return np.array([encode_basestring_ascii(r[k]) for r in table.routes],
@@ -724,7 +739,7 @@ def _leaf_text(table: LogTable, name: str):
     distinct, codes = np.unique(col.view(np.int64), return_inverse=True)
     if len(distinct) == len(col):
         return None, col
-    return np.array(_column_text(distinct.view(col.dtype).tolist()), dtype=object), codes
+    return np.array(_column_text(distinct.view(col.dtype)), dtype=object), codes
 
 
 def _write_table(table: LogTable, fh) -> None:
@@ -740,7 +755,7 @@ def _write_table(table: LogTable, fh) -> None:
         rows = slice(start, start + WRITE_BATCH_LINES)
         parts = template[:min(WRITE_BATCH_LINES, len(table) - start) * width]
         for k, (texts, codes) in enumerate(leaves):
-            parts[2 * k + 1::width] = (_column_text(codes[rows].tolist()) if texts is None
+            parts[2 * k + 1::width] = (_column_text(codes[rows]) if texts is None
                                        else texts[codes[rows]].tolist())
         fh.write("".join(parts))
 
@@ -749,7 +764,8 @@ def serialize_logs(entries, path: str | Path) -> None:
     """Write a LogTable, or a sequence of TransferLogEntry as the table
     LogTable.from_entries makes of it, as canonical JSON-Lines: each line
     is json.dumps(row.as_dict(), sort_keys=True) of the table's row, sorted
-    keys and repr floats.
+    keys and repr floats. The numbers are formatted by orjson and, outside
+    the band where its layout is repr's, by json.dumps (see _column_text).
 
     A list is written as its table holds it: an int in a float field is
     written as a float (7 as 7.0, as ingest_logs reads it back), numpy

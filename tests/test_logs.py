@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xfertune import (
+    ENDPOINTS,
     DatasetMeta,
     LogError,
     LogParseError,
@@ -28,6 +29,7 @@ from xfertune import (
     ParamConfig,
     ParamLattice,
     TransferLogEntry,
+    generate_training_logs,
     ingest_logs,
     serialize_logs,
     validate_entry,
@@ -962,6 +964,43 @@ def test_the_table_writer_fills_every_batch_edge(tmp_path, n):
                for i in range(n)]
     assert written_text(LogTable.from_entries(entries), tmp_path / "a.jsonl") == \
         dumps_text(entries)
+
+
+# -- the column helper: orjson's text in the band, json.dumps's outside it ------------
+
+# doubles around each edge of the band (0, or 1e-4 <= |v| < 1e16) where orjson
+# writes repr's layout
+BAND_EDGES = [math.nextafter(edge, to) for edge in (1e-4, -1e-4, 1e16, -1e16)
+              for to in (0.0, math.copysign(math.inf, edge))] + [1e-4, -1e-4, 1e16, -1e16]
+FLOAT_BATCHES = st.lists(st.floats(), max_size=12).map(lambda v: np.array(v, dtype=np.float64))
+INT_BATCHES = st.lists(st.integers(-2**63, 2**63 - 1), max_size=12).map(
+    lambda v: np.array(v, dtype=np.int64))
+
+
+def f64(*values) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(col=st.one_of(FLOAT_BATCHES, INT_BATCHES))
+@example(col=f64(*BAND_EDGES))
+@example(col=f64(0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53 + 2)))
+@example(col=f64(math.nan, math.inf, -math.inf))
+@example(col=f64(0.5, 1e-5, 123.25, 1e16, math.nan, 7.0, -1e300, 0.0))
+@example(col=f64())
+@example(col=np.array([2**63 - 1, -2**63, 0, -1, 2**53 - 1, 2**53 + 1], dtype=np.int64))
+@example(col=np.array([], dtype=np.int64))
+def test_column_text_is_json_dumps_of_each_value(col):
+    assert logs._column_text(col) == [json.dumps(v) for v in col.tolist()]
+
+
+def test_a_generated_noisy_corpus_is_written_as_json_dumps_of_each_entry(tmp_path):
+    """Every number of a generated noisy two-route corpus lies in the band,
+    so each is written as orjson's text, which must be json.dumps's."""
+    table = generate_training_logs(specs=[ENDPOINTS["chameleon"], ENDPOINTS["cloudlab"]],
+                                   sweeps=2, noise=0.02, seed=3)
+    assert written_text(table, tmp_path / "logs.jsonl") == dumps_text(table)
 
 
 def test_rows_of_a_table_are_its_entries():
