@@ -11,8 +11,8 @@ nearest neighbour per cluster: O(n^2) time when a merge invalidates few
 cached neighbours, as on transfer-log features (O(n^3) in the worst case),
 with the same merges and bit-identical linkage distances as the textbook
 loop that rescans the whole matrix after every merge. Memory is that one
-n x n matrix plus BLOCK_ROWS x n scratch: the distances are filled, and the
-neighbour cache seeded, one block of rows at a time.
+n x n matrix plus O(n) per row: the distances are filled, and the
+neighbour cache seeded, one row at a time.
 
 In stratify, n is the number of occupied cells of a grid whose pitch is the
 tier's cut / SNAP_STEPS, not the number of entries: a log with a continuous
@@ -106,45 +106,32 @@ class Dendrogram:
             last = max(last, m.distance)
 
 
-# rows per block of the distance fill and the neighbour seed: their scratch
-# buffers are BLOCK_ROWS x n, small beside the one n x n matrix
-BLOCK_ROWS = 64
-
-
 def _pairwise_distances(points: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix of the rows of points.
 
-    The one n x n result is filled in blocks of BLOCK_ROWS rows. Squared
-    differences are summed one axis at a time in two block-sized buffers
-    instead of an n x n x d temporary. Summing in axis order is what numpy's
-    reduction of an axis shorter than eight does, so for d < 8 the values
-    equal the broadcast form's bit for bit (stratum bytes depend on them).
+    Each row of the one n x n result sums its squared differences one axis
+    at a time from 0.0 in an n-long buffer; then every element takes one
+    sqrt. Summing in axis order is what numpy's reduction of an axis
+    shorter than eight does, so for d < 8 the values equal the broadcast
+    form's bit for bit (stratum bytes depend on them).
     """
-    n, dim = points.shape
-    out = np.empty((n, n))
-    acc = np.empty((min(n, BLOCK_ROWS), n))
-    buf = np.empty_like(acc)
+    n = len(points)
+    out = np.zeros((n, n))
+    buf = np.empty(n)
     cols = points.T
-    for r0 in range(0, n, BLOCK_ROWS):
-        r1 = min(r0 + BLOCK_ROWS, n)
-        a, b = acc[:r1 - r0], buf[:r1 - r0]
-        a.fill(0.0)
-        for col in cols:
-            np.subtract.outer(col[r0:r1], col, out=b)
-            np.multiply(b, b, out=b)
-            a += b
-        np.sqrt(a, out=out[r0:r1])
-    return out
+    for p, row in zip(points.tolist(), out):
+        for v, col in zip(p, cols):
+            np.subtract(v, col, out=buf)
+            np.multiply(buf, buf, out=buf)
+            row += buf
+    return np.sqrt(out, out=out)
 
 
 def _argmin_by_id(values: np.ndarray, ids: np.ndarray) -> tuple[int, float]:
     """Slot of the smallest value, ties broken toward the smallest cluster id."""
-    x = int(values.argmin())
-    best = values[x]
-    if np.count_nonzero(values == best) > 1:
-        tied = np.flatnonzero(values == best)
-        x = int(tied[ids[tied].argmin()])
-    return x, float(best)
+    best = values.min()
+    tied = np.flatnonzero(values == best)
+    return int(tied[ids[tied].argmin()]), float(best)
 
 
 def _upgma(points: np.ndarray, weights: np.ndarray) -> Dendrogram:
@@ -154,13 +141,13 @@ def _upgma(points: np.ndarray, weights: np.ndarray) -> Dendrogram:
     # slot j dies. Every live slot caches its nearest live partner among
     # clusters with a larger id (ties toward the smaller id), so the next
     # merge is the cached minimum with the smallest id_a, an O(n) scan. At
-    # the start ids equal slots, so the cache is seeded a block of rows at a
-    # time from the strict upper triangle, where argmin's first minimum is
-    # the smallest tied id. A merge changes only the distances to the new
-    # cluster, whose id is the largest yet: rows whose partner was i or j
-    # rescan, every other row just adopts the new cluster if it is strictly
-    # closer. The row update is the size-weighted mean of the two parts'
-    # rows, in the same float order as the full-rescan loop, so the
+    # the start ids equal slots, so each slot x is seeded from the argmin of
+    # dist[x, x + 1:], whose first minimum is the smallest tied id. Live
+    # slots are those with ids >= 0. A merge changes only the distances to
+    # the new cluster, whose id is the largest yet: rows whose partner was i
+    # or j rescan, every other row just adopts the new cluster if it is
+    # strictly closer. The row update is the size-weighted mean of the two
+    # parts' rows, in the same float order as the full-rescan loop, so the
     # distances match it bit for bit. A distance that overflowed to inf
     # makes the merge that first joins its two points inf, and that raises:
     # with every cached distance inf, a tie could name a dead slot.
@@ -170,14 +157,11 @@ def _upgma(points: np.ndarray, weights: np.ndarray) -> Dendrogram:
     dist = _pairwise_distances(points)
     sizes = np.array(weights, dtype=float)
     ids = np.arange(n)
-    alive = np.ones(n, dtype=bool)
     nn = np.full(n, -1)
     nn_dist = np.full(n, np.inf)
-    for r0 in range(0, n - 1, BLOCK_ROWS):
-        r1 = min(r0 + BLOCK_ROWS, n - 1)
-        block = np.where(ids > ids[r0:r1, None], dist[r0:r1], np.inf)
-        nn[r0:r1] = block.argmin(axis=1)
-        nn_dist[r0:r1] = block.min(axis=1)
+    for x in range(n - 1):
+        nn[x] = x + 1 + dist[x, x + 1:].argmin()
+        nn_dist[x] = dist[x, nn[x]]
 
     def rescan(x):
         row = np.where(ids > ids[x], dist[x], np.inf)
@@ -197,14 +181,13 @@ def _upgma(points: np.ndarray, weights: np.ndarray) -> Dendrogram:
         dist[:, i] = row
         sizes[i] = si + sj
         ids[i], ids[j] = new_id, -1
-        alive[j] = False
         # slot i has the largest id, so no partner; dead slots point nowhere
         nn[i] = nn[j] = -1
         nn_dist[i] = nn_dist[j] = np.inf
         stale = nn == i
         stale |= nn == j
         closer = row < nn_dist
-        closer &= alive
+        closer &= ids >= 0
         closer[i] = False
         np.copyto(nn, i, where=closer)
         np.copyto(nn_dist, row, where=closer)

@@ -38,7 +38,7 @@ SCHEMAS = {
     "models": "xfertune/models-v3",
     "table": "xfertune/table-v1",
     "transfer": "xfertune/transfer-v1",
-    "compare": "xfertune/compare-v1",
+    "compare": "xfertune/compare-v2",
 }
 
 
@@ -338,42 +338,53 @@ def transfer_doc(spec, scenario, sla, report: TransferReport) -> dict:
 
 def _analytic_fixed_run(spec: EndpointSpec, cfg: ParamConfig,
                         scenario: LoadScenario, avg_file_size: float,
-                        total_bytes: float):
-    """Exact duration and energy of a fixed configuration over a piecewise
-    constant load trace, no stepping."""
+                        total_bytes: float, start_s: float = 0.0):
+    """Exact duration and energy of a fixed configuration that starts at
+    start_s of a piecewise constant load trace, no stepping."""
     remaining_mbit = total_bytes * 8.0 / 1e6
-    t = 0.0
+    t = start_s
     energy = 0.0
-    # the last segment never ends, so the transfer completes in it at the latest
-    ends = [start for start, _ in scenario.segments[1:]] + [math.inf]
-    for (_, load), end in zip(scenario.segments, ends):
+    while True:
+        # the last segment never ends, so the transfer completes in it at the latest
+        _, end, load = scenario.segment_at(t)
         tput = throughput_mbps(spec, cfg, load, avg_file_size)
         power = power_above_base_watts(spec, cfg, tput)
         need = remaining_mbit / tput
         if t + need <= end:
-            return t + need, energy + power * need
+            return t + need - start_s, energy + power * need
         energy += power * (end - t)
         remaining_mbit -= tput * (end - t)
         t = end
 
 
-def _static_optimal_row(spec, scenario, lattice: ParamLattice, cname: str) -> dict:
-    meta = dataset_meta_for(synth_file_sizes(DATASET_CLASSES[cname]))
-    mbit = meta.total_size_bytes * 8.0 / 1e6
-    runs = [(cfg, *_analytic_fixed_run(spec, cfg, scenario, meta.avg_file_size_bytes,
-                                       meta.total_size_bytes))
-            for cfg in lattice.configs()]
-    # max and min keep the first of equals, in lexicographic lattice order
-    fastest = max(runs, key=lambda run: mbit / run[1])
-    frugal = min(runs, key=lambda run: run[2])
-    return {
-        "policy": "static-optimal", "class": cname,
-        "throughput_mbps": mbit / fastest[1], "energy_joules": frugal[2],
-        "duration_s": fastest[1], "stratum_id": "",
-        "params": {"max_tput": fastest[0].as_dict(),
-                   "min_energy": frugal[0].as_dict()},
-        "switch_count": 0,
-    }
+def _static_optimal_rows(spec, scenario, lattice: ParamLattice, classes) -> list[dict]:
+    """One static-optimal row per class, in transfer order, each oracle on
+    its own clock (see compare_policies)."""
+    configs = list(lattice.configs())
+    rows = []
+    fast_t = frugal_t = 0.0
+    for cname in classes:
+        meta = dataset_meta_for(synth_file_sizes(DATASET_CLASSES[cname]))
+        mbit = meta.total_size_bytes * 8.0 / 1e6
+
+        def runs(start_s):
+            return [(cfg, *_analytic_fixed_run(spec, cfg, scenario, meta.avg_file_size_bytes,
+                                               meta.total_size_bytes, start_s))
+                    for cfg in configs]
+        # max and min keep the first of equals, in lexicographic lattice order
+        fastest = max(runs(fast_t), key=lambda run: mbit / run[1])
+        frugal = min(runs(frugal_t), key=lambda run: run[2])
+        fast_t += fastest[1]
+        frugal_t += frugal[1]
+        rows.append({
+            "policy": "static-optimal", "class": cname,
+            "throughput_mbps": mbit / fastest[1], "energy_joules": frugal[2],
+            "duration_s": fastest[1], "stratum_id": "",
+            "params": {"max_tput": fastest[0].as_dict(),
+                       "min_energy": frugal[0].as_dict()},
+            "switch_count": 0,
+        })
+    return rows
 
 
 def compare_policies(spec: EndpointSpec, scenario: LoadScenario, config,
@@ -382,8 +393,10 @@ def compare_policies(spec: EndpointSpec, scenario: LoadScenario, config,
     """Run every policy over the same file set and report per-class rows.
 
     static-optimal is an oracle row: the best achievable throughput and the
-    lowest achievable energy over the endpoint's whole default lattice,
-    generally two different configurations.
+    lowest achievable energy of one fixed configuration over the endpoint's
+    whole default lattice, generally two different configurations. Each of
+    the two oracles transfers the classes in order on its own clock, so a
+    class meets the load from the moment that oracle's previous class ends.
     """
     sizes = _class_sizes(classes)
 
@@ -416,9 +429,8 @@ def compare_policies(spec: EndpointSpec, scenario: LoadScenario, config,
             "switch_count": report.switch_count,
             "warnings": list(report.warnings),
         }
-    lattice = default_lattice(spec)
-    for crow in report.classes:
-        rows.append(_static_optimal_row(spec, scenario, lattice, crow["class"]))
+    rows += _static_optimal_rows(spec, scenario, default_lattice(spec),
+                                 [crow["class"] for crow in report.classes])
     return {"schema": SCHEMAS["compare"], "endpoint": spec.as_dict(),
             "scenario": scenario.as_dict(), "interval_s": interval_s,
             "rows": rows, "totals": totals}

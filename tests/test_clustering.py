@@ -4,8 +4,8 @@ The UPGMA oracle recomputes every inter-cluster distance from scratch as
 the mean over all cross pairs of original points, so it shares no code
 with the incremental production update. A second oracle, legacy_upgma, is
 the full-rescan loop the cached-nearest-neighbour UPGMA replaced, and a
-third, cached_upgma, is that UPGMA before its distances and neighbour seed
-ran in row blocks: both must produce the same merges with == distances.
+third, cached_upgma, is that UPGMA with its cache seeded by n - 1 rescans:
+both must produce the same merges with == distances.
 scipy, when installed, checks cut partitions on tie-free inputs.
 legacy_stratify, the per-entry stratify the column one replaced, must give
 equal strata.
@@ -115,9 +115,9 @@ def legacy_upgma(points: np.ndarray, weights: np.ndarray) -> Dendrogram:
 
 
 def cached_upgma(points: np.ndarray, weights: np.ndarray) -> Dendrogram:
-    """The cached-nearest-neighbour UPGMA before its blocked seed and lean
-    merge loop: n - 1 rescans seed the cache, and every merge recomputes the
-    live mask and breaks each tie by cluster id."""
+    """The cached-nearest-neighbour UPGMA with a plainer seed and merge
+    loop: n - 1 rescans seed the cache, and every merge recomputes the live
+    mask and breaks each tie by cluster id."""
     n = len(points)
     if n == 1:
         return Dendrogram(1, ())
@@ -314,7 +314,7 @@ def jittered_load_corpus(seed, size):
     return out
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 129])   # across the block edges
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
 def test_blocked_upgma_matches_the_cached_oracle_across_blocks(n):
     rng = np.random.default_rng(n)
     for dim in range(1, 8):
@@ -458,6 +458,20 @@ def test_stratify_scales_to_a_long_jittered_log(monkeypatch):
         tracemalloc.stop()
     assert seen and peak < 100e6
     assert_is_partition(len(table), strata)
+
+
+def test_upgma_holds_one_distance_matrix():
+    # the n x n distance matrix is the only n x n array: the fill, the
+    # neighbour seed and the merges add O(n) buffers at a time beside it
+    n = 1500
+    pts = np.random.default_rng(7).uniform(0.0, 1.0, (n, 2))
+    tracemalloc.start()
+    try:
+        clustering._upgma(pts, np.ones(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * n * n
 
 
 def test_cut_partitions_match_scipy():

@@ -710,7 +710,7 @@ def test_compare_emits_all_policy_rows(chain, tmp_path, capsys):
     assert rc == 0
     assert "policy" in capsys.readouterr().out
     doc = json.loads(out.read_text())
-    assert doc["schema"] == "xfertune/compare-v1"
+    assert doc["schema"] == SCHEMAS["compare"] == "xfertune/compare-v2"
     rows = doc["rows"]
     assert len(rows) == 12
     by_policy = {}
@@ -727,6 +727,56 @@ def test_compare_emits_all_policy_rows(chain, tmp_path, capsys):
             doc["totals"]["fixed-baseline"]["avg_throughput_mbps"])
     assert (doc["totals"]["hla-min-energy"]["energy_joules"] <
             doc["totals"]["fixed-baseline"]["energy_joules"])
+
+
+def test_static_optimal_runs_the_classes_in_sequence_on_its_own_clock(chain, tmp_path):
+    # the load steps from 0.05 to 0.6 at 5 s; the small class ends at about
+    # 2.45 s, so the medium class meets the low load only until 5 s. Scored
+    # from t = 0, as if each class ran alone, the medium row would read
+    # 5,419.2 Mbps and the large one 4,519.1
+    out = tmp_path / "compare.json"
+    assert cli.main(["compare", "--strata", str(chain / "strata.json"),
+                     "--models", str(chain / "models.json"),
+                     "--table", str(chain / "table.json"),
+                     "--scenario", "step:0.05:0.6:5", "--interval", "0.5",
+                     "--out", str(out)]) == 0
+    rows = {r["class"]: r for r in json.loads(out.read_text())["rows"]
+            if r["policy"] == "static-optimal"}
+    assert rows["medium"]["throughput_mbps"] == pytest.approx(4598.04, rel=1e-6)
+    assert rows["large"]["throughput_mbps"] == pytest.approx(3999.70, rel=1e-6)
+    # the same fastest fixed runs from a closed form of the one step
+    spec = ENDPOINTS["chameleon"]
+    configs = list(default_lattice(spec).configs())
+    start = 0.0
+    for cname in ("small", "medium", "large"):
+        meta = dataset_meta_for(synth_file_sizes(DATASET_CLASSES[cname]))
+        mbit = meta.total_size_bytes * 8.0 / 1e6
+        head = max(5.0 - start, 0.0)
+
+        def duration(cfg):
+            low, high = (throughput_mbps(spec, cfg, load, meta.avg_file_size_bytes)
+                         for load in (0.05, 0.6))
+            return mbit / low if mbit <= low * head else head + (mbit - low * head) / high
+        best = min(map(duration, configs))
+        assert rows[cname]["throughput_mbps"] == pytest.approx(mbit / best, rel=1e-9)
+        assert rows[cname]["duration_s"] == pytest.approx(best, rel=1e-9)
+        start += best
+
+
+@pytest.mark.parametrize("load", [0.05, 0.2, 0.35, 0.6, 0.9])
+def test_tuned_rows_do_not_beat_the_static_oracle_on_a_constant_load(
+        strata, models, table, stratify_config, load):
+    # at a constant load no switching beats the best fixed configuration;
+    # an equal run differs from the oracle's in the last bits, as the
+    # stepped transfer sums its ticks
+    doc = compare_policies(ENDPOINTS["chameleon"], LoadScenario.constant(load),
+                           stratify_config, strata, models, table, interval_s=0.1)
+    rows = {(r["policy"], r["class"]): r for r in doc["rows"]}
+    for cname in ("small", "medium", "large"):
+        oracle = rows[("static-optimal", cname)]
+        tput = rows[("hla-max-tput", cname)]["throughput_mbps"] / oracle["throughput_mbps"]
+        energy = rows[("hla-min-energy", cname)]["energy_joules"] / oracle["energy_joules"]
+        assert tput <= 1 + 1e-9 and energy >= 1 - 1e-9, (cname, tput, energy)
 
 
 def test_offline_chain_is_byte_deterministic(chain, tmp_path):
