@@ -4,33 +4,26 @@ A transfer log entry records one bulk data transfer: the application-layer
 parameters it ran with, the dataset it moved, the network it crossed, and the
 achieved throughput / energy. Entries are exchanged as JSON-Lines files with a
 fixed key set; unknown keys are rejected so silent schema drift cannot creep
-into downstream fitting.
+into downstream fitting. The record dataclasses TransferLogEntry,
+ParamConfig, DatasetMeta and NetworkMeta declare that layout once: their
+field order gives each object's keys and each leaf's int, float or str
+annotation its kind. as_dict(), the key checks, the validated columns and
+the writer's line template are all read from those declarations.
 
-ingest_logs decodes each line of a chunk with one orjson.loads, whose
-values equal the standard library's json.loads on every valid entry, and
-validates the chunk with numpy masks, against the same ordered rule list
-that validate_entry applies to one entry, so both report the same first
-broken invariant. A chunk with a line orjson refuses or an invalid entry is
-decoded again line by line with json.loads, which gives every parse and
-validation error its message. It returns a LogTable: one numpy column
-per field, which stratification and fitting read directly. TransferLogEntry
-stays the record type at the edges: indexing a table builds one row's
-entry, iterating it shares one ParamConfig, DatasetMeta and NetworkMeta
-among rows equal bit for bit, and LogTable.from_entries converts a list.
+ingest_logs decodes each line of a chunk with one orjson.loads and
+validates the chunk with numpy masks against the ordered rule list that
+validate_entry applies to one entry, so both report the same first broken
+invariant; a chunk that fails is decoded again line by line with
+json.loads, which words the error. It returns a LogTable: one numpy column
+per field, which stratification and fitting read directly. Indexing a
+table builds one row's TransferLogEntry, iterating it shares equal records
+among rows, and LogTable.from_entries converts a list.
 
-serialize_logs has one path: it writes a LogTable from its columns, and a
-sequence of entries as the table LogTable.from_entries makes of it, so a
-list is written as its table holds it: ints in float fields as floats,
-numpy integers as ints, and None, a string in a number field or a float in
-an int field raising. Each line is json.dumps of the row's as_dict() with
-sorted keys, written WRITE_BATCH_LINES at a time into the text pieces of
-the fixed sorted key layout; each column's distinct values are formatted
-once (floats told apart by their bits, route ids by code), and a column
-without repeats a batch at a time. orjson formats the numbers with one
-orjson.dumps per column batch: it prints repr's shortest round-trip digits,
-in repr's layout for ints and for floats that are 0 or have
-1e-4 <= |v| < 1e16, and json.dumps formats the floats outside that band,
-so the bytes are json.dumps's.
+serialize_logs writes a LogTable from its columns, and a sequence of
+entries as the table LogTable.from_entries makes of it. Each line is
+json.dumps of the row's as_dict() with sorted keys; each column's distinct
+values are formatted once, the numbers by orjson, with json.dumps for the
+floats whose layout differs (see _column_text).
 
 Parameters are checked against their lower bounds only: logs of real
 transfers need not sit on any parameter lattice.
@@ -43,10 +36,11 @@ import math
 import operator
 import re
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import orjson
@@ -69,8 +63,17 @@ class LogValidationError(LogError):
     """Structurally valid entry that violates a domain invariant."""
 
 
+class _Record:
+    """A log record: its dataclass fields, in declaration order, are its
+    JSON keys, and a leaf's annotation (int, float or str) is its kind."""
+
+    def as_dict(self) -> dict:
+        # a new dict in declaration order, the order __init__ sets the fields
+        return self.__dict__.copy()
+
+
 @dataclass(frozen=True)
-class ParamConfig:
+class ParamConfig(_Record):
     """Application-layer transfer parameters for one run."""
 
     cpu_num: int
@@ -79,15 +82,6 @@ class ParamConfig:
     p: int    # parallelism: TCP streams per file
     pp: int   # pipelining depth: queued requests per stream
 
-    def as_dict(self) -> dict:
-        return {
-            "cpu_num": self.cpu_num,
-            "cpu_freq_mhz": self.cpu_freq_mhz,
-            "cc": self.cc,
-            "p": self.p,
-            "pp": self.pp,
-        }
-
     def get(self, name: str):
         return getattr(self, name)
 
@@ -95,7 +89,71 @@ class ParamConfig:
         return replace(self, **{name: value})
 
 
-PARAM_NAMES = ("cpu_num", "cpu_freq_mhz", "cc", "p", "pp")
+@dataclass(frozen=True)
+class DatasetMeta(_Record):
+    """Summary statistics of the file set moved by a transfer."""
+
+    num_files: int
+    total_size_bytes: float
+    avg_file_size_bytes: float
+    file_size_stddev_bytes: float
+
+
+@dataclass(frozen=True)
+class NetworkMeta(_Record):
+    """Route identity and link conditions seen by a transfer."""
+
+    source_id: str
+    dest_id: str
+    bandwidth_mbps: float
+    rtt_ms: float
+    ext_load: float   # fraction of the link consumed by external traffic
+
+    @property
+    def route(self) -> tuple[str, str]:
+        return (self.source_id, self.dest_id)
+
+
+@dataclass(frozen=True)
+class TransferLogEntry(_Record):
+    params: ParamConfig
+    dataset: DatasetMeta
+    network: NetworkMeta
+    throughput_mbps: float
+    energy_joules: float       # energy above idle baseline
+    avg_power_watts: float
+    duration_s: float
+    timestamp_s: float
+
+    def as_dict(self) -> dict:
+        doc = self.__dict__.copy()
+        for name in _SECTIONS:
+            doc[name] = doc[name].as_dict()
+        return doc
+
+
+# -- the entry layout, read from the record declarations --------------------------
+
+def _layout(cls) -> dict:
+    """A record class's fields in declaration order, each a nested record's
+    layout or a leaf's kind: "int", "float" or "str"."""
+    return {name: _layout(t) if is_dataclass(t) else t.__name__
+            for name, t in get_type_hints(cls).items()}
+
+
+# an entry's keys nested as as_dict() nests them, each leaf holding its kind
+_LAYOUT = _layout(TransferLogEntry)
+_SECTIONS = {name: v for name, v in _LAYOUT.items() if isinstance(v, dict)}
+# the key set of the entry (None) and of each section, the entry's first
+_KEYS = {None: set(_LAYOUT), **{name: set(v) for name, v in _SECTIONS.items()}}
+# the kind of every leaf: int64, finite float or nonempty string
+_KINDS = {name: kind for layout in (_LAYOUT, *_SECTIONS.values())
+          for name, kind in layout.items() if isinstance(kind, str)}
+PARAM_NAMES = tuple(_SECTIONS["params"])
+DATASET_FLOATS, NETWORK_FLOATS, METRIC_FIELDS = (
+    tuple(name for name, kind in layout.items() if kind == "float")
+    for layout in (_SECTIONS["dataset"], _SECTIONS["network"], _LAYOUT))
+FLOAT_COLUMNS = DATASET_FLOATS + NETWORK_FLOATS + METRIC_FIELDS
 # smallest valid value of each parameter
 PARAM_MIN = {"cpu_num": 1, "cpu_freq_mhz": 1, "cc": 1, "p": 1, "pp": 0}
 
@@ -129,72 +187,6 @@ class ParamLattice:
             yield ParamConfig(*combo)
 
 
-@dataclass(frozen=True)
-class DatasetMeta:
-    """Summary statistics of the file set moved by a transfer."""
-
-    num_files: int
-    total_size_bytes: float
-    avg_file_size_bytes: float
-    file_size_stddev_bytes: float
-
-    def as_dict(self) -> dict:
-        return {
-            "num_files": self.num_files,
-            "total_size_bytes": self.total_size_bytes,
-            "avg_file_size_bytes": self.avg_file_size_bytes,
-            "file_size_stddev_bytes": self.file_size_stddev_bytes,
-        }
-
-
-@dataclass(frozen=True)
-class NetworkMeta:
-    """Route identity and link conditions seen by a transfer."""
-
-    source_id: str
-    dest_id: str
-    bandwidth_mbps: float
-    rtt_ms: float
-    ext_load: float   # fraction of the link consumed by external traffic
-
-    def as_dict(self) -> dict:
-        return {
-            "source_id": self.source_id,
-            "dest_id": self.dest_id,
-            "bandwidth_mbps": self.bandwidth_mbps,
-            "rtt_ms": self.rtt_ms,
-            "ext_load": self.ext_load,
-        }
-
-    @property
-    def route(self) -> tuple[str, str]:
-        return (self.source_id, self.dest_id)
-
-
-@dataclass(frozen=True)
-class TransferLogEntry:
-    params: ParamConfig
-    dataset: DatasetMeta
-    network: NetworkMeta
-    throughput_mbps: float
-    energy_joules: float       # energy above idle baseline
-    avg_power_watts: float
-    duration_s: float
-    timestamp_s: float
-
-    def as_dict(self) -> dict:
-        return {
-            "params": self.params.as_dict(),
-            "dataset": self.dataset.as_dict(),
-            "network": self.network.as_dict(),
-            "throughput_mbps": self.throughput_mbps,
-            "energy_joules": self.energy_joules,
-            "avg_power_watts": self.avg_power_watts,
-            "duration_s": self.duration_s,
-            "timestamp_s": self.timestamp_s,
-        }
-
-
 def _is_num(v) -> bool:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         return False
@@ -219,15 +211,6 @@ def _is_int(v) -> bool:
 # rule of an entry names it.
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
-DATASET_FLOATS = ("total_size_bytes", "avg_file_size_bytes", "file_size_stddev_bytes")
-NETWORK_FLOATS = ("bandwidth_mbps", "rtt_ms", "ext_load")
-METRIC_FIELDS = ("throughput_mbps", "energy_joules", "avg_power_watts", "duration_s",
-                 "timestamp_s")
-FLOAT_COLUMNS = DATASET_FLOATS + NETWORK_FLOATS + METRIC_FIELDS
-# the kind of every field: int64, finite float or nonempty string
-_KINDS = {**dict.fromkeys(PARAM_NAMES, "int"), "num_files": "int",
-          **dict.fromkeys(FLOAT_COLUMNS, "num"),
-          "source_id": "str", "dest_id": "str"}
 
 
 @dataclass(frozen=True)
@@ -249,7 +232,7 @@ def _column(kind: str, raw: list):
         if types <= {str} and "" not in raw:
             return raw, none, none
         return raw, np.array([not (isinstance(x, str) and x) for x in raw]), none
-    if kind == "num":
+    if kind == "float":
         if types <= {float}:
             values = np.array(raw, dtype=np.float64)
             bad = ~np.isfinite(values)
@@ -351,23 +334,21 @@ def _first_broken_row(rules, r: _Fields, n: int):
     return row, rules[int(np.argmax(broken[:, row]))][0]
 
 
-def _first_broken(rules, values: dict) -> str | None:
-    """The first rule broken by one entry's field values, or None: the
-    entry checked as a one-row column, as ingest checks a chunk."""
-    found = _first_broken_row(rules, _fields({n: [x] for n, x in values.items()}), 1)
+def _first_broken(rules, raw: dict) -> str | None:
+    """The first rule broken by one entry's decoded columns, each a list of
+    one value, or None: the entry checked as ingest checks a chunk."""
+    found = _first_broken_row(rules, _fields(raw), 1)
     return None if found is None else found[1]
 
 
 def validate_params(params: ParamConfig) -> str | None:
     """Return the first violated parameter invariant, or None if valid."""
-    return _first_broken(_PARAM_RULES, {n: params.get(n) for n in PARAM_NAMES})
+    return _first_broken(_PARAM_RULES, {n: [x] for n, x in params.as_dict().items()})
 
 
 def validate_entry(entry: TransferLogEntry) -> str | None:
     """Return the first violated invariant of an entry, or None if valid."""
-    values = {**entry.params.as_dict(), **entry.dataset.as_dict(), **entry.network.as_dict(),
-              **{n: getattr(entry, n) for n in METRIC_FIELDS}}
-    return _first_broken(_ENTRY_RULES, values)
+    return _first_broken(_ENTRY_RULES, _raw_columns([entry.as_dict()]))
 
 
 # -- the column table ------------------------------------------------------------
@@ -534,23 +515,8 @@ def as_log_table(entries) -> LogTable:
 
 # -- JSON-Lines ingestion -------------------------------------------------------
 
-_PARAM_KEYS = set(PARAM_NAMES)
-_DATASET_KEYS = {"num_files", *DATASET_FLOATS}
-_NETWORK_KEYS = {"source_id", "dest_id", *NETWORK_FLOATS}
-_TOP_KEYS = {"params", "dataset", "network", *METRIC_FIELDS}
 # lines decoded at once: bounds the decoded dicts held alongside the columns
 INGEST_CHUNK_LINES = 1024
-
-
-def _check_keys(obj: dict, expected: set, where: str, line_no: int) -> None:
-    if not isinstance(obj, dict):
-        raise LogParseError(f"{where} must be an object, line {line_no}")
-    unknown = set(obj) - expected
-    if unknown:
-        raise LogParseError(f"unknown key {sorted(unknown)[0]!r} in {where}, line {line_no}")
-    missing = expected - set(obj)
-    if missing:
-        raise LogParseError(f"missing key {sorted(missing)[0]!r} in {where}, line {line_no}")
 
 
 def _raw_columns(objs: list) -> dict | None:
@@ -560,8 +526,7 @@ def _raw_columns(objs: list) -> dict | None:
     expected key rules out any other."""
     raw = {}
     try:
-        for section, keys in ((None, _TOP_KEYS), ("params", _PARAM_KEYS),
-                              ("dataset", _DATASET_KEYS), ("network", _NETWORK_KEYS)):
+        for section, keys in _KEYS.items():
             rows = objs if section is None else list(map(itemgetter(section), objs))
             if not (set(map(type, rows)) <= {dict} and set(map(len, rows)) <= {len(keys)}):
                 return None
@@ -573,10 +538,18 @@ def _raw_columns(objs: list) -> dict | None:
 
 
 def _check_entry_keys(obj, line_no: int) -> None:
-    _check_keys(obj, _TOP_KEYS, "entry", line_no)
-    _check_keys(obj["params"], _PARAM_KEYS, "params", line_no)
-    _check_keys(obj["dataset"], _DATASET_KEYS, "dataset", line_no)
-    _check_keys(obj["network"], _NETWORK_KEYS, "network", line_no)
+    """Raise the LogParseError of an entry's first wrong key set: the
+    entry's own first, so an entry without a section names that key."""
+    for section, expected in _KEYS.items():
+        where, part = section or "entry", obj if section is None else obj[section]
+        if not isinstance(part, dict):
+            raise LogParseError(f"{where} must be an object, line {line_no}")
+        if unknown := set(part) - expected:
+            raise LogParseError(f"unknown key {sorted(unknown)[0]!r} in {where}, "
+                                f"line {line_no}")
+        if missing := expected - set(part):
+            raise LogParseError(f"missing key {sorted(missing)[0]!r} in {where}, "
+                                f"line {line_no}")
 
 
 def _checked_columns(raw: dict, line_nos: list) -> dict:
@@ -681,23 +654,16 @@ def ingest_logs(path: str | Path) -> LogTable:
 
 # -- JSON-Lines writing -----------------------------------------------------------
 
-# each leaf field's name, nested as as_dict() nests it
-_LAYOUT = {"params": {n: n for n in PARAM_NAMES},
-           "dataset": {n: n for n in ("num_files", *DATASET_FLOATS)},
-           "network": {n: n for n in ("source_id", "dest_id", *NETWORK_FLOATS)},
-           **{n: n for n in METRIC_FIELDS}}
+def _leaves(layout: dict):
+    """The leaf names of a nested layout in the order json.dumps(doc,
+    sort_keys=True) writes the leaves of a doc of that layout."""
+    for key in sorted(layout):
+        value = layout[key]
+        yield from _leaves(value) if isinstance(value, dict) else (key,)
 
 
-def _leaves(doc: dict):
-    """The leaf values of nested dicts in the order json.dumps(doc,
-    sort_keys=True) writes them."""
-    for key in sorted(doc):
-        value = doc[key]
-        yield from _leaves(value) if isinstance(value, dict) else (value,)
-
-
-# the text of one entry line around its leaf values (each a string of the
-# layout followed by ',' or '}'), in _leaves order
+# the text of one entry line around its leaf values (each a kind string of
+# the layout followed by ',' or '}'), in _leaves order
 _LINE_PIECES = re.split(r'"[^"]*"(?=[,}])', json.dumps(_LAYOUT, sort_keys=True) + "\n")
 # lines formatted and written at once; a larger batch holds more line
 # strings alive at once for little speed

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -250,10 +251,11 @@ def find_critical_points(model: Spline) -> list[CriticalPoint]:
 @dataclass(frozen=True)
 class OptimizationResult:
     # the shape of as_dict() that the artifact reader checks (see
-    # xfertune.pipeline)
+    # xfertune.pipeline); from_dict reads the values of its keys
     SHAPE = {"stratum_id": str, "sla_id": str, "params": dict.fromkeys(PARAM_NAMES, int),
              "predicted_energy": object, "predicted_throughput": object,
              "candidate_count": int, "feasible_count": int}
+    _VALUES, _PARAM_VALUES = itemgetter(*SHAPE), itemgetter(*PARAM_NAMES)
 
     stratum_id: str
     sla_id: str
@@ -264,26 +266,16 @@ class OptimizationResult:
     feasible_count: int
 
     def as_dict(self) -> dict:
-        return {
-            "stratum_id": self.stratum_id,
-            "sla_id": self.sla_id,
-            "params": self.params.as_dict(),
-            "predicted_energy": self.predicted_energy,
-            "predicted_throughput": self.predicted_throughput,
-            "candidate_count": self.candidate_count,
-            "feasible_count": self.feasible_count,
-        }
+        """The fields by name in declaration order, as a new dict."""
+        doc = self.__dict__.copy()
+        doc["params"] = self.params.as_dict()
+        return doc
 
     @classmethod
     def from_dict(cls, obj: dict) -> "OptimizationResult":
-        return cls(
-            stratum_id=obj["stratum_id"], sla_id=obj["sla_id"],
-            params=ParamConfig(*(obj["params"][p] for p in PARAM_NAMES)),
-            predicted_energy=obj["predicted_energy"],
-            predicted_throughput=obj["predicted_throughput"],
-            candidate_count=obj["candidate_count"],
-            feasible_count=obj["feasible_count"],
-        )
+        doc = dict(zip(cls.SHAPE, cls._VALUES(obj)))
+        doc["params"] = ParamConfig(*cls._PARAM_VALUES(doc["params"]))
+        return cls(**doc)
 
 
 def optimize_stratum(models: StratumModels, sla: SLA) -> OptimizationResult:

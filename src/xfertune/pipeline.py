@@ -188,15 +188,23 @@ _STRATA_BODY = {"config": dict, "strata": [Stratum.SHAPE]}
 
 def load_strata(doc: dict):
     """(config, strata) of a strata artifact; a body of another shape, a
-    config StratifyConfig refuses, a load band outside [0, 1] or a centroid
-    unfit for the config or not finite raises PipelineError."""
+    config StratifyConfig refuses, a repeated stratum id, a route that is
+    not two nonempty ids, a load band outside [0, 1] or a centroid unfit
+    for the config or not finite raises PipelineError."""
     _check_body(doc, _STRATA_BODY, "strata")
     try:
         config = StratifyConfig.from_dict(doc["config"])
     except ClusterError as exc:
         raise PipelineError(f"strata artifact: ['config']: {exc}") from None
+    first = {}
     for i, d in enumerate(doc["strata"]):
         where = f"strata artifact: ['strata'][{i}]"
+        if (j := first.setdefault(d["id"], i)) != i:
+            raise PipelineError(f"{where}['id'] repeats stratum id {d['id']}, "
+                                f"the id of ['strata'][{j}]")
+        if not (len(d["route"]) == 2 and all(d["route"])):
+            raise PipelineError(f"{where}['route'] of stratum {d['id']} is {d['route']}, "
+                                "not two nonempty strings")
         band = d["ext_load_interval"]
         if not (len(band) == 2 and 0.0 <= band[0] <= band[1] <= 1.0):
             raise PipelineError(f"{where}['ext_load_interval'] of stratum {d['id']} is "

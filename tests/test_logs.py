@@ -72,6 +72,34 @@ def test_param_config_accessors():
     assert list(cfg.as_dict()) == list(PARAM_NAMES)
 
 
+def test_the_layout_names_are_the_record_fields_in_declaration_order():
+    assert PARAM_NAMES == ("cpu_num", "cpu_freq_mhz", "cc", "p", "pp")
+    assert logs.DATASET_FLOATS == ("total_size_bytes", "avg_file_size_bytes",
+                                   "file_size_stddev_bytes")
+    assert logs.NETWORK_FLOATS == ("bandwidth_mbps", "rtt_ms", "ext_load")
+    assert logs.METRIC_FIELDS == ("throughput_mbps", "energy_joules", "avg_power_watts",
+                                  "duration_s", "timestamp_s")
+    assert FLOAT_COLUMNS == logs.DATASET_FLOATS + logs.NETWORK_FLOATS + logs.METRIC_FIELDS
+    entry = make_entry()
+    assert list(entry.as_dict()) == ["params", "dataset", "network", *logs.METRIC_FIELDS]
+    assert list(entry.dataset.as_dict()) == ["num_files", *logs.DATASET_FLOATS]
+    assert list(entry.network.as_dict()) == ["source_id", "dest_id", *logs.NETWORK_FLOATS]
+
+
+def test_each_as_dict_is_a_new_dict_the_record_does_not_share():
+    entry = make_entry()
+    for record in (entry, entry.params, entry.dataset, entry.network):
+        want = record.as_dict()
+        doc = record.as_dict()
+        assert doc == want and doc is not want
+        doc.update(dict.fromkeys(doc, 0), extra=1)
+        assert record.as_dict() == want
+    doc = entry.as_dict()
+    doc["params"]["cc"] = 99
+    doc["network"]["source_id"] = "elsewhere"
+    assert entry == make_entry() and entry.as_dict() == make_entry().as_dict()
+
+
 def test_lattice_enumeration_is_lexicographic():
     lat = ParamLattice(cpu_num=(1, 2), cpu_freq_mhz=(1200,), cc=(1, 4),
                        p=(1,), pp=(0, 4))
@@ -177,6 +205,13 @@ def test_ingest_rejects_unknown_and_missing_keys(tmp_path):
     del obj["params"]["cc"]
     path.write_text(json.dumps(obj) + "\n")
     with pytest.raises(LogParseError, match="missing key 'cc' in params, line 1"):
+        ingest_logs(path)
+
+    # the entry's own keys are checked before its sections'
+    obj = make_entry().as_dict()
+    del obj["params"]
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(LogParseError, match="missing key 'params' in entry, line 1"):
         ingest_logs(path)
 
 
@@ -776,15 +811,50 @@ def written_text(entries, path) -> str:
     return path.read_text(encoding="utf-8")
 
 
-# every leaf of an entry by its as_dict() section and the kind it holds
+# one entry whose values all differ, and its line as the writer writes it:
+# the on-disk format spelled out, so no change to the record classes can
+# move it unseen
+PINNED_ENTRY = make_entry(params=ParamConfig(cpu_num=2, cpu_freq_mhz=2400, cc=4, p=3, pp=5),
+                          timestamp_s=7.5)
+PINNED_LINE = (
+    '{"avg_power_watts": 50.0, "dataset": {"avg_file_size_bytes": 10000000.0, '
+    '"file_size_stddev_bytes": 1000000.0, "num_files": 100, '
+    '"total_size_bytes": 1000000000.0}, "duration_s": 10.0, "energy_joules": 500.0, '
+    '"network": {"bandwidth_mbps": 10000.0, "dest_id": "b", "ext_load": 0.2, '
+    '"rtt_ms": 30.0, "source_id": "a"}, "params": {"cc": 4, "cpu_freq_mhz": 2400, '
+    '"cpu_num": 2, "p": 3, "pp": 5}, "throughput_mbps": 900.0, "timestamp_s": 7.5}\n')
+
+
+def test_a_pinned_entry_is_written_as_its_pinned_line(tmp_path):
+    path = tmp_path / "logs.jsonl"
+    assert dumps_text([PINNED_ENTRY]) == PINNED_LINE
+    assert written_text(LogTable.from_entries([PINNED_ENTRY]), path) == PINNED_LINE
+    assert written_text([PINNED_ENTRY], path) == PINNED_LINE
+    assert list(ingest_logs(path)) == [PINNED_ENTRY]
+
+
+# every leaf of an entry by its as_dict() section and the kind it holds,
+# spelled out as the pinned line is
 WRITER_FIELDS = {
-    **{("params", n): "int" for n in PARAM_NAMES},
+    ("params", "cpu_num"): "int",
+    ("params", "cpu_freq_mhz"): "int",
+    ("params", "cc"): "int",
+    ("params", "p"): "int",
+    ("params", "pp"): "int",
     ("dataset", "num_files"): "int",
-    **{("dataset", n): "float" for n in logs.DATASET_FLOATS},
+    ("dataset", "total_size_bytes"): "float",
+    ("dataset", "avg_file_size_bytes"): "float",
+    ("dataset", "file_size_stddev_bytes"): "float",
     ("network", "source_id"): "str",
     ("network", "dest_id"): "str",
-    **{("network", n): "float" for n in logs.NETWORK_FLOATS},
-    **{(None, n): "float" for n in logs.METRIC_FIELDS},
+    ("network", "bandwidth_mbps"): "float",
+    ("network", "rtt_ms"): "float",
+    ("network", "ext_load"): "float",
+    (None, "throughput_mbps"): "float",
+    (None, "energy_joules"): "float",
+    (None, "avg_power_watts"): "float",
+    (None, "duration_s"): "float",
+    (None, "timestamp_s"): "float",
 }
 PLAIN_VALUES = {"float": st.floats(allow_nan=False, allow_infinity=False),
                 "int": st.integers(-2**63, 2**63 - 1),

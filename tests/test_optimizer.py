@@ -37,6 +37,7 @@ from xfertune.optimizer import (
     EIGEN_TOL,
     KIND_ENERGY_CAP,
     KIND_THROUGHPUT_FLOOR,
+    OptimizationResult,
     ParamTable,
     _classify_2d,
 )
@@ -419,6 +420,20 @@ def test_param_table_build_lookup_and_roundtrip():
         table.lookup("sB", "max-tput")
     back = ParamTable.from_dict(table.as_dict())
     assert back.lookup("sA", "max-tput").params == ok.params
+
+
+def test_result_as_dict_is_a_new_dict_the_result_does_not_share():
+    models = {"sA": fit_stratum_models(make_members(), "sA")}
+    res = optimize_stratum(models["sA"], SLA.max_throughput())
+    want = res.as_dict()
+    assert list(want) == ["stratum_id", "sla_id", "params", "predicted_energy",
+                          "predicted_throughput", "candidate_count", "feasible_count"]
+    assert want["params"] == res.params.as_dict()
+    doc = res.as_dict()
+    doc["params"]["cc"] = -1
+    doc["stratum_id"] = "elsewhere"
+    assert res.as_dict() == want
+    assert OptimizationResult.from_dict(want) == res
 
 
 def test_param_table_rejects_duplicate_sla_ids():

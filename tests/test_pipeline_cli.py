@@ -286,6 +286,15 @@ def test_tune_exits_2_on_strata_centroids_that_do_not_fit_the_config(
     ("strata", lambda d: d["strata"][3].update(ext_load_interval=[-0.1, 0.2]),
      "['strata'][3]['ext_load_interval'] of stratum s003 is [-0.1, 0.2], "
      "not two numbers 0 <= lo <= hi <= 1"),
+    # a 3-id or empty route used to load, and fit then reported the
+    # members' route as not the stratum's
+    ("strata", lambda d: d["strata"][1]["route"].append("x"),
+     "['strata'][1]['route'] of stratum s001 is ['uc', 'tacc', 'x'], "
+     "not two nonempty strings"),
+    ("strata", lambda d: d["strata"][2].update(route=[]),
+     "['strata'][2]['route'] of stratum s002 is [], not two nonempty strings"),
+    ("strata", lambda d: d["strata"][0]["route"].__setitem__(1, ""),
+     "['strata'][0]['route'] of stratum s000 is ['uc', ''], not two nonempty strings"),
     # non-finite tier-1 centroids used to exit 2 with "min() arg is an empty
     # sequence"; json reads the number 1e999 as inf
     ("strata", lambda d: d["strata"][0]["centroids"]["tier1"].__setitem__(1, json.loads("1e999")),
@@ -301,6 +310,7 @@ def test_tune_exits_2_on_strata_centroids_that_do_not_fit_the_config(
         "models-no-groups", "models-no-anchor-pp", "table-array", "table-no-result",
         "table-null-bound", "table-huge-int-bound", "strata-object", "strata-int-members", "strata-config-key",
         "strata-interval-3", "strata-interval-reversed", "strata-interval-negative",
+        "strata-route-3", "strata-route-empty", "strata-route-empty-id",
         "strata-inf-centroid", "strata-nan-centroid", "strata-minus-inf-centroid",
         "strata-huge-int-centroid"])
 def test_malformed_artifact_bodies_exit_2_naming_the_key_path(
@@ -334,6 +344,7 @@ def test_table_reader_ignores_keys_it_does_not_read(chain):
     for rows in doc["table"]["rows"].values():
         for row in rows.values():
             row["result"]["params"]["window"] = 3
+            row["result"]["note"] = "unread"
     want = load_table(read_json_artifact(chain / "table.json", "table"))
     got = load_table(doc)
     for sid in want.rows:
@@ -528,6 +539,21 @@ def test_fit_rejects_bad_member_indices(corpus, strata, bad):
     with pytest.raises(PipelineError, match=rf"stratum {s0.id}: member index "
                                             rf".* not in the log of 3888 entries"):
         fit_all_strata(corpus, [broken], with_holdout=False)
+
+
+def test_fit_exits_2_on_a_repeated_stratum_id(chain, tmp_path, capsys):
+    # fit used to exit 0 with 8 models for 9 strata, one stratum's lost
+    doc = json.loads((chain / "strata.json").read_text())
+    doc["strata"][1]["id"] = "s000"
+    strata = tmp_path / "strata.json"
+    strata.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["fit", "--logs", str(chain / "logs.jsonl"), "--strata", str(strata),
+                     "--out", str(tmp_path / "models.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {strata}: strata artifact: ['strata'][1]['id'] repeats stratum id s000, "
+        "the id of ['strata'][0]\n")
+    assert not (tmp_path / "models.json").exists()
 
 
 def test_fit_rejects_a_log_of_another_route(chain, tmp_path, capsys):
