@@ -141,14 +141,24 @@ def _layout(cls) -> dict:
             for name, t in get_type_hints(cls).items()}
 
 
+def _leaf_paths(layout: dict, prefix: str = ""):
+    """(name, attribute path from the record, kind) of each leaf of a
+    layout, in declaration order."""
+    for name, kind in layout.items():
+        if isinstance(kind, dict):
+            yield from _leaf_paths(kind, f"{prefix}{name}.")
+        else:
+            yield name, prefix + name, kind
+
+
 # an entry's keys nested as as_dict() nests them, each leaf holding its kind
 _LAYOUT = _layout(TransferLogEntry)
 _SECTIONS = {name: v for name, v in _LAYOUT.items() if isinstance(v, dict)}
+_LEAF_PATHS = tuple(_leaf_paths(_LAYOUT))
 # the key set of the entry (None) and of each section, the entry's first
 _KEYS = {None: set(_LAYOUT), **{name: set(v) for name, v in _SECTIONS.items()}}
 # the kind of every leaf: int64, finite float or nonempty string
-_KINDS = {name: kind for layout in (_LAYOUT, *_SECTIONS.values())
-          for name, kind in layout.items() if isinstance(kind, str)}
+_KINDS = {name: kind for name, _, kind in _LEAF_PATHS}
 PARAM_NAMES = tuple(_SECTIONS["params"])
 DATASET_FLOATS, NETWORK_FLOATS, METRIC_FIELDS = (
     tuple(name for name, kind in layout.items() if kind == "float")
@@ -202,10 +212,11 @@ def _is_int(v) -> bool:
 
 # -- validation rules -----------------------------------------------------------
 #
-# Every invariant is written once, in one ordered list, and checked one way:
-# as numpy masks over _Fields columns, a chunk of log lines at a time
-# (ingest_logs) or one entry as a one-row column (validate_entry and
-# validate_params). A value of the wrong type is marked in `bad` and
+# Every invariant is written once, in one ordered list. A rule reads _Fields:
+# numpy masks over columns, a chunk of log lines at a time (ingest_logs) or
+# one entry as a one-row column (validate_entry); validate_params, which the
+# simulator calls on every parameter change, evaluates the same rules on one
+# entry's scalar values. A value of the wrong type is marked in `bad` and
 # replaced by a placeholder, and an integer outside int64 is marked in `big`
 # and clipped, so every rule can be evaluated on every row. The first broken
 # rule of an entry names it.
@@ -342,8 +353,17 @@ def _first_broken(rules, raw: dict) -> str | None:
 
 
 def validate_params(params: ParamConfig) -> str | None:
-    """Return the first violated parameter invariant, or None if valid."""
-    return _first_broken(_PARAM_RULES, {n: [x] for n, x in params.as_dict().items()})
+    """Return the first violated parameter invariant, or None if valid.
+    _PARAM_RULES run on the parameters' scalar _Fields, marked and clipped
+    as _column marks a one-row int column."""
+    v, bad, big = {}, {}, {}
+    for name, x in params.as_dict().items():
+        bad[name] = not _is_int(x)
+        big[name] = not bad[name] and not _INT64_MIN <= x <= _INT64_MAX
+        v[name] = (0 if bad[name] else
+                   min(max(x, _INT64_MIN), _INT64_MAX) if big[name] else x)
+    r = _Fields(v, bad, big)
+    return next((msg for msg, broken in _PARAM_RULES if broken(r)), None)
 
 
 def validate_entry(entry: TransferLogEntry) -> str | None:
@@ -401,6 +421,8 @@ def _bit_key(table, ints: np.ndarray, floats) -> np.ndarray:
 _ROW_BLOCK = 1024
 
 
+# the array.array typecode and dtype of a numeric leaf's column
+_ARRAY_TYPES = {"int": ("q", np.int64), "float": ("d", np.float64)}
 # the LogTable fields that hold one row per entry
 _ROW_ARRAYS = ("params", "num_files", *FLOAT_COLUMNS, "route")
 
@@ -490,22 +512,20 @@ class LogTable:
     @classmethod
     def from_entries(cls, entries) -> "LogTable":
         """Column table of a sequence of TransferLogEntry (not validated).
-        Each column is filled through an array.array of C int64 or double,
-        which takes ints and floats, numpy's included, and raises TypeError
-        for a value it would have to convert: None, a string, or a float
-        such as 4.5 in an int field."""
-        def column(path: str, code: str, dtype) -> np.ndarray:
-            return np.frombuffer(array(code, map(attrgetter(path), entries)), dtype)
-
-        floats = {name: column(section + name, "d", np.float64)
-                  for section, names in (("dataset.", DATASET_FLOATS),
-                                         ("network.", NETWORK_FLOATS), ("", METRIC_FIELDS))
-                  for name in names}
+        Each int or float leaf of the layout is read by its attribute path
+        into an array.array of C int64 or double, which takes ints and
+        floats, numpy's included, and raises TypeError for a value it would
+        have to convert: None, a string, or a float such as 4.5 in an int
+        field."""
+        columns = {}
+        for name, path, kind in _LEAF_PATHS:
+            if kind in _ARRAY_TYPES:
+                code, dtype = _ARRAY_TYPES[kind]
+                columns[name] = np.frombuffer(array(code, map(attrgetter(path), entries)),
+                                              dtype)
+        params = np.column_stack([columns.pop(p) for p in PARAM_NAMES])
         route, routes = _route_codes([e.network.route for e in entries])
-        return cls(params=np.column_stack([column(f"params.{p}", "q", np.int64)
-                                           for p in PARAM_NAMES]),
-                   num_files=column("dataset.num_files", "q", np.int64),
-                   route=route, routes=routes, **floats)
+        return cls(params=params, route=route, routes=routes, **columns)
 
 
 def as_log_table(entries) -> LogTable:
@@ -654,16 +674,12 @@ def ingest_logs(path: str | Path) -> LogTable:
 
 # -- JSON-Lines writing -----------------------------------------------------------
 
-def _leaves(layout: dict):
-    """The leaf names of a nested layout in the order json.dumps(doc,
-    sort_keys=True) writes the leaves of a doc of that layout."""
-    for key in sorted(layout):
-        value = layout[key]
-        yield from _leaves(value) if isinstance(value, dict) else (key,)
-
-
+# the leaf names in the order json.dumps(entry, sort_keys=True) writes them:
+# sorted by attribute path, a section's leaves at its key's place
+_WRITE_ORDER = tuple(name for name, _, _ in
+                     sorted(_LEAF_PATHS, key=lambda leaf: leaf[1].split(".")))
 # the text of one entry line around its leaf values (each a kind string of
-# the layout followed by ',' or '}'), in _leaves order
+# the layout followed by ',' or '}'), in _WRITE_ORDER
 _LINE_PIECES = re.split(r'"[^"]*"(?=[,}])', json.dumps(_LAYOUT, sort_keys=True) + "\n")
 # lines formatted and written at once; a larger batch holds more line
 # strings alive at once for little speed
@@ -712,7 +728,7 @@ def _write_table(table: LogTable, fh) -> None:
     """Write a table's lines WRITE_BATCH_LINES at a time: each batch is one
     list, the line's text pieces repeated per line, whose value slots are
     filled a leaf column at a time by slice assignment, joined once."""
-    leaves = [_leaf_text(table, name) for name in _leaves(_LAYOUT)]
+    leaves = [_leaf_text(table, name) for name in _WRITE_ORDER]
     width = 2 * len(leaves) + 1
     line = [None] * width
     line[::2] = _LINE_PIECES

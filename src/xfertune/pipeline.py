@@ -14,6 +14,7 @@ class.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -320,12 +321,21 @@ def optimize_all(models: dict, slas) -> ParamTable:
 # -- online runs ---------------------------------------------------------------
 
 def _class_sizes(classes) -> np.ndarray:
+    """The synthetic file sizes of the named classes, in FILE_CLASSES order,
+    as a read-only float64 array shared by every call with the same classes."""
     for c in classes:
         if c not in DATASET_CLASSES:
             raise PipelineError(f"unknown file class {c!r}")
-    ordered = [c for c in FILE_CLASSES if c in classes]
-    return np.concatenate([np.zeros(0, dtype=np.int64)] +
-                          [synth_file_sizes(DATASET_CLASSES[c]) for c in ordered])
+    return _ordered_class_sizes(tuple(c for c in FILE_CLASSES if c in classes))
+
+
+@functools.cache
+def _ordered_class_sizes(ordered: tuple) -> np.ndarray:
+    # every size is an int64 below 2**53, so its float64 is exact
+    sizes = np.concatenate([np.zeros(0)] + [synth_file_sizes(DATASET_CLASSES[c])
+                                            for c in ordered], dtype=np.float64)
+    sizes.flags.writeable = False
+    return sizes
 
 
 def run_tuned_transfer(spec: EndpointSpec, scenario: LoadScenario, config,

@@ -315,10 +315,13 @@ class SimEndpoint:
     continuous scenario. An optional fail_at_s raises EndpointFailure on the
     first step at or past that time. A step keeps the [start, end) interval
     of the current load segment and looks the scenario up again only when
-    the clock leaves it; it reuses the previous step's throughput and power
-    until the parameters, the dataset or the load change. Between those
-    events a step allocates only its sample. A step whose new rate cannot
-    shrink the bytes that remain raises SimulationError instead of looping.
+    the clock leaves it. Whenever it computes a rate it builds one
+    full-interval MonitorSample, and every full-interval step returns that
+    shared sample until the parameters, the dataset or the load change; only
+    a class's last, partial step builds a new one, so a full-interval step
+    builds no object beyond its float arithmetic. A step whose new rate
+    cannot shrink the bytes that remain raises SimulationError instead of
+    looping.
     """
 
     def __init__(self, spec: EndpointSpec, scenario: LoadScenario | None = None,
@@ -337,8 +340,9 @@ class SimEndpoint:
         self._remaining = 0.0
         # (start, end, load) of the current segment; empty until the first step
         self._segment = (math.inf, math.inf, None)
-        self._rate_load: float | None = None   # load of the cached _rate
-        self._rate = (0.0, 0.0)                # (throughput, power)
+        # the full-interval sample at the cached rate; None until a step
+        # computes one, and again after set_params
+        self._full: MonitorSample | None = None
 
     def describe(self) -> NetworkMeta:
         return NetworkMeta(
@@ -361,12 +365,13 @@ class SimEndpoint:
         if params.cpu_num > self.spec.cpu_cores:
             raise SimulationError("cpu_num exceeds the endpoint's cores")
         self._params = params
-        self._rate_load = None
+        self._full = None
 
     def step(self) -> MonitorSample | None:
         if self._dataset is None:
             raise SimulationError("begin a transfer before stepping")
-        if self._remaining <= 0.0:
+        remaining = self._remaining
+        if remaining <= 0.0:
             return None
         clock = self.clock_s
         if self.fail_at_s is not None and clock >= self.fail_at_s:
@@ -374,25 +379,33 @@ class SimEndpoint:
         start, end, load = self._segment
         if not start <= clock < end:
             start, end, load = self._segment = self.scenario.segment_at(clock)
-        if load != self._rate_load:
-            t = throughput_mbps(self.spec, self._params, load,
-                                self._dataset.avg_file_size_bytes)
-            # moving at least one ulp of what remains shrinks it, and the ulp
-            # only falls with it, so the transfer ends; a rate of 0 never would
-            if not t * 1e6 / 8.0 * self.interval_s >= math.ulp(self._remaining):
-                raise SimulationError(f"{self.spec.name}: throughput {t!r} Mbps "
-                                      "cannot move the remaining bytes")
-            self._rate = (t, power_above_base_watts(self.spec, self._params, t))
-            self._rate_load = load
-        t, power = self._rate
+        full = self._full
+        if full is None or load != full.ext_load:
+            full = self._full = self._full_sample(load)
+        capacity = full.bytes_moved
+        if remaining <= capacity:
+            t = full.throughput_mbps
+            dt = remaining * 8.0 / 1e6 / t
+            self._remaining = 0.0
+            self.clock_s = clock + dt
+            return MonitorSample(dt, t, full.power_watts, load, full.rtt_ms, remaining)
+        self._remaining = remaining - capacity
+        self.clock_s = clock + full.dt_s
+        return full
+
+    def _full_sample(self, load: float) -> MonitorSample:
+        """The sample of a full interval at load under the current
+        parameters and dataset."""
+        t = throughput_mbps(self.spec, self._params, load, self._dataset.avg_file_size_bytes)
         capacity = t * 1e6 / 8.0 * self.interval_s
-        if self._remaining <= capacity:
-            dt, moved = self._remaining * 8.0 / 1e6 / t, self._remaining
-        else:
-            dt, moved = self.interval_s, capacity
-        self._remaining -= moved
-        self.clock_s = clock + dt
-        return MonitorSample(dt, t, power, load, self.spec.rtt_ms, moved)
+        # moving at least one ulp of what remains shrinks it, and the ulp
+        # only falls with it, so the transfer ends; a rate of 0 never would
+        if not capacity >= math.ulp(self._remaining):
+            raise SimulationError(f"{self.spec.name}: throughput {t!r} Mbps "
+                                  "cannot move the remaining bytes")
+        return MonitorSample(self.interval_s, t,
+                             power_above_base_watts(self.spec, self._params, t),
+                             load, self.spec.rtt_ms, capacity)
 
 
 def synth_file_sizes(meta: DatasetMeta) -> np.ndarray:

@@ -21,12 +21,16 @@ checked once and split into classes with masks. A class's total and its
 squared deviations are added left to right in file order, so the work
 outside the tick loop is a few array passes per class.
 
-Inside the loop, a holding tick allocates only the endpoint's sample: the
-tuner returns one shared TickResult per (stratum, parameters, trigger flag),
-and finds a stratum's siblings once. A class keeps only the last three
-smoothed throughputs, all that the heuristic nudge reads. MonitorSample and
-TickResult are slots dataclasses, immutable by convention rather than
-frozen, because building a frozen one costs several times as much.
+Inside the loop, a holding tick on a full-interval step allocates nothing
+but its float arithmetic: the endpoint returns one shared MonitorSample per
+rate, the tuner one shared TickResult per (stratum, parameters, trigger
+flag), and a stratum's siblings are found once. A tick reads each piece of
+its state into a local once and writes it back once, keeping the float
+operations of the forecast in their order. A class keeps only the last
+three smoothed throughputs, all that the heuristic nudge reads.
+MonitorSample and TickResult are slots dataclasses, immutable by convention
+rather than frozen, because building a frozen one costs several times as
+much.
 """
 from __future__ import annotations
 
@@ -70,9 +74,9 @@ class EndpointFailure(Exception):
 @dataclass(slots=True)
 class MonitorSample:
     """One monitoring interval as reported by the endpoint. Immutable by
-    convention: nothing assigns a field once it is built. Not frozen,
-    because a frozen dataclass costs several times as much to build and one
-    is built on every tick."""
+    convention: nothing assigns a field once it is built, and an endpoint
+    may return one sample for many intervals. Not frozen, because a frozen
+    dataclass costs several times as much to build."""
 
     dt_s: float
     throughput_mbps: float
@@ -245,60 +249,69 @@ class OnlineTuner:
     # -- per-tick pipeline -------------------------------------------------
 
     def tick(self, sample: MonitorSample) -> TickResult:
-        if self.stratum is None:
+        # each piece of state is read once into a local and written once
+        stratum = self.stratum
+        if stratum is None:
             raise TunerError("start_class before tick")
-        if not sample.dt_s > 0:   # NaN fails too
+        dt = sample.dt_s
+        if not dt > 0:   # NaN fails too
             raise TunerError("sample dt_s must be > 0")
         st = self.cls
-        dt = sample.dt_s
+        history = st.history
         ext = sample.ext_load
-        first = not st.history   # a class's first tick seeds its state
-        if first:
-            st.t_avg, st.ref_ext = sample.throughput_mbps, ext
-        t_prev = st.t_avg
-        t_avg = t_prev if first else (
-            EWMA_WEIGHT * t_prev + (1.0 - EWMA_WEIGHT) * sample.throughput_mbps)
+        if history:
+            t_prev, ref_ext = st.t_avg, st.ref_ext
+            t_avg = EWMA_WEIGHT * t_prev + (1.0 - EWMA_WEIGHT) * sample.throughput_mbps
+        else:   # a class's first tick seeds its state
+            t_prev = t_avg = sample.throughput_mbps
+            st.ref_ext = ref_ext = ext
         d_e = sample.power_watts * dt
-        self.remaining_bytes = max(0.0, self.remaining_bytes - sample.bytes_moved)
-        t_rem = (self.remaining_bytes * 8.0 / 1e6 / t_avg) if t_avg > 0 else math.inf
-        p_avg = (self.e_consumed + d_e) / (self.elapsed_s + dt)
-        e_pred = p_avg * t_rem
-        st.history.append(t_avg)
+        remaining = self.remaining_bytes - sample.bytes_moved
+        # max(0.0, remaining): NaN and -0.0 clamp to 0.0 as well
+        remaining = self.remaining_bytes = remaining if remaining > 0.0 else 0.0
+        t_rem = (remaining * 8.0 / 1e6 / t_avg) if t_avg > 0 else math.inf
+        e_consumed = self.e_consumed
+        e_total = e_consumed + d_e
+        elapsed = self.elapsed_s + dt
+        e_pred = e_total / elapsed * t_rem
+        history.append(t_avg)
 
         if self.loop == "energy":
-            triggered = (d_e + e_pred > (1.0 + BETA) * st.past_e_pred or
-                         d_e + e_pred > self.e_sla - self.e_consumed)
+            e_next = d_e + e_pred
+            triggered = (e_next > (1.0 + BETA) * st.past_e_pred or
+                         e_next > self.e_sla - e_consumed)
         else:
             triggered = (t_avg < (1.0 - ALPHA) * t_prev or
                          t_avg < self.t_sla)
 
-        capped = self.switch_count >= SWITCH_CAP
+        # once SWITCH_CAP switches are spent, the tuner nudges instead
         action = None
         if triggered:
-            if capped or ext > (1.0 + BETA) * st.ref_ext:
-                action = (self._heuristic(allow_down=True) if capped
-                          else self._switch("high", ext))
+            if self.switch_count >= SWITCH_CAP:
+                action = self._heuristic(allow_down=True)
+            elif ext > (1.0 + BETA) * ref_ext:
+                action = self._switch("high", ext)
             # else below the cap with no load rise to blame: hold, the switch
             # budget is saved for attributable changes
-        elif ext < (1.0 - ALPHA) * st.ref_ext:
-            action = (self._heuristic(allow_down=False) if capped
+        elif ext < (1.0 - ALPHA) * ref_ext:
+            action = (self._heuristic(allow_down=False) if self.switch_count >= SWITCH_CAP
                       else self._switch("low", ext))
 
         st.t_avg = t_avg
         st.past_e_pred = e_pred
-        self.e_consumed += d_e
-        self.elapsed_s += dt
+        self.e_consumed = e_total
+        self.elapsed_s = elapsed
+        params = self.params
         if action is not None:
-            self.events.append({"t_s": self.elapsed_s, "event": action,
-                                "stratum_id": self.stratum.id,
-                                "params": self.params.as_dict()})
-            return TickResult(action, triggered, self.stratum.id, self.params)
+            # a reaction moves the stratum, the parameters or both
+            stratum = self.stratum
+            self.events.append({"t_s": elapsed, "event": action,
+                                "stratum_id": stratum.id, "params": params.as_dict()})
+            return TickResult(action, triggered, stratum.id, params)
         # checked every tick: callers may assign stratum and params directly
         held = self._held[triggered]
-        if (held is None or held.params is not self.params
-                or held.stratum_id != self.stratum.id):
-            held = self._held[triggered] = TickResult(
-                None, triggered, self.stratum.id, self.params)
+        if held is None or held.params is not params or held.stratum_id != stratum.id:
+            held = self._held[triggered] = TickResult(None, triggered, stratum.id, params)
         return held
 
     # -- reactions ----------------------------------------------------------

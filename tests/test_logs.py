@@ -729,6 +729,27 @@ def test_validate_entry_matches_legacy_on_every_pair_of_faults():
         assert validate_entry(entry) == legacy_validate_entry(entry)
 
 
+# any value a parameter field could hold: ints of every size, the int64
+# edges and beyond, bools, floats with NaN and +-inf, None and strings
+PARAM_VALUES = st.one_of(
+    st.integers(-3, 3000), st.integers(),
+    st.sampled_from([2 ** 63 - 1, 2 ** 63, 2 ** 64, -2 ** 63, -2 ** 63 - 1, 10 ** 30]),
+    st.booleans(), st.floats(), st.none(), st.text(max_size=3))
+
+
+@example(values=[1, 1200, 2 ** 63, True, -1])
+@example(values=[0, 1200, 1.0, 1, 2 ** 63])
+@example(values=[1, 1200, 16, 8, 8])
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(PARAM_VALUES, min_size=5, max_size=5))
+def test_validate_params_matches_the_legacy_checks_and_the_column_rules(values):
+    params = ParamConfig(*values)
+    want = legacy_validate_params(params)
+    assert validate_params(params) == want
+    assert logs._first_broken(logs._PARAM_RULES,
+                              {n: [x] for n, x in params.as_dict().items()}) == want
+
+
 @pytest.mark.parametrize("num_files,total", [
     (2 ** 53 + 1, 2.0 ** 53), (2 ** 53, 2.0 ** 53), (2 ** 53 + 1, 2.0 ** 53 + 2),
     (2 ** 53 + 3, 2.0 ** 53 + 4), (2 ** 53 + 5, 2.0 ** 53 + 4),

@@ -456,6 +456,39 @@ def test_segment_bounded_lookup_equals_a_fresh_step(segments):
     assert loads == {load for _, load in segments}
 
 
+def test_full_interval_steps_share_one_sample_until_the_rate_changes():
+    scenario = LoadScenario(((0.0, 0.2), (3.0, 0.6)))
+    fast, slow = ParamConfig(8, 2300, 16, 8, 8), ParamConfig(2, 1800, 4, 2, 4)
+    # the fast rate moves 1e9 bytes a second at load 0.2 and half that at
+    # load 0.6, from t = 3 on, so 6e9 bytes end in a partial step after t = 9
+    big = DatasetMeta(num_files=10, total_size_bytes=6e9,
+                      avg_file_size_bytes=6e8, file_size_stddev_bytes=0.0)
+    ep = SimEndpoint(CHAM, scenario, interval_s=1.0)
+    ep.begin(big, fast)
+    first, second = ep.step(), ep.step()
+    assert second is first and first.dt_s == 1.0
+    ep.set_params(fast)   # even equal parameters build a new sample
+    third = ep.step()
+    assert third is not first and third == first
+    ep.set_params(slow)
+    slowed = ep.step()
+    assert slowed is not third and slowed.throughput_mbps < third.throughput_mbps
+    ep.set_params(fast)
+    at_high_load = ep.step(), ep.step()
+    assert at_high_load[0] is at_high_load[1] and at_high_load[0].ext_load == 0.6
+    assert at_high_load[0].throughput_mbps < first.throughput_mbps
+    steps = [ep.step()]
+    while steps[-1] is not None:
+        steps.append(ep.step())
+    last = steps[-2]
+    assert len(steps) == 5 and all(s is at_high_load[0] for s in steps[:-2])
+    assert last is not at_high_load[0] and last.dt_s < 1.0
+    assert last.bytes_moved < at_high_load[0].bytes_moved
+    # the next class starts from a sample of its own
+    ep.begin(big, fast)
+    assert ep.step() is not at_high_load[0]
+
+
 @pytest.mark.parametrize("total", [math.nan, math.inf, 0.0, -1.0],
                          ids=["nan", "inf", "zero", "negative"])
 def test_begin_rejects_a_total_that_is_not_finite_and_positive(total):

@@ -8,6 +8,7 @@ hand (EWMA weight 0.5, alpha = beta = 0.1).
 
 import dataclasses
 import functools
+import json
 import math
 import operator
 import os
@@ -24,6 +25,7 @@ from hypothesis.extra import numpy as hnp
 
 from xfertune import (
     SLA,
+    EndpointFailure,
     MonitorSample,
     OnlineTuner,
     ParamConfig,
@@ -33,15 +35,21 @@ from xfertune import (
     compare_policies,
     optimize_all,
 )
+from xfertune import pipeline
 from xfertune.optimizer import KIND_ENERGY_CAP, KIND_THROUGHPUT_FLOOR
-from xfertune.simulator import DATASET_CLASSES, ENDPOINTS, LoadScenario
+from xfertune.simulator import (DATASET_CLASSES, ENDPOINTS, LoadScenario, SimulationError,
+                                power_above_base_watts, throughput_mbps)
 from xfertune.logs import DatasetMeta
 from xfertune.pipeline import _class_sizes
 from xfertune.tuner import (
+    ALPHA,
+    BETA,
+    EWMA_WEIGHT,
     FILE_CLASSES,
     MIB,
     SWITCH_CAP,
     FixedController,
+    TickResult,
     dataset_meta_for,
     run_transfer,
     select_loop,
@@ -790,3 +798,215 @@ def test_endpoint_failure_carries_partial_report():
     assert rep.duration_s == pytest.approx(3.0)
     assert rep.energy_joules > 0
     assert rep.classes and rep.classes[-1]["class"] == "large"
+
+
+# -- the tick loop the shared-sample step replaced ---------------------------------
+#
+# Test-only oracle: SimEndpoint.step and OnlineTuner.tick as they were before
+# a full-interval step returned one shared sample and a tick read its state
+# once: a new sample every step, the rate cached by load, and a tick that
+# reads and writes its state where it uses it. Every tuned transfer and
+# every policy comparison must give the same bytes under both loops.
+
+
+class LegacySimEndpoint(SimEndpoint):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._rate_load = None   # load of the cached _rate
+        self._rate = (0.0, 0.0)  # (throughput, power)
+
+    def set_params(self, params):
+        super().set_params(params)
+        self._rate_load = None
+
+    def step(self) -> MonitorSample | None:
+        if self._dataset is None:
+            raise SimulationError("begin a transfer before stepping")
+        if self._remaining <= 0.0:
+            return None
+        clock = self.clock_s
+        if self.fail_at_s is not None and clock >= self.fail_at_s:
+            raise EndpointFailure(f"endpoint failed at t={clock:.3f}s")
+        start, end, load = self._segment
+        if not start <= clock < end:
+            start, end, load = self._segment = self.scenario.segment_at(clock)
+        if load != self._rate_load:
+            t = throughput_mbps(self.spec, self._params, load,
+                                self._dataset.avg_file_size_bytes)
+            # moving at least one ulp of what remains shrinks it, and the ulp
+            # only falls with it, so the transfer ends; a rate of 0 never would
+            if not t * 1e6 / 8.0 * self.interval_s >= math.ulp(self._remaining):
+                raise SimulationError(f"{self.spec.name}: throughput {t!r} Mbps "
+                                      "cannot move the remaining bytes")
+            self._rate = (t, power_above_base_watts(self.spec, self._params, t))
+            self._rate_load = load
+        t, power = self._rate
+        capacity = t * 1e6 / 8.0 * self.interval_s
+        if self._remaining <= capacity:
+            dt, moved = self._remaining * 8.0 / 1e6 / t, self._remaining
+        else:
+            dt, moved = self.interval_s, capacity
+        self._remaining -= moved
+        self.clock_s = clock + dt
+        return MonitorSample(dt, t, power, load, self.spec.rtt_ms, moved)
+
+
+class LegacyOnlineTuner(OnlineTuner):
+    def tick(self, sample: MonitorSample) -> TickResult:
+        if self.stratum is None:
+            raise TunerError("start_class before tick")
+        if not sample.dt_s > 0:   # NaN fails too
+            raise TunerError("sample dt_s must be > 0")
+        st = self.cls
+        dt = sample.dt_s
+        ext = sample.ext_load
+        first = not st.history   # a class's first tick seeds its state
+        if first:
+            st.t_avg, st.ref_ext = sample.throughput_mbps, ext
+        t_prev = st.t_avg
+        t_avg = t_prev if first else (
+            EWMA_WEIGHT * t_prev + (1.0 - EWMA_WEIGHT) * sample.throughput_mbps)
+        d_e = sample.power_watts * dt
+        self.remaining_bytes = max(0.0, self.remaining_bytes - sample.bytes_moved)
+        t_rem = (self.remaining_bytes * 8.0 / 1e6 / t_avg) if t_avg > 0 else math.inf
+        p_avg = (self.e_consumed + d_e) / (self.elapsed_s + dt)
+        e_pred = p_avg * t_rem
+        st.history.append(t_avg)
+
+        if self.loop == "energy":
+            triggered = (d_e + e_pred > (1.0 + BETA) * st.past_e_pred or
+                         d_e + e_pred > self.e_sla - self.e_consumed)
+        else:
+            triggered = (t_avg < (1.0 - ALPHA) * t_prev or
+                         t_avg < self.t_sla)
+
+        capped = self.switch_count >= SWITCH_CAP
+        action = None
+        if triggered:
+            if capped or ext > (1.0 + BETA) * st.ref_ext:
+                action = (self._heuristic(allow_down=True) if capped
+                          else self._switch("high", ext))
+            # else below the cap with no load rise to blame: hold, the switch
+            # budget is saved for attributable changes
+        elif ext < (1.0 - ALPHA) * st.ref_ext:
+            action = (self._heuristic(allow_down=False) if capped
+                      else self._switch("low", ext))
+
+        st.t_avg = t_avg
+        st.past_e_pred = e_pred
+        self.e_consumed += d_e
+        self.elapsed_s += dt
+        if action is not None:
+            self.events.append({"t_s": self.elapsed_s, "event": action,
+                                "stratum_id": self.stratum.id,
+                                "params": self.params.as_dict()})
+            return TickResult(action, triggered, self.stratum.id, self.params)
+        # checked every tick: callers may assign stratum and params directly
+        held = self._held[triggered]
+        if (held is None or held.params is not self.params
+                or held.stratum_id != self.stratum.id):
+            held = self._held[triggered] = TickResult(
+                None, triggered, self.stratum.id, self.params)
+        return held
+
+
+LOOPS = {"new": (SimEndpoint, OnlineTuner), "legacy": (LegacySimEndpoint, LegacyOnlineTuner)}
+
+
+def online_loop(loop: str, ticks: list):
+    """The pipeline's online runs on the loop's endpoint and tuner. After
+    each tick, its sample, its result and the tuner's state are appended to
+    ticks as the repr of their values, so every float is compared bit for
+    bit, -0.0 apart from 0.0."""
+    endpoint_cls, tuner_cls = LOOPS[loop]
+
+    class Recording(tuner_cls):
+        def tick(self, sample):
+            res = super().tick(sample)
+            st = self.cls
+            ticks.append(repr((dataclasses.astuple(sample), dataclasses.astuple(res),
+                               self.e_consumed, self.elapsed_s, self.remaining_bytes,
+                               st.t_avg, st.past_e_pred, st.ref_ext, list(st.history))))
+            return res
+
+    return mock.patch.multiple(pipeline, SimEndpoint=endpoint_cls, OnlineTuner=Recording)
+
+
+# the benchmark's four SLAs: the presets, a 100 kJ cap and a 3 Gbps floor
+BENCH_SLAS = (SLA.max_throughput(), SLA.min_energy(),
+              SLA(id="cap100k", kind=KIND_ENERGY_CAP, bound=100_000.0),
+              SLA(id="floor3g", kind=KIND_THROUGHPUT_FLOOR, bound=3_000.0))
+
+
+@pytest.fixture(scope="module")
+def bench_table(models):
+    return optimize_all(models, list(BENCH_SLAS))
+
+
+@st.composite
+def load_scenarios(draw):
+    """1-6 piecewise constant segments, the changes inside (0, 60) s."""
+    n = draw(st.integers(1, 6))
+    starts = draw(st.lists(st.floats(0.0, 60.0, exclude_min=True), min_size=n - 1,
+                           max_size=n - 1, unique=True))
+    loads = draw(st.lists(st.floats(0.0, 0.9), min_size=n, max_size=n))
+    return LoadScenario(tuple(zip([0.0] + sorted(starts), loads)))
+
+
+def run_on(loop: str, fn):
+    """fn() run on the loop's endpoint and tuner, and the tuner's ticks."""
+    ticks = []
+    with online_loop(loop, ticks):
+        assert pipeline.SimEndpoint is LOOPS[loop][0]
+        return fn(), ticks
+
+
+def transfer_text(spec, scenario, sla, run):
+    """The transfer document of run() as bytes, and the failure it raised."""
+    try:
+        report, failure = run(), None
+    except EndpointFailure as exc:
+        report, failure = exc.report, str(exc)
+    return json.dumps(pipeline.transfer_doc(spec, scenario, sla, report),
+                      sort_keys=True), failure
+
+
+# ticks of 0.1 s land exactly on 0.5 and 1.2, and a failure at a segment start
+@example(scenario=LoadScenario(((0.0, 0.05), (0.5, 0.7), (1.2, 0.25), (4.0, 0.6),
+                                (9.0, 0.1), (15.0, 0.45))),
+         sla=BENCH_SLAS[0], interval_s=0.1, fail_at_s=None)
+@example(scenario=LoadScenario(((0.0, 0.2), (3.0, 0.6))), sla=BENCH_SLAS[2],
+         interval_s=1.0, fail_at_s=3.0)
+@settings(max_examples=100, deadline=None)
+@given(scenario=load_scenarios(), sla=st.sampled_from(BENCH_SLAS),
+       interval_s=st.sampled_from([0.1, 1.0]),
+       fail_at_s=st.one_of(st.none(), st.floats(0.0, 90.0)))
+def test_tuned_transfers_give_the_legacy_loops_bytes(
+        strata, models, bench_table, stratify_config, scenario, sla, interval_s, fail_at_s):
+    spec = ENDPOINTS["chameleon"]
+
+    def run():
+        return pipeline.run_tuned_transfer(spec, scenario, stratify_config, strata, models,
+                                           bench_table, sla, interval_s=interval_s,
+                                           fail_at_s=fail_at_s)
+
+    (got, got_ticks), (want, want_ticks) = (
+        run_on(loop, lambda: transfer_text(spec, scenario, sla, run)) for loop in LOOPS)
+    assert got == want
+    assert got_ticks == want_ticks
+
+
+@example(scenario=LoadScenario(tuple((3.0 * k, 0.55 if k % 2 else 0.15) for k in range(20))),
+         interval_s=0.1)
+@settings(max_examples=10, deadline=None)
+@given(scenario=load_scenarios(), interval_s=st.sampled_from([0.1, 1.0]))
+def test_policy_comparisons_give_the_legacy_loops_bytes(
+        strata, models, bench_table, stratify_config, scenario, interval_s):
+    def compare():
+        doc = pipeline.compare_policies(ENDPOINTS["chameleon"], scenario, stratify_config,
+                                        strata, models, bench_table, interval_s=interval_s)
+        return json.dumps(doc, sort_keys=True)
+
+    (got, got_ticks), (want, want_ticks) = (run_on(loop, compare) for loop in LOOPS)
+    assert got == want
+    assert got_ticks == want_ticks and got_ticks
