@@ -1,9 +1,10 @@
 """Hierarchical clustering and three-tier stratification of transfer logs.
 
 Strata group historical transfers that behaved alike: tier 1 clusters on
-external network conditions (load, bandwidth), tier 2 on dataset shape, then
-each tier-2 group is split into external-load intervals around the mean, and
-tier 3 pins the exact route and clusters residual link characteristics.
+bandwidth, tier 2 on dataset shape, then each tier-2 group is split into
+external-load intervals around the mean, and tier 3 pins the exact route and
+clusters residual link characteristics. No tier clusters the load: the
+intervals partition it once, the rule by which assign_stratum places a probe.
 Clustering is agglomerative with unweighted average linkage (UPGMA) and
 deterministic lexicographic tie-breaking. It runs Müllner's "generic"
 algorithm (arXiv:1109.2378) on one in-place distance matrix with a cached
@@ -16,9 +17,9 @@ neighbour cache seeded, one row at a time.
 
 In stratify, n is the number of occupied cells of a grid whose pitch is the
 tier's cut / SNAP_STEPS, not the number of entries: a log with a continuous
-ext_load has as many distinct tier vectors as entries, but however long it
-grows its vectors occupy at most (SNAP_STEPS / cut + 1)^d cells of the unit
-cube, and a few hundred on a load jittered by +-0.02 at the default cut.
+dataset size or RTT has as many distinct tier vectors as entries, but its
+vectors occupy at most (SNAP_STEPS / cut + 1)^d cells of the unit cube
+however long it grows, and a few dozen on an RTT jittered by +-20%.
 
 stratify runs on the numpy columns of a LogTable: each tier's normalised
 feature values are computed once per distinct raw value of each column with
@@ -247,10 +248,7 @@ def cut_dendrogram(dend: Dendrogram, threshold: float) -> list[set[int]]:
     return sorted(groups.values(), key=min)
 
 
-TIER1_DEFAULT = (
-    FeatureSpec("ext_load", 0.0, 1.0),
-    FeatureSpec("bandwidth_mbps", 1.0, 1e5, log_scale=True),
-)
+TIER1_DEFAULT = (FeatureSpec("bandwidth_mbps", 1.0, 1e5, log_scale=True),)
 TIER2_DEFAULT = (
     FeatureSpec("num_files", 1.0, 1e5, log_scale=True),
     FeatureSpec("total_size_bytes", 1e4, 1e12, log_scale=True),
@@ -262,7 +260,7 @@ TIER3_DEFAULT = (
     FeatureSpec("rtt_ms", 0.1, 1e3, log_scale=True),
 )
 # the fields each tier may cluster on; tiers 1 and 3 read NetworkMeta
-TIER_FEATURE_NAMES = {"tier1": ("ext_load", "bandwidth_mbps"),
+TIER_FEATURE_NAMES = {"tier1": ("bandwidth_mbps",),
                       "tier2": tuple(f.name for f in fields(DatasetMeta)),
                       "tier3": ("bandwidth_mbps", "rtt_ms")}
 
@@ -549,9 +547,10 @@ def assign_stratum(dataset: DatasetMeta, network: NetworkMeta,
                    strata: list[Stratum], config: StratifyConfig | None = None) -> Stratum:
     """Classify a probe transfer into the best-matching stratum.
 
-    Filters to the probe's exact route, walks tiers by nearest centroid, then
-    picks the load interval containing network.ext_load (nearest interval
-    midpoint when none contains it, ties toward the lower interval).
+    Filters to the probe's exact route, walks tiers by nearest centroid (tier
+    1 is bandwidth), then picks the load interval containing network.ext_load,
+    the one partition of the load (nearest interval midpoint when none
+    contains it, ties toward the lower interval).
     """
     if not strata:
         raise ClusterError("no strata")

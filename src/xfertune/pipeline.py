@@ -35,7 +35,7 @@ from .tuner import (FILE_CLASSES, FixedController, OnlineTuner, TransferReport,
                     dataset_meta_for, run_transfer)
 
 SCHEMAS = {
-    "strata": "xfertune/strata-v1",
+    "strata": "xfertune/strata-v2",
     "models": "xfertune/models-v3",
     "table": "xfertune/table-v1",
     "transfer": "xfertune/transfer-v1",

@@ -5,6 +5,7 @@ the suite's runtime; every consumer treats these as read-only."""
 import pytest
 
 from xfertune import (
+    ENDPOINTS,
     SLA,
     StratifyConfig,
     fit_all_strata,
@@ -26,6 +27,14 @@ def corpus_two_sweeps():
     """Same corpus swept twice, so every lattice point has a duplicate
     and a 70/30 holdout split leaves test entries on every tuple."""
     return generate_training_logs(sweeps=2, seed=0)
+
+
+@pytest.fixture(scope="session")
+def multiroute_noisy():
+    """The benchmark's multiroute-noisy corpus at seed 1: chameleon,
+    cloudlab and intercloud swept twice with noise 0.02, 23,328 entries."""
+    specs = [ENDPOINTS[n] for n in ("chameleon", "cloudlab", "intercloud")]
+    return generate_training_logs(specs=specs, sweeps=2, noise=0.02, seed=1)
 
 
 @pytest.fixture(scope="session")

@@ -59,7 +59,9 @@ def test_traced_continuous_load_run_passes_its_checks():
     assert metrics["logs.ingest_calls"]["value"] == 2
     assert metrics["logs.entries_per_s"]["value"] > 0
     assert metrics["clustering.stratify_s"]["value"] > 0
-    assert metrics["clustering.distinct_tier1_points"]["value"] == 1296
+    # tier 1 clusters bandwidth alone, one value on the one route; the
+    # jittered loads reach only the load bands
+    assert metrics["clustering.distinct_tier1_points"]["value"] == 1
     assert metrics["clustering.strata"]["value"] == 3
 
 

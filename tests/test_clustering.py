@@ -27,6 +27,7 @@ from xfertune import (
     Merge,
     NetworkMeta,
     ParamConfig,
+    ParamLattice,
     StratifyConfig,
     Stratum,
     TransferLogEntry,
@@ -289,10 +290,11 @@ def test_upgma_matches_legacy_oracle(case):
     assert [m.distance for m in got] == [m.distance for m in want]
 
 
-def jittered_load_corpus(seed, size):
+def jittered_corpus(seed, size):
     """Chameleon small-class lattice at three loads, a random subset of
     entries with ext_load jittered by +-0.02 and the measurements recomputed,
-    so every entry is its own tier-1 point."""
+    then rtt_ms jittered by +-20% (the simulator's laws read the endpoint's
+    RTT, not the entry's), so every entry is its own tier-3 point."""
     spec = simulator.ENDPOINTS["chameleon"]
     small = simulator.DATASET_CLASSES["small"]
     base = simulator.generate_training_logs(specs=[spec], classes={"small": small},
@@ -311,7 +313,15 @@ def jittered_load_corpus(seed, size):
             e, network=dataclasses.replace(e.network, ext_load=load),
             throughput_mbps=tput, avg_power_watts=power,
             energy_joules=power * duration, duration_s=duration))
-    return out
+    rtts = spec.rtt_ms * rng.uniform(0.8, 1.2, size)
+    return [dataclasses.replace(e, network=dataclasses.replace(e.network, rtt_ms=float(r)))
+            for e, r in zip(out, rtts)]
+
+
+def assert_cells_hold_several_vectors(vectors, cut):
+    # so _cluster_by_vectors takes its cell-mean path, not only exact vectors
+    uniq = unique_rows(vectors)[0]
+    assert len(unique_rows(clustering._grid_cells(uniq, cut))[0]) < len(uniq)
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 129])
@@ -329,12 +339,14 @@ def test_blocked_upgma_matches_the_cached_oracle_across_blocks(n):
 
 
 def test_upgma_matches_the_cached_oracle_on_continuous_loads():
-    entries = jittered_load_corpus(seed=1, size=1296)
+    # no tier clusters the load, so the continuous RTT gives the points
+    entries = jittered_corpus(seed=1, size=1296)
     config = StratifyConfig()
     vectors = clustering._tier_vectors(LogTable.from_entries(entries),
-                                       config.tier1_features)
+                                       config.tier3_features)
     uniq, _, counts = unique_rows(vectors)
-    assert len(uniq) == 1296   # every entry is its own tier-1 point
+    assert len(uniq) == 1296   # every entry is its own tier-3 point
+    assert_cells_hold_several_vectors(vectors, config.tier3_cut)
     pts, weights = np.ascontiguousarray(uniq), counts.astype(float)
     assert_same_merges(clustering._upgma(pts, weights), cached_upgma(pts, weights))
 
@@ -347,10 +359,13 @@ def test_upgma_cluster_rejects_distances_that_overflow(points):
         upgma_cluster(points)
 
 
-@pytest.mark.parametrize("tier1_cut", [0.25, 0.01])   # 1 and 9 tier-1 clusters
-def test_stratify_matches_legacy_oracle_on_jittered_loads(monkeypatch, tier1_cut):
-    entries = jittered_load_corpus(seed=3, size=300)
-    config = StratifyConfig(tier1_cut=tier1_cut)
+@pytest.mark.parametrize("tier3_cut", [0.25, 0.01])   # 1 and 3-4 link clusters a band
+def test_stratify_matches_legacy_oracle_on_jittered_loads(monkeypatch, tier3_cut):
+    entries = jittered_corpus(seed=3, size=300)
+    config = StratifyConfig(tier3_cut=tier3_cut)
+    assert_cells_hold_several_vectors(
+        clustering._tier_vectors(LogTable.from_entries(entries), config.tier3_features),
+        tier3_cut)
     got = [s.as_dict() for s in stratify(entries, config)]
     monkeypatch.setattr(clustering, "_upgma", legacy_upgma)
     want = [s.as_dict() for s in stratify(entries, config)]
@@ -430,17 +445,18 @@ def test_grid_partition_equals_the_exact_partition_on_separated_blobs(case):
     assert [g.tolist() for g in got] == want
 
 
-def test_stratify_scales_to_a_long_jittered_log(monkeypatch):
+def test_stratify_scales_to_a_long_jittered_log(monkeypatch, multiroute_noisy):
     # the multiroute corpus (3 routes x 2 sweeps) with every load jittered
-    # by +-0.02: 23,328 distinct tier-1 vectors, which exact UPGMA would
-    # hold in a 4.3 GB distance matrix
-    specs = [simulator.ENDPOINTS[n] for n in ("chameleon", "cloudlab", "intercloud")]
-    table = LogTable.from_entries(simulator.generate_training_logs(
-        specs=specs, sweeps=2, noise=0.02, seed=1))
+    # by +-0.02 and every file-size spread by +-2%: 23,328 distinct tier-2
+    # vectors, which exact UPGMA would hold in a 4.3 GB distance matrix
+    table = multiroute_noisy
     rng = np.random.default_rng(1)
     table = dataclasses.replace(
-        table, ext_load=table.ext_load + rng.uniform(-0.02, 0.02, len(table)))
+        table, ext_load=table.ext_load + rng.uniform(-0.02, 0.02, len(table)),
+        file_size_stddev_bytes=table.file_size_stddev_bytes
+        * rng.uniform(0.98, 1.02, len(table)))
     assert len(table) == 23328 and len(np.unique(table.ext_load)) == len(table)
+    assert len(np.unique(table.file_size_stddev_bytes)) == len(table)
     seen = []
     upgma = clustering._upgma
 
@@ -607,34 +623,45 @@ def test_load_band_boundaries_on_default_corpus(strata):
     assert intervals[2][1] == 1.0
 
 
-def test_every_entry_assigns_back_to_its_stratum(corpus, strata, stratify_config):
-    owner = {}
-    for s in strata:
-        for i in s.members:
-            owner[i] = s.id
-    step = 7   # sampling keeps this quick; coverage still spans all strata
-    for i in range(0, len(corpus), step):
-        e = corpus[i]
-        got = assign_stratum(e.dataset, e.network, strata, stratify_config)
-        assert got.id == owner[i]
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 21: tier 1 clusters ext_load, and "
-                   "assign_stratum takes each tier key's centroid from its first stratum, "
-                   "so entries logged at load 0.35 assign to the load-0.5 strata")
-def test_every_seventh_multiroute_noisy_entry_assigns_back_to_its_stratum():
-    # the multiroute-noisy corpus: 3 routes x 2 sweeps, noise 0.02, seed 1;
-    # its loads 0.2 and 0.35 share a tier-1 cluster apart from load 0.5
-    specs = [simulator.ENDPOINTS[n] for n in ("chameleon", "cloudlab", "intercloud")]
-    corpus = simulator.generate_training_logs(specs=specs, sweeps=2, noise=0.02, seed=1)
-    config = StratifyConfig()
-    strata = stratify(corpus, config)
+def assert_every_entry_assigns_back(table, strata, config):
     owner = {i: s.id for s in strata for i in s.members}
-    sampled = range(0, len(corpus), 7)
-    wrong = [i for i in sampled
-             if assign_stratum(corpus[i].dataset, corpus[i].network, strata,
+    wrong = [i for i in range(len(table))
+             if assign_stratum(table[i].dataset, table[i].network, strata,
                                config).id != owner[i]]
-    assert not wrong, f"{len(wrong)} of {len(sampled)} sampled entries misassigned"
+    assert not wrong, f"{len(wrong)} of {len(table)} entries misassigned, first {wrong[:5]}"
+
+
+def test_every_entry_assigns_back_to_its_stratum(corpus, strata, stratify_config):
+    assert_every_entry_assigns_back(corpus, strata, stratify_config)
+
+
+def test_every_multiroute_noisy_entry_assigns_back_to_its_stratum(multiroute_noisy):
+    # loads 0.2 and 0.35 lie closer to each other than to 0.5, so a tier
+    # that clustered the load would cut the corpus apart from the bands
+    config = StratifyConfig()
+    strata = stratify(multiroute_noisy, config)
+    assert len(strata) == 27
+    assert_every_entry_assigns_back(multiroute_noisy, strata, config)
+    # every (route, dataset) gets the same three disjoint bands
+    intervals = sorted({s.ext_load_interval for s in strata})
+    assert [lo for lo, _ in intervals[1:]] == [hi for _, hi in intervals[:-1]]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(endpoints=st.lists(st.sampled_from(sorted(simulator.ENDPOINTS)), min_size=1,
+                          max_size=3, unique=True),
+       classes=st.sets(st.sampled_from(sorted(DATASET_CLASSES)), min_size=1),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_entry_of_a_continuous_load_corpus_assigns_back(endpoints, classes, seed):
+    lattice = ParamLattice(cpu_num=(1, 2), cpu_freq_mhz=(1200, 1800), cc=(1, 8),
+                           p=(1, 4), pp=(0, 8))
+    table = simulator.generate_training_logs(
+        specs=[simulator.ENDPOINTS[n] for n in endpoints], lattice=lattice,
+        classes={c: DATASET_CLASSES[c] for c in sorted(classes)}, seed=seed)
+    rng = np.random.default_rng(seed)
+    table = dataclasses.replace(table, ext_load=rng.uniform(0.0, 1.0, len(table)))
+    config = StratifyConfig()
+    assert_every_entry_assigns_back(table, stratify(table, config), config)
 
 
 def test_assign_unknown_route_raises(strata, stratify_config):
@@ -648,7 +675,7 @@ def make_stratum(sid, interval):
     return Stratum(
         id=sid, tier1_key="net0", tier2_key="data0", tier3_key="a->b/link0",
         route=("a", "b"), ext_load_interval=interval, members=(0,),
-        centroids={"tier1": (0.5, 0.5), "tier2": (0.5, 0.5, 0.5, 0.5),
+        centroids={"tier1": (0.5,), "tier2": (0.5, 0.5, 0.5, 0.5),
                    "tier3": (0.5, 0.5)})
 
 
@@ -830,7 +857,7 @@ def ragged_corpus(seed):
     return simulator.generate_training_logs(specs=specs, sweeps=2, noise=0.02, seed=seed)
 
 
-CORPORA = {"jittered": lambda seed: jittered_load_corpus(seed, 400),
+CORPORA = {"jittered": lambda seed: jittered_corpus(seed, 400),
            "multiroute": multiroute_corpus,
            "ragged": ragged_corpus,
            "random": lambda seed: random_corpus(np.random.default_rng(seed), n_routes=3)}

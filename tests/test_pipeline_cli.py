@@ -21,7 +21,7 @@ import pytest
 from xfertune import (SLA, cli, compare_policies, fit_all_strata,
                       generate_training_logs, optimize_all, run_tuned_transfer,
                       stratify)
-from xfertune.clustering import StratifyConfig
+from xfertune.clustering import FeatureSpec, StratifyConfig
 from xfertune.logs import PARAM_NAMES, ParamLattice, serialize_logs
 from xfertune.simulator import (DATASET_CLASSES, ENDPOINTS, LoadScenario,
                                 default_lattice, power_above_base_watts,
@@ -89,7 +89,7 @@ def test_offline_artifacts_are_schema_tagged(chain):
     strata = json.loads((chain / "strata.json").read_text())
     models = json.loads((chain / "models.json").read_text())
     table = json.loads((chain / "table.json").read_text())
-    assert strata["schema"] == SCHEMAS["strata"] == "xfertune/strata-v1"
+    assert strata["schema"] == SCHEMAS["strata"] == "xfertune/strata-v2"
     assert models["schema"] == SCHEMAS["models"] == "xfertune/models-v3"
     assert table["schema"] == SCHEMAS["table"] == "xfertune/table-v1"
     assert len(strata["strata"]) == 9
@@ -103,8 +103,14 @@ def test_offline_artifacts_are_schema_tagged(chain):
 
 def test_schema_mismatch_and_malformed_artifacts(chain, tmp_path):
     with pytest.raises(PipelineError, match="expected schema xfertune/models-v3, "
-                                            "found 'xfertune/strata-v1'"):
+                                            "found 'xfertune/strata-v2'"):
         read_json_artifact(chain / "strata.json", "models")
+    # a strata-v1 file partitions the load twice: in tier 1 and in the bands
+    old = tmp_path / "strata-v1.json"
+    old.write_text((chain / "strata.json").read_text().replace("strata-v2", "strata-v1"))
+    with pytest.raises(PipelineError, match="expected schema xfertune/strata-v2, "
+                                            "found 'xfertune/strata-v1'"):
+        read_json_artifact(old, "strata")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(PipelineError, match="malformed JSON"):
@@ -229,7 +235,7 @@ def test_optimize_exits_2_on_models_whose_knots_are_not_parameter_values(
     (lambda d: d["strata"][0]["centroids"].pop("tier2"),
      "['strata'][0]['centroids'] is missing key 'tier2'"),
     (lambda d: d["strata"][0]["centroids"]["tier1"].pop(),
-     "['strata'][0]['centroids']['tier1'] of stratum s000 has length 1 for 2 features"),
+     "['strata'][0]['centroids']['tier1'] of stratum s000 has length 0 for 1 features"),
     (lambda d: d["strata"][4]["centroids"]["tier3"].append(0.5),
      "['strata'][4]['centroids']['tier3'] of stratum s004 has length 3 for 2 features"),
     (lambda d: d["strata"][2]["centroids"]["tier2"].__setitem__(0, "wide"),
@@ -297,8 +303,8 @@ def test_tune_exits_2_on_strata_centroids_that_do_not_fit_the_config(
      "['strata'][0]['route'] of stratum s000 is ['uc', ''], not two nonempty strings"),
     # non-finite tier-1 centroids used to exit 2 with "min() arg is an empty
     # sequence"; json reads the number 1e999 as inf
-    ("strata", lambda d: d["strata"][0]["centroids"]["tier1"].__setitem__(1, json.loads("1e999")),
-     "['strata'][0]['centroids']['tier1'][1] of stratum s000 is inf, not a finite float"),
+    ("strata", lambda d: d["strata"][0]["centroids"]["tier1"].__setitem__(0, json.loads("1e999")),
+     "['strata'][0]['centroids']['tier1'][0] of stratum s000 is inf, not a finite float"),
     ("strata", lambda d: d["strata"][2]["centroids"]["tier3"].__setitem__(0, math.nan),
      "['strata'][2]['centroids']['tier3'][0] of stratum s002 is nan, not a finite float"),
     ("strata", lambda d: d["strata"][4]["centroids"]["tier2"].__setitem__(1, -math.inf),
@@ -609,16 +615,20 @@ def _set(path, value):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (_set(("tier1_features", 0, "hi"), 0.0), "tier1_features: feature ext_load: lo and hi must be finite, lo < hi"),
+    (_set(("tier1_features", 0, "hi"), 1.0),
+     "tier1_features: feature bandwidth_mbps: lo and hi must be finite, lo < hi"),
     (_set(("tier2_features", 1, "foo"), 1), "tier2_features: malformed feature: .*'foo'"),
     (_set(("tier3_cut",), "wide"), "tier3_cut must be a finite number >= 0"),
     (_set(("tier3_features", 1, "lo"), 0.0), "tier3_features: feature rtt_ms: log-scale lo must be > 0"),
-    (_set(("tier1_features", 1, "name"), "rtt_ms"), "tier1_features: unknown feature 'rtt_ms'"),
+    (_set(("tier1_features", 0, "name"), "rtt_ms"), "tier1_features: unknown feature 'rtt_ms'"),
     (_set(("tier2_features", 0, "log_scale"), "yes"), "log_scale must be true or false"),
     (_set(("tier1_features", 0), 7), "tier1_features: malformed feature"),
     (_set(("load_band_k",), -1.0), "load_band_k must be a finite number >= 0"),
+    # the load is partitioned by the bands alone, so tier 1 cannot cluster it
+    (lambda cfg: cfg["tier1_features"].insert(0, FeatureSpec("ext_load", 0.0, 1.0).as_dict()),
+     "tier1_features: unknown feature 'ext_load'; have bandwidth_mbps"),
 ], ids=["lo-equals-hi", "unknown-key", "text-cut", "log-lo-zero", "wrong-tier",
-        "text-log-scale", "not-an-object", "negative-k"])
+        "text-log-scale", "not-an-object", "negative-k", "ext-load-in-tier1"])
 def test_stratify_rejects_a_bad_config(chain, tmp_path, capsys, edit, message):
     cfg = StratifyConfig().as_dict()
     edit(cfg)

@@ -30,10 +30,12 @@ from xfertune import (
     OnlineTuner,
     ParamConfig,
     SimEndpoint,
+    StratifyConfig,
     TunerError,
     cluster_files,
     compare_policies,
     optimize_all,
+    stratify,
 )
 from xfertune import pipeline
 from xfertune.optimizer import KIND_ENERGY_CAP, KIND_THROUGHPUT_FLOOR
@@ -207,6 +209,28 @@ def test_switch_target_prefers_containing_interval(
     res = tuner.tick(sample(tput=500.0, load=0.3))
     assert res.action == "switch-high"
     assert tuner.stratum.id == mid.id
+
+
+def test_a_load_step_switches_to_the_band_fitted_at_the_new_load(multiroute_noisy):
+    # on the multiroute-noisy models the medium class starts at load 0.1 and
+    # the load steps to 0.6 at 5 s: its switch must reach the band fitted at
+    # load 0.5, not one fitted at 0.35
+    config = StratifyConfig()
+    strata = stratify(multiroute_noisy, config)
+    models, _ = pipeline.fit_all_strata(multiroute_noisy, strata, with_holdout=False)
+    sla = SLA.max_throughput()
+    report = pipeline.run_tuned_transfer(
+        ENDPOINTS["chameleon"], LoadScenario.step(0.1, 0.6, 5.0), config, strata, models,
+        optimize_all(models, [sla]), sla, interval_s=0.5)
+    ends = np.cumsum([c["duration_s"] for c in report.classes])
+    medium = [c["class"] for c in report.classes].index("medium")
+    start = ends[medium - 1] if medium else 0.0
+    (switch,) = [e for e in report.events if e["event"] == "switch-high"
+                 and start <= e["t_s"] < ends[medium]]
+    target = next(s for s in strata if s.id == switch["stratum_id"])
+    assert target.contains_load(0.6)
+    assert target.ext_load_interval == pytest.approx((0.4724744871391589, 1.0), abs=1e-12)
+    assert np.median(multiroute_noisy.ext_load[list(target.members)]) == 0.5
 
 
 def test_no_higher_surface_warns_and_stays(
