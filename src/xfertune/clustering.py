@@ -5,6 +5,8 @@ bandwidth, tier 2 on dataset shape, then each tier-2 group is split into
 external-load intervals around the mean, and tier 3 pins the exact route and
 clusters residual link characteristics. No tier clusters the load: the
 intervals partition it once, the rule by which assign_stratum places a probe.
+assign_stratum walks in stratify's order (route, tier 1, tier 2, load band,
+tier 3), because tier-3 link keys are numbered afresh in each band.
 Clustering is agglomerative with unweighted average linkage (UPGMA) and
 deterministic lexicographic tie-breaking. It runs Müllner's "generic"
 algorithm (arXiv:1109.2378) on one in-place distance matrix with a cached
@@ -27,7 +29,9 @@ the scalar FeatureSpec.normalize, entries are grouped by vector, load band
 and route code with array masks, and centroids are means of the
 lexicographically sorted raw rows, so the strata equal those of the
 per-entry loop bit for bit wherever no grid cell holds two distinct vectors
-of a tier.
+of a tier. The strata artifact's records, FeatureSpec, StratifyConfig and
+Stratum, write and read their declared dataclass fields, so a field is
+added or removed only where it is declared.
 """
 from __future__ import annotations
 
@@ -75,7 +79,7 @@ class FeatureSpec:
         return min(max(x, 0.0), 1.0)
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "lo": self.lo, "hi": self.hi, "log_scale": self.log_scale}
+        return self.__dict__.copy()   # in declaration order, as __init__ sets them
 
 
 @dataclass(frozen=True)
@@ -289,15 +293,9 @@ class StratifyConfig:
             raise ClusterError("load_band_k must be a finite number >= 0")
 
     def as_dict(self) -> dict:
-        return {
-            "tier1_features": [f.as_dict() for f in self.tier1_features],
-            "tier2_features": [f.as_dict() for f in self.tier2_features],
-            "tier3_features": [f.as_dict() for f in self.tier3_features],
-            "tier1_cut": self.tier1_cut,
-            "tier2_cut": self.tier2_cut,
-            "tier3_cut": self.tier3_cut,
-            "load_band_k": self.load_band_k,
-        }
+        # the feature tuples as lists, which a caller may edit
+        return {k: [f.as_dict() for f in v] if isinstance(v, tuple) else v
+                for k, v in self.__dict__.items()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "StratifyConfig":
@@ -307,22 +305,16 @@ class StratifyConfig:
             if f.name not in obj:
                 raise ClusterError(f"stratify config is missing key {f.name!r}")
 
-        def specs(key):
+        def value(f):
+            if not isinstance(f.default, tuple):   # a number
+                return obj[f.name]
             try:
-                return tuple(FeatureSpec(**d) for d in obj[key])
+                return tuple(FeatureSpec(**d) for d in obj[f.name])
             except TypeError as exc:
-                raise ClusterError(f"{key}: malformed feature: {exc}") from exc
+                raise ClusterError(f"{f.name}: malformed feature: {exc}") from exc
             except ClusterError as exc:
-                raise ClusterError(f"{key}: {exc}") from exc
-        return cls(
-            tier1_features=specs("tier1_features"),
-            tier2_features=specs("tier2_features"),
-            tier3_features=specs("tier3_features"),
-            tier1_cut=obj["tier1_cut"],
-            tier2_cut=obj["tier2_cut"],
-            tier3_cut=obj["tier3_cut"],
-            load_band_k=obj["load_band_k"],
-        )
+                raise ClusterError(f"{f.name}: {exc}") from exc
+        return cls(**{f.name: value(f) for f in fields(cls)})
 
 
 def tier1_vector(net: NetworkMeta, config: StratifyConfig) -> tuple[float, ...]:
@@ -371,29 +363,20 @@ class Stratum:
         return (self.tier1_key, self.tier2_key, self.tier3_key)
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "tier1_key": self.tier1_key,
-            "tier2_key": self.tier2_key,
-            "tier3_key": self.tier3_key,
-            "route": list(self.route),
-            "ext_load_interval": list(self.ext_load_interval),
-            "members": list(self.members),
-            "centroids": {k: list(v) for k, v in self.centroids.items()},
-        }
+        # a new dict in declaration order, with its own copy of centroids
+        return {k: dict(v) if isinstance(v, dict) else v
+                for k, v in self.__dict__.items()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Stratum":
-        return cls(
-            id=obj["id"],
-            tier1_key=obj["tier1_key"],
-            tier2_key=obj["tier2_key"],
-            tier3_key=obj["tier3_key"],
-            route=tuple(obj["route"]),
-            ext_load_interval=tuple(obj["ext_load_interval"]),
-            members=tuple(obj["members"]),
-            centroids={k: tuple(v) for k, v in obj["centroids"].items()},
-        )
+        return cls(**{f.name: _tuples(obj[f.name]) for f in fields(cls)})
+
+
+def _tuples(value):
+    """A JSON value with its lists, and the lists an object maps to, as tuples."""
+    if isinstance(value, dict):
+        return {k: _tuples(v) for k, v in value.items()}
+    return tuple(value) if isinstance(value, list) else value
 
 
 # grid steps per cut: stratify clusters a tier's vectors on the cells of a
@@ -533,24 +516,32 @@ def stratify(entries, config: StratifyConfig | None = None) -> list[Stratum]:
     return strata
 
 
-def _nearest_key(probe: tuple[float, ...], options: dict[str, tuple[float, ...]]) -> str:
+def _nearest_group(pool: list[Stratum], tier: str, probe: tuple[float, ...]) -> list[Stratum]:
+    """The strata of the pool whose key of the tier has the centroid nearest
+    the probe vector (ties toward the smaller key)."""
+    key_attr = f"{tier}_key"
+    options = {}
+    for s in pool:
+        options.setdefault(getattr(s, key_attr), s.centroids[tier])
     best_key, best_d = None, math.inf
     for key in sorted(options):
-        c = options[key]
-        d = math.dist(probe, c)
+        d = math.dist(probe, options[key])
         if d < best_d:
             best_key, best_d = key, d
-    return best_key
+    return [s for s in pool if getattr(s, key_attr) == best_key]
 
 
 def assign_stratum(dataset: DatasetMeta, network: NetworkMeta,
                    strata: list[Stratum], config: StratifyConfig | None = None) -> Stratum:
     """Classify a probe transfer into the best-matching stratum.
 
-    Filters to the probe's exact route, walks tiers by nearest centroid (tier
-    1 is bandwidth), then picks the load interval containing network.ext_load,
-    the one partition of the load (nearest interval midpoint when none
-    contains it, ties toward the lower interval).
+    In stratify's order: filters to the probe's exact route, walks tiers 1
+    (bandwidth) and 2 by nearest centroid, picks the load interval
+    containing network.ext_load, the one partition of the load (nearest
+    interval midpoint when none contains it, ties toward the lower
+    interval), and last the nearest tier-3 link of that interval: stratify
+    clusters tier 3 inside each load band and numbers its links from 0 in
+    each, so a link key names a different cluster in each band.
     """
     if not strata:
         raise ClusterError("no strata")
@@ -559,18 +550,12 @@ def assign_stratum(dataset: DatasetMeta, network: NetworkMeta,
     if not pool:
         raise UnknownRouteError(
             f"no stratum for route {network.route[0]}->{network.route[1]}")
-
-    for tier, vec in (("tier1", tier1_vector(network, config)),
-                      ("tier2", tier2_vector(dataset, config)),
-                      ("tier3", tier3_vector(network, config))):
-        key_attr = f"{tier}_key"
-        options = {}
-        for s in pool:
-            options.setdefault(getattr(s, key_attr), s.centroids[tier])
-        key = _nearest_key(vec, options)
-        pool = [s for s in pool if getattr(s, key_attr) == key]
-
-    return load_band_stratum(pool, network.ext_load)
+    pool = _nearest_group(pool, "tier1", tier1_vector(network, config))
+    pool = _nearest_group(pool, "tier2", tier2_vector(dataset, config))
+    band = load_band_stratum(pool, network.ext_load).ext_load_interval
+    pool = [s for s in pool if s.ext_load_interval == band]
+    # one stratum per tier-3 key within a band
+    return _nearest_group(pool, "tier3", tier3_vector(network, config))[0]
 
 
 def load_band_stratum(pool: list[Stratum], load: float) -> Stratum:

@@ -298,14 +298,21 @@ _INFEASIBLE_ROW = {"reason": str}
 
 
 def load_table(doc: dict) -> ParamTable:
-    """The ParamTable of a table artifact; a body of another shape, or an
-    SLA bound that is an int beyond float range, raises PipelineError. A row
-    whose status is not ok must give its reason."""
+    """The ParamTable of a table artifact; a body of another shape, a
+    repeated SLA id, or an SLA bound that is an int beyond float range,
+    raises PipelineError. A row whose status is not ok must give its
+    reason."""
     _check_body(doc, _TABLE_BODY, "table")
+    first = {}
     for i, sla in enumerate(doc["table"]["slas"]):
+        where = f"table artifact: ['table']['slas'][{i}]"
+        # the tuner looks rows up by SLA id, so a second one would never run
+        if (j := first.setdefault(sla["id"], i)) != i:
+            raise PipelineError(f"{where}['id'] repeats sla id {sla['id']}, "
+                                f"the id of ['table']['slas'][{j}]")
         bound = sla["bound"]
         if isinstance(bound, int) and not abs(bound) <= sys.float_info.max:
-            raise PipelineError(f"table artifact: ['table']['slas'][{i}]['bound'] of sla "
+            raise PipelineError(f"{where}['bound'] of sla "
                                 f"{sla['id']} is an integer beyond float range")
     for sid, rows in doc["table"]["rows"].items():
         for sla_id, row in rows.items():

@@ -30,13 +30,14 @@ operations of the forecast in their order. A class keeps only the last
 three smoothed throughputs, all that the heuristic nudge reads.
 MonitorSample and TickResult are slots dataclasses, immutable by convention
 rather than frozen, because building a frozen one costs several times as
-much.
+much. TransferReport writes its declared fields: its as_dict() is
+dataclasses.asdict, a deep copy, so no caller shares its rows or events.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -425,16 +426,7 @@ class TransferReport:
     events: tuple
 
     def as_dict(self) -> dict:
-        return {
-            "completed": self.completed,
-            "classes": [dict(c) for c in self.classes],
-            "duration_s": self.duration_s,
-            "energy_joules": self.energy_joules,
-            "avg_throughput_mbps": self.avg_throughput_mbps,
-            "switch_count": self.switch_count,
-            "warnings": list(self.warnings),
-            "events": list(self.events),
-        }
+        return asdict(self)
 
 
 def run_transfer(endpoint, file_sizes, controller) -> TransferReport:

@@ -12,6 +12,7 @@ equal strata.
 """
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -664,6 +665,32 @@ def test_every_entry_of_a_continuous_load_corpus_assigns_back(endpoints, classes
     assert_every_entry_assigns_back(table, stratify(table, config), config)
 
 
+@pytest.mark.parametrize("cut", [0.01, 0.005])
+def test_an_entry_assigns_to_its_own_load_band_when_tier3_splits_rtt(cut):
+    # stratify clusters tier 3 inside each load band and numbers the links
+    # from 0 in each; walking tier 3 before the band sent 102 entries
+    # (cut 0.01, 10 strata) and 58 (cut 0.005) to a stratum of another band
+    entries = jittered_corpus(1, 1296)
+    config = StratifyConfig(tier3_cut=cut)
+    strata = stratify(entries, config)
+
+    def place(s):
+        return s.route, s.tier1_key, s.tier2_key, s.ext_load_interval
+    wrong = [i for s in strata for i in s.members
+             if place(assign_stratum(entries[i].dataset, entries[i].network, strata,
+                                     config)) != place(s)]
+    assert not wrong, f"{len(wrong)} of {len(entries)} entries misplaced, first {wrong[:5]}"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="UPGMA clusters are not nearest-centroid cells: "
+                   "50 of the 1,296 entries go to another tier-3 link of their own band")
+def test_every_entry_assigns_back_when_tier3_splits_rtt():
+    entries = jittered_corpus(1, 1296)
+    config = StratifyConfig(tier3_cut=0.01)
+    assert_every_entry_assigns_back(entries, stratify(entries, config), config)
+
+
 def test_assign_unknown_route_raises(strata, stratify_config):
     ds = DATASET_CLASSES["small"]
     net = NetworkMeta("nowhere", "elsewhere", 1e4, 32.0, 0.2)
@@ -723,10 +750,16 @@ def test_top_interval_contains_full_load():
 
 
 def test_stratum_roundtrip_and_sibling_key():
+    # through JSON text, as the strata artifact holds them
     s = make_stratum("x", (0.0, 0.5))
-    back = Stratum.from_dict(s.as_dict())
+    back = Stratum.from_dict(json.loads(json.dumps(s.as_dict())))
     assert back == s
+    assert back.centroids == s.centroids   # Stratum.__eq__ ignores centroids
+    s.as_dict()["centroids"]["tier1"] = (0.9,)
+    assert s.centroids["tier1"] == (0.5,)
     assert s.sibling_key == ("net0", "data0", "a->b/link0")
+    config = StratifyConfig(tier2_cut=0.1, load_band_k=0.5)
+    assert StratifyConfig.from_dict(json.loads(json.dumps(config.as_dict()))) == config
 
 
 def test_stratify_rejects_empty_input():

@@ -5,6 +5,7 @@ kept as a test-only oracle: on valid corpora and on corpora with injected
 faults both must give equal entries or the same error and message.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -84,6 +85,14 @@ def test_the_layout_names_are_the_record_fields_in_declaration_order():
     assert list(entry.as_dict()) == ["params", "dataset", "network", *logs.METRIC_FIELDS]
     assert list(entry.dataset.as_dict()) == ["num_files", *logs.DATASET_FLOATS]
     assert list(entry.network.as_dict()) == ["source_id", "dest_id", *logs.NETWORK_FLOATS]
+
+
+def test_the_hand_spelled_copies_of_the_layout_follow_it():
+    # ParamLattice, PARAM_MIN and LogTable spell the names again by hand
+    assert tuple(f.name for f in dataclasses.fields(ParamLattice)) == PARAM_NAMES
+    assert tuple(PARAM_MIN) == PARAM_NAMES
+    assert tuple(f.name for f in dataclasses.fields(LogTable)) == (
+        "params", "num_files", *FLOAT_COLUMNS, "route", "routes")
 
 
 def test_each_as_dict_is_a_new_dict_the_record_does_not_share():

@@ -276,6 +276,10 @@ def test_tune_exits_2_on_strata_centroids_that_do_not_fit_the_config(
     # used to exit 1 with an OverflowError traceback from float(bound)
     ("table", lambda d: d["table"]["slas"][1].update(bound=10**400),
      "['table']['slas'][1]['bound'] of sla min-energy is an integer beyond float range"),
+    # used to load, and the tuner ran the first max-tput's rows
+    ("table", lambda d: d["table"]["slas"].append(
+        {"id": "max-tput", "kind": "throughput-guarantee", "bound": 10}),
+     "['table']['slas'][2]['id'] repeats sla id max-tput, the id of ['table']['slas'][0]"),
     ("strata", lambda d: d.update(strata={}), "['strata'] is an object, not an array"),
     ("strata", lambda d: d["strata"][2].update(members=7),
      "['strata'][2]['members'] is an integer, not an array"),
@@ -314,7 +318,8 @@ def test_tune_exits_2_on_strata_centroids_that_do_not_fit_the_config(
      "not a finite float"),
 ], ids=["models-strata-array", "models-stratum-array", "models-no-knots",
         "models-no-groups", "models-no-anchor-pp", "table-array", "table-no-result",
-        "table-null-bound", "table-huge-int-bound", "strata-object", "strata-int-members", "strata-config-key",
+        "table-null-bound", "table-huge-int-bound", "table-repeated-sla",
+        "strata-object", "strata-int-members", "strata-config-key",
         "strata-interval-3", "strata-interval-reversed", "strata-interval-negative",
         "strata-route-3", "strata-route-empty", "strata-route-empty-id",
         "strata-inf-centroid", "strata-nan-centroid", "strata-minus-inf-centroid",
